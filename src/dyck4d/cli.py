@@ -48,6 +48,23 @@ def _node_arg(text: str):
         raise argparse.ArgumentTypeError("node coordinates must be integers") from exc
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_non_negative = _int_at_least(0)
+_positive = _int_at_least(1)
+
+
 def _axes_arg(text: str):
     try:
         return projections.AxisSet.of(text)
@@ -142,13 +159,18 @@ def cmd_geometry(args) -> int:
     return 0
 
 
+def _print_ranked(args, word, k, text) -> None:
+    """One ranked word: a {"word", "rank"} JSON line, or ``text`` as is."""
+    if args.format == "json":
+        print(json.dumps({"word": words.render_word(word), "rank": str(k)},
+                         separators=(",", ":")))
+    else:
+        print(text)
+
+
 def cmd_enumerate(args) -> int:
     for k, word in enumerate(enumeration.enumerate_words(args.n)):
-        if args.format == "json":
-            print(json.dumps({"word": words.render_word(word), "rank": str(k)},
-                             separators=(",", ":")))
-        else:
-            print(words.render_word(word))
+        _print_ranked(args, word, k, words.render_word(word))
     return 0
 
 
@@ -156,11 +178,7 @@ def cmd_rank(args) -> int:
     for text in _input_lines(args):
         word = words.parse_word(text)
         k = enumeration.rank(word)
-        if args.format == "json":
-            print(json.dumps({"word": words.render_word(word), "rank": str(k)},
-                             separators=(",", ":")))
-        else:
-            print(k)
+        _print_ranked(args, word, k, k)
     return 0
 
 
@@ -170,11 +188,7 @@ def cmd_sample(args) -> int:
     for _ in range(args.count):
         k = enumeration.draw_uniform_rank(rng, total)
         word = enumeration.unrank(k, args.n)
-        if args.format == "json":
-            print(json.dumps({"word": words.render_word(word), "rank": str(k)},
-                             separators=(",", ":")))
-        else:
-            print(words.render_word(word))
+        _print_ranked(args, word, k, words.render_word(word))
     return 0
 
 
@@ -248,18 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_lift)
 
     p = sub.add_parser("count", help="paths through a node (JSON lines with --format json)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_non_negative, required=True)
     p.add_argument("--node", type=_node_arg, default=None, help="i,j,l,r; default: all nodes")
     _add_format(p)
     p.set_defaults(handler=cmd_count)
 
     p = sub.add_parser("geometry", help="triangle and box report")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_non_negative, required=True)
     _add_format(p)
     p.set_defaults(handler=cmd_geometry)
 
     p = sub.add_parser("enumerate", help="all words of a half-length, in order")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_non_negative, required=True)
     _add_format(p)
     p.set_defaults(handler=cmd_enumerate)
 
@@ -269,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_rank)
 
     p = sub.add_parser("sample", help="uniform random words, deterministic per seed")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_non_negative, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_non_negative, default=1)
     _add_format(p)
     p.set_defaults(handler=cmd_sample)
 
@@ -280,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = view.add_parser("grid", help="2-axis grid with isolines")
     g.add_argument("--axes", type=_axes_arg, required=True)
-    g.add_argument("--n", type=int, required=True)
+    g.add_argument("--n", type=_non_negative, required=True)
     g.add_argument("--word", default=None, help="overlay this word's projected path")
     g.add_argument("--out", default=None, help="SVG output file (default: stdout)")
     g.set_defaults(handler=cmd_render)
 
     w = view.add_parser("wireframe", help="oblique view of the 4D box or one cell")
-    w.add_argument("--n", type=int, required=True)
+    w.add_argument("--n", type=_positive, required=True)
     w.add_argument("--cell", choices=sorted(_CELL_CHOICES), default=None)
     w.add_argument("--triangle", action="store_true", help="overlay the triangle sides")
     w.add_argument("--out", default=None)
@@ -294,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(handler=cmd_render)
 
     s = view.add_parser("schlegel", help="nested-cube view of the 4D box")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_positive, required=True)
     s.add_argument("--triangle", action="store_true")
     s.add_argument("--out", default=None)
     s.add_argument("--edges", default=None)

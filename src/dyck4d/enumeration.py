@@ -1,9 +1,11 @@
 """Counting, exhaustive generation, ranking and uniform sampling of balanced words.
 
 The canonical order everywhere is lexicographic with '(' < ')', which is
-plain string order of the rendered words.  Ranking walks the suffix-count
+plain string order of the rendered words.  Ranking walks the prefix-count
 table instead of materializing the enumeration, so it stays cheap for
-half-lengths far beyond desk scale.
+half-lengths far beyond desk scale.  The completions of a prefix at (l, r),
+read backwards with '(' and ')' swapped, are the prefixes reaching
+(n - r, n - l), so the table counts both.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 from typing import Iterator
 
 from .errors import RankOutOfRange
-from .lattice import suffix_count_table
+from .lattice import prefix_count_table
 from .words import DyckWord, Step
 
 
@@ -54,16 +56,18 @@ def enumerate_words(n: int) -> Iterator[DyckWord]:
 def rank(word: DyckWord) -> int:
     """Index of ``word`` in the lexicographic enumeration of its half-length."""
     n = word.n
-    table = suffix_count_table(n)
+    table = prefix_count_table(n)
     k = 0
-    l = r = 0
+    # table[row][col] with row = n - r, col = n - l - 1 counts the words
+    # that complete (l + 1, r); col < 0 means l = n.
+    row, col = n, n - 1
     for step in word.steps:
         if step is Step.CLOSE:
-            if l < n:  # every word opening here precedes this one
-                k += table[l + 1][r]
-            r += 1
+            if col >= 0:  # every word opening here precedes this one
+                k += table[row][col]
+            row -= 1
         else:
-            l += 1
+            col -= 1
     return k
 
 
@@ -73,18 +77,18 @@ def unrank(k: int, n: int) -> DyckWord:
         raise ValueError("half-length must be non-negative")
     if not 0 <= k < catalan(n):
         raise RankOutOfRange(f"rank {k} not in [0, {catalan(n)}) for n={n}")
-    table = suffix_count_table(n)
+    table = prefix_count_table(n)
     steps = []
-    l = r = 0
+    row, col = n, n - 1  # as in rank: n - r and n - l - 1
     for _ in range(2 * n):
-        opens = table[l + 1][r] if l < n else 0
-        if l < n and k < opens:
+        opens = table[row][col] if col >= 0 else 0
+        if col >= 0 and k < opens:
             steps.append(Step.OPEN)
-            l += 1
+            col -= 1
         else:
             k -= opens
             steps.append(Step.CLOSE)
-            r += 1
+            row -= 1
     return DyckWord(tuple(steps))
 
 

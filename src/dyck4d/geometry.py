@@ -22,13 +22,8 @@ from . import lattice
 from .words import AXES, Axis, DOWN_STEP, LatticeNode, Path4D, UP_STEP
 
 
-class Vec4(NamedTuple):
-    """An integer 4-vector in (i, j, l, r) component order."""
-
-    i: int
-    j: int
-    l: int
-    r: int
+#: An integer 4-vector in (i, j, l, r) component order: the node type itself.
+Vec4 = LatticeNode
 
 
 UP = Vec4(*UP_STEP)
@@ -79,34 +74,34 @@ class TriangleGeometry:
         raise KeyError(which)
 
 
+def _ends(n: int) -> tuple[tuple[LatticeNode, LatticeNode, LatticeNode], dict]:
+    """The vertices (origin, end, apex) and each side's (start, end) for half-length n."""
+    origin = LatticeNode(0, 0, 0, 0)
+    end = LatticeNode(2 * n, 0, n, n)
+    apex = LatticeNode(n, n, n, 0)
+    sides = {Side.BLUE: (origin, end), Side.RED: (origin, apex), Side.YELLOW: (apex, end)}
+    return (origin, end, apex), sides
+
+
 def triangle(n: int) -> TriangleGeometry:
     """Vertices and side node lists; degenerate but well-defined at n = 0."""
     if n < 0:
         raise ValueError("half-length must be non-negative")
-    origin = LatticeNode(0, 0, 0, 0)
-    end = LatticeNode(2 * n, 0, n, n)
-    apex = LatticeNode(n, n, n, 0)
-    blue = TriangleSide(Side.BLUE, origin, end,
+    vertices, ends = _ends(n)
+    blue = TriangleSide(Side.BLUE, *ends[Side.BLUE],
                         tuple(LatticeNode(2 * k, 0, k, k) for k in range(n + 1)))
-    red = TriangleSide(Side.RED, origin, apex,
+    red = TriangleSide(Side.RED, *ends[Side.RED],
                        tuple(LatticeNode(k, k, k, 0) for k in range(n + 1)))
-    yellow = TriangleSide(Side.YELLOW, apex, end,
+    yellow = TriangleSide(Side.YELLOW, *ends[Side.YELLOW],
                           tuple(LatticeNode(n + k, n - k, n, k) for k in range(n + 1)))
-    return TriangleGeometry(n, origin, end, apex, (blue, red, yellow))
-
-
-_SIDE_ENDPOINTS = {
-    Side.BLUE: (lambda n: LatticeNode(0, 0, 0, 0), lambda n: LatticeNode(2 * n, 0, n, n)),
-    Side.RED: (lambda n: LatticeNode(0, 0, 0, 0), lambda n: LatticeNode(n, n, n, 0)),
-    Side.YELLOW: (lambda n: LatticeNode(n, n, n, 0), lambda n: LatticeNode(2 * n, 0, n, n)),
-}
+    return TriangleGeometry(n, *vertices, (blue, red, yellow))
 
 
 def side_length_squared(side: Side, n: int) -> int:
     """Squared Euclidean length of a side, an exact integer (6n² or 3n²)."""
     if n < 0:
         raise ValueError("half-length must be non-negative")
-    start, end = (make(n) for make in _SIDE_ENDPOINTS[side])
+    start, end = _ends(n)[1][side]
     return norm_squared(sub(end, start))
 
 

@@ -41,6 +41,30 @@ def is_lattice_node(i: int, j: int, l: int, r: int, region: LatticeRegion = INFI
     return region.bound is None or l <= region.bound
 
 
+#: (l, r) from the values of two axes, keyed by the axis names in i, j, l, r order.
+_PAIR_TO_LR = {
+    ("i", "j"): lambda i, j: ((i + j) // 2, (i - j) // 2),
+    ("i", "l"): lambda i, l: (l, i - l),
+    ("i", "r"): lambda i, r: (i - r, r),
+    ("j", "l"): lambda j, l: (l, l - j),
+    ("j", "r"): lambda j, r: (j + r, r),
+    ("l", "r"): lambda l, r: (l, r),
+}
+
+
+def _complete_pair(x: str, a: int, y: str, b: int) -> LatticeNode:
+    """The node with coordinate ``x`` equal to a and ``y`` equal to b.
+
+    ``x`` precedes ``y`` in i, j, l, r order.  Raises
+    :class:`ParityViolation` for an (i, j) pair of mixed parity; lattice
+    membership is left to the caller.
+    """
+    if x == "i" and y == "j" and (a + b) % 2:
+        raise ParityViolation()
+    l, r = _PAIR_TO_LR[x, y](a, b)
+    return LatticeNode(l + r, l - r, l, r)
+
+
 def complete_node(i: int | None = None, j: int | None = None,
                   l: int | None = None, r: int | None = None) -> LatticeNode:
     """Recover the unique lattice node from any two of its coordinates.
@@ -52,26 +76,8 @@ def complete_node(i: int | None = None, j: int | None = None,
     given = {name: value for name, value in zip("ijlr", (i, j, l, r)) if value is not None}
     if len(given) != 2:
         raise ValueError(f"exactly two coordinates required, got {len(given)}")
-    keys = frozenset(given)
-    if keys == {"i", "j"}:
-        if (i + j) % 2:
-            raise ParityViolation()
-        l, r = (i + j) // 2, (i - j) // 2
-    elif keys == {"l", "r"}:
-        i, j = l + r, l - r
-    elif keys == {"j", "l"}:
-        r = l - j
-        i = l + r
-    elif keys == {"i", "l"}:
-        r = i - l
-        j = l - r
-    elif keys == {"i", "r"}:
-        l = i - r
-        j = l - r
-    else:  # {"j", "r"}
-        l = j + r
-        i = l + r
-    node = LatticeNode(i, j, l, r)
+    (x, a), (y, b) = given.items()
+    node = _complete_pair(x, a, y, b)
     if not is_lattice_node(*node):
         raise NotInLattice(f"completion of {dict(sorted(given.items()))} gives {tuple(node)}")
     return node
@@ -105,32 +111,17 @@ def prefix_count_table(n: int):
     return tuple(tuple(row) for row in table)
 
 
-@lru_cache(maxsize=None)
-def suffix_count_table(n: int):
-    """table[l][r] = number of ways to extend (l, r) to a full word of half-length n."""
-    table = [[0] * (l + 1) for l in range(n + 1)]
-    table[n][n] = 1
-    for l in range(n, -1, -1):
-        for r in range(l, -1, -1):
-            if l == n and r == n:
-                continue
-            total = 0
-            if l < n:  # read one more '('
-                total += table[l + 1][r]
-            if r < l:  # read one more ')'
-                total += table[l][r + 1]
-            table[l][r] = total
-    return tuple(tuple(row) for row in table)
-
-
 def count_paths_through(node, n: int) -> int:
     """Number of words of half-length n whose path visits ``node``, exactly.
 
     The count is the product of two lattice-path counts: valid prefixes
-    reaching the node times valid completions from it, both computed by
+    reaching the node times valid completions from it.  A completion from
+    (l, r), read backwards with '(' and ')' swapped, is a prefix reaching
+    (n - r, n - l), so both factors come from one prefix table, computed by
     dynamic programming with arbitrary-precision integers.
     """
     node = LatticeNode(*node)
     if not is_lattice_node(*node, region=LatticeRegion(n)):
         raise NotInLattice(f"{tuple(node)} is not in the lattice bounded by n={n}")
-    return prefix_count_table(n)[node.l][node.r] * suffix_count_table(n)[node.l][node.r]
+    table = prefix_count_table(n)
+    return table[node.l][node.r] * table[n - node.r][n - node.l]

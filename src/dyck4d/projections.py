@@ -13,8 +13,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InconsistentProjection
-from .words import AXES, AXIS_INDEX, Axis, LatticeNode, Path4D
+from .errors import InconsistentProjection, ParityViolation
+from .lattice import _complete_pair
+from .words import AXES, AXIS_INDEX, Axis, Path4D
 
 
 @dataclass(frozen=True)
@@ -85,58 +86,30 @@ def project(path: Path4D, axes: AxisSet) -> ProjectedPath:
     return ProjectedPath(axes, points)
 
 
-def _complete_point(axes: AxisSet, point: tuple[int, ...], index: int) -> LatticeNode:
-    """Solve the coordinate tie from the first two axes; verify the rest.
-
-    Lattice membership is *not* checked here: a structurally sound but
-    invalid node sequence must surface as MalformedPath from the path
-    constructor, not as a completion failure.
-    """
-    first, second = axes.axes[0], axes.axes[1]
-    a, b = point[0], point[1]
-    pair = {first, second}
-    if pair == {Axis.I, Axis.J}:
-        if (a + b) % 2:
-            raise InconsistentProjection(index, f"i={a} and j={b} have different parity")
-        i, j = a, b
-        l, r = (i + j) // 2, (i - j) // 2
-    elif pair == {Axis.I, Axis.L}:
-        i, l = a, b
-        r = i - l
-        j = l - r
-    elif pair == {Axis.I, Axis.R}:
-        i, r = a, b
-        l = i - r
-        j = l - r
-    elif pair == {Axis.J, Axis.L}:
-        j, l = a, b
-        r = l - j
-        i = l + r
-    elif pair == {Axis.J, Axis.R}:
-        j, r = a, b
-        l = j + r
-        i = l + r
-    else:  # {Axis.L, Axis.R}
-        l, r = a, b
-        i, j = l + r, l - r
-    node = LatticeNode(i, j, l, r)
-    for axis, value in zip(axes.axes[2:], point[2:]):
-        if node[AXIS_INDEX[axis]] != value:
-            raise InconsistentProjection(
-                index, f"coordinate {axis.value}={value} contradicts completion {tuple(node)}")
-    return node
-
-
 def lift(proj: ProjectedPath) -> Path4D:
     """The unique path whose projection onto ``proj.axis_set`` equals ``proj``.
 
     Raises :class:`InconsistentProjection` for a point whose completion is
     non-integral or whose redundant coordinates contradict the first two,
     and :class:`MalformedPath` when the completed nodes do not form a path.
+    Lattice membership is left to the path constructor, so a structurally
+    sound but invalid node sequence surfaces as MalformedPath.
     """
-    nodes = tuple(_complete_point(proj.axis_set, point, index)
-                  for index, point in enumerate(proj.points))
-    return Path4D(nodes)
+    first, second, *rest = proj.axis_set.axes
+    nodes = []
+    for index, point in enumerate(proj.points):
+        a, b = point[0], point[1]
+        try:
+            node = _complete_pair(first.value, a, second.value, b)
+        except ParityViolation:
+            raise InconsistentProjection(
+                index, f"i={a} and j={b} have different parity") from None
+        for axis, value in zip(rest, point[2:]):
+            if node[AXIS_INDEX[axis]] != value:
+                raise InconsistentProjection(
+                    index, f"coordinate {axis.value}={value} contradicts completion {tuple(node)}")
+        nodes.append(node)
+    return Path4D(tuple(nodes))
 
 
 def projected_path_as_json(proj: ProjectedPath) -> dict:

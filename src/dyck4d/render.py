@@ -16,7 +16,6 @@ then applies the same j-oblique 3D part.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 from .errors import WrongArity
 from .geometry import DoubleTesseract, Side, triangle
@@ -77,15 +76,6 @@ class Marker:
     radius: float = 3.0
 
 
-@dataclass(frozen=True)
-class Label:
-    at: tuple
-    text: str
-    role: str = "neutral"
-    layer: int = 3
-    css_class: str = "label"
-
-
 @dataclass
 class Scene:
     """An ordered list of drawing elements in source (lattice) coordinates."""
@@ -143,17 +133,11 @@ class Scene:
                 lines.append(
                     f'<polyline class="{element.css_class}" points="{coords}" '
                     f'fill="none" stroke="{color}" stroke-width="{_fmt(element.width)}"{dash}/>')
-            elif isinstance(element, Marker):
+            else:
                 lines.append(
                     f'<circle class="{element.css_class}" '
                     f'cx="{fx(element.at[0])}" cy="{fy(element.at[1])}" '
                     f'r="{_fmt(element.radius)}" fill="{color}"/>')
-            else:
-                lines.append(
-                    f'<text class="{element.css_class}" '
-                    f'x="{fx(element.at[0])}" y="{fy(element.at[1])}" '
-                    f'fill="{color}" font-size="12" font-family="monospace">'
-                    f'{escape(element.text)}</text>')
         lines.append("</svg>")
         return "\n".join(lines) + "\n"
 
