@@ -12,9 +12,9 @@ deterministic SVG figures.  A ``dyck4d`` command exposes everything.
 from .enumeration import (catalan, draw_uniform_rank, enumerate_words, rank,
                           sample_uniform, unrank)
 from .errors import (DyckError, InconsistentProjection, InvalidCharacter,
-                     MalformedPath, NegativePrefix, NotInLattice,
-                     ParityViolation, RankOutOfRange, Unbalanced,
-                     UnboundedRegion, WrongArity)
+                     InvalidProjection, MalformedPath, NegativePrefix,
+                     NotInLattice, ParityViolation, RankOutOfRange,
+                     Unbalanced, UnboundedRegion, WrongArity)
 from .geometry import (Cell, DoubleTesseract, FlatnessResult,
                        RightIsoscelesReport, Side, SideFace, TriangleGeometry,
                        TriangleSide, Vec4, dot, double_tesseract, face_of_side,
@@ -37,17 +37,17 @@ __version__ = "0.1.0"
 __all__ = [
     "AXES", "Axis", "AxisSet", "Cell", "DOWN_STEP", "DoubleTesseract",
     "DyckError", "DyckWord", "FlatnessResult", "INFINITE",
-    "InconsistentProjection", "InvalidCharacter", "LatticeNode",
-    "LatticeRegion", "MalformedPath", "NegativePrefix", "NotInLattice",
-    "ORIGIN", "ParityViolation", "Path4D", "ProjectedPath", "ROLE_COLORS",
-    "RankOutOfRange", "RightIsoscelesReport", "Scene", "Side", "SideFace",
-    "Step", "TriangleGeometry", "TriangleSide", "UP_STEP", "Unbalanced",
-    "UnboundedRegion", "Vec4", "WrongArity", "all_modifications", "catalan",
-    "complete_node", "count_paths_through", "dot", "double_tesseract",
-    "draw_uniform_rank", "edge_list_text", "enumerate_nodes",
-    "enumerate_words", "face_of_side", "geometry_report", "is_lattice_node",
-    "lift", "norm_squared", "parse_word", "path_as_lists", "path_from_lists",
-    "path_to_word", "project", "projected_path_as_json",
+    "InconsistentProjection", "InvalidCharacter", "InvalidProjection",
+    "LatticeNode", "LatticeRegion", "MalformedPath", "NegativePrefix",
+    "NotInLattice", "ORIGIN", "ParityViolation", "Path4D", "ProjectedPath",
+    "ROLE_COLORS", "RankOutOfRange", "RightIsoscelesReport", "Scene", "Side",
+    "SideFace", "Step", "TriangleGeometry", "TriangleSide", "UP_STEP",
+    "Unbalanced", "UnboundedRegion", "Vec4", "WrongArity", "all_modifications",
+    "catalan", "complete_node", "count_paths_through", "dot",
+    "double_tesseract", "draw_uniform_rank", "edge_list_text",
+    "enumerate_nodes", "enumerate_words", "face_of_side", "geometry_report",
+    "is_lattice_node", "lift", "norm_squared", "parse_word", "path_as_lists",
+    "path_from_lists", "path_to_word", "project", "projected_path_as_json",
     "projected_path_from_json", "rank", "render_grid_2d", "render_wireframe",
     "render_word", "sample_uniform", "side_length", "side_length_squared",
     "sub", "triangle", "unrank", "verify_flat", "verify_right_isosceles",

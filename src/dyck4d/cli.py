@@ -97,7 +97,7 @@ def cmd_convert(args) -> int:
     for text in _input_lines(args):
         if args.to == "path":
             path = words.word_to_path(words.parse_word(text))
-            print(json.dumps(words.path_as_lists(path), separators=(",", ":")))
+            print(json.dumps(path.nodes, separators=(",", ":")))
         else:
             path = words.path_from_lists(json.loads(text))
             print(words.render_word(words.path_to_word(path)))
@@ -108,7 +108,7 @@ def cmd_project(args) -> int:
     axes = args.axes
     for text in _input_lines(args):
         proj = projections.project(words.word_to_path(words.parse_word(text)), axes)
-        print(json.dumps(projections.projected_path_as_json(proj), separators=(",", ":")))
+        print(json.dumps({"axes": axes.names(), "points": proj.points}, separators=(",", ":")))
     return 0
 
 
@@ -119,7 +119,7 @@ def cmd_lift(args) -> int:
         if args.to == "word":
             print(words.render_word(words.path_to_word(path)))
         else:
-            print(json.dumps(words.path_as_lists(path), separators=(",", ":")))
+            print(json.dumps(path.nodes, separators=(",", ":")))
     return 0
 
 

@@ -101,6 +101,12 @@ class InconsistentProjection(DyckError):
         self.index = index
 
 
+class InvalidProjection(DyckError):
+    """Projected-path data of the wrong shape: keys, axes or point widths."""
+
+    kind = "invalid-projection"
+
+
 class RankOutOfRange(DyckError):
     """Rank must satisfy 0 <= rank < catalan(n)."""
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import add, floordiv, mod, sub
 
 from .errors import NotInLattice, ParityViolation, UnboundedRegion
 from .words import LatticeNode
@@ -41,28 +43,29 @@ def is_lattice_node(i: int, j: int, l: int, r: int, region: LatticeRegion = INFI
     return region.bound is None or l <= region.bound
 
 
-#: (l, r) from the values of two axes, keyed by the axis names in i, j, l, r order.
+#: (l, r) columns from the columns of two axes, keyed by the axis names in i, j, l, r order.
 _PAIR_TO_LR = {
-    ("i", "j"): lambda i, j: ((i + j) // 2, (i - j) // 2),
-    ("i", "l"): lambda i, l: (l, i - l),
-    ("i", "r"): lambda i, r: (i - r, r),
-    ("j", "l"): lambda j, l: (l, l - j),
-    ("j", "r"): lambda j, r: (j + r, r),
+    ("i", "j"): lambda i, j: (map(floordiv, map(add, i, j), repeat(2)),
+                              map(floordiv, map(sub, i, j), repeat(2))),
+    ("i", "l"): lambda i, l: (l, map(sub, i, l)),
+    ("i", "r"): lambda i, r: (map(sub, i, r), r),
+    ("j", "l"): lambda j, l: (l, map(sub, l, j)),
+    ("j", "r"): lambda j, r: (map(add, j, r), r),
     ("l", "r"): lambda l, r: (l, r),
 }
 
 
-def _complete_pair(x: str, a: int, y: str, b: int) -> LatticeNode:
-    """The node with coordinate ``x`` equal to a and ``y`` equal to b.
+def _complete_pair(x: str, a, y: str, b) -> tuple[tuple[int, ...], ...]:
+    """The columns (i, j, l, r) of the nodes whose coordinate ``x`` is a and ``y`` is b.
 
-    ``x`` precedes ``y`` in i, j, l, r order.  Raises
-    :class:`ParityViolation` for an (i, j) pair of mixed parity; lattice
-    membership is left to the caller.
+    ``a`` and ``b`` are equally long columns, ``x`` precedes ``y`` in i, j, l, r
+    order.  Raises :class:`ParityViolation` when some (i, j) pair has mixed
+    parity; lattice membership is left to the caller.
     """
-    if x == "i" and y == "j" and (a + b) % 2:
+    if x == "i" and y == "j" and any(map(mod, map(add, a, b), repeat(2))):
         raise ParityViolation()
-    l, r = _PAIR_TO_LR[x, y](a, b)
-    return LatticeNode(l + r, l - r, l, r)
+    l, r = map(tuple, _PAIR_TO_LR[x, y](a, b))
+    return tuple(map(add, l, r)), tuple(map(sub, l, r)), l, r
 
 
 def complete_node(i: int | None = None, j: int | None = None,
@@ -77,7 +80,7 @@ def complete_node(i: int | None = None, j: int | None = None,
     if len(given) != 2:
         raise ValueError(f"exactly two coordinates required, got {len(given)}")
     (x, a), (y, b) = given.items()
-    node = _complete_pair(x, a, y, b)
+    node = LatticeNode(*next(zip(*_complete_pair(x, (a,), y, (b,)))))
     if not is_lattice_node(*node):
         raise NotInLattice(f"completion of {dict(sorted(given.items()))} gives {tuple(node)}")
     return node
@@ -96,19 +99,14 @@ def enumerate_nodes(region: LatticeRegion) -> list[LatticeNode]:
 @lru_cache(maxsize=None)
 def prefix_count_table(n: int):
     """table[l][r] = number of balanced-word prefixes reaching (l, r), r <= l <= n."""
-    table = [[0] * (l + 1) for l in range(n + 1)]
-    table[0][0] = 1
-    for l in range(n + 1):
-        for r in range(l + 1):
-            if l == 0 and r == 0:
-                continue
-            total = 0
-            if l > 0 and r <= l - 1:  # previous symbol was '('
-                total += table[l - 1][r]
-            if r > 0:  # previous symbol was ')'
-                total += table[l][r - 1]
-            table[l][r] = total
-    return tuple(tuple(row) for row in table)
+    # A prefix reaching (l, r < l) ends in '(' from (l - 1, r) or ')' from
+    # (l, r - 1), so row l is the running sum of row l - 1; (l, l) is reached
+    # only from (l, l - 1), so the row ends by repeating its last value.
+    rows = [(1,)]
+    for _ in range(n):
+        row = tuple(accumulate(rows[-1]))
+        rows.append(row + row[-1:])
+    return tuple(rows)
 
 
 def count_paths_through(node, n: int) -> int:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
-from .errors import InconsistentProjection, ParityViolation
+from .errors import InconsistentProjection, InvalidProjection, ParityViolation
 from .lattice import _complete_pair
 from .words import AXES, AXIS_INDEX, Axis, Path4D
 
@@ -72,18 +73,18 @@ class ProjectedPath:
 
     def __post_init__(self):
         width = len(self.axis_set)
-        points = tuple(tuple(point) for point in self.points)
-        for point in points:
-            if len(point) != width:
-                raise ValueError(f"point {point} does not match {width} axes")
+        points = tuple(map(tuple, self.points))
+        if set(map(len, points)) - {width}:
+            for point in points:
+                if len(point) != width:
+                    raise ValueError(f"point {point} does not match {width} axes")
         object.__setattr__(self, "points", points)
 
 
 def project(path: Path4D, axes: AxisSet) -> ProjectedPath:
     """Pointwise coordinate selection; the node order is preserved."""
-    columns = tuple(AXIS_INDEX[axis] for axis in axes)
-    points = tuple(tuple(node[c] for c in columns) for node in path.nodes)
-    return ProjectedPath(axes, points)
+    select = itemgetter(*(AXIS_INDEX[axis] for axis in axes))
+    return ProjectedPath(axes, tuple(map(select, path.nodes)))
 
 
 def lift(proj: ProjectedPath) -> Path4D:
@@ -96,20 +97,26 @@ def lift(proj: ProjectedPath) -> Path4D:
     sound but invalid node sequence surfaces as MalformedPath.
     """
     first, second, *rest = proj.axis_set.axes
-    nodes = []
-    for index, point in enumerate(proj.points):
-        a, b = point[0], point[1]
-        try:
-            node = _complete_pair(first.value, a, second.value, b)
-        except ParityViolation:
-            raise InconsistentProjection(
-                index, f"i={a} and j={b} have different parity") from None
-        for axis, value in zip(rest, point[2:]):
-            if node[AXIS_INDEX[axis]] != value:
+    columns = tuple(zip(*proj.points)) or ((),) * len(proj.axis_set)
+    try:
+        nodes = _complete_pair(first.value, columns[0], second.value, columns[1])
+    except (ParityViolation, TypeError):  # the loop below names the first bad point
+        nodes = None
+    if nodes is None or any(nodes[AXIS_INDEX[axis]] != column
+                            for axis, column in zip(rest, columns[2:])):
+        # Some point is inconsistent: complete point by point to name the first.
+        for index, point in enumerate(proj.points):
+            a, b = point[0], point[1]
+            try:
+                node = next(zip(*_complete_pair(first.value, (a,), second.value, (b,))))
+            except ParityViolation:
                 raise InconsistentProjection(
-                    index, f"coordinate {axis.value}={value} contradicts completion {tuple(node)}")
-        nodes.append(node)
-    return Path4D(tuple(nodes))
+                    index, f"i={a} and j={b} have different parity") from None
+            for axis, value in zip(rest, point[2:]):
+                if node[AXIS_INDEX[axis]] != value:
+                    raise InconsistentProjection(
+                        index, f"coordinate {axis.value}={value} contradicts completion {node}")
+    return Path4D(tuple(zip(*nodes)))
 
 
 def projected_path_as_json(proj: ProjectedPath) -> dict:
@@ -117,8 +124,15 @@ def projected_path_as_json(proj: ProjectedPath) -> dict:
     return {"axes": proj.axis_set.names(), "points": [list(p) for p in proj.points]}
 
 
-def projected_path_from_json(data: dict) -> ProjectedPath:
-    """Rebuild a projected path; the axis set is always taken from the data."""
-    axes = AxisSet.of(data["axes"])
-    points = tuple(tuple(int(v) for v in point) for point in data["points"])
-    return ProjectedPath(axes, points)
+def projected_path_from_json(data) -> ProjectedPath:
+    """Rebuild a projected path; the axis set is always taken from the data.
+
+    Raises :class:`InvalidProjection` for data of any other shape.
+    """
+    try:
+        axes = AxisSet.of(data["axes"])
+        # int() of every value, without a Python-level loop per point
+        points = tuple(map(tuple, map(map, itertools.repeat(int), data["points"])))
+        return ProjectedPath(axes, points)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidProjection(str(exc)) from None

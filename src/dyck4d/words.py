@@ -11,7 +11,9 @@ moves a path by ``UP_STEP = (1, 1, 1, 0)``, reading ')' by
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
+from operator import gt, is_, itemgetter, sub
 from typing import NamedTuple
 
 from .errors import InvalidCharacter, MalformedPath, NegativePrefix, Unbalanced
@@ -58,7 +60,10 @@ UP_STEP = (1, 1, 1, 0)
 #: Path delta produced by reading ')'.
 DOWN_STEP = (1, -1, 0, 1)
 
-_WHITESPACE = frozenset(" \t\n\r\f\v")
+_WHITESPACE = " \t\n\r\f\v"
+_DROP_WHITESPACE = str.maketrans("", "", _WHITESPACE)
+_STEP_OF = {"(": Step.OPEN, ")": Step.CLOSE}
+_UNIT = {"(": 1, ")": -1}
 
 
 @dataclass(frozen=True)
@@ -66,20 +71,23 @@ class DyckWord:
     """A balanced word: equal opens and closes, no prefix with excess closes.
 
     Constructing one validates the invariants, so every instance in
-    circulation is valid; the empty word is allowed.
+    circulation is valid; the empty word is allowed.  The validated text is
+    kept alongside ``steps`` (not part of repr or equality).
     """
 
     steps: tuple[Step, ...]
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        balance = 0
-        for consumed, step in enumerate(self.steps, start=1):
-            balance += 1 if step is Step.OPEN else -1
-            if balance < 0:
-                raise NegativePrefix(consumed)
-        if balance:
-            raise Unbalanced(balance)
+        text = "".join(map(")(".__getitem__, map(is_, self.steps, repeat(Step.OPEN))))
+        object.__setattr__(self, "_text", text)
+        if min(accumulate(map(_UNIT.__getitem__, text)), default=0) < 0:
+            # Steps are +-1 from 0, so the first negative balance is -1.
+            raise NegativePrefix(list(accumulate(map(_UNIT.__getitem__, text))).index(-1) + 1)
+        excess = 2 * text.count("(") - len(text)
+        if excess:
+            raise Unbalanced(excess)
 
     @property
     def n(self) -> int:
@@ -98,22 +106,17 @@ def parse_word(text: str) -> DyckWord:
     Balance violations raise :class:`NegativePrefix` (position = number of
     parenthesis steps consumed) or :class:`Unbalanced` (final excess).
     """
-    steps = []
-    for position, char in enumerate(text):
-        if char == "(":
-            steps.append(Step.OPEN)
-        elif char == ")":
-            steps.append(Step.CLOSE)
-        elif char in _WHITESPACE:
-            continue
-        else:
-            raise InvalidCharacter(position, char)
-    return DyckWord(tuple(steps))
+    compact = text.translate(_DROP_WHITESPACE)
+    if compact.strip("()"):  # a foreign character; find its raw index
+        for position, char in enumerate(text):
+            if char not in "()" and char not in _WHITESPACE:
+                raise InvalidCharacter(position, char)
+    return DyckWord(tuple(map(_STEP_OF.__getitem__, compact)))
 
 
 def render_word(word: DyckWord) -> str:
     """Inverse of :func:`parse_word`: '(' for each open, ')' for each close."""
-    return "".join(step.value for step in word.steps)
+    return word._text
 
 
 @dataclass(frozen=True)
@@ -127,10 +130,24 @@ class Path4D:
     nodes: tuple[LatticeNode, ...]
 
     def __post_init__(self):
-        nodes = tuple(LatticeNode(*node) for node in self.nodes)
+        nodes = tuple(self.nodes)
+        if set(map(type, nodes)) != {LatticeNode}:
+            # tuple.__new__ builds the nodes without a Python-level call per node
+            nodes = tuple(map(tuple.__new__, repeat(LatticeNode), nodes))
+            if set(map(len, nodes)) - {4}:
+                nodes = tuple(LatticeNode(*node) for node in nodes)  # the TypeError of a bad width
         object.__setattr__(self, "nodes", nodes)
         if not nodes or nodes[0] != ORIGIN:
             raise MalformedPath(0, "path must start at the origin (0, 0, 0, 0)")
+        # From the origin, every delta is an up- or down-step exactly when i
+        # counts the nodes, l grows by 0 or 1, r = i - l and j = l - r.
+        i, j, l, r = zip(*nodes)
+        try:
+            if (i == tuple(range(len(nodes))) and {0, 1}.issuperset(map(sub, l[1:], l))
+                    and r == tuple(map(sub, i, l)) and j == tuple(map(sub, l, r)) and min(j) >= 0):
+                return
+        except TypeError:
+            pass  # a coordinate that is not a number: the loop below raises as before
         for index in range(1, len(nodes)):
             prev, node = nodes[index - 1], nodes[index]
             delta = (node.i - prev.i, node.j - prev.j, node.l - prev.l, node.r - prev.r)
@@ -148,15 +165,11 @@ class Path4D:
 
 def word_to_path(word: DyckWord) -> Path4D:
     """The canonical path of a word: node k holds the counts after k symbols."""
-    nodes = [ORIGIN]
-    l = r = 0
-    for step in word.steps:
-        if step is Step.OPEN:
-            l += 1
-        else:
-            r += 1
-        nodes.append(LatticeNode(l + r, l - r, l, r))
-    return Path4D(tuple(nodes))
+    l = tuple(accumulate(map("(".__eq__, word._text), initial=0))
+    i = range(len(l))
+    r = tuple(map(sub, i, l))
+    j = map(sub, l, r)
+    return Path4D(tuple(zip(i, j, l, r)))
 
 
 def path_to_word(path: Path4D) -> DyckWord:
@@ -167,10 +180,8 @@ def path_to_word(path: Path4D) -> DyckWord:
     """
     if not isinstance(path, Path4D):
         path = Path4D(tuple(path))
-    steps = []
-    for prev, node in zip(path.nodes, path.nodes[1:]):
-        steps.append(Step.OPEN if node.l > prev.l else Step.CLOSE)
-    return DyckWord(tuple(steps))
+    l = tuple(map(itemgetter(2), path.nodes))
+    return DyckWord(tuple(map((Step.CLOSE, Step.OPEN).__getitem__, map(gt, l[1:], l))))
 
 
 def path_as_lists(path: Path4D) -> list[list[int]]:
@@ -180,10 +191,15 @@ def path_as_lists(path: Path4D) -> list[list[int]]:
 
 def path_from_lists(rows) -> Path4D:
     """Rebuild a validated path from its JSON form."""
-    nodes = []
-    for index, row in enumerate(rows):
-        values = list(row)
-        if len(values) != 4 or not all(isinstance(v, int) for v in values):
-            raise MalformedPath(index, "a node must be four integers [i, j, l, r]")
-        nodes.append(LatticeNode(*values))
+    nodes = rows = tuple(rows)
+    # Arrays of four ints pass one column-wise check; anything else gets the
+    # row-by-row check that names the first bad row.
+    if not (set(map(type, rows)) == {list} and set(map(len, rows)) == {4}
+            and set(map(type, chain.from_iterable(rows))) == {int}):
+        nodes = []
+        for index, row in enumerate(rows):
+            values = list(row)
+            if len(values) != 4 or not all(isinstance(v, int) for v in values):
+                raise MalformedPath(index, "a node must be four integers [i, j, l, r]")
+            nodes.append(values)
     return Path4D(tuple(nodes))

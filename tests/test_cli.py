@@ -1,6 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
+
+import pytest
 
 from dyck4d.cli import main
 
@@ -261,3 +267,26 @@ class TestUsageErrors:
         rc, _, err = run(capsys, "render", "grid", "--axes", "ijl", "--n", "2")
         assert rc == 1
         assert err == "error:wrong-arity\n"
+
+
+class TestLiftWrongShape:
+    @pytest.mark.parametrize("data", [
+        '{"axes":["q"],"points":[]}',
+        "5",
+        '{"points":[[0,0]]}',
+        '{"axes":["l","r"],"points":[[0,0,0]]}',
+        '{"axes":["l","r"],"points":[["x",0]]}',
+    ])
+    def test_one_error_line(self, capsys, data):
+        rc, out, err = run(capsys, "lift", data)
+        assert (rc, out, err) == (1, "", "error:invalid-projection\n")
+
+
+class TestModuleEntryPoint:
+    def test_python_m_dyck4d(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        result = subprocess.run([sys.executable, "-m", "dyck4d", "validate", "()"],
+                                capture_output=True, text=True, env=env, timeout=60)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "valid n=1\n", "")
