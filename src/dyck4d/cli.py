@@ -4,21 +4,26 @@ Subcommands: validate, convert, project, lift, count, geometry, enumerate,
 rank, sample, render.  Words arrive as a positional argument, via --file,
 or on standard input one per line (precedence in that order).  Exit codes:
 0 success, 1 domain error (one ``error:<kind>:<detail>`` line on stderr),
-2 usage error.
+2 usage error.  validate, convert, project, lift and rank give every input
+line its output line or one error line, and exit 1 if any line failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
+from contextlib import nullcontext
 
 from . import enumeration, geometry, lattice, projections, render, words
-from .errors import DyckError
+from .errors import DyckError, UnreadableInput
 
 
-def _error_line(exc: DyckError) -> str:
+def _error_line(exc: DyckError | json.JSONDecodeError) -> str:
+    if isinstance(exc, json.JSONDecodeError):
+        return f"error:invalid-json:{exc.pos}"
     if exc.detail is not None:
         return f"error:{exc.kind}:{exc.detail}"
     return f"error:{exc.kind}"
@@ -26,16 +31,28 @@ def _error_line(exc: DyckError) -> str:
 
 def _input_lines(args):
     """Word/JSON sources by precedence: positional > --file > stdin."""
-    if getattr(args, "input", None) is not None:
+    if args.input is not None:
         yield args.input
         return
-    if getattr(args, "file", None) is not None:
-        with open(args.file, "r", encoding="utf-8") as handle:
+    try:
+        with (nullcontext(sys.stdin) if args.file is None
+              else open(args.file, encoding="utf-8")) as handle:
             for line in handle:
                 yield line.rstrip("\n")
-        return
-    for line in sys.stdin:
-        yield line.rstrip("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableInput("input cannot be opened or is not UTF-8 text") from exc
+
+
+def _batch(args) -> int:
+    """Every input line gets its output line or one error line; 1 if any failed."""
+    status = 0
+    for text in _input_lines(args):
+        try:
+            print(args.line(args, text))
+        except (DyckError, json.JSONDecodeError) as exc:
+            print(_error_line(exc), file=sys.stderr)
+            status = 1
+    return status
 
 
 def _node_arg(text: str):
@@ -80,47 +97,30 @@ def _write_document(text: str, out: str | None):
             handle.write(text)
 
 
-def cmd_validate(args) -> int:
-    status = 0
-    for text in _input_lines(args):
-        try:
-            word = words.parse_word(text)
-        except DyckError as exc:
-            print(_error_line(exc), file=sys.stderr)
-            status = 1
-        else:
-            print(f"valid n={word.n}")
-    return status
+def _validate_line(args, text: str) -> str:
+    return f"valid n={words.parse_word(text).n}"
 
 
-def cmd_convert(args) -> int:
-    for text in _input_lines(args):
-        if args.to == "path":
-            path = words.word_to_path(words.parse_word(text))
-            print(json.dumps(path.nodes, separators=(",", ":")))
-        else:
-            path = words.path_from_lists(json.loads(text))
-            print(words.render_word(words.path_to_word(path)))
-    return 0
+def _path_line(path, to: str) -> str:
+    if to == "word":
+        return words.render_word(words.path_to_word(path))
+    return json.dumps(path.nodes, separators=(",", ":"))
 
 
-def cmd_project(args) -> int:
-    axes = args.axes
-    for text in _input_lines(args):
-        proj = projections.project(words.word_to_path(words.parse_word(text)), axes)
-        print(json.dumps({"axes": axes.names(), "points": proj.points}, separators=(",", ":")))
-    return 0
+def _convert_line(args, text: str) -> str:
+    if args.to == "path":
+        return _path_line(words.word_to_path(words.parse_word(text)), args.to)
+    return _path_line(words.path_from_lists(json.loads(text)), args.to)
 
 
-def cmd_lift(args) -> int:
-    for text in _input_lines(args):
-        proj = projections.projected_path_from_json(json.loads(text))
-        path = projections.lift(proj)
-        if args.to == "word":
-            print(words.render_word(words.path_to_word(path)))
-        else:
-            print(json.dumps(path.nodes, separators=(",", ":")))
-    return 0
+def _project_line(args, text: str) -> str:
+    proj = projections.project(words.word_to_path(words.parse_word(text)), args.axes)
+    return json.dumps({"axes": args.axes.names(), "points": proj.points}, separators=(",", ":"))
+
+
+def _lift_line(args, text: str) -> str:
+    return _path_line(projections.lift(projections.projected_path_from_json(json.loads(text))),
+                      args.to)
 
 
 def cmd_count(args) -> int:
@@ -159,27 +159,24 @@ def cmd_geometry(args) -> int:
     return 0
 
 
-def _print_ranked(args, word, k, text) -> None:
+def _ranked_line(args, word, k, text) -> str:
     """One ranked word: a {"word", "rank"} JSON line, or ``text`` as is."""
     if args.format == "json":
-        print(json.dumps({"word": words.render_word(word), "rank": str(k)},
-                         separators=(",", ":")))
-    else:
-        print(text)
+        return json.dumps({"word": words.render_word(word), "rank": str(k)},
+                          separators=(",", ":"))
+    return str(text)
 
 
 def cmd_enumerate(args) -> int:
     for k, word in enumerate(enumeration.enumerate_words(args.n)):
-        _print_ranked(args, word, k, words.render_word(word))
+        print(_ranked_line(args, word, k, words.render_word(word)))
     return 0
 
 
-def cmd_rank(args) -> int:
-    for text in _input_lines(args):
-        word = words.parse_word(text)
-        k = enumeration.rank(word)
-        _print_ranked(args, word, k, k)
-    return 0
+def _rank_line(args, text: str) -> str:
+    word = words.parse_word(text)
+    k = enumeration.rank(word)
+    return _ranked_line(args, word, k, k)
 
 
 def cmd_sample(args) -> int:
@@ -188,7 +185,7 @@ def cmd_sample(args) -> int:
     for _ in range(args.count):
         k = enumeration.draw_uniform_rank(rng, total)
         word = enumeration.unrank(k, args.n)
-        _print_ranked(args, word, k, words.render_word(word))
+        print(_ranked_line(args, word, k, words.render_word(word)))
     return 0
 
 
@@ -225,41 +222,41 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _add_word_inputs(parser):
+def _add_word_inputs(parser, line):
+    """Inputs for a batch subcommand; ``line`` maps (args, input line) to its output line."""
     parser.add_argument("input", nargs="?", default=None,
                         help="word (or JSON) as a positional argument")
     parser.add_argument("--file", default=None,
                         help="read inputs from this file, one per line")
+    parser.set_defaults(handler=_batch, line=line)
 
 
 def _add_format(parser):
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dyck4d",
         description="Balanced parentheses as exact paths in a 4D lattice.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("validate", help="check words and report their half-length")
-    _add_word_inputs(p)
-    p.set_defaults(handler=cmd_validate)
+    _add_word_inputs(p, _validate_line)
 
     p = sub.add_parser("convert", help="word -> 4D path JSON, or back")
     p.add_argument("--to", choices=("path", "word"), required=True)
-    _add_word_inputs(p)
-    p.set_defaults(handler=cmd_convert)
+    _add_word_inputs(p, _convert_line)
 
     p = sub.add_parser("project", help="project a word's path onto an axis set")
     p.add_argument("--axes", type=_axes_arg, required=True, help="e.g. lr, ij, ijlr")
-    _add_word_inputs(p)
-    p.set_defaults(handler=cmd_project)
+    _add_word_inputs(p, _project_line)
 
     p = sub.add_parser("lift", help="lift a projected path back to 4D")
     p.add_argument("--to", choices=("path", "word"), default="path")
-    _add_word_inputs(p)
-    p.set_defaults(handler=cmd_lift)
+    _add_word_inputs(p, _lift_line)
 
     p = sub.add_parser("count", help="paths through a node (JSON lines with --format json)")
     p.add_argument("--n", type=_non_negative, required=True)
@@ -278,9 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("rank", help="index of a word in the enumeration")
-    _add_word_inputs(p)
+    _add_word_inputs(p, _rank_line)
     _add_format(p)
-    p.set_defaults(handler=cmd_rank)
 
     p = sub.add_parser("sample", help="uniform random words, deterministic per seed")
     p.add_argument("--n", type=_non_negative, required=True)
@@ -318,18 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
     except DyckError as exc:
         print(_error_line(exc), file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error:invalid-json:{exc.pos}", file=sys.stderr)
         return 1
 
 

@@ -107,6 +107,12 @@ class InvalidProjection(DyckError):
     kind = "invalid-projection"
 
 
+class UnreadableInput(DyckError):
+    """An input file that cannot be opened, or input that is not UTF-8 text."""
+
+    kind = "unreadable-input"
+
+
 class RankOutOfRange(DyckError):
     """Rank must satisfy 0 <= rank < catalan(n)."""
 

@@ -90,10 +90,9 @@ def enumerate_nodes(region: LatticeRegion) -> list[LatticeNode]:
     """All nodes of a bounded region in lexicographic (i, j) order."""
     if region.bound is None:
         raise UnboundedRegion()
-    n = region.bound
-    nodes = [LatticeNode(l + r, l - r, l, r) for l in range(n + 1) for r in range(l + 1)]
-    nodes.sort(key=lambda node: (node.i, node.j))
-    return nodes
+    top = 2 * region.bound
+    return [LatticeNode(i, j, (i + j) // 2, (i - j) // 2)
+            for i in range(top + 1) for j in range(i % 2, min(i, top - i) + 1, 2)]
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ moves a path by ``UP_STEP = (1, 1, 1, 0)``, reading ')' by
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from operator import gt, is_, itemgetter, sub
@@ -191,6 +192,8 @@ def path_as_lists(path: Path4D) -> list[list[int]]:
 
 def path_from_lists(rows) -> Path4D:
     """Rebuild a validated path from its JSON form."""
+    if not isinstance(rows, Iterable):
+        raise MalformedPath(0, "a path must be an array of nodes")
     nodes = rows = tuple(rows)
     # Arrays of four ints pass one column-wise check; anything else gets the
     # row-by-row check that names the first bad row.
@@ -198,7 +201,7 @@ def path_from_lists(rows) -> Path4D:
             and set(map(type, chain.from_iterable(rows))) == {int}):
         nodes = []
         for index, row in enumerate(rows):
-            values = list(row)
+            values = list(row) if isinstance(row, Iterable) else ()
             if len(values) != 4 or not all(isinstance(v, int) for v in values):
                 raise MalformedPath(index, "a node must be four integers [i, j, l, r]")
             nodes.append(values)

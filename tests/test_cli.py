@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -7,8 +8,10 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dyck4d.cli import main
+import oracles
+from dyck4d.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -290,3 +293,136 @@ class TestModuleEntryPoint:
         result = subprocess.run([sys.executable, "-m", "dyck4d", "validate", "()"],
                                 capture_output=True, text=True, env=env, timeout=60)
         assert (result.returncode, result.stdout, result.stderr) == (0, "valid n=1\n", "")
+
+
+class TestConvertWrongShape:
+    @pytest.mark.parametrize("data", ["5", "[5]", "null", '{"a":1}', '"ab"', "[[0,0,0,0],7]"])
+    def test_one_error_line(self, capsys, data):
+        rc, out, err = run(capsys, "convert", "--to", "word", data)
+        index = 1 if data.startswith("[[") else 0
+        assert (rc, out, err) == (1, "", f"error:malformed-path:{index}\n")
+
+
+class TestUnreadableInput:
+    def test_missing_file(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "validate", "--file", str(tmp_path / "missing.txt"))
+        assert (rc, out, err) == (1, "", "error:unreadable-input\n")
+
+    def test_directory(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "validate", "--file", str(tmp_path))
+        assert (rc, out, err) == (1, "", "error:unreadable-input\n")
+
+    def test_file_not_utf8(self, capsys, tmp_path):
+        source = tmp_path / "words.txt"
+        source.write_bytes(b"\xff\xfe")
+        rc, out, err = run(capsys, "validate", "--file", str(source))
+        assert (rc, out, err) == (1, "", "error:unreadable-input\n")
+
+    def test_stdin_not_utf8(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"()\n\xff\xfe\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        rc, out, err = run(capsys, "rank")
+        assert (rc, out, err) == (1, "", "error:unreadable-input\n")
+
+
+def _path_json(text):
+    return json.dumps(oracles.visited_nodes(text), separators=(",", ":"))
+
+
+def _projected_json(text, axes):
+    columns = ["ijlr".index(a) for a in axes]
+    points = [[node[c] for c in columns] for node in oracles.visited_nodes(text)]
+    return json.dumps({"axes": list(axes), "points": points}, separators=(",", ":"))
+
+
+#: (argv, three stdin lines whose middle one is bad) for every batch subcommand.
+BATCHES = [
+    (["validate"], ["()", ")(", "(())"]),
+    (["convert", "--to", "path"], ["()", "(", "(())"]),
+    (["convert", "--to", "word"], [_path_json("()"), "[[0,0", _path_json("(())")]),
+    (["convert", "--to", "word"], [_path_json("()"), "[5]", _path_json("(())")]),
+    (["project", "--axes", "jl"], ["()", "(x)", "(())"]),
+    (["lift"], [_projected_json("()", "lr"), '{"axes":["q"],"points":[]}',
+                _projected_json("(())", "ij")]),
+    (["lift", "--to", "word"], [_projected_json("()", "lr"), '{"axes":["l","r"],"points":[[0,0],[2,0]]}',
+                                _projected_json("(())", "ij")]),
+    (["rank"], ["()", "((", "(())"]),
+    (["rank", "--format", "json"], ["()", "())", "(())"]),
+]
+
+
+class TestBatchPolicy:
+    """Every input line gets its output line or one error line; exit 1 if any failed."""
+
+    @pytest.mark.parametrize("argv, lines", BATCHES, ids=[" ".join(a) for a, _ in BATCHES])
+    def test_bad_middle_line(self, capsys, monkeypatch, argv, lines):
+        first, bad, last = lines
+        expected = run(capsys, *argv, first)[1] + run(capsys, *argv, last)[1]
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{first}\n{bad}\n{last}\n"))
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1
+        assert out == expected
+        assert len(out.splitlines()) == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert err == run(capsys, *argv, bad)[2]
+
+
+LINE_COMMANDS = [
+    ["validate"], ["convert", "--to", "path"], ["convert", "--to", "word"],
+    ["project", "--axes", "lr"], ["project", "--axes", "ijlr"], ["lift"],
+    ["lift", "--to", "word"], ["rank"], ["rank", "--format", "json"],
+]
+_FRAGMENTS = ["(", ")", "()", "[", "]", "{", "}", ",", ":", " ", "0", "1", "2", "-1", "1.5",
+              "null", "true", "x", '"axes"', '"points"', '"l"', '"r"', '"i"', '"j"', '"q"',
+              _path_json("(())"), _projected_json("()()", "jr")]
+_fuzz_line = st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join),
+    st.text(st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)), max_size=16),
+)
+
+
+class TestTotality:
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from(LINE_COMMANDS),
+           positional=st.one_of(st.none(), _fuzz_line),
+           extra=st.lists(st.sampled_from(["--file", "--to", "--axes", "--format", "json",
+                                           "word", "-x", "ij"]), max_size=2),
+           lines=st.lists(_fuzz_line, max_size=5))
+    def test_exit_code_and_error_lines(self, command, positional, extra, lines):
+        argv = command + extra + ([] if positional is None else ["--", positional])
+        out, err = io.StringIO(), io.StringIO()
+        saved = sys.stdin
+        sys.stdin = io.StringIO("".join(f"{line}\n" for line in lines))
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+        finally:
+            sys.stdin = saved
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if rc != 2:  # a usage error is argparse's message; anything else is error: lines
+            errors = err.getvalue().splitlines()
+            assert all(line.startswith("error:") for line in errors)
+            assert len(errors) <= max(len(lines), 1)
+            assert (rc == 1) == bool(errors)
+            if not extra:
+                inputs = 1 if positional is not None else len(lines)
+                assert len(out.getvalue().splitlines()) + len(errors) == inputs
+
+
+class TestSharedParser:
+    ARGVS = [
+        ["project", "--axes", "lr", "(())"], ["rank", "--format", "json", "()()"],
+        ["lift", "--to", "word", _projected_json("(()())", "ij")], ["convert", "--to", "path", "()"],
+        ["validate", ")("], ["count", "--n", "2", "--format", "json"], ["geometry", "--n", "3"],
+        ["enumerate", "--n", "3"], ["sample", "--n", "4", "--seed", "5", "--count", "3"],
+        ["render", "wireframe", "--n", "1", "--cell", "imax"], ["project", "--axes", "xy", "()"],
+        ["rank"], ["bogus"], [],
+    ]
+
+    def test_second_run_gives_the_same_bytes(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        first = [run(capsys, *argv) for argv in self.ARGVS]
+        again = [run(capsys, *argv) for argv in reversed(self.ARGVS)]
+        assert again[::-1] == first
+        assert build_parser() is build_parser()

@@ -86,10 +86,15 @@ class TestEnumerateNodes:
         assert len(enumerate_nodes(LatticeRegion(6))) == sum(1 for l in range(7) for r in range(l + 1))
 
     def test_lexicographic_ij_order(self):
-        nodes = enumerate_nodes(LatticeRegion(7))
-        keys = [(node.i, node.j) for node in nodes]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
+        for n in range(41):
+            nodes = enumerate_nodes(LatticeRegion(n))
+            keys = [(node.i, node.j) for node in nodes]
+            assert keys == sorted(keys)
+            assert len(set(keys)) == len(keys)
+            by_lr = sorted((LatticeNode(l + r, l - r, l, r) for l in range(n + 1)
+                            for r in range(l + 1)), key=lambda node: (node.i, node.j))
+            assert nodes == by_lr
+            assert all(type(node) is LatticeNode for node in nodes)
 
     def test_unbounded_raises(self):
         with pytest.raises(UnboundedRegion):
