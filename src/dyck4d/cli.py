@@ -17,13 +17,11 @@ import random
 import sys
 from contextlib import nullcontext
 
-from . import enumeration, geometry, lattice, projections, render, words
-from .errors import DyckError, UnreadableInput
+from . import __version__, enumeration, geometry, lattice, projections, render, words
+from .errors import DyckError, InvalidJson, UnreadableInput
 
 
-def _error_line(exc: DyckError | json.JSONDecodeError) -> str:
-    if isinstance(exc, json.JSONDecodeError):
-        return f"error:invalid-json:{exc.pos}"
+def _error_line(exc: DyckError) -> str:
     if exc.detail is not None:
         return f"error:{exc.kind}:{exc.detail}"
     return f"error:{exc.kind}"
@@ -49,10 +47,20 @@ def _batch(args) -> int:
     for text in _input_lines(args):
         try:
             print(args.line(args, text))
-        except (DyckError, json.JSONDecodeError) as exc:
+        except DyckError as exc:
             print(_error_line(exc), file=sys.stderr)
             status = 1
     return status
+
+
+def _json(text: str):
+    """``json.loads``, with every way it rejects its input raised as :class:`InvalidJson`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidJson("input is not JSON", exc.pos) from exc
+    except (RecursionError, ValueError) as exc:  # nested too deeply; an integer too long
+        raise InvalidJson("JSON too deeply nested or integer too long") from exc
 
 
 def _node_arg(text: str):
@@ -110,7 +118,7 @@ def _path_line(path, to: str) -> str:
 def _convert_line(args, text: str) -> str:
     if args.to == "path":
         return _path_line(words.word_to_path(words.parse_word(text)), args.to)
-    return _path_line(words.path_from_lists(json.loads(text)), args.to)
+    return _path_line(words.path_from_lists(_json(text)), args.to)
 
 
 def _project_line(args, text: str) -> str:
@@ -119,7 +127,7 @@ def _project_line(args, text: str) -> str:
 
 
 def _lift_line(args, text: str) -> str:
-    return _path_line(projections.lift(projections.projected_path_from_json(json.loads(text))),
+    return _path_line(projections.lift(projections.projected_path_from_json(_json(text))),
                       args.to)
 
 
@@ -241,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dyck4d",
         description="Balanced parentheses as exact paths in a 4D lattice.")
+    parser.add_argument("--version", action="version", version=f"dyck4d {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("validate", help="check words and report their half-length")

@@ -107,6 +107,13 @@ class InvalidProjection(DyckError):
     kind = "invalid-projection"
 
 
+class InvalidJson(DyckError):
+    """Input text that is not JSON, or JSON nested too deeply or holding an
+    integer too long to read; ``detail`` is the position of a syntax error."""
+
+    kind = "invalid-json"
+
+
 class UnreadableInput(DyckError):
     """An input file that cannot be opened, or input that is not UTF-8 text."""
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, floordiv, mod, sub
 
 from .errors import NotInLattice, ParityViolation, UnboundedRegion
-from .words import LatticeNode
+from .words import LatticeNode, _as_nodes
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,30 @@ def complete_node(i: int | None = None, j: int | None = None,
     return node
 
 
-def enumerate_nodes(region: LatticeRegion) -> list[LatticeNode]:
-    """All nodes of a bounded region in lexicographic (i, j) order."""
+def _region_columns(region: LatticeRegion):
+    """Iterators over the i, j, l, r columns of a bounded region's nodes in
+    lexicographic (i, j) order.
+
+    Row i (0 <= i <= 2n) runs j = i % 2, i % 2 + 2, ..., min(i, 2n - i); along
+    it l rises from ceil(i / 2) to min(i, n) and r falls from floor(i / 2) to
+    max(0, i - n).  Each column is built from its own ranges.
+    """
     if region.bound is None:
         raise UnboundedRegion()
-    top = 2 * region.bound
-    return [LatticeNode(i, j, (i + j) // 2, (i - j) // 2)
-            for i in range(top + 1) for j in range(i % 2, min(i, top - i) + 1, 2)]
+    n = region.bound
+    rows = range(2 * n + 1)
+    ends = range(1, 2 * n + 2)  # i + 1
+    j_rows = map(range, map(mod, rows, repeat(2)), map(min, ends, reversed(ends)), repeat(2))
+    l_rows = tuple(map(range, map(floordiv, ends, repeat(2)), map(min, ends, repeat(n + 1))))
+    r_rows = map(range, map(floordiv, rows, repeat(2)), map(max, range(-n - 1, n), repeat(-1)),
+                 repeat(-1))
+    i = chain.from_iterable(map(repeat, rows, map(len, l_rows)))
+    return (i, *map(chain.from_iterable, (j_rows, l_rows, r_rows)))
+
+
+def enumerate_nodes(region: LatticeRegion) -> list[LatticeNode]:
+    """All nodes of a bounded region in lexicographic (i, j) order."""
+    return list(_as_nodes(zip(*_region_columns(region))))
 
 
 @lru_cache(maxsize=None)

@@ -16,6 +16,8 @@ then applies the same j-oblique 3D part.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, attrgetter, mul, sub
 
 from .errors import WrongArity
 from .geometry import DoubleTesseract, Side, triangle
@@ -85,32 +87,16 @@ class Scene:
     def add(self, element):
         self.elements.append(element)
 
-    def _coordinates(self):
-        for element in self.elements:
-            if isinstance(element, Segment):
-                yield element.start
-                yield element.end
-            elif isinstance(element, Polyline):
-                yield from element.points
-            else:
-                yield element.at
-
     def to_svg(self) -> str:
         """Emit SVG 1.1; the y axis is flipped so larger values draw upward."""
-        points = list(self._coordinates())
-        if not points:
-            points = [(0.0, 0.0)]
-        min_x = min(p[0] for p in points)
-        max_x = max(p[0] for p in points)
-        min_y = min(p[1] for p in points)
-        max_y = max(p[1] for p in points)
-
-        def fx(x):
-            return _fmt(MARGIN + PIXELS_PER_UNIT * (x - min_x))
-
-        def fy(y):
-            return _fmt(MARGIN + PIXELS_PER_UNIT * (max_y - y))
-
+        elements = sorted(self.elements, key=attrgetter("layer"))
+        xs, ys = zip(*(list(_coordinates(elements)) or [(0.0, 0.0)]))
+        min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
+        # MARGIN + PIXELS_PER_UNIT * (x - min_x) and (max_y - y), a column at a time
+        px = _fmt_all(map(add, repeat(MARGIN), map(mul, repeat(PIXELS_PER_UNIT),
+                                                   map(sub, xs, repeat(min_x)))))
+        py = _fmt_all(map(add, repeat(MARGIN), map(mul, repeat(PIXELS_PER_UNIT),
+                                                   map(sub, repeat(max_y), ys))))
         width = _fmt(2 * MARGIN + PIXELS_PER_UNIT * (max_x - min_x))
         height = _fmt(2 * MARGIN + PIXELS_PER_UNIT * (max_y - min_y))
         lines = [
@@ -118,32 +104,56 @@ class Scene:
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         ]
-        for element in sorted(self.elements, key=lambda e: e.layer):
+        k = 0  # the element's first point in px, py
+        for element in elements:
             color = ROLE_COLORS[element.role]
             if isinstance(element, Segment):
                 dash = ' stroke-dasharray="6,4"' if element.dashed else ""
                 lines.append(
                     f'<line class="{element.css_class}" '
-                    f'x1="{fx(element.start[0])}" y1="{fy(element.start[1])}" '
-                    f'x2="{fx(element.end[0])}" y2="{fy(element.end[1])}" '
+                    f'x1="{px[k]}" y1="{py[k]}" x2="{px[k + 1]}" y2="{py[k + 1]}" '
                     f'stroke="{color}" stroke-width="{_fmt(element.width)}"{dash}/>')
+                k += 2
             elif isinstance(element, Polyline):
                 dash = ' stroke-dasharray="6,4"' if element.dashed else ""
-                coords = " ".join(f"{fx(x)},{fy(y)}" for x, y in element.points)
+                end = k + len(element.points)
+                coords = " ".join(map(",".join, zip(px[k:end], py[k:end])))
                 lines.append(
                     f'<polyline class="{element.css_class}" points="{coords}" '
                     f'fill="none" stroke="{color}" stroke-width="{_fmt(element.width)}"{dash}/>')
+                k = end
             else:
                 lines.append(
-                    f'<circle class="{element.css_class}" '
-                    f'cx="{fx(element.at[0])}" cy="{fy(element.at[1])}" '
+                    f'<circle class="{element.css_class}" cx="{px[k]}" cy="{py[k]}" '
                     f'r="{_fmt(element.radius)}" fill="{color}"/>')
+                k += 1
         lines.append("</svg>")
         return "\n".join(lines) + "\n"
 
 
+def _coordinates(elements):
+    """The (x, y) points of the elements, in drawing order."""
+    for element in elements:
+        if isinstance(element, Segment):
+            yield element.start
+            yield element.end
+        elif isinstance(element, Polyline):
+            yield from element.points
+        else:
+            yield element.at
+
+
+#: The one number format of the SVG output: two decimals of the value as a float.
+_SPEC = ".2f"
+
+
 def _fmt(value) -> str:
-    return f"{float(value):.2f}"
+    return format(float(value), _SPEC)
+
+
+def _fmt_all(values) -> list[str]:
+    """``_fmt`` of every value, without a Python-level call per value."""
+    return list(map(float.__format__, map(float, values), repeat(_SPEC)))
 
 
 _EXTENT = {Axis.I: 2, Axis.J: 1, Axis.L: 1, Axis.R: 1}  # in units of n
@@ -162,11 +172,12 @@ def render_grid_2d(axes: AxisSet, n: int, proj: ProjectedPath | None = None) -> 
     ax_x, ax_y = axes.axes
     w = _EXTENT[ax_x] * n
     h = _EXTENT[ax_y] * n
+    x_role, y_role = AXIS_ROLES[ax_x], AXIS_ROLES[ax_y]
     scene = Scene()
     for x in range(w + 1):  # isolines of the horizontal axis are vertical lines
-        scene.add(Segment((x, 0), (x, h), role=AXIS_ROLES[ax_x]))
+        scene.add(Segment((x, 0), (x, h), role=x_role))
     for y in range(h + 1):
-        scene.add(Segment((0, y), (w, y), role=AXIS_ROLES[ax_y]))
+        scene.add(Segment((0, y), (w, y), role=y_role))
     if {ax_x, ax_y} == {Axis.L, Axis.R}:
         scene.add(Segment((0, 0), (n, n), role="blue-j", layer=1,
                           css_class="diagonal", dashed=True, width=2.0))
@@ -232,15 +243,15 @@ def render_wireframe(structure, style: str, include_triangle: bool = False):
     for position in positions:
         scene.add(Marker(position, role="neutral", layer=2, css_class="vertex"))
 
+    if style == "schlegel" or include_triangle:
+        tri = triangle(structure.n)
     if style == "schlegel":
-        n = structure.n
-        tri = triangle(n)
         for anchor in (tri.vertex_origin, tri.vertex_apex, tri.vertex_end):
             scene.add(Marker(mapper(anchor), role="path", layer=3,
                              css_class="anchor", radius=4.5))
     if include_triangle:
-        for ts in triangle(structure.n).sides:
-            scene.add(Polyline(tuple(mapper(node) for node in ts.nodes),
+        for ts in tri.sides:
+            scene.add(Polyline(tuple(map(mapper, ts.nodes)),
                                role=SIDE_ROLES[ts.side], layer=4,
                                css_class=f"side-{ts.side.value}", width=2.5))
 

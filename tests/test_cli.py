@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from dyck4d import __version__
 from dyck4d.cli import build_parser, main
 
 
@@ -333,6 +334,42 @@ def _projected_json(text, axes):
     columns = ["ijlr".index(a) for a in axes]
     points = [[node[c] for c in columns] for node in oracles.visited_nodes(text)]
     return json.dumps({"axes": list(axes), "points": points}, separators=(",", ":"))
+
+
+_DEEP = "[" * 100000
+_LONG_INT = "1" * 5000
+_NO_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                     reason="this interpreter reads integers of any length")
+
+
+class TestJsonBeyondLimits:
+    """JSON nested past the recursion limit, or holding an integer past the digit
+    limit, is one error:invalid-json line; the batch goes on."""
+
+    @pytest.mark.parametrize("argv, lines", [
+        pytest.param(["convert", "--to", "word"],
+                     [_path_json("()"), _DEEP, _path_json("(())")], id="convert deep"),
+        pytest.param(["convert", "--to", "word"],
+                     [_path_json("()"), f"[[0,0,0,{_LONG_INT}]]", _path_json("(())")],
+                     id="convert long int", marks=_NO_DIGIT_LIMIT),
+        pytest.param(["lift"], [_projected_json("()", "lr"), _DEEP, _projected_json("(())", "ij")],
+                     id="lift deep"),
+        pytest.param(["lift", "--to", "word"],
+                     [_projected_json("()", "lr"),
+                      f'{{"axes":["l","r"],"points":[[0,{_LONG_INT}]]}}',
+                      _projected_json("(())", "ij")], id="lift long int", marks=_NO_DIGIT_LIMIT),
+    ])
+    def test_bad_middle_line(self, capsys, monkeypatch, argv, lines):
+        first, bad, last = lines
+        expected = run(capsys, *argv, first)[1] + run(capsys, *argv, last)[1]
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{first}\n{bad}\n{last}\n"))
+        assert run(capsys, *argv) == (1, expected, "error:invalid-json\n")
+        assert len(expected.splitlines()) == 2
+
+
+class TestVersion:
+    def test_version(self, capsys):
+        assert run(capsys, "--version") == (0, f"dyck4d {__version__}\n", "")
 
 
 #: (argv, three stdin lines whose middle one is bad) for every batch subcommand.

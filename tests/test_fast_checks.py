@@ -3,9 +3,10 @@ rejected, with the same exception class and the same position or index.
 
 Each reference below walks one character, step, node or point at a time,
 as the package did before its checks were rewritten to work on whole
-columns; inputs are valid words, paths and projections with small
-perturbations (a swapped symbol, a dropped or duplicated node, a wrong
-redundant coordinate, a mixed-parity (i, j), a bad width).
+columns; inputs are valid words, paths, projections and triangle nodes with
+small perturbations (a swapped symbol, a dropped or duplicated node, a wrong
+redundant coordinate, a mixed-parity (i, j), a bad width, a moved, swapped
+or dropped coordinate).
 """
 
 import random
@@ -13,10 +14,11 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from dyck4d import (AxisSet, DyckError, DyckWord, InconsistentProjection,
-                    InvalidCharacter, LatticeNode, MalformedPath,
-                    NegativePrefix, Path4D, ProjectedPath, Step, Unbalanced,
-                    lift, parse_word, path_from_lists)
+from dyck4d import (INFINITE, AxisSet, DyckError, DyckWord, FlatnessResult,
+                    InconsistentProjection, InvalidCharacter, LatticeNode,
+                    LatticeRegion, MalformedPath, NegativePrefix, Path4D,
+                    ProjectedPath, Step, Unbalanced, enumerate_nodes, lift,
+                    parse_word, path_from_lists, verify_flat)
 
 AXIS_SETS = ("ij", "il", "ir", "jl", "jr", "lr", "ijl", "ijr", "ilr", "jlr", "ijlr")
 WHITESPACE = " \t\n\r\f\v"
@@ -113,6 +115,20 @@ def ref_lift(names, points):
     return ref_path(nodes)
 
 
+def ref_flat(nodes):
+    for node in nodes:
+        i, j, l, r = node
+        if i != l + r or j != l - r:
+            return FlatnessResult(False, LatticeNode(i, j, l, r))
+    return FlatnessResult(True, None)
+
+
+def ref_region(n):
+    top = 2 * n
+    return [LatticeNode(i, j, (i + j) // 2, (i - j) // 2)
+            for i in range(top + 1) for j in range(i % 2, min(i, top - i) + 1, 2)]
+
+
 # -- perturbed inputs ----------------------------------------------------------
 
 @st.composite
@@ -196,6 +212,29 @@ def projections(draw):
     return names, points
 
 
+@st.composite
+def flat_subjects(draw):
+    """Nodes of a word's path or of a triangle, a few of them with one coordinate
+    moved, two coordinates swapped, one dropped or one made a non-integer."""
+    if draw(st.booleans()):
+        nodes = [list(node) for node in oracles.visited_nodes(draw(words()))]
+    else:
+        nodes = [list(node) for node in ref_region(draw(st.integers(0, 8)))]
+    for k in draw(st.sets(st.integers(0, len(nodes) - 1), max_size=3)):
+        row = nodes[k]
+        a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        op = draw(st.sampled_from(("move", "move", "swap", "drop", "odd")))
+        if op == "move":
+            row[a] += draw(st.sampled_from((-2, -1, 1, 2)))
+        elif op == "swap":
+            row[a], row[b] = row[b], row[a]
+        elif op == "drop":
+            del row[a]
+        else:
+            row[a] = draw(st.sampled_from((None, float(row[a]), str(row[a]), row[a] > 0)))
+    return nodes
+
+
 # -- the package agrees with the references -----------------------------------
 
 @settings(max_examples=300, deadline=None)
@@ -237,3 +276,22 @@ def test_projected_path_and_lift(case):
     if got[0] == "ok":
         proj = ProjectedPath(AxisSet.of(names), points)
         assert outcome(lift, proj, field="nodes") == outcome(ref_lift, names, points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_subjects(), st.sampled_from((list, tuple, iter, "rows")))
+def test_verify_flat(nodes, container):
+    subject = [tuple(row) for row in nodes] if container == "rows" else container(nodes)
+    got = outcome(verify_flat, subject)
+    assert got == outcome(ref_flat, nodes)
+    if got[0] == "ok" and got[1].witness is not None:
+        assert type(got[1].witness) is LatticeNode
+
+
+def test_enumerate_nodes_and_region_flatness():
+    for n in range(61):
+        nodes = enumerate_nodes(LatticeRegion(n))
+        assert nodes == ref_region(n)
+        assert all(type(node) is LatticeNode for node in nodes)
+        assert verify_flat(LatticeRegion(n)) == ref_flat(nodes) == FlatnessResult(True, None)
+    assert outcome(verify_flat, INFINITE) == outcome(enumerate_nodes, INFINITE)

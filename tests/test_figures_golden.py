@@ -1,0 +1,97 @@
+"""Golden corpus for the figures subcommands: geometry and render print the same
+bytes, write the same edge lists and exit with the same code as before the
+flatness scan and the SVG coordinates were rewritten to work on whole columns.
+
+``data/figures_golden.json`` maps every case to the SHA-256 of its stdout, the
+SHA-256 of its stderr and its exit code, plus the SHA-256 of the ``--edges``
+file for the cases that write one, recorded from the node-by-node and
+number-by-number implementation.
+
+Re-record (only when a change of output is intended) with
+``PYTHONPATH=src python tests/test_figures_golden.py``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+import oracles
+from dyck4d.cli import main
+
+DATA = Path(__file__).parent / "data" / "figures_golden.json"
+
+AXIS_PAIRS = ("ij", "il", "ir", "jl", "jr", "lr")
+CELLS = ("imin", "imax", "jmin", "jmax", "lmin", "lmax", "rmin", "rmax")
+
+_rng = random.Random(20192)
+WORDS = {n: oracles.random_word_text(_rng, n) for n in (1, 4, 9)}
+
+
+def _cases():
+    """(case id, argv) for every case; "EDGES" in argv stands for the edge-list file."""
+    for n in (0, 1, 2, 3, 7, 40, 100, 370):
+        for fmt in ("text", "json"):
+            yield f"geometry --n {n} --format {fmt}", ["geometry", "--n", str(n), "--format", fmt]
+    for axes in AXIS_PAIRS:
+        for n in (0, 1, 4, 9):
+            yield (f"render grid --axes {axes} --n {n}",
+                   ["render", "grid", "--axes", axes, "--n", str(n)])
+        for n, word in WORDS.items():
+            yield (f"render grid --axes {axes} --n {n} --word <{n}>",
+                   ["render", "grid", "--axes", axes, "--n", str(n), "--word", word])
+    for n in (1, 2, 5):
+        yield (f"render wireframe --n {n}",
+               ["render", "wireframe", "--n", str(n), "--edges", "EDGES"])
+        yield (f"render wireframe --n {n} --triangle",
+               ["render", "wireframe", "--n", str(n), "--triangle", "--edges", "EDGES"])
+        for cell in CELLS:
+            yield (f"render wireframe --n {n} --cell {cell}",
+                   ["render", "wireframe", "--n", str(n), "--cell", cell, "--edges", "EDGES"])
+        yield f"render schlegel --n {n}", ["render", "schlegel", "--n", str(n), "--edges", "EDGES"]
+        yield (f"render schlegel --n {n} --triangle",
+               ["render", "schlegel", "--n", str(n), "--triangle", "--edges", "EDGES"])
+
+
+CASES = list(_cases())
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(argv):
+    """[stdout SHA, stderr SHA, exit code] and the edge-list file's SHA if it is written."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as work:
+        edges = Path(work) / "edges.txt"
+        argv = [str(edges) if arg == "EDGES" else arg for arg in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        result = [_sha(out.getvalue().encode()), _sha(err.getvalue().encode()), code]
+        if "--edges" in argv:
+            result.append(_sha(edges.read_bytes()))
+    return result
+
+
+EXPECTED = json.loads(DATA.read_text()) if DATA.exists() else {}
+
+
+def test_corpus_is_recorded():
+    assert sorted(EXPECTED) == sorted(case_id for case_id, _ in CASES)
+
+
+@pytest.mark.parametrize("case_id, argv", CASES, ids=[c[0] for c in CASES])
+def test_golden(case_id, argv):
+    assert run_case(argv) == EXPECTED[case_id]
+
+
+if __name__ == "__main__":
+    DATA.write_text(json.dumps({case_id: run_case(argv) for case_id, argv in CASES},
+                               indent=0) + "\n")
