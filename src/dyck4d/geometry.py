@@ -20,7 +20,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import lattice
-from .words import AXES, Axis, DOWN_STEP, LatticeNode, UP_STEP, _as_nodes
+from .words import AXES, Axis, DOWN_STEP, LatticeNode, Path4D, UP_STEP
 
 
 #: An integer 4-vector in (i, j, l, r) component order: the node type itself.
@@ -89,13 +89,12 @@ def triangle(n: int) -> TriangleGeometry:
     if n < 0:
         raise ValueError("half-length must be non-negative")
     vertices, ends = _ends(n)
-    k = range(n + 1)
-    zeros, ns = itertools.repeat(0), itertools.repeat(n)
     blue = TriangleSide(Side.BLUE, *ends[Side.BLUE],
-                        tuple(_as_nodes(zip(range(0, 2 * n + 1, 2), zeros, k, k))))
-    red = TriangleSide(Side.RED, *ends[Side.RED], tuple(_as_nodes(zip(k, k, k, zeros))))
+                        tuple(LatticeNode(2 * k, 0, k, k) for k in range(n + 1)))
+    red = TriangleSide(Side.RED, *ends[Side.RED],
+                       tuple(LatticeNode(k, k, k, 0) for k in range(n + 1)))
     yellow = TriangleSide(Side.YELLOW, *ends[Side.YELLOW],
-                          tuple(_as_nodes(zip(range(n, 2 * n + 1), reversed(k), ns, k))))
+                          tuple(LatticeNode(n + k, n - k, n, k) for k in range(n + 1)))
     return TriangleGeometry(n, *vertices, (blue, red, yellow))
 
 
@@ -116,35 +115,27 @@ class FlatnessResult(NamedTuple):
     witness: LatticeNode | None
 
 
-def _flat_columns(columns) -> bool:
-    """True when i = l + r and j = l - r hold at every position of the columns."""
-    i, j, l, r = columns
-    l, r = tuple(l), tuple(r)  # each is read twice
-    return (all(map(operator.eq, i, map(operator.add, l, r)))
-            and all(map(operator.eq, j, map(operator.sub, l, r))))
-
-
 def verify_flat(subject) -> FlatnessResult:
     """Check that every node q satisfies q = l·UP + r·DOWN exactly.
 
     That identity says q lies in the 2-plane spanned by the two step
     vectors through the origin; it reduces to i = l + r and j = l - r,
     since the l and r components are trivially equal.  ``subject`` may be
-    a Path4D, a bounded LatticeRegion, or any iterable of 4-tuples (read
-    once, into a tuple); the first violating node is returned as witness.
+    a Path4D, a bounded LatticeRegion, or any iterable of 4-tuples; the
+    first violating node is returned as witness.  A region is checked on
+    its coordinate columns, without building a node.
     """
-    if isinstance(subject, lattice.LatticeRegion):
-        if _flat_columns(lattice._region_columns(subject)):
+    if isinstance(subject, Path4D):
+        nodes = subject.nodes
+    elif isinstance(subject, lattice.LatticeRegion):
+        i, j, l, r = lattice._region_columns(subject)
+        l, r = tuple(l), tuple(r)  # each is read twice
+        if (all(map(operator.eq, i, map(operator.add, l, r)))
+                and all(map(operator.eq, j, map(operator.sub, l, r)))):
             return FlatnessResult(True, None)
-        nodes = lattice.enumerate_nodes(subject)
+        nodes = lattice.enumerate_nodes(subject)  # name the first violating node
     else:
-        nodes = tuple(subject)
-        try:
-            if set(map(len, nodes)) == {4} and _flat_columns(zip(*nodes)):
-                return FlatnessResult(True, None)
-        except TypeError:
-            pass  # a node without a length or a coordinate that does not add: the loop raises
-    # The column check failed (or could not run): name the first violating node.
+        nodes = subject
     for node in nodes:
         i, j, l, r = node
         if i != l + r or j != l - r:
@@ -313,7 +304,7 @@ def geometry_report(n: int) -> dict:
             "end": list(ts.end),
             "squared_length": squared,
             "length": math.sqrt(squared),
-            "nodes": list(map(list, ts.nodes)),
+            "nodes": [list(node) for node in ts.nodes],
         }
     report = {
         "n": n,

@@ -14,7 +14,7 @@ from itertools import accumulate, chain, repeat
 from operator import add, floordiv, mod, sub
 
 from .errors import NotInLattice, ParityViolation, UnboundedRegion
-from .words import LatticeNode, _as_nodes
+from .words import LatticeNode
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,8 @@ def _region_columns(region: LatticeRegion):
 
 def enumerate_nodes(region: LatticeRegion) -> list[LatticeNode]:
     """All nodes of a bounded region in lexicographic (i, j) order."""
-    return list(_as_nodes(zip(*_region_columns(region))))
+    # tuple.__new__ builds the nodes without a Python-level call per node
+    return list(map(tuple.__new__, repeat(LatticeNode), zip(*_region_columns(region))))
 
 
 @lru_cache(maxsize=None)

@@ -143,17 +143,13 @@ def _coordinates(elements):
             yield element.at
 
 
-#: The one number format of the SVG output: two decimals of the value as a float.
-_SPEC = ".2f"
-
-
 def _fmt(value) -> str:
-    return format(float(value), _SPEC)
+    return f"{float(value):.2f}"
 
 
 def _fmt_all(values) -> list[str]:
     """``_fmt`` of every value, without a Python-level call per value."""
-    return list(map(float.__format__, map(float, values), repeat(_SPEC)))
+    return list(map(format, map(float, values), repeat(".2f")))
 
 
 _EXTENT = {Axis.I: 2, Axis.J: 1, Axis.L: 1, Axis.R: 1}  # in units of n

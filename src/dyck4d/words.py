@@ -56,20 +56,10 @@ class LatticeNode(NamedTuple):
 
 ORIGIN = LatticeNode(0, 0, 0, 0)
 
-
 #: Path delta produced by reading '(' — components (i, j, l, r).
 UP_STEP = (1, 1, 1, 0)
 #: Path delta produced by reading ')'.
 DOWN_STEP = (1, -1, 0, 1)
-
-
-def _as_nodes(rows):
-    """LatticeNodes from rows of four coordinates, unchecked.
-
-    ``tuple.__new__`` builds each node without a Python-level call per node.
-    """
-    return map(tuple.__new__, repeat(LatticeNode), rows)
-
 
 _WHITESPACE = " \t\n\r\f\v"
 _DROP_WHITESPACE = str.maketrans("", "", _WHITESPACE)
@@ -143,7 +133,8 @@ class Path4D:
     def __post_init__(self):
         nodes = tuple(self.nodes)
         if set(map(type, nodes)) != {LatticeNode}:
-            nodes = tuple(_as_nodes(nodes))
+            # tuple.__new__ builds the nodes without a Python-level call per node
+            nodes = tuple(map(tuple.__new__, repeat(LatticeNode), nodes))
             if set(map(len, nodes)) - {4}:
                 nodes = tuple(LatticeNode(*node) for node in nodes)  # the TypeError of a bad width
         object.__setattr__(self, "nodes", nodes)
