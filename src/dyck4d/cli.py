@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from contextlib import nullcontext
 
 from . import __version__, enumeration, geometry, lattice, projections, render, words
-from .errors import DyckError, InvalidJson, UnreadableInput
+from .errors import DyckError, InvalidJson, UnreadableInput, UnwritableOutput
 
 
 def _error_line(exc: DyckError) -> str:
@@ -101,8 +102,11 @@ def _write_document(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UnwritableOutput("output file cannot be written") from exc
 
 
 def _validate_line(args, text: str) -> str:
@@ -328,9 +332,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return status
     except DyckError as exc:
         print(_error_line(exc), file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # As in the SIGPIPE note of the Python docs: point stdout at devnull so
+        # the flush at interpreter exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(_error_line(UnwritableOutput("standard output was closed")), file=sys.stderr)
         return 1
 
 

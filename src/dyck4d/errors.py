@@ -120,6 +120,13 @@ class UnreadableInput(DyckError):
     kind = "unreadable-input"
 
 
+class UnwritableOutput(DyckError):
+    """An output file that cannot be written, or standard output closed by
+    its reader (a broken pipe)."""
+
+    kind = "unwritable-output"
+
+
 class RankOutOfRange(DyckError):
     """Rank must satisfy 0 <= rank < catalan(n)."""
 

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 from . import lattice
-from .words import AXES, Axis, DOWN_STEP, LatticeNode, Path4D, UP_STEP
+from .words import AXES, Axis, DOWN_STEP, LatticeNode, UP_STEP
 
 
 #: An integer 4-vector in (i, j, l, r) component order: the node type itself.
@@ -107,7 +106,18 @@ def side_length_squared(side: Side, n: int) -> int:
 
 
 def side_length(side: Side, n: int) -> float:
-    return math.sqrt(side_length_squared(side, n))
+    """Euclidean length of a side, √6·n or √3·n, as a float.
+
+    Past n ≈ 1e154 the exact squared length no longer converts to a float;
+    there the length is the integer square root, which is exact to float
+    precision at that size.  OverflowError remains only when the length
+    itself is beyond float range (n ≳ 7e307).
+    """
+    squared = side_length_squared(side, n)
+    try:
+        return math.sqrt(squared)
+    except OverflowError:
+        return float(math.isqrt(squared))
 
 
 class FlatnessResult(NamedTuple):
@@ -123,20 +133,15 @@ def verify_flat(subject) -> FlatnessResult:
     since the l and r components are trivially equal.  ``subject`` may be
     a Path4D, a bounded LatticeRegion, or any iterable of 4-tuples; the
     first violating node is returned as witness.  A region is checked on
-    its coordinate columns, without building a node.
+    its 2n + 1 row heads, without visiting the other nodes.
     """
-    if isinstance(subject, Path4D):
-        nodes = subject.nodes
-    elif isinstance(subject, lattice.LatticeRegion):
-        i, j, l, r = lattice._region_columns(subject)
-        l, r = tuple(l), tuple(r)  # each is read twice
-        if (all(map(operator.eq, i, map(operator.add, l, r)))
-                and all(map(operator.eq, j, map(operator.sub, l, r)))):
-            return FlatnessResult(True, None)
-        nodes = lattice.enumerate_nodes(subject)  # name the first violating node
-    else:
-        nodes = subject
-    for node in nodes:
+    if isinstance(subject, lattice.LatticeRegion):
+        # i = l + r and j = l - r are linear and the row step (0, 2, 1, -1)
+        # satisfies both, so a whole row is flat exactly when its first node
+        # is; the heads come in (i, j) order, so the first failing head is
+        # also the region's first violating node.
+        subject = (head for head, _ in lattice._region_rows(subject))
+    for node in subject:
         i, j, l, r = node
         if i != l + r or j != l - r:
             return FlatnessResult(False, LatticeNode(i, j, l, r))
@@ -233,8 +238,7 @@ def double_tesseract(n: int) -> DoubleTesseract:
     if n < 1:
         raise ValueError("the box degenerates below n = 1")
     extents = (2 * n, n, n, n)
-    vertices = tuple(Vec4(*point)
-                     for point in itertools.product(*((0, e) for e in extents)))
+    vertices = _box_corners((0, e) for e in extents)
     edges = _box_edges(vertices)
     cells = []
     for position, axis in enumerate(AXES):
@@ -298,12 +302,11 @@ def geometry_report(n: int) -> dict:
     box = double_tesseract(n) if n >= 1 else None
     sides = {}
     for ts in tri.sides:
-        squared = side_length_squared(ts.side, n)
         sides[ts.side.value] = {
             "start": list(ts.start),
             "end": list(ts.end),
-            "squared_length": squared,
-            "length": math.sqrt(squared),
+            "squared_length": side_length_squared(ts.side, n),
+            "length": side_length(ts.side, n),
             "nodes": [list(node) for node in ts.nodes],
         }
     report = {

@@ -86,36 +86,35 @@ def complete_node(i: int | None = None, j: int | None = None,
     return node
 
 
-def _region_columns(region: LatticeRegion):
-    """Iterators over the i, j, l, r columns of a bounded region's nodes in
-    lexicographic (i, j) order.
+def _region_rows(region: LatticeRegion):
+    """(first node, length) of each row i = 0, ..., 2n of a bounded region.
 
-    Row i (0 <= i <= 2n) runs j = i % 2, i % 2 + 2, ..., min(i, 2n - i); along
-    it l rises from ceil(i / 2) to min(i, n) and r falls from floor(i / 2) to
-    max(0, i - n).  Each column is built from its own ranges.
+    Row i holds the region's nodes with that i in rising j order: it starts
+    at (i, i % 2, ceil(i / 2), floor(i / 2)), runs to j = min(i, 2n - i), and
+    each next node adds UP - DOWN = (0, 2, 1, -1).
     """
     if region.bound is None:
         raise UnboundedRegion()
     n = region.bound
-    rows = range(2 * n + 1)
-    ends = range(1, 2 * n + 2)  # i + 1
-    j_rows = map(range, map(mod, rows, repeat(2)), map(min, ends, reversed(ends)), repeat(2))
-    l_rows = tuple(map(range, map(floordiv, ends, repeat(2)), map(min, ends, repeat(n + 1))))
-    r_rows = map(range, map(floordiv, rows, repeat(2)), map(max, range(-n - 1, n), repeat(-1)),
-                 repeat(-1))
-    i = chain.from_iterable(map(repeat, rows, map(len, l_rows)))
-    return (i, *map(chain.from_iterable, (j_rows, l_rows, r_rows)))
+    return (((i, i % 2, (i + 1) // 2, i // 2), min(i, 2 * n - i) // 2 + 1)
+            for i in range(2 * n + 1))
 
 
 def enumerate_nodes(region: LatticeRegion) -> list[LatticeNode]:
     """All nodes of a bounded region in lexicographic (i, j) order."""
+    rows = (zip(repeat(i, k), range(j, j + 2 * k, 2), range(l, l + k), range(r, r - k, -1))
+            for (i, j, l, r), k in _region_rows(region))
     # tuple.__new__ builds the nodes without a Python-level call per node
-    return list(map(tuple.__new__, repeat(LatticeNode), zip(*_region_columns(region))))
+    return list(map(tuple.__new__, repeat(LatticeNode), chain.from_iterable(rows)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def prefix_count_table(n: int):
-    """table[l][r] = number of balanced-word prefixes reaching (l, r), r <= l <= n."""
+    """table[l][r] = number of balanced-word prefixes reaching (l, r), r <= l <= n.
+
+    The four most recently used tables are kept, so a process's memory is
+    bounded by the sizes it is asked for now, not by every size it has seen.
+    """
     # A prefix reaching (l, r < l) ends in '(' from (l - 1, r) or ')' from
     # (l, r - 1), so row l is the running sum of row l - 1; (l, l) is reached
     # only from (l, l - 1), so the row ends by repeating its last value.

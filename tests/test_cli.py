@@ -296,6 +296,37 @@ class TestModuleEntryPoint:
         assert (result.returncode, result.stdout, result.stderr) == (0, "valid n=1\n", "")
 
 
+class TestUnwritableOutput:
+    def test_missing_directory(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "render", "wireframe", "--n", "2",
+                           "--out", str(tmp_path / "missing" / "x.svg"))
+        assert (rc, out, err) == (1, "", "error:unwritable-output\n")
+
+    def test_directory(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "render", "grid", "--axes", "ij", "--n", "2",
+                           "--out", str(tmp_path))
+        assert (rc, out, err) == (1, "", "error:unwritable-output\n")
+
+    def test_edges_file(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "render", "schlegel", "--n", "2",
+                           "--edges", str(tmp_path / "missing" / "e.txt"))
+        assert (rc, err) == (1, "error:unwritable-output\n")
+        assert "<svg" in out
+
+    def test_broken_pipe(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        with subprocess.Popen([sys.executable, "-m", "dyck4d", "count", "--n", "200"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+            assert child.stdout.readline().startswith(b"0,0,0,0\t")
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            rc = child.wait(timeout=60)
+        assert "Traceback" not in err
+        assert (rc, err) == (1, "error:unwritable-output\n")
+
+
 class TestConvertWrongShape:
     @pytest.mark.parametrize("data", ["5", "[5]", "null", '{"a":1}', '"ab"', "[[0,0,0,0],7]"])
     def test_one_error_line(self, capsys, data):

@@ -253,3 +253,25 @@ class TestReport:
         report = geometry_report(0)
         assert "checks" not in report and "tesseract" not in report
         assert report["flat"] is True
+
+
+class TestFlatnessByRows:
+    def test_row_step_is_flat(self):
+        # every row of a region advances by UP - DOWN; its heads stand for it
+        assert verify_flat([sub(UP, DOWN)]) == (True, None)
+
+    def test_large_region(self):
+        assert verify_flat(LatticeRegion(100_000)) == (True, None)
+
+    def test_large_report(self):
+        assert geometry_report(20_000)["flat"] is True
+
+
+class TestSideLengthRange:
+    def test_beyond_float_squares(self):
+        n = 10**160
+        assert side_length(Side.BLUE, n) == pytest.approx(math.sqrt(6) * 1e160, rel=1e-15)
+
+    def test_beyond_float_lengths(self):
+        with pytest.raises(OverflowError):
+            side_length(Side.BLUE, 10**310)

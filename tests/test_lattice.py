@@ -6,7 +6,8 @@ import oracles
 from dyck4d import (INFINITE, LatticeNode, LatticeRegion, NotInLattice,
                     ParityViolation, UnboundedRegion, catalan, complete_node,
                     count_paths_through, enumerate_nodes, is_lattice_node,
-                    parse_word, word_to_path)
+                    parse_word, rank, unrank, word_to_path)
+from dyck4d.lattice import prefix_count_table
 
 
 class TestMembership:
@@ -137,3 +138,17 @@ class TestCountPaths:
 
     def test_accepts_plain_tuples_and_nodes(self):
         assert count_paths_through(LatticeNode(2, 0, 1, 1), 2) == count_paths_through((2, 0, 1, 1), 2)
+
+
+class TestCountTableCache:
+    def test_bounded_and_correct_after_eviction(self):
+        prefix_count_table.cache_clear()
+        for n in range(10):
+            prefix_count_table(n)
+        assert prefix_count_table.cache_info().currsize == 4
+        # n = 4 was evicted: rank and unrank build its table again
+        for k, text in enumerate(oracles.all_balanced(4)):
+            word = parse_word(text)
+            assert rank(word) == k
+            assert unrank(k, 4) == word
+        assert prefix_count_table.cache_info().currsize == 4
