@@ -16,7 +16,7 @@ import json
 import os
 import random
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 
 from . import __version__, enumeration, geometry, lattice, projections, render, words
 from .errors import DyckError, InvalidJson, UnreadableInput, UnwritableOutput
@@ -98,15 +98,22 @@ def _axes_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _write_document(text: str, out: str | None):
+def _write_document(text: str, out: str | None, *files):
+    """Write ``text`` to the file ``out`` (stdout if None) and each (text, path) of ``files``.
+
+    Every file is opened before any byte is written, so one that cannot be
+    opened fails the command with nothing on stdout.
+    """
+    files = [(text, out), *files] if out is not None else files
+    try:
+        with ExitStack() as stack:
+            handles = [stack.enter_context(open(path, "w", encoding="utf-8")) for _, path in files]
+            for handle, (body, _) in zip(handles, files):
+                handle.write(body)
+    except OSError as exc:
+        raise UnwritableOutput("output file cannot be written") from exc
     if out is None:
         sys.stdout.write(text)
-    else:
-        try:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise UnwritableOutput("output file cannot be written") from exc
 
 
 def _validate_line(args, text: str) -> str:
@@ -228,9 +235,8 @@ def cmd_render(args) -> int:
     style = "schlegel" if args.view == "schlegel" else "orthographic-3d"
     svg, edge_list = render.render_wireframe(structure, style,
                                              include_triangle=args.triangle)
-    _write_document(svg, args.out)
-    if args.edges is not None:
-        _write_document(edge_list, args.edges)
+    edges = [(edge_list, args.edges)] if args.edges is not None else []
+    _write_document(svg, args.out, *edges)
     return 0
 
 

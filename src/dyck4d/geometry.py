@@ -19,15 +19,11 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import lattice
-from .words import AXES, Axis, DOWN_STEP, LatticeNode, UP_STEP
+from .words import AXES, Axis, LatticeNode
 
 
 #: An integer 4-vector in (i, j, l, r) component order: the node type itself.
 Vec4 = LatticeNode
-
-
-UP = Vec4(*UP_STEP)
-DOWN = Vec4(*DOWN_STEP)
 
 
 def dot(a, b) -> int:
@@ -126,7 +122,7 @@ class FlatnessResult(NamedTuple):
 
 
 def verify_flat(subject) -> FlatnessResult:
-    """Check that every node q satisfies q = l·UP + r·DOWN exactly.
+    """Check that every node q satisfies q = l·UP_STEP + r·DOWN_STEP exactly.
 
     That identity says q lies in the 2-plane spanned by the two step
     vectors through the origin; it reduces to i = l + r and j = l - r,

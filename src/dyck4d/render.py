@@ -16,8 +16,9 @@ then applies the same j-oblique 3D part.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, attrgetter, mul, sub
+from typing import NamedTuple
 
 from .errors import WrongArity
 from .geometry import DoubleTesseract, Side, triangle
@@ -48,49 +49,51 @@ VIEW_I = (0.22, 0.62)
 SCHLEGEL_INNER_SCALE = 0.5
 
 
-@dataclass(frozen=True)
-class Segment:
-    start: tuple
-    end: tuple
-    role: str
-    layer: int = 0
-    css_class: str = "grid"
-    dashed: bool = False
-    width: float = 1.0
+class Element(NamedTuple):
+    """One drawing element: its layer (lower layers draw first), its (x, y)
+    points in source coordinates and its finished SVG line with one ``{}``
+    per pixel coordinate, x then y for each point."""
 
-
-@dataclass(frozen=True)
-class Polyline:
+    layer: int
     points: tuple
-    role: str
-    layer: int = 1
-    css_class: str = "path"
-    dashed: bool = False
-    width: float = 2.0
+    svg: str
 
 
-@dataclass(frozen=True)
-class Marker:
-    at: tuple
-    role: str
-    layer: int = 2
-    css_class: str = "vertex"
-    radius: float = 3.0
+def _stroke(role: str, width: float, dashed: bool) -> str:
+    dash = ' stroke-dasharray="6,4"' if dashed else ""
+    return f'stroke="{ROLE_COLORS[role]}" stroke-width="{_fmt(width)}"{dash}'
+
+
+def _line(start, end, role, layer=0, css_class="grid", dashed=False, width=1.0) -> Element:
+    return Element(layer, (start, end), f'<line class="{css_class}" x1="{{}}" y1="{{}}" '
+                                        f'x2="{{}}" y2="{{}}" {_stroke(role, width, dashed)}/>')
+
+
+def _polyline(points, role, layer=1, css_class="path", dashed=False, width=2.0) -> Element:
+    coords = " ".join(repeat("{},{}", len(points)))
+    return Element(layer, points, f'<polyline class="{css_class}" points="{coords}" '
+                                  f'fill="none" {_stroke(role, width, dashed)}/>')
+
+
+def _circle(at, role, layer=2, css_class="vertex", radius=3.0) -> Element:
+    return Element(layer, (at,), f'<circle class="{css_class}" cx="{{}}" cy="{{}}" '
+                                 f'r="{_fmt(radius)}" fill="{ROLE_COLORS[role]}"/>')
 
 
 @dataclass
 class Scene:
-    """An ordered list of drawing elements in source (lattice) coordinates."""
+    """An ordered list of drawing ``Element``s in source (lattice) coordinates."""
 
     elements: list = field(default_factory=list)
 
-    def add(self, element):
+    def add(self, element: Element):
         self.elements.append(element)
 
     def to_svg(self) -> str:
         """Emit SVG 1.1; the y axis is flipped so larger values draw upward."""
         elements = sorted(self.elements, key=attrgetter("layer"))
-        xs, ys = zip(*(list(_coordinates(elements)) or [(0.0, 0.0)]))
+        xs, ys = zip(*(list(chain.from_iterable(map(attrgetter("points"), elements)))
+                       or [(0.0, 0.0)]))
         min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
         # MARGIN + PIXELS_PER_UNIT * (x - min_x) and (max_y - y), a column at a time
         px = _fmt_all(map(add, repeat(MARGIN), map(mul, repeat(PIXELS_PER_UNIT),
@@ -103,44 +106,10 @@ class Scene:
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+            *map(attrgetter("svg"), elements),
+            "</svg>\n",
         ]
-        k = 0  # the element's first point in px, py
-        for element in elements:
-            color = ROLE_COLORS[element.role]
-            if isinstance(element, Segment):
-                dash = ' stroke-dasharray="6,4"' if element.dashed else ""
-                lines.append(
-                    f'<line class="{element.css_class}" '
-                    f'x1="{px[k]}" y1="{py[k]}" x2="{px[k + 1]}" y2="{py[k + 1]}" '
-                    f'stroke="{color}" stroke-width="{_fmt(element.width)}"{dash}/>')
-                k += 2
-            elif isinstance(element, Polyline):
-                dash = ' stroke-dasharray="6,4"' if element.dashed else ""
-                end = k + len(element.points)
-                coords = " ".join(map(",".join, zip(px[k:end], py[k:end])))
-                lines.append(
-                    f'<polyline class="{element.css_class}" points="{coords}" '
-                    f'fill="none" stroke="{color}" stroke-width="{_fmt(element.width)}"{dash}/>')
-                k = end
-            else:
-                lines.append(
-                    f'<circle class="{element.css_class}" cx="{px[k]}" cy="{py[k]}" '
-                    f'r="{_fmt(element.radius)}" fill="{color}"/>')
-                k += 1
-        lines.append("</svg>")
-        return "\n".join(lines) + "\n"
-
-
-def _coordinates(elements):
-    """The (x, y) points of the elements, in drawing order."""
-    for element in elements:
-        if isinstance(element, Segment):
-            yield element.start
-            yield element.end
-        elif isinstance(element, Polyline):
-            yield from element.points
-        else:
-            yield element.at
+        return "\n".join(lines).format(*chain.from_iterable(zip(px, py)))
 
 
 def _fmt(value) -> str:
@@ -171,15 +140,15 @@ def render_grid_2d(axes: AxisSet, n: int, proj: ProjectedPath | None = None) -> 
     x_role, y_role = AXIS_ROLES[ax_x], AXIS_ROLES[ax_y]
     scene = Scene()
     for x in range(w + 1):  # isolines of the horizontal axis are vertical lines
-        scene.add(Segment((x, 0), (x, h), role=x_role))
+        scene.add(_line((x, 0), (x, h), role=x_role))
     for y in range(h + 1):
-        scene.add(Segment((0, y), (w, y), role=y_role))
+        scene.add(_line((0, y), (w, y), role=y_role))
     if {ax_x, ax_y} == {Axis.L, Axis.R}:
-        scene.add(Segment((0, 0), (n, n), role="blue-j", layer=1,
-                          css_class="diagonal", dashed=True, width=2.0))
+        scene.add(_line((0, 0), (n, n), role="blue-j", layer=1,
+                        css_class="diagonal", dashed=True, width=2.0))
     if proj is not None:
-        scene.add(Polyline(tuple(proj.points), role="path", layer=2,
-                           css_class="path", width=2.5))
+        scene.add(_polyline(tuple(proj.points), role="path", layer=2,
+                            css_class="path", width=2.5))
     return scene.to_svg()
 
 
@@ -233,23 +202,23 @@ def render_wireframe(structure, style: str, include_triangle: bool = False):
     positions = [mapper(v) for v in structure.vertices]
     scene = Scene()
     for a, b in structure.edges:
-        scene.add(Segment(positions[a], positions[b],
-                          role=_edge_role(structure.vertices[a], structure.vertices[b]),
-                          layer=0, css_class="edge", width=1.5))
+        scene.add(_line(positions[a], positions[b],
+                        role=_edge_role(structure.vertices[a], structure.vertices[b]),
+                        layer=0, css_class="edge", width=1.5))
     for position in positions:
-        scene.add(Marker(position, role="neutral", layer=2, css_class="vertex"))
+        scene.add(_circle(position, role="neutral", layer=2, css_class="vertex"))
 
     if style == "schlegel" or include_triangle:
         tri = triangle(structure.n)
     if style == "schlegel":
         for anchor in (tri.vertex_origin, tri.vertex_apex, tri.vertex_end):
-            scene.add(Marker(mapper(anchor), role="path", layer=3,
-                             css_class="anchor", radius=4.5))
+            scene.add(_circle(mapper(anchor), role="path", layer=3,
+                              css_class="anchor", radius=4.5))
     if include_triangle:
         for ts in tri.sides:
-            scene.add(Polyline(tuple(map(mapper, ts.nodes)),
-                               role=SIDE_ROLES[ts.side], layer=4,
-                               css_class=f"side-{ts.side.value}", width=2.5))
+            scene.add(_polyline(tuple(map(mapper, ts.nodes)),
+                                role=SIDE_ROLES[ts.side], layer=4,
+                                css_class=f"side-{ts.side.value}", width=2.5))
 
     return scene.to_svg(), edge_list_text(structure)
 

@@ -310,8 +310,14 @@ class TestUnwritableOutput:
     def test_edges_file(self, capsys, tmp_path):
         rc, out, err = run(capsys, "render", "schlegel", "--n", "2",
                            "--edges", str(tmp_path / "missing" / "e.txt"))
-        assert (rc, err) == (1, "error:unwritable-output\n")
-        assert "<svg" in out
+        assert (rc, out, err) == (1, "", "error:unwritable-output\n")
+
+    def test_out_file_with_writable_edges_file(self, capsys, tmp_path):
+        edges = tmp_path / "e.txt"
+        rc, out, err = run(capsys, "render", "schlegel", "--n", "2",
+                           "--out", str(tmp_path / "missing" / "x.svg"), "--edges", str(edges))
+        assert (rc, out, err) == (1, "", "error:unwritable-output\n")
+        assert not edges.exists()
 
     def test_broken_pipe(self):
         src = str(Path(__file__).resolve().parent.parent / "src")

@@ -2,7 +2,9 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dyck4d import render
 from dyck4d import (Axis, AxisSet, ROLE_COLORS, WrongArity, double_tesseract,
                     edge_list_text, parse_word, project, render_grid_2d,
                     render_wireframe, word_to_path)
@@ -175,3 +177,78 @@ class TestSvgHygiene:
     def test_empty_scene_renders(self):
         from dyck4d.render import Scene
         ET.fromstring(Scene().to_svg())
+
+
+# A scene element as (tag, points, builder keywords); the builders take the
+# first point (circle) or the first two (line) positionally.
+_COORD = st.one_of(st.integers(-10**6, 10**6),
+                   st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+_POINT = st.tuples(_COORD, _COORD)
+_STYLE = {"role": st.sampled_from(sorted(ROLE_COLORS)), "layer": st.integers(0, 4),
+          "css_class": st.sampled_from(["grid", "edge", "path", "side-blue"])}
+_WIDTH = st.floats(0, 10, allow_nan=False)
+_SPEC = st.one_of(
+    st.tuples(st.just("line"), st.tuples(_POINT, _POINT),
+              st.fixed_dictionaries({**_STYLE, "dashed": st.booleans(), "width": _WIDTH})),
+    st.tuples(st.just("polyline"), st.lists(_POINT, min_size=1, max_size=6).map(tuple),
+              st.fixed_dictionaries({**_STYLE, "dashed": st.booleans(), "width": _WIDTH})),
+    st.tuples(st.just("circle"), st.tuples(_POINT),
+              st.fixed_dictionaries({**_STYLE, "radius": _WIDTH})),
+)
+
+
+def _build(tag, points, style):
+    if tag == "line":
+        return render._line(*points, **style)
+    if tag == "polyline":
+        return render._polyline(points, **style)
+    return render._circle(*points, **style)
+
+
+def reference_svg(specs):
+    """The per-element renderer the columnar ``Scene.to_svg`` must match byte for byte."""
+    def fmt(value):
+        return f"{float(value):.2f}"
+
+    specs = sorted(specs, key=lambda spec: spec[2]["layer"])
+    points = [point for _, pts, _ in specs for point in pts] or [(0.0, 0.0)]
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
+
+    def px(x):
+        return fmt(render.MARGIN + render.PIXELS_PER_UNIT * (x - min_x))
+
+    def py(y):
+        return fmt(render.MARGIN + render.PIXELS_PER_UNIT * (max_y - y))
+
+    width = fmt(2 * render.MARGIN + render.PIXELS_PER_UNIT * (max_x - min_x))
+    height = fmt(2 * render.MARGIN + render.PIXELS_PER_UNIT * (max_y - min_y))
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">']
+    for tag, pts, style in specs:
+        color, css = ROLE_COLORS[style["role"]], style["css_class"]
+        dash = ' stroke-dasharray="6,4"' if style.get("dashed") else ""
+        if tag == "line":
+            (x1, y1), (x2, y2) = pts
+            lines.append(f'<line class="{css}" x1="{px(x1)}" y1="{py(y1)}" x2="{px(x2)}" '
+                         f'y2="{py(y2)}" stroke="{color}" stroke-width="{fmt(style["width"])}"{dash}/>')
+        elif tag == "polyline":
+            coords = " ".join(f"{px(x)},{py(y)}" for x, y in pts)
+            lines.append(f'<polyline class="{css}" points="{coords}" fill="none" '
+                         f'stroke="{color}" stroke-width="{fmt(style["width"])}"{dash}/>')
+        else:
+            (x, y), = pts
+            lines.append(f'<circle class="{css}" cx="{px(x)}" cy="{py(y)}" '
+                         f'r="{fmt(style["radius"])}" fill="{color}"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SPEC, max_size=8))
+def test_scene_matches_per_element_reference(specs):
+    scene = render.Scene()
+    for spec in specs:
+        scene.add(_build(*spec))
+    assert scene.to_svg() == reference_svg(specs)
