@@ -101,13 +101,15 @@ def _axes_arg(text: str):
 def _write_document(text: str, out: str | None, *files):
     """Write ``text`` to the file ``out`` (stdout if None) and each (text, path) of ``files``.
 
-    Every file is opened before any byte is written, so one that cannot be
-    opened fails the command with nothing on stdout.
+    Every file is opened for appending, which truncates nothing, and then for
+    writing before any byte is written, so one that cannot be opened fails the
+    command with nothing on stdout and every existing file as it was.
     """
     files = [(text, out), *files] if out is not None else files
     try:
         with ExitStack() as stack:
-            handles = [stack.enter_context(open(path, "w", encoding="utf-8")) for _, path in files]
+            for mode in ("a", "w"):
+                handles = [stack.enter_context(open(path, mode, encoding="utf-8")) for _, path in files]
             for handle, (body, _) in zip(handles, files):
                 handle.write(body)
     except OSError as exc:

@@ -7,12 +7,13 @@ in the machine-parsable form ``error:<kind>:<detail>``.
 
 
 class DyckError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors; ``message`` is the text of one raised without any."""
 
     kind = "error"
+    message = "domain error"
 
-    def __init__(self, message, detail=None):
-        super().__init__(message)
+    def __init__(self, message=None, detail=None):
+        super().__init__(self.message if message is None else message)
         self.detail = detail
 
 
@@ -67,27 +68,21 @@ class ParityViolation(DyckError):
     """Coordinates i and j must have the same parity."""
 
     kind = "parity-violation"
-
-    def __init__(self, message="i and j must have equal parity"):
-        super().__init__(message)
+    message = "i and j must have equal parity"
 
 
 class NotInLattice(DyckError):
     """Coordinates do not satisfy the lattice constraints."""
 
     kind = "not-in-lattice"
-
-    def __init__(self, message="point is not a lattice node"):
-        super().__init__(message)
+    message = "point is not a lattice node"
 
 
 class UnboundedRegion(DyckError):
     """The infinite lattice cannot be enumerated."""
 
     kind = "unbounded-region"
-
-    def __init__(self, message="region has no bound; cannot enumerate"):
-        super().__init__(message)
+    message = "region has no bound; cannot enumerate"
 
 
 class InconsistentProjection(DyckError):
@@ -131,15 +126,11 @@ class RankOutOfRange(DyckError):
     """Rank must satisfy 0 <= rank < catalan(n)."""
 
     kind = "rank-out-of-range"
-
-    def __init__(self, message="rank out of range"):
-        super().__init__(message)
+    message = "rank out of range"
 
 
 class WrongArity(DyckError):
     """An axis set of the wrong size for the requested operation."""
 
     kind = "wrong-arity"
-
-    def __init__(self, message="wrong number of axes"):
-        super().__init__(message)
+    message = "wrong number of axes"

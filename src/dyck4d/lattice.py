@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
-from operator import add, floordiv, mod, sub
+from operator import add, floordiv, sub
 
 from .errors import NotInLattice, ParityViolation, UnboundedRegion
 from .words import LatticeNode
@@ -59,11 +59,9 @@ def _complete_pair(x: str, a, y: str, b) -> tuple[tuple[int, ...], ...]:
     """The columns (i, j, l, r) of the nodes whose coordinate ``x`` is a and ``y`` is b.
 
     ``a`` and ``b`` are equally long columns, ``x`` precedes ``y`` in i, j, l, r
-    order.  Raises :class:`ParityViolation` when some (i, j) pair has mixed
-    parity; lattice membership is left to the caller.
+    order.  Checking that the nodes give a and b back (an (i, j) pair of mixed
+    parity does not) and lattice membership are left to the caller.
     """
-    if x == "i" and y == "j" and any(map(mod, map(add, a, b), repeat(2))):
-        raise ParityViolation()
     l, r = map(tuple, _PAIR_TO_LR[x, y](a, b))
     return tuple(map(add, l, r)), tuple(map(sub, l, r)), l, r
 
@@ -73,14 +71,17 @@ def complete_node(i: int | None = None, j: int | None = None,
     """Recover the unique lattice node from any two of its coordinates.
 
     Exactly two keyword arguments must be given.  Raises
-    :class:`ParityViolation` for an (i, j) pair of mixed parity and
-    :class:`NotInLattice` when the completion falls outside the lattice.
+    :class:`ParityViolation` when the completion does not give them back (an
+    (i, j) pair of mixed parity) and :class:`NotInLattice` when it falls
+    outside the lattice.
     """
     given = {name: value for name, value in zip("ijlr", (i, j, l, r)) if value is not None}
     if len(given) != 2:
         raise ValueError(f"exactly two coordinates required, got {len(given)}")
     (x, a), (y, b) = given.items()
     node = LatticeNode(*next(zip(*_complete_pair(x, (a,), y, (b,)))))
+    if node._replace(**given) != node:
+        raise ParityViolation()
     if not is_lattice_node(*node):
         raise NotInLattice(f"completion of {dict(sorted(given.items()))} gives {tuple(node)}")
     return node

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Iterable
 
-from .errors import InconsistentProjection, InvalidProjection, ParityViolation
+from .errors import InconsistentProjection, InvalidProjection
 from .lattice import _complete_pair
-from .words import AXES, AXIS_INDEX, Axis, Path4D
+from .words import AXES, AXIS_INDEX, Axis, Path4D, _first
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,10 @@ class AxisSet:
 
     def names(self) -> list[str]:
         return [axis.value for axis in self.axes]
+
+    def select(self) -> itemgetter:
+        """Picks this set's coordinates, in order, out of an (i, j, l, r) sequence."""
+        return itemgetter(*map(AXIS_INDEX.get, self.axes))
 
     def __len__(self) -> int:
         return len(self.axes)
@@ -75,48 +79,35 @@ class ProjectedPath:
         width = len(self.axis_set)
         points = tuple(map(tuple, self.points))
         if set(map(len, points)) - {width}:
-            for point in points:
-                if len(point) != width:
-                    raise ValueError(f"point {point} does not match {width} axes")
+            wrong = _first(map(ne, map(len, points), itertools.repeat(width)))
+            raise ValueError(f"point {points[wrong]} does not match {width} axes")
         object.__setattr__(self, "points", points)
 
 
 def project(path: Path4D, axes: AxisSet) -> ProjectedPath:
     """Pointwise coordinate selection; the node order is preserved."""
-    select = itemgetter(*(AXIS_INDEX[axis] for axis in axes))
-    return ProjectedPath(axes, tuple(map(select, path.nodes)))
+    return ProjectedPath(axes, tuple(map(axes.select(), path.nodes)))
 
 
 def lift(proj: ProjectedPath) -> Path4D:
     """The unique path whose projection onto ``proj.axis_set`` equals ``proj``.
 
-    Raises :class:`InconsistentProjection` for a point whose completion is
-    non-integral or whose redundant coordinates contradict the first two,
-    and :class:`MalformedPath` when the completed nodes do not form a path.
+    Raises :class:`InconsistentProjection` for the first point that its
+    completion from its first two coordinates does not project back to, and
+    :class:`MalformedPath` when the completed nodes do not form a path.
     Lattice membership is left to the path constructor, so a structurally
     sound but invalid node sequence surfaces as MalformedPath.
     """
-    first, second, *rest = proj.axis_set.axes
+    first, second = proj.axis_set.axes[:2]
     columns = tuple(zip(*proj.points)) or ((),) * len(proj.axis_set)
-    try:
-        nodes = _complete_pair(first.value, columns[0], second.value, columns[1])
-    except (ParityViolation, TypeError):  # the loop below names the first bad point
-        nodes = None
-    if nodes is None or any(nodes[AXIS_INDEX[axis]] != column
-                            for axis, column in zip(rest, columns[2:])):
-        # Some point is inconsistent: complete point by point to name the first.
-        for index, point in enumerate(proj.points):
-            a, b = point[0], point[1]
-            try:
-                node = next(zip(*_complete_pair(first.value, (a,), second.value, (b,))))
-            except ParityViolation:
-                raise InconsistentProjection(
-                    index, f"i={a} and j={b} have different parity") from None
-            for axis, value in zip(rest, point[2:]):
-                if node[AXIS_INDEX[axis]] != value:
-                    raise InconsistentProjection(
-                        index, f"coordinate {axis.value}={value} contradicts completion {node}")
-    return Path4D(tuple(zip(*nodes)))
+    completion = _complete_pair(first.value, columns[0], second.value, columns[1])
+    nodes = tuple(zip(*completion))
+    select = proj.axis_set.select()
+    if select(completion) != columns:
+        index = _first(map(ne, map(select, nodes), proj.points))
+        raise InconsistentProjection(
+            index, f"completion {nodes[index]} projects back to {select(nodes[index])}")
+    return Path4D(nodes)
 
 
 def projected_path_as_json(proj: ProjectedPath) -> dict:

@@ -11,10 +11,11 @@ moves a path by ``UP_STEP = (1, 1, 1, 0)``, reading ')' by
 from __future__ import annotations
 
 import enum
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
-from operator import gt, is_, itemgetter, sub
+from itertools import accumulate, chain, compress, count, repeat
+from operator import gt, is_, itemgetter, ne, sub
 from typing import NamedTuple
 
 from .errors import InvalidCharacter, MalformedPath, NegativePrefix, Unbalanced
@@ -63,8 +64,14 @@ DOWN_STEP = (1, -1, 0, 1)
 
 _WHITESPACE = " \t\n\r\f\v"
 _DROP_WHITESPACE = str.maketrans("", "", _WHITESPACE)
+_FOREIGN = re.compile(f"[^(){_WHITESPACE}]")
 _STEP_OF = {"(": Step.OPEN, ")": Step.CLOSE}
 _UNIT = {"(": 1, ")": -1}
+
+
+def _first(flags):
+    """The index of the first true flag, or None."""
+    return next(compress(count(), flags), None)
 
 
 @dataclass(frozen=True)
@@ -83,12 +90,12 @@ class DyckWord:
         object.__setattr__(self, "steps", tuple(self.steps))
         text = "".join(map(")(".__getitem__, map(is_, self.steps, repeat(Step.OPEN))))
         object.__setattr__(self, "_text", text)
-        if min(accumulate(map(_UNIT.__getitem__, text)), default=0) < 0:
+        balance = tuple(accumulate(map(_UNIT.__getitem__, text), initial=0))
+        if min(balance) < 0:
             # Steps are +-1 from 0, so the first negative balance is -1.
-            raise NegativePrefix(list(accumulate(map(_UNIT.__getitem__, text))).index(-1) + 1)
-        excess = 2 * text.count("(") - len(text)
-        if excess:
-            raise Unbalanced(excess)
+            raise NegativePrefix(balance.index(-1))
+        if balance[-1]:
+            raise Unbalanced(balance[-1])
 
     @property
     def n(self) -> int:
@@ -107,12 +114,10 @@ def parse_word(text: str) -> DyckWord:
     Balance violations raise :class:`NegativePrefix` (position = number of
     parenthesis steps consumed) or :class:`Unbalanced` (final excess).
     """
-    compact = text.translate(_DROP_WHITESPACE)
-    if compact.strip("()"):  # a foreign character; find its raw index
-        for position, char in enumerate(text):
-            if char not in "()" and char not in _WHITESPACE:
-                raise InvalidCharacter(position, char)
-    return DyckWord(tuple(map(_STEP_OF.__getitem__, compact)))
+    foreign = _FOREIGN.search(text)
+    if foreign:
+        raise InvalidCharacter(foreign.start(), foreign.group())
+    return DyckWord(tuple(map(_STEP_OF.__getitem__, text.translate(_DROP_WHITESPACE))))
 
 
 def render_word(word: DyckWord) -> str:
@@ -120,12 +125,22 @@ def render_word(word: DyckWord) -> str:
     return word._text
 
 
+def _canonical_columns(opens) -> tuple[tuple[int, ...], ...]:
+    """The i, j, l and r columns of the origin path whose step k is '(' exactly
+    when ``opens[k]`` is true."""
+    l = tuple(accumulate(opens, initial=0))
+    i = tuple(range(len(l)))
+    r = tuple(map(sub, i, l))
+    return i, tuple(map(sub, l, r)), l, r
+
+
 @dataclass(frozen=True)
 class Path4D:
     """An origin-anchored node sequence whose deltas are UP_STEP or DOWN_STEP.
 
     Validation guarantees the unbalance j stays non-negative everywhere,
-    which is exactly the balanced-word condition.
+    which is exactly the balanced-word condition.  The nodes must equal the
+    canonical path of the word their l column spells, '(' wherever l changes.
     """
 
     nodes: tuple[LatticeNode, ...]
@@ -136,26 +151,23 @@ class Path4D:
             # tuple.__new__ builds the nodes without a Python-level call per node
             nodes = tuple(map(tuple.__new__, repeat(LatticeNode), nodes))
             if set(map(len, nodes)) - {4}:
-                nodes = tuple(LatticeNode(*node) for node in nodes)  # the TypeError of a bad width
+                wide = _first(map(ne, map(len, nodes), repeat(4)))
+                raise TypeError(f"node {wide}: {len(nodes[wide])} coordinates, not 4")
         object.__setattr__(self, "nodes", nodes)
         if not nodes or nodes[0] != ORIGIN:
             raise MalformedPath(0, "path must start at the origin (0, 0, 0, 0)")
-        # From the origin, every delta is an up- or down-step exactly when i
-        # counts the nodes, l grows by 0 or 1, r = i - l and j = l - r.
-        i, j, l, r = zip(*nodes)
-        try:
-            if (i == tuple(range(len(nodes))) and {0, 1}.issuperset(map(sub, l[1:], l))
-                    and r == tuple(map(sub, i, l)) and j == tuple(map(sub, l, r)) and min(j) >= 0):
-                return
-        except TypeError:
-            pass  # a coordinate that is not a number: the loop below raises as before
-        for index in range(1, len(nodes)):
-            prev, node = nodes[index - 1], nodes[index]
-            delta = (node.i - prev.i, node.j - prev.j, node.l - prev.l, node.r - prev.r)
-            if delta != UP_STEP and delta != DOWN_STEP:
-                raise MalformedPath(index, f"delta {delta} is neither an up-step nor a down-step")
-            if node.j < 0:
-                raise MalformedPath(index, "unbalance went negative")
+        columns = tuple(zip(*nodes))
+        canonical = _canonical_columns(map(ne, columns[2][1:], columns[2]))
+        if columns == canonical and min(canonical[1]) >= 0:
+            return
+        # Up to the first node that differs from the canonical one, the deltas
+        # are steps; that node's delta is not (or is not a number at all).
+        differs = _first(map(ne, nodes, zip(*canonical)))
+        negative = _first(map(gt, repeat(0), canonical[1]))
+        if negative is not None and (differs is None or negative < differs):
+            raise MalformedPath(negative, "unbalance went negative")
+        delta = tuple(map(sub, nodes[differs], nodes[differs - 1]))
+        raise MalformedPath(differs, f"delta {delta} is neither an up-step nor a down-step")
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -166,11 +178,7 @@ class Path4D:
 
 def word_to_path(word: DyckWord) -> Path4D:
     """The canonical path of a word: node k holds the counts after k symbols."""
-    l = tuple(accumulate(map("(".__eq__, word._text), initial=0))
-    i = range(len(l))
-    r = tuple(map(sub, i, l))
-    j = map(sub, l, r)
-    return Path4D(tuple(zip(i, j, l, r)))
+    return Path4D(tuple(zip(*_canonical_columns(map("(".__eq__, word._text)))))
 
 
 def path_to_word(path: Path4D) -> DyckWord:

@@ -312,6 +312,14 @@ class TestUnwritableOutput:
                            "--edges", str(tmp_path / "missing" / "e.txt"))
         assert (rc, out, err) == (1, "", "error:unwritable-output\n")
 
+    def test_existing_out_file_keeps_its_bytes(self, capsys, tmp_path):
+        old = tmp_path / "old.svg"
+        old.write_bytes(b"<svg>")
+        rc, out, err = run(capsys, "render", "schlegel", "--n", "2", "--out", str(old),
+                           "--edges", str(tmp_path / "missing" / "e.txt"))
+        assert (rc, out, err) == (1, "", "error:unwritable-output\n")
+        assert old.read_bytes() == b"<svg>"
+
     def test_out_file_with_writable_edges_file(self, capsys, tmp_path):
         edges = tmp_path / "e.txt"
         rc, out, err = run(capsys, "render", "schlegel", "--n", "2",

@@ -252,8 +252,19 @@ def test_dyck_word(text):
         assert str(DyckWord(steps)) == "".join(c for c in text if c in "()")
 
 
+@st.composite
+def odd_node_rows(draw):
+    """node_rows, about half of them with one coordinate made None, a float, a bool or a str."""
+    rows = draw(node_rows())
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        k = draw(st.integers(0, len(row) - 1))
+        row[k] = draw(st.sampled_from((None, float(row[k]), row[k] > 0, str(row[k]))))
+    return rows
+
+
 @settings(max_examples=300, deadline=None)
-@given(node_rows(), st.sampled_from((list, tuple, LatticeNode._make)))
+@given(odd_node_rows(), st.sampled_from((list, tuple, LatticeNode._make)))
 def test_path4d(rows, kind):
     nodes = [kind(row) if len(row) == 4 else tuple(row) for row in rows]
     assert outcome(Path4D, nodes, field="nodes") == outcome(ref_path, nodes)

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from dyck4d import (INFINITE, LatticeNode, LatticeRegion, NotInLattice,
@@ -72,6 +73,24 @@ class TestCompleteNode:
                 for keep in itertools.combinations(range(4), 2):
                     known = {names[k]: node[k] for k in keep}
                     assert complete_node(**known) == node
+
+    @given(st.sampled_from(list(itertools.combinations("ijlr", 2))),
+           st.integers(-6, 6), st.integers(-6, 6))
+    def test_every_pair_against_brute_force(self, names, a, b):
+        # Every integer point (l + r, l - r, l, r) with |l|, |r| <= 12 is searched;
+        # two coordinates in [-6, 6] fix l and r inside that box if at all.
+        known = dict(zip(names, (a, b)))
+        found = [node for l, r in itertools.product(range(-12, 13), repeat=2)
+                 for node in [LatticeNode(l + r, l - r, l, r)]
+                 if all(getattr(node, name) == value for name, value in known.items())]
+        if not found:
+            with pytest.raises(ParityViolation):
+                complete_node(**known)
+        elif not is_lattice_node(*found[0]):
+            with pytest.raises(NotInLattice):
+                complete_node(**known)
+        else:
+            assert [complete_node(**known)] == found
 
 
 class TestEnumerateNodes:
