@@ -74,8 +74,8 @@ def _node_arg(text: str):
         raise argparse.ArgumentTypeError("node coordinates must be integers") from exc
 
 
-def _int_at_least(low: int):
-    """An argparse type for integers no smaller than ``low``."""
+def _int_at_least(low: int, high: int | None = None):
+    """An argparse type for integers in [low, high]; ``high`` None sets no upper bound."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -83,12 +83,16 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high:.0e}")
         return value
     return parse
 
 
 _non_negative = _int_at_least(0)
-_positive = _int_at_least(1)
+# The box views draw float coordinates; the wireframe canvas leaves float range
+# near n = 1.7e306, so their n stops well short of that.
+_box_n = _int_at_least(1, 10**300)
 
 
 def _axes_arg(text: str):
@@ -317,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(handler=cmd_render)
 
     w = view.add_parser("wireframe", help="oblique view of the 4D box or one cell")
-    w.add_argument("--n", type=_positive, required=True)
+    w.add_argument("--n", type=_box_n, required=True)
     w.add_argument("--cell", choices=sorted(_CELL_CHOICES), default=None)
     w.add_argument("--triangle", action="store_true", help="overlay the triangle sides")
     w.add_argument("--out", default=None)
@@ -325,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(handler=cmd_render)
 
     s = view.add_parser("schlegel", help="nested-cube view of the 4D box")
-    s.add_argument("--n", type=_positive, required=True)
+    s.add_argument("--n", type=_box_n, required=True)
     s.add_argument("--triangle", action="store_true")
     s.add_argument("--out", default=None)
     s.add_argument("--edges", default=None)

@@ -96,8 +96,6 @@ def draw_uniform_rank(rng: random.Random, total: int) -> int:
     """Uniform integer in [0, total) by rejection over fixed-width bit blocks."""
     if total <= 0:
         raise ValueError("total must be positive")
-    if total == 1:
-        return 0
     bits = (total - 1).bit_length()
     while True:
         k = rng.getrandbits(bits)

@@ -279,17 +279,14 @@ def face_of_side(side: Side, n: int) -> SideFace:
     if n < 1:
         raise ValueError("the box degenerates below n = 1")
     box = double_tesseract(n)
-    tri = triangle(n)
+    diagonal = _ends(n)[1][side]
     if side is Side.BLUE:
-        return SideFace(side, box.cell(Axis.J, 0), None, None,
-                        (tri.vertex_origin, tri.vertex_end))
+        return SideFace(side, box.cell(Axis.J, 0), None, None, diagonal)
     if side is Side.RED:
         cube = _box_corners(((0, n), (0, n), (0, n), (0, 0)))
-        return SideFace(side, box.cell(Axis.R, 0), "low-i", cube,
-                        (tri.vertex_origin, tri.vertex_apex))
+        return SideFace(side, box.cell(Axis.R, 0), "low-i", cube, diagonal)
     cube = _box_corners(((n, 2 * n), (0, n), (n, n), (0, n)))
-    return SideFace(side, box.cell(Axis.L, n), "high-i", cube,
-                    (tri.vertex_apex, tri.vertex_end))
+    return SideFace(side, box.cell(Axis.L, n), "high-i", cube, diagonal)
 
 
 def geometry_report(n: int) -> dict:

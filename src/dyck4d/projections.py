@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .errors import InconsistentProjection, InvalidProjection
 from .lattice import _complete_pair
-from .words import AXES, AXIS_INDEX, Axis, Path4D, _first
+from .words import AXES, AXIS_INDEX, Axis, Path4D, _first, _first_bad_row
 
 
 @dataclass(frozen=True)
@@ -118,12 +118,15 @@ def projected_path_as_json(proj: ProjectedPath) -> dict:
 def projected_path_from_json(data) -> ProjectedPath:
     """Rebuild a projected path; the axis set is always taken from the data.
 
-    Raises :class:`InvalidProjection` for data of any other shape.
+    Raises :class:`InvalidProjection` for data of any other shape, and for
+    points that are not arrays of one integer per axis.
     """
     try:
         axes = AxisSet.of(data["axes"])
-        # int() of every value, without a Python-level loop per point
-        points = tuple(map(tuple, map(map, itertools.repeat(int), data["points"])))
-        return ProjectedPath(axes, points)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        points = data["points"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidProjection(str(exc)) from None
+    bad = _first_bad_row(points, len(axes))
+    if bad is not None:
+        raise InvalidProjection(f"point {bad} is not {len(axes)} integers")
+    return ProjectedPath(axes, points)

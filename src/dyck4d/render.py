@@ -21,7 +21,7 @@ from operator import add, attrgetter, mul, sub
 from typing import NamedTuple
 
 from .errors import WrongArity
-from .geometry import DoubleTesseract, Side, triangle
+from .geometry import DoubleTesseract, Side, _ends, triangle
 from .projections import AxisSet, ProjectedPath
 from .words import Axis
 
@@ -208,14 +208,13 @@ def render_wireframe(structure, style: str, include_triangle: bool = False):
     for position in positions:
         scene.add(_circle(position, role="neutral", layer=2, css_class="vertex"))
 
-    if style == "schlegel" or include_triangle:
-        tri = triangle(structure.n)
     if style == "schlegel":
-        for anchor in (tri.vertex_origin, tri.vertex_apex, tri.vertex_end):
+        origin, end, apex = _ends(structure.n)[0]
+        for anchor in (origin, apex, end):
             scene.add(_circle(mapper(anchor), role="path", layer=3,
                               css_class="anchor", radius=4.5))
     if include_triangle:
-        for ts in tri.sides:
+        for ts in triangle(structure.n).sides:
             scene.add(_polyline(tuple(map(mapper, ts.nodes)),
                                 role=SIDE_ROLES[ts.side], layer=4,
                                 css_class=f"side-{ts.side.value}", width=2.5))

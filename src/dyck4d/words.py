@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import re
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, repeat
 from operator import gt, is_, itemgetter, ne, sub
@@ -198,19 +197,23 @@ def path_as_lists(path: Path4D) -> list[list[int]]:
     return [list(node) for node in path.nodes]
 
 
+def _first_bad_row(rows, width: int):
+    """The index of the first row of the JSON value ``rows`` that is not a list of
+    ``width`` integers, or None when none is; a ``rows`` that is not a list fails
+    at 0.  An integer has ``type(v) is int``: not a bool, a float or a str."""
+    if type(rows) is not list:
+        return 0
+    # Lists of ``width`` ints pass on whole columns; only a failure looks at rows.
+    if (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
+            and set(map(type, chain.from_iterable(rows))) <= {int}):
+        return None
+    return _first(type(row) is not list or len(row) != width or set(map(type, row)) != {int}
+                  for row in rows)
+
+
 def path_from_lists(rows) -> Path4D:
-    """Rebuild a validated path from its JSON form."""
-    if not isinstance(rows, Iterable):
-        raise MalformedPath(0, "a path must be an array of nodes")
-    nodes = rows = tuple(rows)
-    # Arrays of four ints pass one column-wise check; anything else gets the
-    # row-by-row check that names the first bad row.
-    if not (set(map(type, rows)) == {list} and set(map(len, rows)) == {4}
-            and set(map(type, chain.from_iterable(rows))) == {int}):
-        nodes = []
-        for index, row in enumerate(rows):
-            values = list(row) if isinstance(row, Iterable) else ()
-            if len(values) != 4 or not all(isinstance(v, int) for v in values):
-                raise MalformedPath(index, "a node must be four integers [i, j, l, r]")
-            nodes.append(values)
-    return Path4D(tuple(nodes))
+    """Rebuild a validated path from its JSON form, an array of [i, j, l, r] arrays."""
+    bad = _first_bad_row(rows, 4)
+    if bad is not None:
+        raise MalformedPath(bad, "a node must be four integers [i, j, l, r]")
+    return Path4D(tuple(rows))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -248,6 +249,30 @@ class TestRender:
         assert rc == 0
         assert "side-red" in out
 
+    def test_schlegel_memory_does_not_grow_with_n(self, capsys):
+        build_parser()
+        tracemalloc.start()
+        try:
+            rc = main(["render", "schlegel", "--n", "100000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("view", ["wireframe", "schlegel"])
+    def test_largest_box_n(self, capsys, view):
+        rc, out, err = run(capsys, "render", view, "--n", str(10**300))
+        assert (rc, err) == (0, "")
+        assert "inf" not in out and "nan" not in out
+
+    @pytest.mark.parametrize("view", ["wireframe", "schlegel"])
+    def test_box_n_past_largest(self, capsys, view):
+        rc, out, err = run(capsys, "render", view, "--n", str(10**300 + 1))
+        assert (rc, out) == (2, "")
+        assert err.endswith("argument --n: must be at most 1e+300\n")
+        assert "Traceback" not in err
+
     def test_grid_word_mismatched_axes_ok(self, capsys):
         # the word is projected onto the grid axes, so any 2-axis grid works
         rc, out, _ = run(capsys, "render", "grid", "--axes", "jr", "--n", "1", "--word", "()")
@@ -347,6 +372,27 @@ class TestConvertWrongShape:
         rc, out, err = run(capsys, "convert", "--to", "word", data)
         index = 1 if data.startswith("[[") else 0
         assert (rc, out, err) == (1, "", f"error:malformed-path:{index}\n")
+
+
+class TestJsonIntegers:
+    """A JSON coordinate is an exact integer: true, 1.5, 1e300 and "1" are not."""
+
+    @pytest.mark.parametrize("argv, err", [
+        pytest.param(["lift", "--to", "path", '{"axes":["l","r"],"points":[[0,0],[1.5,0]]}'],
+                     "error:invalid-projection\n", id="lift float"),
+        pytest.param(["lift", "--to", "word", '{"axes":["l","r"],"points":["00","10","11"]}'],
+                     "error:invalid-projection\n", id="lift string points"),
+        pytest.param(["lift", "--to", "path", '{"axes":["l","r"],"points":[[0,0],[1e300,0]]}'],
+                     "error:invalid-projection\n", id="lift 1e300"),
+        pytest.param(["lift", "--to", "word",
+                      '{"axes":["l","r"],"points":[[0,0],["1",0],["1","1"]]}'],
+                     "error:invalid-projection\n", id="lift string values"),
+        pytest.param(["convert", "--to", "word",
+                      "[[false,false,false,false],[true,true,true,false],[2,0,1,1]]"],
+                     "error:malformed-path:0\n", id="convert booleans"),
+    ])
+    def test_one_error_line(self, capsys, argv, err):
+        assert run(capsys, *argv) == (1, "", err)
 
 
 class TestUnreadableInput:

@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from dyck4d import (INFINITE, AxisSet, DyckError, DyckWord, FlatnessResult,
-                    InconsistentProjection, InvalidCharacter, LatticeNode,
-                    LatticeRegion, MalformedPath, NegativePrefix, Path4D,
-                    ProjectedPath, Step, Unbalanced, enumerate_nodes, lift,
-                    parse_word, path_from_lists, verify_flat)
+                    InconsistentProjection, InvalidCharacter, InvalidProjection,
+                    LatticeNode, LatticeRegion, MalformedPath, NegativePrefix, Path4D,
+                    ProjectedPath, Step, Unbalanced, enumerate_nodes, lift, parse_word,
+                    path_from_lists, projected_path_from_json, verify_flat)
 
 AXIS_SETS = ("ij", "il", "ir", "jl", "jr", "lr", "ijl", "ijr", "ilr", "jlr", "ijlr")
 WHITESPACE = " \t\n\r\f\v"
@@ -72,7 +72,7 @@ def ref_path(nodes):
 
 def ref_rows(rows):
     for index, row in enumerate(rows):
-        if len(row) != 4 or not all(isinstance(v, int) for v in row):
+        if len(row) != 4 or not all(type(v) is int for v in row):
             raise MalformedPath(index)
     return ref_path(rows)
 
@@ -101,6 +101,14 @@ def ref_complete(names, point):
 def ref_projected(names, points):
     if any(len(point) != len(names) for point in points):
         raise ValueError("bad width")
+    return tuple(map(tuple, points))
+
+
+def ref_projected_json(names, points):
+    for point in points:
+        if (not isinstance(point, list) or len(point) != len(names)
+                or not all(type(v) is int for v in point)):
+            raise InvalidProjection()
     return tuple(map(tuple, points))
 
 
@@ -276,6 +284,30 @@ def test_path_from_lists(rows, odd):
     if odd is not None and rows and rows[-1]:
         rows[-1][-1] = odd(rows[-1][-1])
     assert outcome(path_from_lists, rows, field="nodes") == outcome(ref_rows, rows)
+
+
+@st.composite
+def odd_projections(draw):
+    """projections, about half of them with one value made None, a float, a bool
+    or a str, or one point made a string of its digits."""
+    names, points = draw(projections())
+    if points and draw(st.booleans()):
+        point = draw(st.sampled_from(points))
+        if not point or draw(st.integers(0, 4)) == 0:
+            points[points.index(point)] = "".join(map(str, point))
+        else:
+            k = draw(st.integers(0, len(point) - 1))
+            point[k] = draw(st.sampled_from((None, float(point[k]), point[k] > 0, str(point[k]))))
+    return names, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(odd_projections())
+def test_projected_path_from_json(case):
+    names, points = case
+    got = outcome(projected_path_from_json, {"axes": list(names), "points": points},
+                  field="points")
+    assert got == outcome(ref_projected_json, names, points)
 
 
 @settings(max_examples=300, deadline=None)

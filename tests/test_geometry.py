@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -226,6 +227,17 @@ class TestFaceOfSide:
         assert {tuple(v) for v in face.cell.vertices} == {
             (a, 0, b, c) for a in (0, 2) for b in (0, 1) for c in (0, 1)}
         assert face.diagonal == ((0, 0, 0, 0), (2, 0, 1, 1))
+
+    def test_memory_does_not_grow_with_n(self):
+        # the diagonal is two vertices; no side's node list is built
+        tracemalloc.start()
+        try:
+            faces = [face_of_side(side, 100000) for side in Side]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert faces[2].diagonal == ((100000, 100000, 100000, 0), (200000, 0, 100000, 100000))
+        assert peak < 2**20
 
     def test_diagonals_span_their_boxes(self):
         # each side's diagonal changes every free axis of its cell/cube by
