@@ -14,15 +14,15 @@ from .enumeration import (catalan, draw_uniform_rank, enumerate_words, rank,
 from .errors import (DyckError, InconsistentProjection, InvalidCharacter,
                      InvalidProjection, MalformedPath, NegativePrefix,
                      NotInLattice, ParityViolation, RankOutOfRange,
-                     Unbalanced, UnboundedRegion, WrongArity)
+                     Unbalanced, WrongArity)
 from .geometry import (Cell, DoubleTesseract, FlatnessResult,
                        RightIsoscelesReport, Side, SideFace, TriangleGeometry,
                        TriangleSide, Vec4, dot, double_tesseract, face_of_side,
                        geometry_report, norm_squared, side_length,
                        side_length_squared, sub, triangle, verify_flat,
                        verify_right_isosceles)
-from .lattice import (INFINITE, LatticeRegion, complete_node,
-                      count_paths_through, enumerate_nodes, is_lattice_node)
+from .lattice import (LatticeRegion, complete_node, count_paths_through,
+                      enumerate_nodes, is_lattice_node)
 from .projections import (AxisSet, ProjectedPath, all_modifications, lift,
                           project, projected_path_as_json,
                           projected_path_from_json)
@@ -36,13 +36,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AXES", "Axis", "AxisSet", "Cell", "DOWN_STEP", "DoubleTesseract",
-    "DyckError", "DyckWord", "FlatnessResult", "INFINITE",
+    "DyckError", "DyckWord", "FlatnessResult",
     "InconsistentProjection", "InvalidCharacter", "InvalidProjection",
     "LatticeNode", "LatticeRegion", "MalformedPath", "NegativePrefix",
     "NotInLattice", "ORIGIN", "ParityViolation", "Path4D", "ProjectedPath",
     "ROLE_COLORS", "RankOutOfRange", "RightIsoscelesReport", "Scene", "Side",
     "SideFace", "Step", "TriangleGeometry", "TriangleSide", "UP_STEP",
-    "Unbalanced", "UnboundedRegion", "Vec4", "WrongArity", "all_modifications",
+    "Unbalanced", "Vec4", "WrongArity", "all_modifications",
     "catalan", "complete_node", "count_paths_through", "dot",
     "double_tesseract", "draw_uniform_rank", "edge_list_text",
     "enumerate_nodes", "enumerate_words", "face_of_side", "geometry_report",

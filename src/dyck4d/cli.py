@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import random
+import stat
 import sys
 from contextlib import ExitStack, nullcontext
 
@@ -106,14 +107,19 @@ def _write_document(text: str, out: str | None, *files):
     """Write ``text`` to the file ``out`` (stdout if None) and each (text, path) of ``files``.
 
     Every file is opened for appending, which truncates nothing, and then for
-    writing before any byte is written, so one that cannot be opened fails the
-    command with nothing on stdout and every existing file as it was.
+    writing before any byte is written, so one that cannot be opened, or two
+    paths naming one regular file (through a link, too), fail the command with
+    nothing on stdout and every existing file as it was.
     """
     files = [(text, out), *files] if out is not None else files
     try:
         with ExitStack() as stack:
-            for mode in ("a", "w"):
-                handles = [stack.enter_context(open(path, mode, encoding="utf-8")) for _, path in files]
+            stats = [os.fstat(stack.enter_context(open(path, "a", encoding="utf-8")).fileno())
+                     for _, path in files]
+            regular = [(st.st_dev, st.st_ino) for st in stats if stat.S_ISREG(st.st_mode)]
+            if len(set(regular)) < len(regular):
+                raise UnwritableOutput("two outputs name the same file")
+            handles = [stack.enter_context(open(path, "w", encoding="utf-8")) for _, path in files]
             for handle, (body, _) in zip(handles, files):
                 handle.write(body)
     except OSError as exc:
@@ -214,12 +220,8 @@ def cmd_sample(args) -> int:
     return 0
 
 
-_CELL_CHOICES = {
-    "imin": (words.Axis.I, 0), "imax": (words.Axis.I, None),
-    "jmin": (words.Axis.J, 0), "jmax": (words.Axis.J, None),
-    "lmin": (words.Axis.L, 0), "lmax": (words.Axis.L, None),
-    "rmin": (words.Axis.R, 0), "rmax": (words.Axis.R, None),
-}
+# In the order of double_tesseract(n).cells: per axis, the low cell then the high one.
+_CELL_NAMES = [f"{axis.value}{end}" for axis in words.AXES for end in ("min", "max")]
 
 
 def cmd_render(args) -> int:
@@ -234,10 +236,7 @@ def cmd_render(args) -> int:
     box = geometry.double_tesseract(args.n)
     structure = box
     if args.view == "wireframe" and args.cell is not None:
-        axis, value = _CELL_CHOICES[args.cell]
-        if value is None:
-            value = 2 * args.n if axis is words.Axis.I else args.n
-        structure = box.cell(axis, value)
+        structure = box.cells[_CELL_NAMES.index(args.cell)]
     style = "schlegel" if args.view == "schlegel" else "orthographic-3d"
     svg, edge_list = render.render_wireframe(structure, style,
                                              include_triangle=args.triangle)
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = view.add_parser("wireframe", help="oblique view of the 4D box or one cell")
     w.add_argument("--n", type=_box_n, required=True)
-    w.add_argument("--cell", choices=sorted(_CELL_CHOICES), default=None)
+    w.add_argument("--cell", choices=sorted(_CELL_NAMES), default=None)
     w.add_argument("--triangle", action="store_true", help="overlay the triangle sides")
     w.add_argument("--out", default=None)
     w.add_argument("--edges", default=None, help="also write the edge-list file here")

@@ -78,13 +78,6 @@ class NotInLattice(DyckError):
     message = "point is not a lattice node"
 
 
-class UnboundedRegion(DyckError):
-    """The infinite lattice cannot be enumerated."""
-
-    kind = "unbounded-region"
-    message = "region has no bound; cannot enumerate"
-
-
 class InconsistentProjection(DyckError):
     """A projected point cannot be lifted: its completion is non-integral or
     a redundant coordinate contradicts the others."""

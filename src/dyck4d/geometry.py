@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -45,16 +44,14 @@ class Side(Enum):
     YELLOW = "yellow"
 
 
-@dataclass(frozen=True)
-class TriangleSide:
+class TriangleSide(NamedTuple):
     side: Side
     start: LatticeNode
     end: LatticeNode
     nodes: tuple[LatticeNode, ...]
 
 
-@dataclass(frozen=True)
-class TriangleGeometry:
+class TriangleGeometry(NamedTuple):
     """The three vertices and three labeled sides of the triangle for one n."""
 
     n: int
@@ -127,9 +124,9 @@ def verify_flat(subject) -> FlatnessResult:
     That identity says q lies in the 2-plane spanned by the two step
     vectors through the origin; it reduces to i = l + r and j = l - r,
     since the l and r components are trivially equal.  ``subject`` may be
-    a Path4D, a bounded LatticeRegion, or any iterable of 4-tuples; the
-    first violating node is returned as witness.  A region is checked on
-    its 2n + 1 row heads, without visiting the other nodes.
+    a Path4D, a LatticeRegion, or any iterable of 4-tuples; the first
+    violating node is returned as witness.  A region is checked on its
+    2n + 1 row heads, without visiting the other nodes.
     """
     if isinstance(subject, lattice.LatticeRegion):
         # i = l + r and j = l - r are linear and the row step (0, 2, 1, -1)
@@ -144,8 +141,7 @@ def verify_flat(subject) -> FlatnessResult:
     return FlatnessResult(True, None)
 
 
-@dataclass(frozen=True)
-class RightIsoscelesReport:
+class RightIsoscelesReport(NamedTuple):
     """Exact-arithmetic verdicts for the triangle of half-length n."""
 
     n: int
@@ -193,8 +189,7 @@ def _box_edges(vertices) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One 3D face of the box: the corners with ``axis`` pinned to ``value``."""
 
     axis: Axis
@@ -209,8 +204,7 @@ class Cell:
         return _box_edges(self.vertices)
 
 
-@dataclass(frozen=True)
-class DoubleTesseract:
+class DoubleTesseract(NamedTuple):
     """The box [0, 2n] x [0, n]³: 16 vertices, 32 edges, 8 cells.
 
     Exactly the two cells pinning the i axis are cubes of side n; the
@@ -257,8 +251,7 @@ def _box_corners(bounds) -> tuple[Vec4, ...]:
     return tuple(Vec4(*point) for point in itertools.product(*choices))
 
 
-@dataclass(frozen=True)
-class SideFace:
+class SideFace(NamedTuple):
     """Where one triangle side sits inside the box.
 
     The blue side is the full diagonal of its cell; the red and yellow

@@ -13,26 +13,23 @@ from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import add, floordiv, sub
 
-from .errors import NotInLattice, ParityViolation, UnboundedRegion
+from .errors import NotInLattice, ParityViolation
 from .words import LatticeNode
 
 
 @dataclass(frozen=True)
 class LatticeRegion:
-    """The infinite lattice (``bound is None``) or the triangle of half-length n."""
+    """The triangle of half-length n: the lattice nodes with l <= n."""
 
-    bound: int | None = None
+    bound: int
 
     def __post_init__(self):
-        if self.bound is not None and self.bound < 0:
+        if self.bound < 0:
             raise ValueError("bound must be a non-negative half-length")
 
 
-INFINITE = LatticeRegion(None)
-
-
-def is_lattice_node(i: int, j: int, l: int, r: int, region: LatticeRegion = INFINITE) -> bool:
-    """True iff (i, j, l, r) is a lattice point of ``region``.
+def is_lattice_node(i: int, j: int, l: int, r: int, region: LatticeRegion | None = None) -> bool:
+    """True iff (i, j, l, r) is a lattice point of ``region`` (None: the whole lattice).
 
     Never raises: coordinates that break the tie simply yield False.
     """
@@ -40,7 +37,7 @@ def is_lattice_node(i: int, j: int, l: int, r: int, region: LatticeRegion = INFI
         return False
     if r < 0 or l < r:
         return False
-    return region.bound is None or l <= region.bound
+    return region is None or l <= region.bound
 
 
 #: (l, r) columns from the columns of two axes, keyed by the axis names in i, j, l, r order.
@@ -88,21 +85,19 @@ def complete_node(i: int | None = None, j: int | None = None,
 
 
 def _region_rows(region: LatticeRegion):
-    """(first node, length) of each row i = 0, ..., 2n of a bounded region.
+    """(first node, length) of each row i = 0, ..., 2n of a region.
 
     Row i holds the region's nodes with that i in rising j order: it starts
     at (i, i % 2, ceil(i / 2), floor(i / 2)), runs to j = min(i, 2n - i), and
     each next node adds UP - DOWN = (0, 2, 1, -1).
     """
-    if region.bound is None:
-        raise UnboundedRegion()
     n = region.bound
     return (((i, i % 2, (i + 1) // 2, i // 2), min(i, 2 * n - i) // 2 + 1)
             for i in range(2 * n + 1))
 
 
 def enumerate_nodes(region: LatticeRegion) -> list[LatticeNode]:
-    """All nodes of a bounded region in lexicographic (i, j) order."""
+    """All nodes of a region in lexicographic (i, j) order."""
     rows = (zip(repeat(i, k), range(j, j + 2 * k, 2), range(l, l + k), range(r, r - k, -1))
             for (i, j, l, r), k in _region_rows(region))
     # tuple.__new__ builds the nodes without a Python-level call per node

@@ -50,11 +50,10 @@ SCHLEGEL_INNER_SCALE = 0.5
 
 
 class Element(NamedTuple):
-    """One drawing element: its layer (lower layers draw first), its (x, y)
-    points in source coordinates and its finished SVG line with one ``{}``
-    per pixel coordinate, x then y for each point."""
+    """One drawing element: its (x, y) points in source coordinates and its
+    finished SVG line with one ``{}`` per pixel coordinate, x then y for each
+    point."""
 
-    layer: int
     points: tuple
     svg: str
 
@@ -64,25 +63,25 @@ def _stroke(role: str, width: float, dashed: bool) -> str:
     return f'stroke="{ROLE_COLORS[role]}" stroke-width="{_fmt(width)}"{dash}'
 
 
-def _line(start, end, role, layer=0, css_class="grid", dashed=False, width=1.0) -> Element:
-    return Element(layer, (start, end), f'<line class="{css_class}" x1="{{}}" y1="{{}}" '
-                                        f'x2="{{}}" y2="{{}}" {_stroke(role, width, dashed)}/>')
+def _line(start, end, role, css_class="grid", dashed=False, width=1.0) -> Element:
+    return Element((start, end), f'<line class="{css_class}" x1="{{}}" y1="{{}}" '
+                                 f'x2="{{}}" y2="{{}}" {_stroke(role, width, dashed)}/>')
 
 
-def _polyline(points, role, layer=1, css_class="path", dashed=False, width=2.0) -> Element:
+def _polyline(points, role, css_class="path", dashed=False, width=2.0) -> Element:
     coords = " ".join(repeat("{},{}", len(points)))
-    return Element(layer, points, f'<polyline class="{css_class}" points="{coords}" '
-                                  f'fill="none" {_stroke(role, width, dashed)}/>')
+    return Element(points, f'<polyline class="{css_class}" points="{coords}" '
+                           f'fill="none" {_stroke(role, width, dashed)}/>')
 
 
-def _circle(at, role, layer=2, css_class="vertex", radius=3.0) -> Element:
-    return Element(layer, (at,), f'<circle class="{css_class}" cx="{{}}" cy="{{}}" '
-                                 f'r="{_fmt(radius)}" fill="{ROLE_COLORS[role]}"/>')
+def _circle(at, role, css_class="vertex", radius=3.0) -> Element:
+    return Element((at,), f'<circle class="{css_class}" cx="{{}}" cy="{{}}" '
+                          f'r="{_fmt(radius)}" fill="{ROLE_COLORS[role]}"/>')
 
 
 @dataclass
 class Scene:
-    """An ordered list of drawing ``Element``s in source (lattice) coordinates."""
+    """Drawing ``Element``s in source (lattice) coordinates, drawn in the order added."""
 
     elements: list = field(default_factory=list)
 
@@ -91,8 +90,7 @@ class Scene:
 
     def to_svg(self) -> str:
         """Emit SVG 1.1; the y axis is flipped so larger values draw upward."""
-        elements = sorted(self.elements, key=attrgetter("layer"))
-        xs, ys = zip(*(list(chain.from_iterable(map(attrgetter("points"), elements)))
+        xs, ys = zip(*(list(chain.from_iterable(map(attrgetter("points"), self.elements)))
                        or [(0.0, 0.0)]))
         min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
         # MARGIN + PIXELS_PER_UNIT * (x - min_x) and (max_y - y), a column at a time
@@ -106,7 +104,7 @@ class Scene:
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-            *map(attrgetter("svg"), elements),
+            *map(attrgetter("svg"), self.elements),
             "</svg>\n",
         ]
         return "\n".join(lines).format(*chain.from_iterable(zip(px, py)))
@@ -144,11 +142,10 @@ def render_grid_2d(axes: AxisSet, n: int, proj: ProjectedPath | None = None) -> 
     for y in range(h + 1):
         scene.add(_line((0, y), (w, y), role=y_role))
     if {ax_x, ax_y} == {Axis.L, Axis.R}:
-        scene.add(_line((0, 0), (n, n), role="blue-j", layer=1,
+        scene.add(_line((0, 0), (n, n), role="blue-j",
                         css_class="diagonal", dashed=True, width=2.0))
     if proj is not None:
-        scene.add(_polyline(tuple(proj.points), role="path", layer=2,
-                            css_class="path", width=2.5))
+        scene.add(_polyline(tuple(proj.points), role="path", css_class="path", width=2.5))
     return scene.to_svg()
 
 
@@ -204,19 +201,18 @@ def render_wireframe(structure, style: str, include_triangle: bool = False):
     for a, b in structure.edges:
         scene.add(_line(positions[a], positions[b],
                         role=_edge_role(structure.vertices[a], structure.vertices[b]),
-                        layer=0, css_class="edge", width=1.5))
+                        css_class="edge", width=1.5))
     for position in positions:
-        scene.add(_circle(position, role="neutral", layer=2, css_class="vertex"))
+        scene.add(_circle(position, role="neutral", css_class="vertex"))
 
     if style == "schlegel":
         origin, end, apex = _ends(structure.n)[0]
         for anchor in (origin, apex, end):
-            scene.add(_circle(mapper(anchor), role="path", layer=3,
-                              css_class="anchor", radius=4.5))
+            scene.add(_circle(mapper(anchor), role="path", css_class="anchor", radius=4.5))
     if include_triangle:
         for ts in triangle(structure.n).sides:
             scene.add(_polyline(tuple(map(mapper, ts.nodes)),
-                                role=SIDE_ROLES[ts.side], layer=4,
+                                role=SIDE_ROLES[ts.side],
                                 css_class=f"side-{ts.side.value}", width=2.5))
 
     return scene.to_svg(), edge_list_text(structure)

@@ -352,6 +352,32 @@ class TestUnwritableOutput:
         assert (rc, out, err) == (1, "", "error:unwritable-output\n")
         assert not edges.exists()
 
+    @pytest.mark.parametrize("view", ["wireframe", "schlegel"])
+    def test_same_path_twice(self, capsys, tmp_path, view):
+        path = str(tmp_path / "y.svg")
+        rc, out, err = run(capsys, "render", view, "--n", "2", "--out", path, "--edges", path)
+        assert (rc, out, err) == (1, "", "error:unwritable-output\n")
+
+    def test_symlink_alias(self, capsys, tmp_path):
+        target, alias = tmp_path / "y.svg", tmp_path / "z.svg"
+        alias.symlink_to(target)
+        rc, out, err = run(capsys, "render", "wireframe", "--n", "2",
+                           "--out", str(target), "--edges", str(alias))
+        assert (rc, out, err) == (1, "", "error:unwritable-output\n")
+
+    def test_same_existing_file_keeps_its_bytes(self, capsys, tmp_path):
+        old = tmp_path / "old.svg"
+        old.write_bytes(b"<svg>")
+        rc, out, err = run(capsys, "render", "schlegel", "--n", "2",
+                           "--out", str(old), "--edges", str(old))
+        assert (rc, out, err) == (1, "", "error:unwritable-output\n")
+        assert old.read_bytes() == b"<svg>"
+
+    def test_devnull_twice(self, capsys):
+        rc, out, err = run(capsys, "render", "wireframe", "--n", "2",
+                           "--out", os.devnull, "--edges", os.devnull)
+        assert (rc, out, err) == (0, "", "")
+
     def test_broken_pipe(self):
         src = str(Path(__file__).resolve().parent.parent / "src")
         paths = filter(None, [src, os.environ.get("PYTHONPATH")])

@@ -14,7 +14,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from dyck4d import (INFINITE, AxisSet, DyckError, DyckWord, FlatnessResult,
+from dyck4d import (AxisSet, DyckError, DyckWord, FlatnessResult,
                     InconsistentProjection, InvalidCharacter, InvalidProjection,
                     LatticeNode, LatticeRegion, MalformedPath, NegativePrefix, Path4D,
                     ProjectedPath, Step, Unbalanced, enumerate_nodes, lift, parse_word,
@@ -337,4 +337,3 @@ def test_enumerate_nodes_and_region_flatness():
         assert nodes == ref_region(n)
         assert all(type(node) is LatticeNode for node in nodes)
         assert verify_flat(LatticeRegion(n)) == ref_flat(nodes) == FlatnessResult(True, None)
-    assert outcome(verify_flat, INFINITE) == outcome(enumerate_nodes, INFINITE)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -287,3 +288,39 @@ class TestSideLengthRange:
     def test_beyond_float_lengths(self):
         with pytest.raises(OverflowError):
             side_length(Side.BLUE, 10**310)
+
+
+# SHA-256 of each record's Name(field=...) repr at n = 1, which callers may log
+# or compare, so a change of record type must keep it.
+_RECORDS = {
+    "TriangleSide": (lambda: triangle(1).side(Side.RED),
+                     "aa88bc118e6cfd0f18d94f66e8d43b7214c184ca0c2ff703f2f86c649a0b58f9"),
+    "TriangleGeometry": (lambda: triangle(1),
+                         "84406941c8580438e6caab27ca954428f0ed3f3690e85c4d60ad756e2eb5ee04"),
+    "RightIsoscelesReport": (lambda: verify_right_isosceles(1),
+                             "ad873e78c397e7ede8a4f00cec613268d251fe0a4b5cc84d9f077627ccde5fce"),
+    "Cell": (lambda: double_tesseract(1).cell(Axis.I, 0),
+             "4c6aacca8d6840c38d2061e0aa39a08e5a3519a574dc0f7b0c3bd1ea9c18f7f7"),
+    "DoubleTesseract": (lambda: double_tesseract(1),
+                        "31ddf7dab0094241c893073ddaac9f0e96789d518ad75b13b14abd045d816f9e"),
+    "SideFace": (lambda: face_of_side(Side.YELLOW, 1),
+                 "ebc1215a1b75a3aef2630e2643dfda1317b528a987b19eef8253dd98b3596892"),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", sorted(_RECORDS))
+    def test_copies_equal_hash_and_repr(self, name):
+        build, digest = _RECORDS[name]
+        first, second = build(), build()
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        assert type(first).__name__ == name
+        assert hashlib.sha256(repr(first).encode()).hexdigest() == digest
+
+    def test_report_repr(self):
+        assert repr(verify_right_isosceles(1)) == (
+            "RightIsoscelesReport(n=1, right_angle=True, isosceles=True, pythagoras=True, "
+            "direction_ab=LatticeNode(i=1, j=1, l=1, r=0), "
+            "direction_bc=LatticeNode(i=1, j=-1, l=0, r=1))")

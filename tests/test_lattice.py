@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from dyck4d import (INFINITE, LatticeNode, LatticeRegion, NotInLattice,
-                    ParityViolation, UnboundedRegion, catalan, complete_node,
-                    count_paths_through, enumerate_nodes, is_lattice_node,
-                    parse_word, rank, unrank, word_to_path)
+from dyck4d import (LatticeNode, LatticeRegion, NotInLattice, ParityViolation,
+                    catalan, complete_node, count_paths_through, enumerate_nodes,
+                    is_lattice_node, parse_word, rank, unrank, word_to_path)
 from dyck4d.lattice import prefix_count_table
 
 
@@ -34,11 +33,17 @@ class TestMembership:
         for n in range(6):
             for node in enumerate_nodes(LatticeRegion(n)):
                 assert is_lattice_node(*node, region=LatticeRegion(n + 1))
-                assert is_lattice_node(*node, region=INFINITE)
+                assert is_lattice_node(*node)
 
     def test_region_rejects_negative_bound(self):
         with pytest.raises(ValueError):
             LatticeRegion(-1)
+
+    def test_region_needs_a_bound(self):
+        with pytest.raises(TypeError):
+            LatticeRegion()
+        with pytest.raises(TypeError):
+            LatticeRegion(None)
 
 
 class TestCompleteNode:
@@ -115,10 +120,6 @@ class TestEnumerateNodes:
                             for r in range(l + 1)), key=lambda node: (node.i, node.j))
             assert nodes == by_lr
             assert all(type(node) is LatticeNode for node in nodes)
-
-    def test_unbounded_raises(self):
-        with pytest.raises(UnboundedRegion):
-            enumerate_nodes(INFINITE)
 
     def test_nodes_equal_visited_union(self):
         for n in range(7):

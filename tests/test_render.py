@@ -184,7 +184,7 @@ class TestSvgHygiene:
 _COORD = st.one_of(st.integers(-10**6, 10**6),
                    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
 _POINT = st.tuples(_COORD, _COORD)
-_STYLE = {"role": st.sampled_from(sorted(ROLE_COLORS)), "layer": st.integers(0, 4),
+_STYLE = {"role": st.sampled_from(sorted(ROLE_COLORS)),
           "css_class": st.sampled_from(["grid", "edge", "path", "side-blue"])}
 _WIDTH = st.floats(0, 10, allow_nan=False)
 _SPEC = st.one_of(
@@ -210,7 +210,6 @@ def reference_svg(specs):
     def fmt(value):
         return f"{float(value):.2f}"
 
-    specs = sorted(specs, key=lambda spec: spec[2]["layer"])
     points = [point for _, pts, _ in specs for point in pts] or [(0.0, 0.0)]
     xs, ys = [x for x, _ in points], [y for _, y in points]
     min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
