@@ -29,7 +29,7 @@ from .projections import (AxisSet, ProjectedPath, all_modifications, lift,
 from .render import (ROLE_COLORS, Scene, edge_list_text, render_grid_2d,
                      render_wireframe)
 from .words import (AXES, Axis, DOWN_STEP, DyckWord, LatticeNode, ORIGIN,
-                    Path4D, Step, UP_STEP, parse_word, path_as_lists,
+                    Path4D, UP_STEP, parse_word, path_as_lists,
                     path_from_lists, path_to_word, render_word, word_to_path)
 
 __version__ = "0.1.0"
@@ -41,7 +41,7 @@ __all__ = [
     "LatticeNode", "LatticeRegion", "MalformedPath", "NegativePrefix",
     "NotInLattice", "ORIGIN", "ParityViolation", "Path4D", "ProjectedPath",
     "ROLE_COLORS", "RankOutOfRange", "RightIsoscelesReport", "Scene", "Side",
-    "SideFace", "Step", "TriangleGeometry", "TriangleSide", "UP_STEP",
+    "SideFace", "TriangleGeometry", "TriangleSide", "UP_STEP",
     "Unbalanced", "Vec4", "WrongArity", "all_modifications",
     "catalan", "complete_node", "count_paths_through", "dot",
     "double_tesseract", "draw_uniform_rank", "edge_list_text",

@@ -17,7 +17,7 @@ import os
 import random
 import stat
 import sys
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack, nullcontext, suppress
 
 from . import __version__, enumeration, geometry, lattice, projections, render, words
 from .errors import DyckError, InvalidJson, UnreadableInput, UnwritableOutput
@@ -108,14 +108,17 @@ def _write_document(text: str, out: str | None, *files):
 
     Every file is opened for appending, which truncates nothing, and then for
     writing before any byte is written, so one that cannot be opened, or two
-    paths naming one regular file (through a link, too), fail the command with
-    nothing on stdout and every existing file as it was.
+    outputs naming one regular file (by a link or stdout's redirect, too), fail
+    the command with nothing on stdout and every existing file as it was.
     """
     files = [(text, out), *files] if out is not None else files
     try:
         with ExitStack() as stack:
             stats = [os.fstat(stack.enter_context(open(path, "a", encoding="utf-8")).fileno())
                      for _, path in files]
+            if out is None:
+                with suppress(OSError):  # a StringIO has no descriptor to alias
+                    stats.append(os.fstat(sys.stdout.fileno()))
             regular = [(st.st_dev, st.st_ino) for st in stats if stat.S_ISREG(st.st_mode)]
             if len(set(regular)) < len(regular):
                 raise UnwritableOutput("two outputs name the same file")

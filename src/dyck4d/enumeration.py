@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .errors import RankOutOfRange
 from .lattice import prefix_count_table
-from .words import DyckWord, Step
+from .words import DyckWord
 
 
 def catalan(n: int) -> int:
@@ -35,20 +35,20 @@ def enumerate_words(n: int) -> Iterator[DyckWord]:
     """
     if n < 0:
         raise ValueError("half-length must be non-negative")
-    steps: list[Step] = []
+    chars: list[str] = []
 
     def walk(l: int, r: int) -> Iterator[DyckWord]:
         if l == n and r == n:
-            yield DyckWord(tuple(steps))
+            yield DyckWord("".join(chars))
             return
         if l < n:
-            steps.append(Step.OPEN)
+            chars.append("(")
             yield from walk(l + 1, r)
-            steps.pop()
+            chars.pop()
         if r < l:
-            steps.append(Step.CLOSE)
+            chars.append(")")
             yield from walk(l, r + 1)
-            steps.pop()
+            chars.pop()
 
     yield from walk(0, 0)
 
@@ -61,8 +61,8 @@ def rank(word: DyckWord) -> int:
     # table[row][col] with row = n - r, col = n - l - 1 counts the words
     # that complete (l + 1, r); col < 0 means l = n.
     row, col = n, n - 1
-    for step in word.steps:
-        if step is Step.CLOSE:
+    for char in word.text:
+        if char == ")":
             if col >= 0:  # every word opening here precedes this one
                 k += table[row][col]
             row -= 1
@@ -78,18 +78,18 @@ def unrank(k: int, n: int) -> DyckWord:
     if not 0 <= k < catalan(n):
         raise RankOutOfRange(f"rank {k} not in [0, {catalan(n)}) for n={n}")
     table = prefix_count_table(n)
-    steps = []
+    chars = []
     row, col = n, n - 1  # as in rank: n - r and n - l - 1
     for _ in range(2 * n):
         opens = table[row][col] if col >= 0 else 0
         if col >= 0 and k < opens:
-            steps.append(Step.OPEN)
+            chars.append("(")
             col -= 1
         else:
             k -= opens
-            steps.append(Step.CLOSE)
+            chars.append(")")
             row -= 1
-    return DyckWord(tuple(steps))
+    return DyckWord("".join(chars))
 
 
 def draw_uniform_rank(rng: random.Random, total: int) -> int:

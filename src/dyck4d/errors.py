@@ -18,7 +18,7 @@ class DyckError(Exception):
 
 
 class InvalidCharacter(DyckError):
-    """Input text contains something other than '(', ')' or ASCII whitespace."""
+    """A word's text holds a character other than '(' or ')'; parse_word skips ASCII whitespace."""
 
     kind = "invalid-character"
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
-from operator import gt, is_, itemgetter, ne, sub
+from operator import gt, itemgetter, ne, sub
 from typing import NamedTuple
 
 from .errors import InvalidCharacter, MalformedPath, NegativePrefix, Unbalanced
@@ -33,11 +33,6 @@ class Axis(enum.Enum):
 AXES = (Axis.I, Axis.J, Axis.L, Axis.R)
 
 AXIS_INDEX = {axis: k for k, axis in enumerate(AXES)}
-
-
-class Step(enum.Enum):
-    OPEN = "("
-    CLOSE = ")"
 
 
 class LatticeNode(NamedTuple):
@@ -64,7 +59,7 @@ DOWN_STEP = (1, -1, 0, 1)
 _WHITESPACE = " \t\n\r\f\v"
 _DROP_WHITESPACE = str.maketrans("", "", _WHITESPACE)
 _FOREIGN = re.compile(f"[^(){_WHITESPACE}]")
-_STEP_OF = {"(": Step.OPEN, ")": Step.CLOSE}
+_NOT_PARENTHESIS = re.compile("[^()]")
 _UNIT = {"(": 1, ")": -1}
 
 
@@ -78,18 +73,18 @@ class DyckWord:
     """A balanced word: equal opens and closes, no prefix with excess closes.
 
     Constructing one validates the invariants, so every instance in
-    circulation is valid; the empty word is allowed.  The validated text is
-    kept alongside ``steps`` (not part of repr or equality).
+    circulation is valid; the empty word is allowed.  ``text`` is a ``str``
+    of '(' and ')' only: :class:`InvalidCharacter` names the index of any
+    other character, whitespace too (:func:`parse_word` skips whitespace).
     """
 
-    steps: tuple[Step, ...]
-    _text: str = field(init=False, repr=False, compare=False)
+    text: str
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        text = "".join(map(")(".__getitem__, map(is_, self.steps, repeat(Step.OPEN))))
-        object.__setattr__(self, "_text", text)
-        balance = tuple(accumulate(map(_UNIT.__getitem__, text), initial=0))
+        foreign = _NOT_PARENTHESIS.search(self.text)  # TypeError unless a str
+        if foreign:
+            raise InvalidCharacter(foreign.start(), foreign.group())
+        balance = tuple(accumulate(map(_UNIT.__getitem__, self.text), initial=0))
         if min(balance) < 0:
             # Steps are +-1 from 0, so the first negative balance is -1.
             raise NegativePrefix(balance.index(-1))
@@ -99,10 +94,10 @@ class DyckWord:
     @property
     def n(self) -> int:
         """Half-length: the number of '(' (equal to the number of ')')."""
-        return len(self.steps) // 2
+        return len(self.text) // 2
 
     def __str__(self) -> str:
-        return render_word(self)
+        return self.text
 
 
 def parse_word(text: str) -> DyckWord:
@@ -116,12 +111,12 @@ def parse_word(text: str) -> DyckWord:
     foreign = _FOREIGN.search(text)
     if foreign:
         raise InvalidCharacter(foreign.start(), foreign.group())
-    return DyckWord(tuple(map(_STEP_OF.__getitem__, text.translate(_DROP_WHITESPACE))))
+    return DyckWord(text.translate(_DROP_WHITESPACE))
 
 
 def render_word(word: DyckWord) -> str:
     """Inverse of :func:`parse_word`: '(' for each open, ')' for each close."""
-    return word._text
+    return word.text
 
 
 def _canonical_columns(opens) -> tuple[tuple[int, ...], ...]:
@@ -177,7 +172,7 @@ class Path4D:
 
 def word_to_path(word: DyckWord) -> Path4D:
     """The canonical path of a word: node k holds the counts after k symbols."""
-    return Path4D(tuple(zip(*_canonical_columns(map("(".__eq__, word._text)))))
+    return Path4D(tuple(zip(*_canonical_columns(map("(".__eq__, word.text)))))
 
 
 def path_to_word(path: Path4D) -> DyckWord:
@@ -189,7 +184,7 @@ def path_to_word(path: Path4D) -> DyckWord:
     if not isinstance(path, Path4D):
         path = Path4D(tuple(path))
     l = tuple(map(itemgetter(2), path.nodes))
-    return DyckWord(tuple(map((Step.CLOSE, Step.OPEN).__getitem__, map(gt, l[1:], l))))
+    return DyckWord("".join(map(")(".__getitem__, map(gt, l[1:], l))))
 
 
 def path_as_lists(path: Path4D) -> list[list[int]]:

@@ -15,6 +15,20 @@ import oracles
 from dyck4d import __version__
 from dyck4d.cli import build_parser, main
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+#: The environment of a ``python -m dyck4d`` child: this checkout's package first.
+CHILD_ENV = dict(os.environ,
+                 PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+#: (subcommand, the other arguments it needs, the required option left out)
+MISSING_OPTIONS = [
+    ("convert", ["()"], "--to"), ("project", ["()"], "--axes"), ("count", [], "--n"),
+    ("geometry", [], "--n"), ("enumerate", [], "--n"), ("sample", ["--seed", "1"], "--n"),
+    ("sample", ["--n", "1"], "--seed"), ("render grid", ["--n", "2"], "--axes"),
+    ("render grid", ["--axes", "ij"], "--n"), ("render wireframe", [], "--n"),
+    ("render schlegel", [], "--n"),
+]
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -283,8 +297,13 @@ class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "bogus")[0] == 2
 
-    def test_missing_required_flag(self, capsys):
-        assert run(capsys, "enumerate")[0] == 2
+    @pytest.mark.parametrize("command, others, option", [
+        pytest.param(*case, id=f"{case[0]} {case[2]}") for case in MISSING_OPTIONS])
+    def test_missing_required_flag(self, capsys, command, others, option):
+        rc, out, err = run(capsys, *command.split(), *others)
+        assert (rc, out) == (2, "")
+        assert err.endswith(f": error: the following arguments are required: {option}\n")
+        assert "Traceback" not in err
 
     def test_no_subcommand(self, capsys):
         assert run(capsys)[0] == 2
@@ -313,11 +332,8 @@ class TestLiftWrongShape:
 
 class TestModuleEntryPoint:
     def test_python_m_dyck4d(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        paths = filter(None, [src, os.environ.get("PYTHONPATH")])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
         result = subprocess.run([sys.executable, "-m", "dyck4d", "validate", "()"],
-                                capture_output=True, text=True, env=env, timeout=60)
+                                capture_output=True, text=True, env=CHILD_ENV, timeout=60)
         assert (result.returncode, result.stdout, result.stderr) == (0, "valid n=1\n", "")
 
 
@@ -378,12 +394,28 @@ class TestUnwritableOutput:
                            "--out", os.devnull, "--edges", os.devnull)
         assert (rc, out, err) == (0, "", "")
 
+    @pytest.mark.parametrize("stdout_name, rc", [("e.txt", 1), ("figure.svg", 0)])
+    def test_stdout_redirected_to_edges_file(self, tmp_path, stdout_name, rc):
+        # As `dyck4d render schlegel --n 2 --edges e.txt > e.txt`: the shell's
+        # redirect and --edges would write one file from offset 0.
+        edges = tmp_path / "e.txt"
+        with open(tmp_path / stdout_name, "w") as stdout:
+            result = subprocess.run(
+                [sys.executable, "-m", "dyck4d", "render", "schlegel", "--n", "2",
+                 "--edges", str(edges)],
+                stdout=stdout, stderr=subprocess.PIPE, text=True, env=CHILD_ENV, timeout=60)
+        if rc:
+            assert (result.returncode, result.stderr) == (1, "error:unwritable-output\n")
+            assert edges.read_bytes() == b""
+        else:
+            assert (result.returncode, result.stderr) == (0, "")
+            assert edges.read_text().count("\n") == 48
+            assert (tmp_path / stdout_name).read_text().endswith("</svg>\n")
+
     def test_broken_pipe(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        paths = filter(None, [src, os.environ.get("PYTHONPATH")])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
         with subprocess.Popen([sys.executable, "-m", "dyck4d", "count", "--n", "200"],
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=CHILD_ENV) as child:
             assert child.stdout.readline().startswith(b"0,0,0,0\t")
             child.stdout.close()
             err = child.stderr.read().decode()

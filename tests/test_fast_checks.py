@@ -17,7 +17,7 @@ import oracles
 from dyck4d import (AxisSet, DyckError, DyckWord, FlatnessResult,
                     InconsistentProjection, InvalidCharacter, InvalidProjection,
                     LatticeNode, LatticeRegion, MalformedPath, NegativePrefix, Path4D,
-                    ProjectedPath, Step, Unbalanced, enumerate_nodes, lift, parse_word,
+                    ProjectedPath, Unbalanced, enumerate_nodes, lift, parse_word,
                     path_from_lists, projected_path_from_json, verify_flat)
 
 AXIS_SETS = ("ij", "il", "ir", "jl", "jr", "lr", "ijl", "ijr", "ilr", "jlr", "ijlr")
@@ -38,25 +38,28 @@ def outcome(function, *args, field=None):
 
 # -- references, one element at a time ---------------------------------------
 
-def ref_balance(steps):
+def ref_word(text):
+    for position, char in enumerate(text):
+        if char not in "()":
+            raise InvalidCharacter(position, char)
     balance = 0
-    for consumed, step in enumerate(steps, start=1):
-        balance += 1 if step is Step.OPEN else -1
+    for consumed, char in enumerate(text, start=1):
+        balance += 1 if char == "(" else -1
         if balance < 0:
             raise NegativePrefix(consumed)
     if balance:
         raise Unbalanced(balance)
-    return tuple(steps)
+    return text
 
 
 def ref_parse(text):
-    steps = []
+    chars = []
     for position, char in enumerate(text):
         if char in "()":
-            steps.append(Step(char))
+            chars.append(char)
         elif char not in WHITESPACE:
             raise InvalidCharacter(position, char)
-    return ref_balance(steps)
+    return ref_word("".join(chars))
 
 
 def ref_path(nodes):
@@ -248,16 +251,16 @@ def flat_subjects(draw):
 @settings(max_examples=300, deadline=None)
 @given(texts())
 def test_parse_word(text):
-    assert outcome(parse_word, text, field="steps") == outcome(ref_parse, text)
+    assert outcome(parse_word, text, field="text") == outcome(ref_parse, text)
 
 
 @settings(max_examples=300, deadline=None)
 @given(texts())
 def test_dyck_word(text):
-    steps = tuple(Step(c) for c in text if c in "()")
-    assert outcome(DyckWord, steps, field="steps") == outcome(ref_balance, steps)
-    if outcome(ref_balance, steps)[0] == "ok":
-        assert str(DyckWord(steps)) == "".join(c for c in text if c in "()")
+    for candidate in (text, "".join(c for c in text if c in "()")):
+        assert outcome(DyckWord, candidate, field="text") == outcome(ref_word, candidate)
+        if outcome(ref_word, candidate)[0] == "ok":
+            assert str(DyckWord(candidate)) == candidate
 
 
 @st.composite

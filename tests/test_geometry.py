@@ -30,6 +30,9 @@ class TestDot:
     def test_helpers(self):
         assert sub((2, 0, 1, 1), (1, 1, 1, 0)) == Vec4(1, -1, 0, 1)
         assert norm_squared((1, 2, 3, 4)) == 30
+        for helper in (dot, sub):
+            with pytest.raises(ValueError):
+                helper((1, 2, 3, 4), (1, 2, 3))
 
 
 class TestTriangle:

@@ -1,4 +1,5 @@
-"""pyproject.toml and the package agree: the script target runs, one version."""
+"""pyproject.toml and the package agree: the script target runs, one version; every
+name in ``__all__`` is there."""
 
 import importlib
 import re
@@ -29,3 +30,8 @@ def test_script_target_prints_version(capsys, monkeypatch):
 
 def test_one_version():
     assert _value("project", "version") == dyck4d.__version__
+
+
+def test_every_public_name_resolves_once():
+    assert len(set(dyck4d.__all__)) == len(dyck4d.__all__)
+    assert [name for name in dyck4d.__all__ if not hasattr(dyck4d, name)] == []

@@ -68,10 +68,10 @@ class TestProject:
         path = word_to_path(parse_word("(())"))
         lr = project(path, AxisSet.of("lr")).points
         ij = project(path, AxisSet.of("ij")).points
-        for k, step in enumerate(parse_word("(())").steps):
+        for k, char in enumerate(parse_word("(())").text):
             d_lr = (lr[k + 1][0] - lr[k][0], lr[k + 1][1] - lr[k][1])
             d_ij = (ij[k + 1][0] - ij[k][0], ij[k + 1][1] - ij[k][1])
-            if step.value == "(":
+            if char == "(":
                 assert d_lr == (1, 0) and d_ij == (1, 1)
             else:
                 assert d_lr == (0, 1) and d_ij == (1, -1)

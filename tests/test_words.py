@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from dyck4d import (DyckWord, InvalidCharacter, LatticeNode, MalformedPath,
-                    NegativePrefix, ORIGIN, Path4D, Step, Unbalanced,
+                    NegativePrefix, ORIGIN, Path4D, Unbalanced,
                     parse_word, path_as_lists, path_from_lists, path_to_word,
                     render_word, word_to_path)
 
@@ -14,12 +14,12 @@ class TestParse:
     def test_smallest_word(self):
         word = parse_word("()")
         assert word.n == 1
-        assert word.steps == (Step.OPEN, Step.CLOSE)
+        assert word.text == "()"
 
     def test_empty_word(self):
         word = parse_word("")
         assert word.n == 0
-        assert word.steps == ()
+        assert word.text == ""
 
     def test_negative_prefix_position(self):
         with pytest.raises(NegativePrefix) as exc:
@@ -56,9 +56,21 @@ class TestParse:
 
     def test_direct_construction_validates(self):
         with pytest.raises(NegativePrefix):
-            DyckWord((Step.CLOSE, Step.OPEN))
+            DyckWord(")(")
         with pytest.raises(Unbalanced):
-            DyckWord((Step.OPEN,))
+            DyckWord("(")
+
+    @pytest.mark.parametrize("text, position, char", [("(x)", 1, "x"), (" ()", 0, " ")])
+    def test_direct_construction_takes_only_parentheses(self, text, position, char):
+        # Whitespace is parse_word's to skip; a DyckWord is its text.
+        with pytest.raises(InvalidCharacter) as exc:
+            DyckWord(text)
+        assert (exc.value.position, exc.value.char) == (position, char)
+
+    @pytest.mark.parametrize("text", [("(", ")"), b"()", None])
+    def test_direct_construction_takes_only_str(self, text):
+        with pytest.raises(TypeError):
+            DyckWord(text)
 
     @pytest.mark.parametrize("n", range(9))
     def test_accepts_exactly_the_oracle_language(self, n):
@@ -156,6 +168,11 @@ class TestPathToWord:
         with pytest.raises(MalformedPath) as exc:
             Path4D(((0, 0, 0, 0), (1, -1, 0, 1)))
         assert exc.value.index == 1
+
+    def test_wrong_width_names_its_node(self):
+        with pytest.raises(TypeError) as exc:
+            Path4D(((0, 0, 0, 0), (1, 1, 1, 0), (2, 0, 1)))
+        assert str(exc.value) == "node 2: 3 coordinates, not 4"
 
     def test_accepts_raw_node_sequences(self):
         assert path_to_word([(0, 0, 0, 0), (1, 1, 1, 0), (2, 0, 1, 1)]).n == 1
