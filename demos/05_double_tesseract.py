@@ -14,12 +14,12 @@ print(f"vertices: {len(box.vertices)}, edges: {len(box.edges)}, cells: {len(box.
 
 for cell in box.cells:
     kind = "cube" if cell.is_cube else "2n x n x n box"
-    print(f"  cell {cell.axis.value} = {cell.value:>2}: {kind}")
+    print(f"  cell {cell.axis} = {cell.value:>2}: {kind}")
 
 print()
 for side in Side:
     face = face_of_side(side, n)
-    where = f"{face.cell.axis.value} = {face.cell.value} cell"
+    where = f"{face.cell.axis} = {face.cell.value} cell"
     if face.half is not None:
         where += f", {face.half} half-cube"
     start, end = face.diagonal

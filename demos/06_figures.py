@@ -6,7 +6,7 @@ i green; the drawn path is near-black.
 
 from pathlib import Path
 
-from dyck4d import (Axis, AxisSet, double_tesseract, parse_word, project,
+from dyck4d import (AxisSet, double_tesseract, parse_word, project,
                     render_grid_2d, render_wireframe, word_to_path)
 
 out_dir = Path(__file__).parent / "rendered"
@@ -26,7 +26,7 @@ svg, edges = render_wireframe(box, "orthographic-3d", include_triangle=True)
 (out_dir / "box_oblique.svg").write_text(svg)
 (out_dir / "box_edges.txt").write_text(edges)
 
-svg, _ = render_wireframe(box.cell(Axis.I, 0), "orthographic-3d")
+svg, _ = render_wireframe(box.cell("i", 0), "orthographic-3d")
 (out_dir / "cube_cell.svg").write_text(svg)
 
 svg, _ = render_wireframe(box, "schlegel", include_triangle=True)

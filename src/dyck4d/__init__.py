@@ -28,14 +28,14 @@ from .projections import (AxisSet, ProjectedPath, all_modifications, lift,
                           projected_path_from_json)
 from .render import (ROLE_COLORS, Scene, edge_list_text, render_grid_2d,
                      render_wireframe)
-from .words import (AXES, Axis, DOWN_STEP, DyckWord, LatticeNode, ORIGIN,
+from .words import (AXES, DOWN_STEP, DyckWord, LatticeNode, ORIGIN,
                     Path4D, UP_STEP, parse_word, path_as_lists,
                     path_from_lists, path_to_word, render_word, word_to_path)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AXES", "Axis", "AxisSet", "Cell", "DOWN_STEP", "DoubleTesseract",
+    "AXES", "AxisSet", "Cell", "DOWN_STEP", "DoubleTesseract",
     "DyckError", "DyckWord", "FlatnessResult",
     "InconsistentProjection", "InvalidCharacter", "InvalidProjection",
     "LatticeNode", "LatticeRegion", "MalformedPath", "NegativePrefix",

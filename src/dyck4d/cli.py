@@ -173,10 +173,10 @@ def cmd_count(args) -> int:
 
 
 def cmd_geometry(args) -> int:
-    report = geometry.geometry_report(args.n)
     if args.format == "json":
-        print(json.dumps(report, separators=(",", ":")))
+        print(json.dumps(geometry.geometry_report(args.n), separators=(",", ":")))
         return 0
+    report = geometry._summary(args.n)  # text prints no node, so none is built
     v = report["vertices"]
     print(f"n={report['n']} origin={v['origin']} end={v['end']} apex={v['apex']}")
     for name in ("blue", "red", "yellow"):
@@ -224,7 +224,7 @@ def cmd_sample(args) -> int:
 
 
 # In the order of double_tesseract(n).cells: per axis, the low cell then the high one.
-_CELL_NAMES = [f"{axis.value}{end}" for axis in words.AXES for end in ("min", "max")]
+_CELL_NAMES = [f"{axis}{end}" for axis in words.AXES for end in ("min", "max")]
 
 
 def cmd_render(args) -> int:

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import lattice
-from .words import AXES, Axis, LatticeNode
+from .words import AXES, LatticeNode
 
 
 #: An integer 4-vector in (i, j, l, r) component order: the node type itself.
@@ -190,9 +190,9 @@ def _box_edges(vertices) -> tuple[tuple[int, int], ...]:
 
 
 class Cell(NamedTuple):
-    """One 3D face of the box: the corners with ``axis`` pinned to ``value``."""
+    """One 3D face of the box: the corners with ``axis``, a letter, pinned to ``value``."""
 
-    axis: Axis
+    axis: str
     value: int
     vertex_indices: tuple[int, ...]
     vertices: tuple[Vec4, ...]
@@ -216,9 +216,9 @@ class DoubleTesseract(NamedTuple):
     edges: tuple[tuple[int, int], ...]
     cells: tuple[Cell, ...]
 
-    def cell(self, axis: Axis, value: int) -> Cell:
+    def cell(self, axis: str, value: int) -> Cell:
         for cell in self.cells:
-            if cell.axis is axis and cell.value == value:
+            if cell.axis == axis and cell.value == value:
                 return cell
         raise KeyError((axis, value))
 
@@ -274,33 +274,31 @@ def face_of_side(side: Side, n: int) -> SideFace:
     box = double_tesseract(n)
     diagonal = _ends(n)[1][side]
     if side is Side.BLUE:
-        return SideFace(side, box.cell(Axis.J, 0), None, None, diagonal)
+        return SideFace(side, box.cell("j", 0), None, None, diagonal)
     if side is Side.RED:
         cube = _box_corners(((0, n), (0, n), (0, n), (0, 0)))
-        return SideFace(side, box.cell(Axis.R, 0), "low-i", cube, diagonal)
+        return SideFace(side, box.cell("r", 0), "low-i", cube, diagonal)
     cube = _box_corners(((n, 2 * n), (0, n), (n, n), (0, n)))
-    return SideFace(side, box.cell(Axis.L, n), "high-i", cube, diagonal)
+    return SideFace(side, box.cell("l", n), "high-i", cube, diagonal)
 
 
-def geometry_report(n: int) -> dict:
-    """JSON-ready report: triangle data, exact verdicts and the box census."""
-    tri = triangle(n)
-    box = double_tesseract(n) if n >= 1 else None
+def _summary(n: int) -> dict:
+    """:func:`geometry_report` without the 3(n + 1) side nodes, which only JSON prints."""
+    (origin, end, apex), ends = _ends(n)
     sides = {}
-    for ts in tri.sides:
-        sides[ts.side.value] = {
-            "start": list(ts.start),
-            "end": list(ts.end),
-            "squared_length": side_length_squared(ts.side, n),
-            "length": side_length(ts.side, n),
-            "nodes": [list(node) for node in ts.nodes],
+    for side, (start, stop) in ends.items():
+        sides[side.value] = {
+            "start": list(start),
+            "end": list(stop),
+            "squared_length": side_length_squared(side, n),
+            "length": side_length(side, n),
         }
     report = {
         "n": n,
         "vertices": {
-            "origin": list(tri.vertex_origin),
-            "end": list(tri.vertex_end),
-            "apex": list(tri.vertex_apex),
+            "origin": list(origin),
+            "end": list(end),
+            "apex": list(apex),
         },
         "sides": sides,
         "flat": verify_flat(lattice.LatticeRegion(n)).flat,
@@ -315,10 +313,19 @@ def geometry_report(n: int) -> dict:
             "direction_bc": list(check.direction_bc),
             "dot": dot(check.direction_ab, check.direction_bc),
         }
+        box = double_tesseract(n)
         report["tesseract"] = {
             "vertices": len(box.vertices),
             "edges": len(box.edges),
             "cells": len(box.cells),
             "cube_cells": sum(1 for cell in box.cells if cell.is_cube),
         }
+    return report
+
+
+def geometry_report(n: int) -> dict:
+    """JSON-ready report: triangle data, exact verdicts and the box census."""
+    report = _summary(n)
+    for ts in triangle(n).sides:
+        report["sides"][ts.side.value]["nodes"] = [list(node) for node in ts.nodes]
     return report

@@ -12,41 +12,39 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter, ne
-from typing import Iterable
 
 from .errors import InconsistentProjection, InvalidProjection
 from .lattice import _complete_pair
-from .words import AXES, AXIS_INDEX, Axis, Path4D, _first, _first_bad_row
+from .words import AXES, Path4D, _first, _first_bad_row
+
+
+#: The 11 axis sets in canonical order: 6 pairs, 4 triples, the full set.
+_AXIS_SETS = tuple("".join(combo) for size in (2, 3, 4)
+                   for combo in itertools.combinations(AXES, size))
 
 
 @dataclass(frozen=True)
 class AxisSet:
-    """2, 3 or all 4 distinct axes, kept in canonical i < j < l < r order."""
+    """2, 3 or all 4 distinct axes: their letters in canonical i, j, l, r order."""
 
-    axes: tuple[Axis, ...]
+    axes: str
 
     def __post_init__(self):
-        axes = tuple(self.axes)
-        if len(set(axes)) != len(axes):
-            raise ValueError("axis set has a repeated axis")
-        if not 2 <= len(axes) <= 4:
-            raise ValueError("axis set must have 2, 3 or 4 axes")
-        object.__setattr__(self, "axes", tuple(sorted(axes, key=AXIS_INDEX.get)))
+        if self.axes not in _AXIS_SETS:
+            raise ValueError(f"axis set must be one of {', '.join(_AXIS_SETS)}")
 
     @classmethod
-    def of(cls, descriptor: str | Iterable[Axis | str]) -> "AxisSet":
-        """Build from e.g. 'lr', 'l,r', ['l', 'r'] or Axis members."""
-        if isinstance(descriptor, str):
-            descriptor = descriptor.replace(",", "").replace(" ", "")
-        axes = tuple(a if isinstance(a, Axis) else Axis(str(a).lower()) for a in descriptor)
-        return cls(axes)
+    def of(cls, text: str) -> "AxisSet":
+        """Build from letters in any order or case, e.g. 'rl', 'l,r' or 'L R'."""
+        letters = text.replace(",", "").replace(" ", "").lower()
+        return cls("".join(sorted(letters, key=AXES.find)))
 
     def names(self) -> list[str]:
-        return [axis.value for axis in self.axes]
+        return list(self.axes)
 
     def select(self) -> itemgetter:
         """Picks this set's coordinates, in order, out of an (i, j, l, r) sequence."""
-        return itemgetter(*map(AXIS_INDEX.get, self.axes))
+        return itemgetter(*map(AXES.index, self.axes))
 
     def __len__(self) -> int:
         return len(self.axes)
@@ -57,11 +55,7 @@ class AxisSet:
 
 def all_modifications() -> tuple[AxisSet, ...]:
     """The 11 axis sets in canonical order: 6 pairs, 4 triples, the full set."""
-    sets = []
-    for size in (2, 3, 4):
-        for combo in itertools.combinations(AXES, size):
-            sets.append(AxisSet(combo))
-    return tuple(sets)
+    return tuple(map(AxisSet, _AXIS_SETS))
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,7 @@ def lift(proj: ProjectedPath) -> Path4D:
     """
     first, second = proj.axis_set.axes[:2]
     columns = tuple(zip(*proj.points)) or ((),) * len(proj.axis_set)
-    completion = _complete_pair(first.value, columns[0], second.value, columns[1])
+    completion = _complete_pair(first, columns[0], second, columns[1])
     nodes = tuple(zip(*completion))
     select = proj.axis_set.select()
     if select(completion) != columns:
@@ -118,12 +112,17 @@ def projected_path_as_json(proj: ProjectedPath) -> dict:
 def projected_path_from_json(data) -> ProjectedPath:
     """Rebuild a projected path; the axis set is always taken from the data.
 
-    Raises :class:`InvalidProjection` for data of any other shape, and for
-    points that are not arrays of one integer per axis.
+    ``axes`` is an array of one-letter strings in canonical order, as
+    :func:`projected_path_as_json` writes it.  Raises :class:`InvalidProjection`
+    for data of any other shape, and for points that are not arrays of one
+    integer per axis.
     """
     try:
-        axes = AxisSet.of(data["axes"])
-        points = data["points"]
+        names, points = data["axes"], data["points"]
+        # One letter per axis: a join alone would also take "lr", {"l": 0, "r": 1} or ["lr"].
+        if type(names) is not list or set(map(len, names)) - {1}:
+            raise ValueError("axes must be an array of one-letter strings")
+        axes = AxisSet("".join(names))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidProjection(str(exc)) from None
     bad = _first_bad_row(points, len(axes))

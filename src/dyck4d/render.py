@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .errors import WrongArity
 from .geometry import DoubleTesseract, Side, _ends, triangle
 from .projections import AxisSet, ProjectedPath
-from .words import Axis
+from .words import AXES
 
 ROLE_COLORS = {
     "yellow-l": "#E8C547",
@@ -34,7 +34,7 @@ ROLE_COLORS = {
     "neutral": "#888888",
 }
 
-AXIS_ROLES = {Axis.I: "green-i", Axis.J: "blue-j", Axis.L: "yellow-l", Axis.R: "red-r"}
+AXIS_ROLES = {"i": "green-i", "j": "blue-j", "l": "yellow-l", "r": "red-r"}
 
 SIDE_ROLES = {Side.BLUE: "blue-j", Side.RED: "red-r", Side.YELLOW: "yellow-l"}
 
@@ -119,7 +119,7 @@ def _fmt_all(values) -> list[str]:
     return list(map(format, map(float, values), repeat(".2f")))
 
 
-_EXTENT = {Axis.I: 2, Axis.J: 1, Axis.L: 1, Axis.R: 1}  # in units of n
+_EXTENT = {"i": 2, "j": 1, "l": 1, "r": 1}  # in units of n
 
 
 def render_grid_2d(axes: AxisSet, n: int, proj: ProjectedPath | None = None) -> str:
@@ -141,7 +141,7 @@ def render_grid_2d(axes: AxisSet, n: int, proj: ProjectedPath | None = None) -> 
         scene.add(_line((x, 0), (x, h), role=x_role))
     for y in range(h + 1):
         scene.add(_line((0, y), (w, y), role=y_role))
-    if {ax_x, ax_y} == {Axis.L, Axis.R}:
+    if axes.axes == "lr":
         scene.add(_line((0, 0), (n, n), role="blue-j",
                         css_class="diagonal", dashed=True, width=2.0))
     if proj is not None:
@@ -166,7 +166,7 @@ def _schlegel_point(vertex, n: int) -> tuple[float, float]:
 
 
 def _edge_role(a, b) -> str:
-    for axis, (x, y) in zip((Axis.I, Axis.J, Axis.L, Axis.R), zip(a, b)):
+    for axis, (x, y) in zip(AXES, zip(a, b)):
         if x != y:
             return AXIS_ROLES[axis]
     return "neutral"

@@ -10,7 +10,6 @@ moves a path by ``UP_STEP = (1, 1, 1, 0)``, reading ')' by
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
@@ -20,19 +19,8 @@ from typing import NamedTuple
 from .errors import InvalidCharacter, MalformedPath, NegativePrefix, Unbalanced
 
 
-class Axis(enum.Enum):
-    """One of the four lattice coordinates."""
-
-    I = "i"
-    J = "j"
-    L = "l"
-    R = "r"
-
-
-#: Canonical axis order; also the component order of nodes and vectors.
-AXES = (Axis.I, Axis.J, Axis.L, Axis.R)
-
-AXIS_INDEX = {axis: k for k, axis in enumerate(AXES)}
+#: The axis letters in canonical order; also the component order of nodes and vectors.
+AXES = "ijlr"
 
 
 class LatticeNode(NamedTuple):

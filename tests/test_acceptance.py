@@ -16,7 +16,7 @@ from contextlib import contextmanager
 import pytest
 
 import oracles
-from dyck4d import (Axis, NegativePrefix, Unbalanced, all_modifications,
+from dyck4d import (NegativePrefix, Unbalanced, all_modifications,
                     catalan, count_paths_through, dot, double_tesseract,
                     enumerate_nodes, enumerate_words, lift, LatticeRegion,
                     parse_word, project, render_grid_2d, render_wireframe,
@@ -81,7 +81,7 @@ def test_c05_tesseract_census_and_j0_cell():
             assert len(box.cells) == 8
             cubes = [cell for cell in box.cells if cell.is_cube]
             assert len(cubes) == 2
-            cell = box.cell(Axis.J, 0)
+            cell = box.cell("j", 0)
             expected = {(0, 0, 0, 0), (0, 0, 0, n), (0, 0, n, n), (0, 0, n, 0),
                         (2 * n, 0, n, 0), (2 * n, 0, 0, 0), (2 * n, 0, 0, n),
                         (2 * n, 0, n, n)}
@@ -157,7 +157,7 @@ def test_c10_renderer_determinism_and_structure():
         documents = [
             svg_a,
             render_wireframe(box, "orthographic-3d", include_triangle=True)[0],
-            render_wireframe(box.cell(Axis.I, 0), "orthographic-3d")[0],
+            render_wireframe(box.cell("i", 0), "orthographic-3d")[0],
             render_grid_2d(AxisSet.of("lr"), 6),
             render_grid_2d(AxisSet.of("lr"), 6,
                            project(word_to_path(parse_word("()()()()()()")), AxisSet.of("lr"))),

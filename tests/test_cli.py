@@ -137,6 +137,11 @@ class TestProjectLift:
         rc2, lifted, _ = run(capsys, "lift", "--to", "word", projected.strip())
         assert lifted == "(())()\n"
 
+    def test_axes_in_any_order_or_case(self, capsys):
+        outputs = {run(capsys, "project", "--axes", axes, "(())")
+                   for axes in ("lr", "rl", "l,r", "L R", "RL")}
+        assert outputs == {(0, '{"axes":["l","r"],"points":[[0,0],[1,0],[2,0],[2,1],[2,2]]}\n', "")}
+
 
 class TestCount:
     def test_single_node_json(self, capsys):
@@ -182,6 +187,20 @@ class TestGeometry:
         assert rc == 0
         assert "right_angle=True" in out
         assert "16 vertices, 32 edges, 8 cells (2 cubes)" in out
+
+    def test_text_memory_does_not_grow_with_n(self, capsys):
+        # the text report prints no side node, so none is built
+        build_parser()
+        tracemalloc.start()
+        try:
+            rc = main(["geometry", "--n", "100000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert capsys.readouterr().out.startswith(
+            "n=100000 origin=[0, 0, 0, 0] end=[200000, 0, 100000, 100000] apex=")
+        assert peak < 2**20
 
 
 class TestEnumerateRankSample:
@@ -309,7 +328,11 @@ class TestUsageErrors:
         assert run(capsys)[0] == 2
 
     def test_bad_axes_value(self, capsys):
-        assert run(capsys, "project", "--axes", "xy", "()")[0] == 2
+        for axes in ("xy", "ll", "l"):
+            rc, out, err = run(capsys, "project", "--axes", axes, "()")
+            assert (rc, out) == (2, "")
+            assert err.endswith("error: argument --axes: axis set must be one of "
+                                "ij, il, ir, jl, jr, lr, ijl, ijr, ilr, jlr, ijlr\n")
 
     def test_grid_with_three_axes_is_domain_error(self, capsys):
         rc, _, err = run(capsys, "render", "grid", "--axes", "ijl", "--n", "2")
@@ -324,6 +347,12 @@ class TestLiftWrongShape:
         '{"points":[[0,0]]}',
         '{"axes":["l","r"],"points":[[0,0,0]]}',
         '{"axes":["l","r"],"points":[["x",0]]}',
+        # axes are one-letter strings in canonical order, nothing else
+        '{"axes":["r","l"],"points":[[0,0],[1,0],[1,1]]}',
+        '{"axes":["L","R"],"points":[[0,0],[1,0],[1,1]]}',
+        '{"axes":"lr","points":[[0,0],[1,0],[1,1]]}',
+        '{"axes":{"l":0,"r":1},"points":[[0,0],[1,0],[1,1]]}',
+        '{"axes":["lr"],"points":[[0,0],[1,0],[1,1]]}',
     ])
     def test_one_error_line(self, capsys, data):
         rc, out, err = run(capsys, "lift", data)

@@ -115,6 +115,14 @@ def ref_projected_json(names, points):
     return tuple(map(tuple, points))
 
 
+def ref_json_axes(axes):
+    """The letters of a JSON ``axes`` value: one-letter strings in canonical order."""
+    if (type(axes) is not list or not all(type(a) is str and len(a) == 1 for a in axes)
+            or "".join(axes) not in AXIS_SETS):
+        raise InvalidProjection()
+    return "".join(axes)
+
+
 def ref_lift(names, points):
     ref_projected(names, points)
     nodes = []
@@ -311,6 +319,46 @@ def test_projected_path_from_json(case):
     got = outcome(projected_path_from_json, {"axes": list(names), "points": points},
                   field="points")
     assert got == outcome(ref_projected_json, names, points)
+
+
+@st.composite
+def json_axes(draw):
+    """(axes value, its letters in order): an axis set's letters, maybe reordered,
+    with a letter repeated, dropped or foreign, some in upper case, as a list, a
+    string, a dict or lists of several letters."""
+    letters = list(draw(st.sampled_from(AXIS_SETS)))
+    if draw(st.booleans()):
+        letters = draw(st.permutations(letters))
+    if draw(st.integers(0, 3)) == 0:
+        letters = perturb(draw, letters, st.sampled_from("ijlrx"))
+    letters = [c.upper() if draw(st.integers(0, 5)) == 0 else c for c in letters]
+    order = "".join(letters).lower()
+    shape = draw(st.sampled_from(("list", "list", "list", "str", "dict", "strings", "lists")))
+    if shape == "str":
+        return order if draw(st.booleans()) else "".join(letters), order
+    if shape == "dict":
+        return dict.fromkeys(letters, 0), order
+    if shape in ("strings", "lists") and letters:
+        cut = draw(st.integers(0, len(letters)))
+        parts = [letters[:cut], letters[cut:]]
+        return [p if shape == "lists" else "".join(p) for p in parts], order
+    return letters, order
+
+
+@settings(max_examples=500, deadline=None)
+@given(json_axes(), words())
+def test_json_axes(case, text):
+    axes, order = case
+    nodes = oracles.visited_nodes(text)
+    points = [[node["ijlr".find(a)] for a in order] for node in nodes]
+    data = {"axes": axes, "points": points}
+    expected = outcome(ref_json_axes, axes)
+    got = outcome(projected_path_from_json, data, field="axis_set")
+    if expected[0] != "ok":
+        assert got == expected
+        return
+    assert got == ("ok", AxisSet(expected[1]))
+    assert lift(projected_path_from_json(data)).nodes == tuple(nodes)
 
 
 @settings(max_examples=300, deadline=None)

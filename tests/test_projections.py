@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from dyck4d import (Axis, AxisSet, InconsistentProjection, MalformedPath,
+from dyck4d import (AxisSet, InconsistentProjection, MalformedPath,
                     ProjectedPath, all_modifications, enumerate_words, lift,
                     parse_word, project, projected_path_as_json,
                     projected_path_from_json, word_to_path)
@@ -11,12 +11,15 @@ from dyck4d import (Axis, AxisSet, InconsistentProjection, MalformedPath,
 
 class TestAxisSet:
     def test_canonical_order(self):
-        assert AxisSet.of("rl").axes == (Axis.L, Axis.R)
-        assert AxisSet.of("jlri").axes == (Axis.I, Axis.J, Axis.L, Axis.R)
+        assert AxisSet.of("rl").axes == "lr"
+        assert AxisSet.of("jlri").axes == "ijlr"
         assert AxisSet.of("l,r") == AxisSet.of("lr")
 
-    def test_accepts_axis_members(self):
-        assert AxisSet((Axis.R, Axis.I)).axes == (Axis.I, Axis.R)
+    def test_constructor_takes_only_canonical_letters(self):
+        assert AxisSet("lr").axes == "lr"
+        for axes in ("rl", "l", "ll", "x", ("l", "r")):
+            with pytest.raises(ValueError):
+                AxisSet(axes)
 
     def test_rejects_bad_sizes_and_duplicates(self):
         with pytest.raises(ValueError):
@@ -47,6 +50,10 @@ class TestCensus:
 
     def test_all_distinct(self):
         assert len(set(all_modifications())) == 11
+
+    def test_canonical_order(self):
+        assert [m.axes for m in all_modifications()] == [
+            "ij", "il", "ir", "jl", "jr", "lr", "ijl", "ijr", "ilr", "jlr", "ijlr"]
 
 
 class TestProject:

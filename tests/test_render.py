@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyck4d import render
-from dyck4d import (Axis, AxisSet, ROLE_COLORS, WrongArity, double_tesseract,
+from dyck4d import (AxisSet, ROLE_COLORS, WrongArity, double_tesseract,
                     edge_list_text, parse_word, project, render_grid_2d,
                     render_wireframe, word_to_path)
 
@@ -75,7 +75,7 @@ class TestWireframe:
 
     def test_cell_orthographic(self):
         box = double_tesseract(1)
-        svg, _ = render_wireframe(box.cell(Axis.J, 0), "orthographic-3d")
+        svg, _ = render_wireframe(box.cell("j", 0), "orthographic-3d")
         counts = classes(svg)
         assert counts["vertex"] == 8
         assert counts["edge"] == 12
@@ -115,7 +115,7 @@ class TestWireframe:
     def test_schlegel_needs_full_box(self):
         box = double_tesseract(2)
         with pytest.raises(ValueError):
-            render_wireframe(box.cell(Axis.I, 0), "schlegel")
+            render_wireframe(box.cell("i", 0), "schlegel")
 
     def test_no_projected_vertex_collisions(self):
         from dyck4d.render import _ortho_point, _schlegel_point
@@ -158,7 +158,7 @@ class TestSvgHygiene:
         yield render_grid_2d(AxisSet.of("il"), 2)
         yield render_wireframe(box, "orthographic-3d", True)[0]
         yield render_wireframe(box, "schlegel", True)[0]
-        yield render_wireframe(box.cell(Axis.L, 6), "orthographic-3d")[0]
+        yield render_wireframe(box.cell("l", 6), "orthographic-3d")[0]
 
     def test_well_formed_xml(self):
         for svg in self.documents():
