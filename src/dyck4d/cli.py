@@ -18,6 +18,7 @@ import random
 import stat
 import sys
 from contextlib import ExitStack, nullcontext, suppress
+from itertools import chain, repeat
 
 from . import __version__, enumeration, geometry, lattice, projections, render, words
 from .errors import DyckError, InvalidJson, UnreadableInput, UnwritableOutput
@@ -94,6 +95,9 @@ _non_negative = _int_at_least(0)
 # The box views draw float coordinates; the wireframe canvas leaves float range
 # near n = 1.7e306, so their n stops well short of that.
 _box_n = _int_at_least(1, 10**300)
+#: The triangle overlay draws 3(n + 1) side nodes: its time, memory and SVG bytes
+#: grow with n, so with --triangle n stops where the SVG is a few MB.
+_TRIANGLE_N = 10**5
 
 
 def _axes_arg(text: str):
@@ -135,10 +139,23 @@ def _validate_line(args, text: str) -> str:
     return f"valid n={words.parse_word(text).n}"
 
 
+def _int_rows(rows, width: int) -> str:
+    """``json.dumps(rows, separators=(",", ":"))`` for a sequence of ``width``-int rows.
+
+    One ``str.format`` fills one template, which writes an int as ``json.dumps``
+    does; a bool (``True``) or a float would not match, so only int rows may
+    reach it.  Every caller's rows are built from canonical columns
+    (:func:`words.word_to_path` and its projection) or completed from values
+    that passed ``words._first_bad_row`` (:func:`projections.lift`).
+    """
+    row = "[" + ",".join(repeat("{}", width)) + "]"
+    return ("[" + ",".join(repeat(row, len(rows))) + "]").format(*chain.from_iterable(rows))
+
+
 def _path_line(path, to: str) -> str:
     if to == "word":
         return words.render_word(words.path_to_word(path))
-    return json.dumps(path.nodes, separators=(",", ":"))
+    return _int_rows(path.nodes, 4)
 
 
 def _convert_line(args, text: str) -> str:
@@ -149,7 +166,8 @@ def _convert_line(args, text: str) -> str:
 
 def _project_line(args, text: str) -> str:
     proj = projections.project(words.word_to_path(words.parse_word(text)), args.axes)
-    return json.dumps({"axes": args.axes.names(), "points": proj.points}, separators=(",", ":"))
+    axes = json.dumps(args.axes.names(), separators=(",", ":"))
+    return f'{{"axes":{axes},"points":{_int_rows(proj.points, len(args.axes))}}}'
 
 
 def _lift_line(args, text: str) -> str:
@@ -324,18 +342,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = view.add_parser("wireframe", help="oblique view of the 4D box or one cell")
     w.add_argument("--n", type=_box_n, required=True)
-    w.add_argument("--cell", choices=sorted(_CELL_NAMES), default=None)
-    w.add_argument("--triangle", action="store_true", help="overlay the triangle sides")
+    # The triangle lies in the whole box, not in one cell.
+    shown = w.add_mutually_exclusive_group()
+    shown.add_argument("--cell", choices=sorted(_CELL_NAMES), default=None)
+    shown.add_argument("--triangle", action="store_true", help="overlay the triangle sides")
     w.add_argument("--out", default=None)
     w.add_argument("--edges", default=None, help="also write the edge-list file here")
-    w.set_defaults(handler=cmd_render)
+    w.set_defaults(handler=cmd_render, view_parser=w)
 
     s = view.add_parser("schlegel", help="nested-cube view of the 4D box")
     s.add_argument("--n", type=_box_n, required=True)
     s.add_argument("--triangle", action="store_true")
     s.add_argument("--out", default=None)
     s.add_argument("--edges", default=None)
-    s.set_defaults(handler=cmd_render)
+    s.set_defaults(handler=cmd_render, view_parser=s)
 
     return parser
 
@@ -343,6 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "triangle", False) and args.n > _TRIANGLE_N:
+            args.view_parser.error(f"argument --n: must be at most {_TRIANGLE_N:.0e} "
+                                   "with --triangle")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -158,9 +158,25 @@ class Path4D:
         return iter(self.nodes)
 
 
+def _canonical_path(opens) -> Path4D:
+    """The :class:`Path4D` of :func:`_canonical_columns`, built without re-checking.
+
+    ``Path4D.__post_init__`` accepts a path exactly when its nodes are the
+    canonical columns of its own l column and j never goes negative.  Nodes
+    zipped from canonical columns are canonical by construction, so only the
+    sign of j is left to prove, and a caller proves it first: the j column of
+    a balanced word is its running balance, which :class:`DyckWord` has checked.
+    """
+    path = object.__new__(Path4D)
+    # tuple.__new__ builds the nodes without a Python-level call per node
+    nodes = tuple(map(tuple.__new__, repeat(LatticeNode), zip(*_canonical_columns(opens))))
+    object.__setattr__(path, "nodes", nodes)
+    return path
+
+
 def word_to_path(word: DyckWord) -> Path4D:
     """The canonical path of a word: node k holds the counts after k symbols."""
-    return Path4D(tuple(zip(*_canonical_columns(map("(".__eq__, word.text)))))
+    return _canonical_path(map("(".__eq__, word.text))
 
 
 def path_to_word(path: Path4D) -> DyckWord:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -306,6 +307,26 @@ class TestRender:
         assert err.endswith("argument --n: must be at most 1e+300\n")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("view", ["wireframe", "schlegel"])
+    @pytest.mark.parametrize("n", [10**5 + 1, 10**300], ids=["1e5+1", "1e300"])
+    def test_triangle_n_past_largest(self, view, n):
+        # The overlay's nodes grow with n: unbounded, 10**300 ran out of these 256 MB
+        # of address space with a traceback, and 10**5 + 1 wrote 6.6 MB of SVG.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "dyck4d", "render", view, "--n", str(n), "--triangle"],
+            capture_output=True, text=True, env=CHILD_ENV, timeout=30, preexec_fn=limit_memory)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.endswith("argument --n: must be at most 1e+05 with --triangle\n")
+        assert "Traceback" not in result.stderr
+
+    def test_triangle_is_not_drawn_in_one_cell(self, capsys):
+        rc, out, err = run(capsys, "render", "wireframe", "--n", "2", "--cell", "imin", "--triangle")
+        assert (rc, out) == (2, "")
+        assert err.endswith("argument --triangle: not allowed with argument --cell\n")
+
     def test_grid_word_mismatched_axes_ok(self, capsys):
         # the word is projected onto the grid axes, so any 2-axis grid works
         rc, out, _ = run(capsys, "render", "grid", "--axes", "jr", "--n", "1", "--word", "()")
@@ -596,6 +617,43 @@ _fuzz_line = st.one_of(
 )
 
 
+#: Every subcommand that takes --n, with what else it needs.  Only the box views
+#: bound n, so only they draw a huge one: the others would run without end.
+N_COMMANDS = [
+    ["count"], ["count", "--node", "2,0,1,1"], ["count", "--format", "json"], ["geometry"],
+    ["geometry", "--format", "json"], ["enumerate"], ["enumerate", "--format", "json"],
+    ["sample", "--seed", "1"], ["sample", "--seed", "2", "--count", "3", "--format", "json"],
+    ["render", "grid", "--axes", "lr"], ["render", "grid", "--axes", "ij", "--word", "(())"],
+]
+BOX_COMMANDS = [
+    ["render", "wireframe"], ["render", "wireframe", "--cell", "rmax"],
+    ["render", "wireframe", "--triangle"], ["render", "schlegel"],
+    ["render", "schlegel", "--triangle"],
+]
+_SMALL_N = ["0", "1", "2", "3", "-1", "x"]
+
+
+def _run_total(argv, lines=()):
+    """``main(argv)`` with ``lines`` on stdin: (rc, stdout, stderr lines).  Checks that
+    rc is 0, 1 or 2, that no traceback appears, and that stderr holds only
+    ``error:`` lines, one at least exactly when rc is 1, unless rc is 2."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO("".join(f"{line}\n" for line in lines))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    finally:
+        sys.stdin = saved
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    errors = err.getvalue().splitlines()
+    if rc != 2:  # a usage error is argparse's message; anything else is error: lines
+        assert all(line.startswith("error:") for line in errors)
+        assert (rc == 1) == bool(errors)
+    return rc, out.getvalue(), errors
+
+
 class TestTotality:
     @settings(max_examples=300, deadline=None)
     @given(command=st.sampled_from(LINE_COMMANDS),
@@ -605,24 +663,25 @@ class TestTotality:
            lines=st.lists(_fuzz_line, max_size=5))
     def test_exit_code_and_error_lines(self, command, positional, extra, lines):
         argv = command + extra + ([] if positional is None else ["--", positional])
-        out, err = io.StringIO(), io.StringIO()
-        saved = sys.stdin
-        sys.stdin = io.StringIO("".join(f"{line}\n" for line in lines))
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = main(argv)
-        finally:
-            sys.stdin = saved
-        assert rc in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        if rc != 2:  # a usage error is argparse's message; anything else is error: lines
-            errors = err.getvalue().splitlines()
-            assert all(line.startswith("error:") for line in errors)
+        rc, out, errors = _run_total(argv, lines)
+        if rc != 2:
             assert len(errors) <= max(len(lines), 1)
-            assert (rc == 1) == bool(errors)
             if not extra:
                 inputs = 1 if positional is not None else len(lines)
-                assert len(out.getvalue().splitlines()) + len(errors) == inputs
+                assert len(out.splitlines()) + len(errors) == inputs
+
+    @settings(max_examples=300, deadline=None)
+    @given(command_n=st.one_of(
+               st.tuples(st.sampled_from(N_COMMANDS), st.sampled_from(_SMALL_N)),
+               st.tuples(st.sampled_from(BOX_COMMANDS),
+                         st.sampled_from(_SMALL_N + [str(10**5 + 1), str(10**301)]))),
+           extra=st.lists(st.sampled_from([
+               ["--triangle"], ["--cell", "imin"], ["--format", "json"], ["--node", "0,0,0,0"],
+               ["--word", "(()"], ["--axes", "ijl"], ["--count", "2"], ["--count"], ["-x"]]),
+               max_size=2))
+    def test_every_subcommand(self, command_n, extra):
+        command, n = command_n
+        _run_total(command + ["--n", n] + sum(extra, []))
 
 
 class TestSharedParser:

@@ -6,19 +6,23 @@ as the package did before its checks were rewritten to work on whole
 columns; inputs are valid words, paths, projections and triangle nodes with
 small perturbations (a swapped symbol, a dropped or duplicated node, a wrong
 redundant coordinate, a mixed-parity (i, j), a bad width, a moved, swapped
-or dropped coordinate).
+or dropped coordinate).  Two shortcuts are checked against the full code
+path the same way: ``word_to_path``, which builds without re-checking, and
+``cli._int_rows``, which writes integer rows without ``json.dumps``.
 """
 
+import json
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from dyck4d import (AxisSet, DyckError, DyckWord, FlatnessResult,
                     InconsistentProjection, InvalidCharacter, InvalidProjection,
                     LatticeNode, LatticeRegion, MalformedPath, NegativePrefix, Path4D,
                     ProjectedPath, Unbalanced, enumerate_nodes, lift, parse_word,
-                    path_from_lists, projected_path_from_json, verify_flat)
+                    path_from_lists, projected_path_from_json, verify_flat, word_to_path)
+from dyck4d.cli import _int_rows
 
 AXIS_SETS = ("ij", "il", "ir", "jl", "jr", "lr", "ijl", "ijr", "ilr", "jlr", "ijlr")
 WHITESPACE = " \t\n\r\f\v"
@@ -269,6 +273,36 @@ def test_dyck_word(text):
         assert outcome(DyckWord, candidate, field="text") == outcome(ref_word, candidate)
         if outcome(ref_word, candidate)[0] == "ok":
             assert str(DyckWord(candidate)) == candidate
+
+
+@settings(max_examples=300, deadline=None)
+@given(words())
+def test_word_to_path_builds_what_path4d_accepts(text):
+    path = word_to_path(DyckWord(text))
+    assert Path4D(path.nodes) == path
+    assert all(type(node) is LatticeNode for node in path.nodes)
+    assert path.nodes == ref_path(oracles.visited_nodes(text))
+
+
+@st.composite
+def int_rows(draw):
+    """(width, rows): up to 8 rows of ``width`` ints, small, negative or above 2**64."""
+    width = draw(st.sampled_from((2, 3, 4)))
+    values = st.one_of(st.integers(-3, 3), st.integers(-2**80, 2**80),
+                       st.sampled_from((2**64, 2**64 + 1, -2**64 - 1)))
+    row = st.lists(values, min_size=width, max_size=width).map(tuple)
+    return width, tuple(draw(st.lists(row, max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_rows())
+@example((2, ()))
+@example((3, ()))
+@example((4, ()))
+@example((4, ((-1, 2**64 + 1, -2**64 - 1, 0),)))
+def test_int_rows(case):
+    width, rows = case
+    assert _int_rows(rows, width) == json.dumps(rows, separators=(",", ":"))
 
 
 @st.composite
