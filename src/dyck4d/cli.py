@@ -20,7 +20,7 @@ import sys
 from contextlib import ExitStack, nullcontext, suppress
 from itertools import chain, repeat
 
-from . import __version__, enumeration, geometry, lattice, projections, render, words
+from . import __version__, enumeration, lattice, words
 from .errors import DyckError, InvalidJson, UnreadableInput, UnwritableOutput
 
 
@@ -95,14 +95,17 @@ _non_negative = _int_at_least(0)
 # The box views draw float coordinates; the wireframe canvas leaves float range
 # near n = 1.7e306, so their n stops well short of that.
 _box_n = _int_at_least(1, 10**300)
+#: The geometry report's float side lengths (√6·n at most) leave float range near n = 7.3e307.
+_geometry_n = _int_at_least(0, 10**307)
 #: The triangle overlay draws 3(n + 1) side nodes: its time, memory and SVG bytes
 #: grow with n, so with --triangle n stops where the SVG is a few MB.
 _TRIANGLE_N = 10**5
 
 
 def _axes_arg(text: str):
+    from .projections import AxisSet
     try:
-        return projections.AxisSet.of(text)
+        return AxisSet.of(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -165,32 +168,44 @@ def _convert_line(args, text: str) -> str:
 
 
 def _project_line(args, text: str) -> str:
+    from . import projections
     proj = projections.project(words.word_to_path(words.parse_word(text)), args.axes)
     axes = json.dumps(args.axes.names(), separators=(",", ":"))
     return f'{{"axes":{axes},"points":{_int_rows(proj.points, len(args.axes))}}}'
 
 
 def _lift_line(args, text: str) -> str:
+    from . import projections
     return _path_line(projections.lift(projections.projected_path_from_json(_json(text))),
                       args.to)
 
 
+def _digits(k: int) -> str:
+    """``str(k)``, also past the interpreter's int digit limit (4300 by default)."""
+    try:
+        return str(k)
+    except ValueError:  # the limit guards str's quadratic time; decimal's is subquadratic
+        from decimal import Decimal
+        return str(Decimal(k))
+
+
 def cmd_count(args) -> int:
     if args.node is not None:
-        nodes = [words.LatticeNode(*args.node)]
+        node = words.LatticeNode(*args.node)
+        counts = [(node, lattice.count_paths_through(node, args.n))]
     else:
-        nodes = lattice.enumerate_nodes(lattice.LatticeRegion(args.n))
-    for node in nodes:
-        count = lattice.count_paths_through(node, args.n)
+        counts = lattice._all_counts(args.n)
+    for node, count in counts:
         if args.format == "json":
-            print(json.dumps({"node": list(node), "n": args.n, "count": str(count)},
+            print(json.dumps({"node": list(node), "n": args.n, "count": _digits(count)},
                              separators=(",", ":")))
         else:
-            print(f"{node.i},{node.j},{node.l},{node.r}\t{count}")
+            print(f"{node.i},{node.j},{node.l},{node.r}\t{_digits(count)}")
     return 0
 
 
 def cmd_geometry(args) -> int:
+    from . import geometry
     if args.format == "json":
         print(json.dumps(geometry.geometry_report(args.n), separators=(",", ":")))
         return 0
@@ -214,9 +229,9 @@ def cmd_geometry(args) -> int:
 def _ranked_line(args, word, k, text) -> str:
     """One ranked word: a {"word", "rank"} JSON line, or ``text`` as is."""
     if args.format == "json":
-        return json.dumps({"word": words.render_word(word), "rank": str(k)},
+        return json.dumps({"word": words.render_word(word), "rank": _digits(k)},
                           separators=(",", ":"))
-    return str(text)
+    return text
 
 
 def cmd_enumerate(args) -> int:
@@ -228,7 +243,7 @@ def cmd_enumerate(args) -> int:
 def _rank_line(args, text: str) -> str:
     word = words.parse_word(text)
     k = enumeration.rank(word)
-    return _ranked_line(args, word, k, k)
+    return _ranked_line(args, word, k, _digits(k))
 
 
 def cmd_sample(args) -> int:
@@ -246,6 +261,7 @@ _CELL_NAMES = [f"{axis}{end}" for axis in words.AXES for end in ("min", "max")]
 
 
 def cmd_render(args) -> int:
+    from . import geometry, projections, render
     if args.view == "grid":
         axes = args.axes
         proj = None
@@ -310,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_count)
 
     p = sub.add_parser("geometry", help="triangle and box report")
-    p.add_argument("--n", type=_non_negative, required=True)
+    p.add_argument("--n", type=_geometry_n, required=True)
     _add_format(p)
     p.set_defaults(handler=cmd_geometry)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
+from math import comb
 from operator import add, floordiv, sub
 
 from .errors import NotInLattice, ParityViolation
@@ -121,17 +122,29 @@ def prefix_count_table(n: int):
     return tuple(rows)
 
 
+def _ballot(l: int, r: int) -> int:
+    """Prefixes reaching (l, r), r <= l: the ballot number C(l + r, r)(l - r + 1)/(l + 1)."""
+    return comb(l + r, r) * (l - r + 1) // (l + 1)
+
+
 def count_paths_through(node, n: int) -> int:
     """Number of words of half-length n whose path visits ``node``, exactly.
 
     The count is the product of two lattice-path counts: valid prefixes
     reaching the node times valid completions from it.  A completion from
     (l, r), read backwards with '(' and ')' swapped, is a prefix reaching
-    (n - r, n - l), so both factors come from one prefix table, computed by
-    dynamic programming with arbitrary-precision integers.
+    (n - r, n - l), so each factor is a ballot number (Bertrand's ballot
+    theorem, by André's reflection) and no table is built.
     """
     node = LatticeNode(*node)
     if not is_lattice_node(*node, region=LatticeRegion(n)):
         raise NotInLattice(f"{tuple(node)} is not in the lattice bounded by n={n}")
+    return _ballot(node.l, node.r) * _ballot(n - node.r, n - node.l)
+
+
+def _all_counts(n: int):
+    """(node, :func:`count_paths_through`) for every node of half-length n, from one
+    table: its Θ(n²) entries cost no more than the Θ(n³) bits of the output."""
     table = prefix_count_table(n)
-    return table[node.l][node.r] * table[n - node.r][n - node.l]
+    for node in enumerate_nodes(LatticeRegion(n)):
+        yield node, table[node.l][node.r] * table[n - node.r][n - node.l]

@@ -1,6 +1,8 @@
 import contextlib
+import decimal
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -10,7 +12,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from dyck4d import __version__
@@ -172,6 +174,31 @@ class TestCount:
         rc, _, err = run(capsys, "count", "--n", "3", "--node", "1,2")
         assert rc == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_count_past_the_digit_limit(self, capsys, fmt):
+        # catalan(8000) has 4811 digits, more than str(int) gives by default
+        rc, out, err = run(capsys, "count", "--n", "8000", "--node", "0,0,0,0", "--format", fmt)
+        assert (rc, err) == (0, "")
+        expected = str(decimal.Decimal(math.comb(16000, 8000) // 8001))
+        assert len(expected) > 4300
+        assert out == (f"0,0,0,0\t{expected}\n" if fmt == "text" else
+                       f'{{"node":[0,0,0,0],"n":8000,"count":"{expected}"}}\n')
+
+    def test_one_node_builds_no_table(self):
+        # The prefix table for n = 100000 would hold about 5e9 big integers; the two
+        # ballot numbers of one node fit in these 256 MB of address space.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
+
+        n = 100000
+        result = subprocess.run(
+            [sys.executable, "-m", "dyck4d", "count", "--n", str(n), "--node",
+             f"{2 * n},0,{n},{n}"],
+            capture_output=True, text=True, env=CHILD_ENV, timeout=30, preexec_fn=limit_memory)
+        assert (result.returncode, result.stderr) == (0, "")
+        catalan = str(decimal.Decimal(math.comb(2 * n, n) // (n + 1)))
+        assert result.stdout == f"{2 * n},0,{n},{n}\t{catalan}\n"
+
 
 class TestGeometry:
     def test_json_report(self, capsys):
@@ -188,6 +215,18 @@ class TestGeometry:
         assert rc == 0
         assert "right_angle=True" in out
         assert "16 vertices, 32 edges, 8 cells (2 cubes)" in out
+
+    def test_text_report_at_the_largest_n(self, capsys):
+        # flatness is read from two row heads, so the report costs O(1) in n
+        rc, out, err = run(capsys, "geometry", "--n", str(10**307))
+        assert (rc, err) == (0, "")
+        assert out.startswith(f"n={10**307} origin=[0, 0, 0, 0] end=[{2 * 10**307}, 0, ")
+        assert "flat=True\n" in out and "length=2.4494897427831783e+307\n" in out
+
+    def test_n_past_the_float_side_lengths(self, capsys):
+        rc, out, err = run(capsys, "geometry", "--n", str(10**307 + 1))
+        assert (rc, out) == (2, "")
+        assert err.endswith("argument --n: must be at most 1e+307\n")
 
     def test_text_memory_does_not_grow_with_n(self, capsys):
         # the text report prints no side node, so none is built
@@ -618,7 +657,7 @@ _fuzz_line = st.one_of(
 
 
 #: Every subcommand that takes --n, with what else it needs.  Only the box views
-#: bound n, so only they draw a huge one: the others would run without end.
+#: and text-mode geometry draw a huge n: the others would run without end.
 N_COMMANDS = [
     ["count"], ["count", "--node", "2,0,1,1"], ["count", "--format", "json"], ["geometry"],
     ["geometry", "--format", "json"], ["enumerate"], ["enumerate", "--format", "json"],
@@ -674,13 +713,17 @@ class TestTotality:
     @given(command_n=st.one_of(
                st.tuples(st.sampled_from(N_COMMANDS), st.sampled_from(_SMALL_N)),
                st.tuples(st.sampled_from(BOX_COMMANDS),
-                         st.sampled_from(_SMALL_N + [str(10**5 + 1), str(10**301)]))),
+                         st.sampled_from(_SMALL_N + [str(10**5 + 1), str(10**301)])),
+           st.tuples(st.just(["geometry"]), st.sampled_from(_SMALL_N + [str(10**301)]))),
            extra=st.lists(st.sampled_from([
                ["--triangle"], ["--cell", "imin"], ["--format", "json"], ["--node", "0,0,0,0"],
                ["--word", "(()"], ["--axes", "ijl"], ["--count", "2"], ["--count"], ["-x"]]),
                max_size=2))
     def test_every_subcommand(self, command_n, extra):
         command, n = command_n
+        # JSON geometry lists the 3(n + 1) side nodes; text mode prints a few lines
+        assume(not (command == ["geometry"] and n == str(10**301)
+                    and ["--format", "json"] in extra))
         _run_total(command + ["--n", n] + sum(extra, []))
 
 

@@ -6,8 +6,8 @@ import pytest
 
 import oracles
 from dyck4d import (DOWN_STEP, LatticeRegion, Side, UP_STEP, Vec4, dot,
-                    double_tesseract, face_of_side, geometry_report,
-                    norm_squared, parse_word, side_length,
+                    double_tesseract, enumerate_nodes, face_of_side, geometry_report,
+                    is_lattice_node, norm_squared, parse_word, side_length,
                     side_length_squared, sub, triangle, verify_flat,
                     verify_right_isosceles, word_to_path)
 
@@ -273,11 +273,23 @@ class TestReport:
 
 class TestFlatnessByRows:
     def test_row_step_is_flat(self):
-        # every row of a region advances by UP - DOWN; its heads stand for it
-        assert verify_flat([sub(UP, DOWN)]) == (True, None)
+        # every row of a region advances by UP - DOWN, and head(i + 2) = head(i) + UP + DOWN,
+        # so the heads of rows 0 and 1 stand for the region
+        assert sub(Vec4(2, 0, 1, 1), UP) == DOWN
+        assert verify_flat([sub(UP, DOWN), Vec4(2, 0, 1, 1)]) == (True, None)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 25])
+    def test_two_heads_and_two_steps_make_the_region(self, n):
+        heads = [(0, 0, 0, 0), (1, 1, 1, 0)][:2 * n + 1]
+        made = {tuple(h + a * s + b * t for h, s, t in zip(head, (2, 0, 1, 1), (0, 2, 1, -1)))
+                for head in heads for a in range(n + 1) for b in range(n + 1)}
+        region = enumerate_nodes(LatticeRegion(n))
+        assert {node for node in made if is_lattice_node(*node, LatticeRegion(n))} == set(region)
+        assert verify_flat(LatticeRegion(n)) == verify_flat(region) == (True, None)
 
     def test_large_region(self):
         assert verify_flat(LatticeRegion(100_000)) == (True, None)
+        assert verify_flat(LatticeRegion(10**301)) == (True, None)
 
     def test_large_report(self):
         assert geometry_report(20_000)["flat"] is True

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +8,7 @@ import oracles
 from dyck4d import (LatticeNode, LatticeRegion, NotInLattice, ParityViolation,
                     catalan, complete_node, count_paths_through, enumerate_nodes,
                     is_lattice_node, parse_word, rank, unrank, word_to_path)
-from dyck4d.lattice import prefix_count_table
+from dyck4d.lattice import _all_counts, prefix_count_table
 
 
 class TestMembership:
@@ -136,7 +137,7 @@ class TestCountPaths:
         assert count_paths_through((2, 2, 2, 0), 2) == 1
         assert count_paths_through((12, 0, 6, 6), 6) == 132
 
-    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("n", range(9))
     def test_matches_brute_force_everywhere(self, n):
         expected = oracles.visitation_counts(n)
         for node in enumerate_nodes(LatticeRegion(n)):
@@ -151,13 +152,49 @@ class TestCountPaths:
         assert all(total == catalan(n) for total in levels.values())
 
     def test_not_in_lattice(self):
-        with pytest.raises(NotInLattice):
+        with pytest.raises(NotInLattice, match=r"^\(1, 1, 1, 1\) is not in the lattice "
+                                               r"bounded by n=3$"):
             count_paths_through((1, 1, 1, 1), 3)
-        with pytest.raises(NotInLattice):
+        with pytest.raises(NotInLattice, match=r"^\(8, 8, 8, 0\) is not in the lattice "
+                                               r"bounded by n=3$"):
             count_paths_through((8, 8, 8, 0), 3)  # l exceeds the bound
 
     def test_accepts_plain_tuples_and_nodes(self):
         assert count_paths_through(LatticeNode(2, 0, 1, 1), 2) == count_paths_through((2, 0, 1, 1), 2)
+
+
+def _table_count(node, n):
+    """The count as the prefix table gives it: prefixes to (l, r) times those to (n - r, n - l)."""
+    table = prefix_count_table(n)
+    return table[node.l][node.r] * table[n - node.r][n - node.l]
+
+
+class TestBallotNumbers:
+    """count_paths_through multiplies two ballot numbers; the prefix table, which
+    rank, unrank and ``count --n`` over all nodes still read, must agree."""
+
+    def test_every_node_up_to_60(self):
+        for n in range(61):
+            for node in enumerate_nodes(LatticeRegion(n)):
+                assert count_paths_through(node, n) == _table_count(node, n)
+
+    def test_seeded_nodes_at_1000(self):
+        rng = random.Random(1000)
+        for _ in range(200):
+            l = rng.randint(0, 1000)
+            r = rng.randint(0, l)
+            node = LatticeNode(l + r, l - r, l, r)
+            assert count_paths_through(node, 1000) == _table_count(node, 1000)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 30])
+    def test_all_counts_by_table(self, n):
+        nodes = enumerate_nodes(LatticeRegion(n))
+        assert list(_all_counts(n)) == [(node, count_paths_through(node, n)) for node in nodes]
+
+    def test_outside_the_region_before_any_arithmetic(self):
+        # membership is checked first, so a huge n outside the region fails at once
+        with pytest.raises(NotInLattice, match=r"bounded by n=10{300}$"):
+            count_paths_through((1, 1, 1, 1), 10**300)
 
 
 class TestCountTableCache:

@@ -1,8 +1,11 @@
 """pyproject.toml and the package agree: the script target runs, one version; every
-name in ``__all__`` is there."""
+name in ``__all__`` is there, and a name's module is imported only when it is used."""
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,34 @@ def test_one_version():
 def test_every_public_name_resolves_once():
     assert len(set(dyck4d.__all__)) == len(dyck4d.__all__)
     assert [name for name in dyck4d.__all__ if not hasattr(dyck4d, name)] == []
+
+
+def test_every_public_name_resolves_by_getattr():
+    for module, names in dyck4d._EXPORTS.items():
+        defining = importlib.import_module(f"dyck4d.{module}")
+        for name in names.split():
+            assert getattr(dyck4d, name) is getattr(defining, name)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from dyck4d import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(dyck4d.__all__)
+
+
+def test_unknown_attribute():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        dyck4d.no_such_name  # noqa: B018
+    assert not hasattr(dyck4d, "prefix_count_table")
+
+
+def test_cli_import_loads_only_what_counting_runs():
+    # geometry, projections and render are imported by the subcommands that use them
+    src = str(Path(dyck4d.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, dyck4d.cli; print(*sorted(m for m in sys.modules if 'dyck4d' in m))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=30, check=True)
+    assert result.stdout.split() == ["dyck4d", "dyck4d.cli", "dyck4d.enumeration",
+                                     "dyck4d.errors", "dyck4d.lattice", "dyck4d.words"]
