@@ -5,7 +5,7 @@ Ranks are exact at any size; per-node counts show how many paths pass
 through each lattice point.
 """
 
-from dyck4d import (LatticeRegion, catalan, count_paths_through,
+from dyck4d import (catalan, count_paths_through,
                     enumerate_nodes, enumerate_words, rank, render_word,
                     sample_uniform, unrank)
 
@@ -26,7 +26,7 @@ for seed in range(3):
     print(f"  seed {seed}: {render_word(sample_uniform(8, seed))}")
 
 print("\npaths through each node of the n=3 triangle (position i, unbalance j):")
-for node in enumerate_nodes(LatticeRegion(3)):
+for node in enumerate_nodes(3):
     count = count_paths_through(node, 3)
     print(f"  ({node.i}, {node.j}, {node.l}, {node.r}) -> {count}")
 print("every level i sums to catalan(3) = 5: each path crosses each level once")

@@ -4,7 +4,7 @@ All comparisons are exact integer arithmetic on squared lengths; nothing
 here depends on floating-point tolerances.
 """
 
-from dyck4d import (LatticeRegion, Side, dot, side_length,
+from dyck4d import (SIDES, dot, side_length,
                     side_length_squared, triangle, verify_flat,
                     verify_right_isosceles)
 
@@ -14,9 +14,9 @@ print(f"n = {n}")
 print(f"origin {tuple(tri.vertex_origin)}, end {tuple(tri.vertex_end)}, "
       f"apex {tuple(tri.vertex_apex)}")
 
-for side in Side:
+for side in SIDES:
     squared = side_length_squared(side, n)
-    print(f"{side.value:>6} side: length² = {squared} (exact), length = {side_length(side, n):.6f}")
+    print(f"{side:>6} side: length² = {squared} (exact), length = {side_length(side, n):.6f}")
 
 report = verify_right_isosceles(n)
 print(f"\ndirection vectors at the apex: {tuple(report.direction_ab)} and "
@@ -25,7 +25,7 @@ print(f"their scalar product: {dot(report.direction_ab, report.direction_bc)}")
 print(f"right angle: {report.right_angle}, isosceles: {report.isosceles}, "
       f"pythagoras 108 + 108 = 216: {report.pythagoras}")
 
-flat = verify_flat(LatticeRegion(n))
+flat = verify_flat(n)
 print(f"\nall {(n + 1) * (n + 2) // 2} reachable nodes lie in one 2-plane: {flat.flat}")
 bad = verify_flat([(1, 1, 1, 1)])
 print(f"a perturbed point fails with witness: {tuple(bad.witness)}")

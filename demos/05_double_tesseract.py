@@ -5,7 +5,7 @@ the two cells pinning the doubled i axis are cubes.  Each triangle side
 is a diagonal of one cell or of one half of a cell.
 """
 
-from dyck4d import Side, double_tesseract, face_of_side
+from dyck4d import SIDES, double_tesseract, face_of_side
 
 n = 6
 box = double_tesseract(n)
@@ -17,10 +17,10 @@ for cell in box.cells:
     print(f"  cell {cell.axis} = {cell.value:>2}: {kind}")
 
 print()
-for side in Side:
+for side in SIDES:
     face = face_of_side(side, n)
     where = f"{face.cell.axis} = {face.cell.value} cell"
     if face.half is not None:
         where += f", {face.half} half-cube"
     start, end = face.diagonal
-    print(f"{side.value:>6} side: diagonal {tuple(start)} -> {tuple(end)} of the {where}")
+    print(f"{side:>6} side: diagonal {tuple(start)} -> {tuple(end)} of the {where}")

@@ -21,11 +21,11 @@ _EXPORTS = {
     "errors": "DyckError InconsistentProjection InvalidCharacter InvalidProjection "
               "MalformedPath NegativePrefix NotInLattice ParityViolation RankOutOfRange "
               "Unbalanced WrongArity",
-    "geometry": "Cell DoubleTesseract FlatnessResult RightIsoscelesReport Side SideFace "
-                "TriangleGeometry TriangleSide Vec4 dot double_tesseract face_of_side "
+    "geometry": "Cell DoubleTesseract FlatnessResult RightIsoscelesReport SIDES SideFace "
+                "TriangleGeometry TriangleSide dot double_tesseract face_of_side "
                 "geometry_report norm_squared side_length side_length_squared sub triangle "
                 "verify_flat verify_right_isosceles",
-    "lattice": "LatticeRegion complete_node count_paths_through enumerate_nodes is_lattice_node",
+    "lattice": "complete_node count_paths_through enumerate_nodes is_lattice_node",
     "projections": "AxisSet ProjectedPath all_modifications lift project "
                    "projected_path_as_json projected_path_from_json",
     "render": "ROLE_COLORS Scene edge_list_text render_grid_2d render_wireframe",

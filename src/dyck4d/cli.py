@@ -21,10 +21,12 @@ from contextlib import ExitStack, nullcontext, suppress
 from itertools import chain, repeat
 
 from . import __version__, enumeration, lattice, words
-from .errors import DyckError, InvalidJson, UnreadableInput, UnwritableOutput
+from .errors import DyckError, InvalidJson, OutOfMemory, UnreadableInput, UnwritableOutput
 
 
-def _error_line(exc: DyckError) -> str:
+def _error_line(exc: DyckError | MemoryError) -> str:
+    if isinstance(exc, MemoryError):
+        exc = OutOfMemory()
     if exc.detail is not None:
         return f"error:{exc.kind}:{exc.detail}"
     return f"error:{exc.kind}"
@@ -50,7 +52,7 @@ def _batch(args) -> int:
     for text in _input_lines(args):
         try:
             print(args.line(args, text))
-        except DyckError as exc:
+        except (DyckError, MemoryError) as exc:
             print(_error_line(exc), file=sys.stderr)
             status = 1
     return status
@@ -212,7 +214,7 @@ def cmd_geometry(args) -> int:
     report = geometry._summary(args.n)  # text prints no node, so none is built
     v = report["vertices"]
     print(f"n={report['n']} origin={v['origin']} end={v['end']} apex={v['apex']}")
-    for name in ("blue", "red", "yellow"):
+    for name in geometry.SIDES:
         side = report["sides"][name]
         print(f"{name}: squared_length={side['squared_length']} length={side['length']}")
     print(f"flat={report['flat']}")
@@ -388,7 +390,7 @@ def main(argv=None) -> int:
         status = args.handler(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return status
-    except DyckError as exc:
+    except (DyckError, MemoryError) as exc:
         print(_error_line(exc), file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -115,6 +115,13 @@ class UnwritableOutput(DyckError):
     kind = "unwritable-output"
 
 
+class OutOfMemory(DyckError):
+    """The interpreter ran out of memory computing an answer (a ``MemoryError``)."""
+
+    kind = "out-of-memory"
+    message = "out of memory"
+
+
 class RankOutOfRange(DyckError):
     """Rank must satisfy 0 <= rank < catalan(n)."""
 

@@ -14,15 +14,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from enum import Enum
 from typing import NamedTuple
 
 from . import lattice
 from .words import AXES, LatticeNode
-
-
-#: An integer 4-vector in (i, j, l, r) component order: the node type itself.
-Vec4 = LatticeNode
 
 
 def dot(a, b) -> int:
@@ -30,22 +25,20 @@ def dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b, strict=True))
 
 
-def sub(a, b) -> Vec4:
-    return Vec4(*(x - y for x, y in zip(a, b, strict=True)))
+def sub(a, b) -> LatticeNode:
+    return LatticeNode(*(x - y for x, y in zip(a, b, strict=True)))
 
 
 def norm_squared(a) -> int:
     return dot(a, a)
 
 
-class Side(Enum):
-    BLUE = "blue"
-    RED = "red"
-    YELLOW = "yellow"
+#: The triangle's sides by colour, in report and drawing order.
+SIDES = ("blue", "red", "yellow")
 
 
 class TriangleSide(NamedTuple):
-    side: Side
+    side: str
     start: LatticeNode
     end: LatticeNode
     nodes: tuple[LatticeNode, ...]
@@ -60,9 +53,9 @@ class TriangleGeometry(NamedTuple):
     vertex_apex: LatticeNode
     sides: tuple[TriangleSide, TriangleSide, TriangleSide]
 
-    def side(self, which: Side) -> TriangleSide:
+    def side(self, which: str) -> TriangleSide:
         for side in self.sides:
-            if side.side is which:
+            if side.side == which:
                 return side
         raise KeyError(which)
 
@@ -72,7 +65,7 @@ def _ends(n: int) -> tuple[tuple[LatticeNode, LatticeNode, LatticeNode], dict]:
     origin = LatticeNode(0, 0, 0, 0)
     end = LatticeNode(2 * n, 0, n, n)
     apex = LatticeNode(n, n, n, 0)
-    sides = {Side.BLUE: (origin, end), Side.RED: (origin, apex), Side.YELLOW: (apex, end)}
+    sides = {"blue": (origin, end), "red": (origin, apex), "yellow": (apex, end)}
     return (origin, end, apex), sides
 
 
@@ -81,16 +74,16 @@ def triangle(n: int) -> TriangleGeometry:
     if n < 0:
         raise ValueError("half-length must be non-negative")
     vertices, ends = _ends(n)
-    blue = TriangleSide(Side.BLUE, *ends[Side.BLUE],
+    blue = TriangleSide("blue", *ends["blue"],
                         tuple(LatticeNode(2 * k, 0, k, k) for k in range(n + 1)))
-    red = TriangleSide(Side.RED, *ends[Side.RED],
+    red = TriangleSide("red", *ends["red"],
                        tuple(LatticeNode(k, k, k, 0) for k in range(n + 1)))
-    yellow = TriangleSide(Side.YELLOW, *ends[Side.YELLOW],
+    yellow = TriangleSide("yellow", *ends["yellow"],
                           tuple(LatticeNode(n + k, n - k, n, k) for k in range(n + 1)))
     return TriangleGeometry(n, *vertices, (blue, red, yellow))
 
 
-def side_length_squared(side: Side, n: int) -> int:
+def side_length_squared(side: str, n: int) -> int:
     """Squared Euclidean length of a side, an exact integer (6n² or 3n²)."""
     if n < 0:
         raise ValueError("half-length must be non-negative")
@@ -98,7 +91,7 @@ def side_length_squared(side: Side, n: int) -> int:
     return norm_squared(sub(end, start))
 
 
-def side_length(side: Side, n: int) -> float:
+def side_length(side: str, n: int) -> float:
     """Euclidean length of a side, √6·n or √3·n, as a float.
 
     Past n ≈ 1e154 the exact squared length no longer converts to a float;
@@ -124,17 +117,18 @@ def verify_flat(subject) -> FlatnessResult:
     That identity says q lies in the 2-plane spanned by the two step
     vectors through the origin; it reduces to i = l + r and j = l - r,
     since the l and r components are trivially equal.  ``subject`` may be
-    a Path4D, a LatticeRegion, or any iterable of 4-tuples; the first
-    violating node is returned as witness.  A region is checked on the
-    heads of its rows 0 and 1 alone, in O(1) time for any n.
+    an int n, the triangle of that half-length, or any iterable of 4-tuples
+    such as a Path4D; the first violating node is returned as witness.  A
+    triangle is checked on the heads of its rows 0 and 1 alone, in O(1) time
+    for any n.
     """
-    if isinstance(subject, lattice.LatticeRegion):
+    if isinstance(subject, int):
         # Every other node is one of these two heads plus whole multiples of
         # two steps: head(i + 2) = head(i) + (2, 0, 1, 1), and along a row
         # each node adds (0, 2, 1, -1).  Both steps satisfy i = l + r and
-        # j = l - r, which are linear, so the region is flat exactly when
+        # j = l - r, which are linear, so the triangle is flat exactly when
         # both heads are; they come first in (i, j) order, so a failing head
-        # is also the region's first violating node.
+        # is also the triangle's first violating node.
         subject = (head for head, _ in itertools.islice(lattice._region_rows(subject), 2))
     for node in subject:
         i, j, l, r = node
@@ -150,8 +144,8 @@ class RightIsoscelesReport(NamedTuple):
     right_angle: bool
     isosceles: bool
     pythagoras: bool
-    direction_ab: Vec4
-    direction_bc: Vec4
+    direction_ab: LatticeNode
+    direction_bc: LatticeNode
 
 
 def verify_right_isosceles(n: int) -> RightIsoscelesReport:
@@ -169,9 +163,9 @@ def verify_right_isosceles(n: int) -> RightIsoscelesReport:
     c = LatticeNode(n + 1, n - 1, n, 1)
     ab = sub(b, a)
     bc = sub(c, b)
-    red2 = side_length_squared(Side.RED, n)
-    yellow2 = side_length_squared(Side.YELLOW, n)
-    blue2 = side_length_squared(Side.BLUE, n)
+    red2 = side_length_squared("red", n)
+    yellow2 = side_length_squared("yellow", n)
+    blue2 = side_length_squared("blue", n)
     return RightIsoscelesReport(
         n=n,
         right_angle=dot(ab, bc) == 0,
@@ -197,7 +191,7 @@ class Cell(NamedTuple):
     axis: str
     value: int
     vertex_indices: tuple[int, ...]
-    vertices: tuple[Vec4, ...]
+    vertices: tuple[LatticeNode, ...]
     is_cube: bool
 
     @property
@@ -214,7 +208,7 @@ class DoubleTesseract(NamedTuple):
     """
 
     n: int
-    vertices: tuple[Vec4, ...]
+    vertices: tuple[LatticeNode, ...]
     edges: tuple[tuple[int, int], ...]
     cells: tuple[Cell, ...]
 
@@ -247,10 +241,10 @@ def double_tesseract(n: int) -> DoubleTesseract:
     return DoubleTesseract(n, vertices, edges, tuple(cells))
 
 
-def _box_corners(bounds) -> tuple[Vec4, ...]:
+def _box_corners(bounds) -> tuple[LatticeNode, ...]:
     """Corners of an axis-aligned box given (lo, hi) per axis; lo == hi collapses."""
     choices = tuple((lo,) if lo == hi else (lo, hi) for lo, hi in bounds)
-    return tuple(Vec4(*point) for point in itertools.product(*choices))
+    return tuple(LatticeNode(*point) for point in itertools.product(*choices))
 
 
 class SideFace(NamedTuple):
@@ -262,22 +256,22 @@ class SideFace(NamedTuple):
     corners).
     """
 
-    side: Side
+    side: str
     cell: Cell
     half: str | None
-    cube_vertices: tuple[Vec4, ...] | None
+    cube_vertices: tuple[LatticeNode, ...] | None
     diagonal: tuple[LatticeNode, LatticeNode]
 
 
-def face_of_side(side: Side, n: int) -> SideFace:
+def face_of_side(side: str, n: int) -> SideFace:
     """The 3D face holding a side, plus the half-cube whose diagonal it is."""
     if n < 1:
         raise ValueError("the box degenerates below n = 1")
     box = double_tesseract(n)
     diagonal = _ends(n)[1][side]
-    if side is Side.BLUE:
+    if side == "blue":
         return SideFace(side, box.cell("j", 0), None, None, diagonal)
-    if side is Side.RED:
+    if side == "red":
         cube = _box_corners(((0, n), (0, n), (0, n), (0, 0)))
         return SideFace(side, box.cell("r", 0), "low-i", cube, diagonal)
     cube = _box_corners(((n, 2 * n), (0, n), (n, n), (0, n)))
@@ -289,7 +283,7 @@ def _summary(n: int) -> dict:
     (origin, end, apex), ends = _ends(n)
     sides = {}
     for side, (start, stop) in ends.items():
-        sides[side.value] = {
+        sides[side] = {
             "start": list(start),
             "end": list(stop),
             "squared_length": side_length_squared(side, n),
@@ -303,7 +297,7 @@ def _summary(n: int) -> dict:
             "apex": list(apex),
         },
         "sides": sides,
-        "flat": verify_flat(lattice.LatticeRegion(n)).flat,
+        "flat": verify_flat(n).flat,
     }
     if n >= 1:
         check = verify_right_isosceles(n)
@@ -329,5 +323,5 @@ def geometry_report(n: int) -> dict:
     """JSON-ready report: triangle data, exact verdicts and the box census."""
     report = _summary(n)
     for ts in triangle(n).sides:
-        report["sides"][ts.side.value]["nodes"] = [list(node) for node in ts.nodes]
+        report["sides"][ts.side]["nodes"] = [list(node) for node in ts.nodes]
     return report

@@ -8,7 +8,6 @@ a triangular slab of (n + 1)(n + 2) / 2 nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import comb
@@ -18,27 +17,16 @@ from .errors import NotInLattice, ParityViolation
 from .words import LatticeNode
 
 
-@dataclass(frozen=True)
-class LatticeRegion:
-    """The triangle of half-length n: the lattice nodes with l <= n."""
+def is_lattice_node(i: int, j: int, l: int, r: int, n: int | None = None) -> bool:
+    """True iff (i, j, l, r) is a node of the triangle of half-length n (None: the whole lattice).
 
-    bound: int
-
-    def __post_init__(self):
-        if self.bound < 0:
-            raise ValueError("bound must be a non-negative half-length")
-
-
-def is_lattice_node(i: int, j: int, l: int, r: int, region: LatticeRegion | None = None) -> bool:
-    """True iff (i, j, l, r) is a lattice point of ``region`` (None: the whole lattice).
-
-    Never raises: coordinates that break the tie simply yield False.
+    Never raises: coordinates that break the tie, or an n below 0, simply yield False.
     """
     if i != l + r or j != l - r:
         return False
     if r < 0 or l < r:
         return False
-    return region is None or l <= region.bound
+    return n is None or l <= n
 
 
 #: (l, r) columns from the columns of two axes, keyed by the axis names in i, j, l, r order.
@@ -85,22 +73,23 @@ def complete_node(i: int | None = None, j: int | None = None,
     return node
 
 
-def _region_rows(region: LatticeRegion):
-    """(first node, length) of each row i = 0, ..., 2n of a region.
+def _region_rows(n: int):
+    """(first node, length) of each row i = 0, ..., 2n of the triangle of half-length n.
 
-    Row i holds the region's nodes with that i in rising j order: it starts
+    Row i holds the triangle's nodes with that i in rising j order: it starts
     at (i, i % 2, ceil(i / 2), floor(i / 2)), runs to j = min(i, 2n - i), and
     each next node adds UP - DOWN = (0, 2, 1, -1).
     """
-    n = region.bound
+    if n < 0:
+        raise ValueError("half-length must be non-negative")
     return (((i, i % 2, (i + 1) // 2, i // 2), min(i, 2 * n - i) // 2 + 1)
             for i in range(2 * n + 1))
 
 
-def enumerate_nodes(region: LatticeRegion) -> list[LatticeNode]:
-    """All nodes of a region in lexicographic (i, j) order."""
+def enumerate_nodes(n: int) -> list[LatticeNode]:
+    """All nodes of the triangle of half-length n in lexicographic (i, j) order."""
     rows = (zip(repeat(i, k), range(j, j + 2 * k, 2), range(l, l + k), range(r, r - k, -1))
-            for (i, j, l, r), k in _region_rows(region))
+            for (i, j, l, r), k in _region_rows(n))
     # tuple.__new__ builds the nodes without a Python-level call per node
     return list(map(tuple.__new__, repeat(LatticeNode), chain.from_iterable(rows)))
 
@@ -136,8 +125,10 @@ def count_paths_through(node, n: int) -> int:
     (n - r, n - l), so each factor is a ballot number (Bertrand's ballot
     theorem, by André's reflection) and no table is built.
     """
+    if n < 0:
+        raise ValueError("half-length must be non-negative")
     node = LatticeNode(*node)
-    if not is_lattice_node(*node, region=LatticeRegion(n)):
+    if not is_lattice_node(*node, n):
         raise NotInLattice(f"{tuple(node)} is not in the lattice bounded by n={n}")
     return _ballot(node.l, node.r) * _ballot(n - node.r, n - node.l)
 
@@ -146,5 +137,5 @@ def _all_counts(n: int):
     """(node, :func:`count_paths_through`) for every node of half-length n, from one
     table: its Θ(n²) entries cost no more than the Θ(n³) bits of the output."""
     table = prefix_count_table(n)
-    for node in enumerate_nodes(LatticeRegion(n)):
+    for node in enumerate_nodes(n):
         yield node, table[node.l][node.r] * table[n - node.r][n - node.l]

@@ -21,7 +21,7 @@ from operator import add, attrgetter, mul, sub
 from typing import NamedTuple
 
 from .errors import WrongArity
-from .geometry import DoubleTesseract, Side, _ends, triangle
+from .geometry import DoubleTesseract, _ends, triangle
 from .projections import AxisSet, ProjectedPath
 from .words import AXES
 
@@ -36,7 +36,7 @@ ROLE_COLORS = {
 
 AXIS_ROLES = {"i": "green-i", "j": "blue-j", "l": "yellow-l", "r": "red-r"}
 
-SIDE_ROLES = {Side.BLUE: "blue-j", Side.RED: "red-r", Side.YELLOW: "yellow-l"}
+SIDE_ROLES = {"blue": "blue-j", "red": "red-r", "yellow": "yellow-l"}
 
 PIXELS_PER_UNIT = 40
 MARGIN = 20
@@ -213,7 +213,7 @@ def render_wireframe(structure, style: str, include_triangle: bool = False):
         for ts in triangle(structure.n).sides:
             scene.add(_polyline(tuple(map(mapper, ts.nodes)),
                                 role=SIDE_ROLES[ts.side],
-                                css_class=f"side-{ts.side.value}", width=2.5))
+                                css_class=f"side-{ts.side}", width=2.5))
 
     return scene.to_svg(), edge_list_text(structure)
 

@@ -40,9 +40,9 @@ class LatticeNode(NamedTuple):
 ORIGIN = LatticeNode(0, 0, 0, 0)
 
 #: Path delta produced by reading '(' — components (i, j, l, r).
-UP_STEP = (1, 1, 1, 0)
+UP_STEP = LatticeNode(1, 1, 1, 0)
 #: Path delta produced by reading ')'.
-DOWN_STEP = (1, -1, 0, 1)
+DOWN_STEP = LatticeNode(1, -1, 0, 1)
 
 _WHITESPACE = " \t\n\r\f\v"
 _DROP_WHITESPACE = str.maketrans("", "", _WHITESPACE)
@@ -180,13 +180,7 @@ def word_to_path(word: DyckWord) -> Path4D:
 
 
 def path_to_word(path: Path4D) -> DyckWord:
-    """Inverse of :func:`word_to_path`.
-
-    Accepts a :class:`Path4D` or any node sequence; the latter is validated
-    first and raises :class:`MalformedPath` like the Path4D constructor.
-    """
-    if not isinstance(path, Path4D):
-        path = Path4D(tuple(path))
+    """Inverse of :func:`word_to_path`."""
     l = tuple(map(itemgetter(2), path.nodes))
     return DyckWord("".join(map(")(".__getitem__, map(gt, l[1:], l))))
 

@@ -18,9 +18,9 @@ import pytest
 import oracles
 from dyck4d import (NegativePrefix, Unbalanced, all_modifications,
                     catalan, count_paths_through, dot, double_tesseract,
-                    enumerate_nodes, enumerate_words, lift, LatticeRegion,
+                    enumerate_nodes, enumerate_words, lift,
                     parse_word, project, render_grid_2d, render_wireframe,
-                    side_length, side_length_squared, AxisSet, Side,
+                    side_length, side_length_squared, AxisSet,
                     verify_flat, verify_right_isosceles, word_to_path)
 
 
@@ -46,12 +46,12 @@ def test_c01_every_n6_path_ends_at_12_0_6_6():
 
 def test_c02_side_lengths_exact_and_float():
     with criterion("2 (side lengths 6√6 and 6√3, n=6)"):
-        assert side_length_squared(Side.BLUE, 6) == 216
-        assert side_length_squared(Side.RED, 6) == 108
-        assert side_length_squared(Side.YELLOW, 6) == 108
-        assert abs(side_length(Side.BLUE, 6) - 6 * math.sqrt(6)) < 1e-12
-        assert abs(side_length(Side.RED, 6) - 6 * math.sqrt(3)) < 1e-12
-        assert abs(side_length(Side.YELLOW, 6) - 6 * math.sqrt(3)) < 1e-12
+        assert side_length_squared("blue", 6) == 216
+        assert side_length_squared("red", 6) == 108
+        assert side_length_squared("yellow", 6) == 108
+        assert abs(side_length("blue", 6) - 6 * math.sqrt(6)) < 1e-12
+        assert abs(side_length("red", 6) - 6 * math.sqrt(3)) < 1e-12
+        assert abs(side_length("yellow", 6) - 6 * math.sqrt(3)) < 1e-12
 
 
 def test_c03_right_angle_and_exact_identities():
@@ -116,7 +116,7 @@ def test_c08_per_node_counts_against_visitation():
     with criterion("8 (per-node counts vs exhaustive visitation, n<=8)"):
         for n in range(9):
             expected = oracles.visitation_counts(n)
-            nodes = enumerate_nodes(LatticeRegion(n))
+            nodes = enumerate_nodes(n)
             levels = {}
             for node in nodes:
                 count = count_paths_through(node, n)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from dyck4d import __version__
+from dyck4d import SIDES, __version__
 from dyck4d.cli import build_parser, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -200,6 +200,31 @@ class TestCount:
         assert result.stdout == f"{2 * n},0,{n},{n}\t{catalan}\n"
 
 
+#: A word whose prefix table (about 2 million big integers at n = 2000) outgrows 256 MB.
+_DEEP_WORD = "(" * 2000 + ")" * 2000
+
+
+class TestOutOfMemory:
+    """A ``MemoryError`` is one ``error:out-of-memory`` line, and a batch goes on past it."""
+
+    @pytest.mark.parametrize("argv, stdin, stdout", [
+        (["sample", "--n", "2000", "--seed", "1"], None, ""),
+        (["rank", _DEEP_WORD], None, ""),
+        (["count", "--n", "2000"], None, ""),
+        (["rank"], f"{_DEEP_WORD}\n()\n", "0\n"),
+    ], ids=["sample", "rank", "count", "rank-batch"])
+    def test_one_error_line(self, argv, stdin, stdout):
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "dyck4d", *argv], input=stdin, capture_output=True,
+            text=True, env=CHILD_ENV, timeout=30, preexec_fn=limit_memory)
+        assert (result.returncode, result.stdout) == (1, stdout)
+        assert result.stderr == "error:out-of-memory\n"
+        assert "Traceback" not in result.stderr
+
+
 class TestGeometry:
     def test_json_report(self, capsys):
         rc, out, _ = run(capsys, "geometry", "--n", "6", "--format", "json")
@@ -321,6 +346,14 @@ class TestRender:
         rc, out, _ = run(capsys, "render", "wireframe", "--n", "2", "--triangle")
         assert rc == 0
         assert "side-red" in out
+
+    @pytest.mark.parametrize("view", ["wireframe", "schlegel"])
+    def test_triangle_sides_drawn_in_report_order(self, capsys, view):
+        rc, out, _ = run(capsys, "render", view, "--n", "3", "--triangle")
+        assert rc == 0
+        drawn = [el.get("class") for el in ET.fromstring(out).iter()
+                 if (el.get("class") or "").startswith("side-")]
+        assert drawn == [f"side-{side}" for side in SIDES]
 
     def test_schlegel_memory_does_not_grow_with_n(self, capsys):
         build_parser()

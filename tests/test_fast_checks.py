@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from dyck4d import (AxisSet, DyckError, DyckWord, FlatnessResult,
                     InconsistentProjection, InvalidCharacter, InvalidProjection,
-                    LatticeNode, LatticeRegion, MalformedPath, NegativePrefix, Path4D,
+                    LatticeNode, MalformedPath, NegativePrefix, Path4D,
                     ProjectedPath, Unbalanced, enumerate_nodes, lift, parse_word,
                     path_from_lists, projected_path_from_json, verify_flat, word_to_path)
 from dyck4d.cli import _int_rows
@@ -418,7 +418,7 @@ def test_verify_flat(nodes, container):
 
 def test_enumerate_nodes_and_region_flatness():
     for n in range(61):
-        nodes = enumerate_nodes(LatticeRegion(n))
+        nodes = enumerate_nodes(n)
         assert nodes == ref_region(n)
         assert all(type(node) is LatticeNode for node in nodes)
-        assert verify_flat(LatticeRegion(n)) == ref_flat(nodes) == FlatnessResult(True, None)
+        assert verify_flat(n) == ref_flat(nodes) == FlatnessResult(True, None)

@@ -5,14 +5,14 @@ import tracemalloc
 import pytest
 
 import oracles
-from dyck4d import (DOWN_STEP, LatticeRegion, Side, UP_STEP, Vec4, dot,
+from dyck4d import (DOWN_STEP, SIDES, UP_STEP, LatticeNode, dot,
                     double_tesseract, enumerate_nodes, face_of_side, geometry_report,
                     is_lattice_node, norm_squared, parse_word, side_length,
                     side_length_squared, sub, triangle, verify_flat,
                     verify_right_isosceles, word_to_path)
 
-UP = Vec4(*UP_STEP)
-DOWN = Vec4(*DOWN_STEP)
+UP = UP_STEP
+DOWN = DOWN_STEP
 
 
 class TestDot:
@@ -28,7 +28,7 @@ class TestDot:
         assert dot((2, 0, 1, 1), (2, 0, 1, 1)) == 6
 
     def test_helpers(self):
-        assert sub((2, 0, 1, 1), (1, 1, 1, 0)) == Vec4(1, -1, 0, 1)
+        assert sub((2, 0, 1, 1), (1, 1, 1, 0)) == LatticeNode(1, -1, 0, 1)
         assert norm_squared((1, 2, 3, 4)) == 30
         for helper in (dot, sub):
             with pytest.raises(ValueError):
@@ -48,13 +48,13 @@ class TestTriangle:
 
     def test_n1_side_nodes(self):
         tri = triangle(1)
-        assert tri.side(Side.BLUE).nodes == ((0, 0, 0, 0), (2, 0, 1, 1))
-        assert tri.side(Side.RED).nodes == ((0, 0, 0, 0), (1, 1, 1, 0))
-        assert tri.side(Side.YELLOW).nodes == ((1, 1, 1, 0), (2, 0, 1, 1))
+        assert tri.side("blue").nodes == ((0, 0, 0, 0), (2, 0, 1, 1))
+        assert tri.side("red").nodes == ((0, 0, 0, 0), (1, 1, 1, 0))
+        assert tri.side("yellow").nodes == ((1, 1, 1, 0), (2, 0, 1, 1))
 
     def test_sides_meet_at_vertices(self):
         tri = triangle(5)
-        blue, red, yellow = (tri.side(s) for s in (Side.BLUE, Side.RED, Side.YELLOW))
+        blue, red, yellow = (tri.side(s) for s in ("blue", "red", "yellow"))
         assert blue.start == red.start == tri.vertex_origin
         assert red.end == yellow.start == tri.vertex_apex
         assert yellow.end == blue.end == tri.vertex_end
@@ -65,36 +65,36 @@ class TestTriangle:
         # the alternating word walks the j = 0 isoline: its j = 0 nodes
         # are exactly the blue side
         zigzag = word_to_path(parse_word("()" * n))
-        assert tuple(q for q in zigzag if q.j == 0) == tri.side(Side.BLUE).nodes
+        assert tuple(q for q in zigzag if q.j == 0) == tri.side("blue").nodes
         # the fully nested word walks red then yellow
         nested = word_to_path(parse_word("(" * n + ")" * n))
-        assert nested.nodes == tri.side(Side.RED).nodes + tri.side(Side.YELLOW).nodes[1:]
+        assert nested.nodes == tri.side("red").nodes + tri.side("yellow").nodes[1:]
 
 
 class TestSideLengths:
     def test_exact_squares_n6(self):
-        assert side_length_squared(Side.BLUE, 6) == 216
-        assert side_length_squared(Side.RED, 6) == 108
-        assert side_length_squared(Side.YELLOW, 6) == 108
+        assert side_length_squared("blue", 6) == 216
+        assert side_length_squared("red", 6) == 108
+        assert side_length_squared("yellow", 6) == 108
 
     def test_float_values_n6(self):
-        assert side_length(Side.BLUE, 6) == pytest.approx(6 * math.sqrt(6), abs=1e-12)
-        assert side_length(Side.RED, 6) == pytest.approx(6 * math.sqrt(3), abs=1e-12)
-        assert side_length(Side.YELLOW, 6) == side_length(Side.RED, 6)
+        assert side_length("blue", 6) == pytest.approx(6 * math.sqrt(6), abs=1e-12)
+        assert side_length("red", 6) == pytest.approx(6 * math.sqrt(3), abs=1e-12)
+        assert side_length("yellow", 6) == side_length("red", 6)
 
     def test_degenerate(self):
-        assert all(side_length(s, 0) == 0 for s in Side)
+        assert all(side_length(s, 0) == 0 for s in SIDES)
 
     @pytest.mark.parametrize("n", range(17))
     def test_general_formulas(self, n):
-        assert side_length_squared(Side.BLUE, n) == 6 * n * n
-        assert side_length_squared(Side.RED, n) == 3 * n * n
-        assert side_length_squared(Side.YELLOW, n) == 3 * n * n
+        assert side_length_squared("blue", n) == 6 * n * n
+        assert side_length_squared("red", n) == 3 * n * n
+        assert side_length_squared("yellow", n) == 3 * n * n
 
     @pytest.mark.parametrize("n", range(9))
     def test_consistent_with_triangle_endpoints(self, n):
         tri = triangle(n)
-        for side in Side:
+        for side in SIDES:
             s = tri.side(side)
             assert side_length_squared(side, n) == norm_squared(sub(s.end, s.start))
 
@@ -106,7 +106,7 @@ class TestFlatness:
             assert result.flat and result.witness is None
 
     def test_full_region(self):
-        result = verify_flat(LatticeRegion(6))
+        result = verify_flat(6)
         assert result.flat
 
     def test_perturbed_node(self):
@@ -193,9 +193,9 @@ class TestDoubleTesseract:
     def test_side_nodes_lie_in_their_cells(self):
         n = 5
         tri = triangle(n)
-        assert all(q.j == 0 for q in tri.side(Side.BLUE).nodes)
-        assert all(q.r == 0 for q in tri.side(Side.RED).nodes)
-        assert all(q.l == n for q in tri.side(Side.YELLOW).nodes)
+        assert all(q.j == 0 for q in tri.side("blue").nodes)
+        assert all(q.r == 0 for q in tri.side("red").nodes)
+        assert all(q.l == n for q in tri.side("yellow").nodes)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -205,7 +205,7 @@ class TestDoubleTesseract:
 class TestFaceOfSide:
     def test_red_cell_matches_bounding_points(self):
         n = 6
-        face = face_of_side(Side.RED, n)
+        face = face_of_side("red", n)
         expected = {(0, 0, 0, 0), (0, n, 0, 0), (0, n, n, 0), (0, 0, n, 0),
                     (2 * n, 0, n, 0), (2 * n, 0, 0, 0), (2 * n, n, 0, 0), (2 * n, n, n, 0)}
         assert {tuple(v) for v in face.cell.vertices} == expected
@@ -216,7 +216,7 @@ class TestFaceOfSide:
 
     def test_yellow_cell_matches_bounding_points(self):
         n = 6
-        face = face_of_side(Side.YELLOW, n)
+        face = face_of_side("yellow", n)
         expected = {(0, 0, n, 0), (0, n, n, 0), (0, n, n, n), (0, 0, n, n),
                     (2 * n, 0, n, n), (2 * n, 0, n, 0), (2 * n, n, n, 0), (2 * n, n, n, n)}
         assert {tuple(v) for v in face.cell.vertices} == expected
@@ -226,7 +226,7 @@ class TestFaceOfSide:
         assert face.diagonal == ((n, n, n, 0), (2 * n, 0, n, n))
 
     def test_blue_smallest_case(self):
-        face = face_of_side(Side.BLUE, 1)
+        face = face_of_side("blue", 1)
         assert face.half is None and face.cube_vertices is None
         assert {tuple(v) for v in face.cell.vertices} == {
             (a, 0, b, c) for a in (0, 2) for b in (0, 1) for c in (0, 1)}
@@ -236,7 +236,7 @@ class TestFaceOfSide:
         # the diagonal is two vertices; no side's node list is built
         tracemalloc.start()
         try:
-            faces = [face_of_side(side, 100000) for side in Side]
+            faces = [face_of_side(side, 100000) for side in SIDES]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -246,7 +246,7 @@ class TestFaceOfSide:
     def test_diagonals_span_their_boxes(self):
         # each side's diagonal changes every free axis of its cell/cube by
         # the full extent
-        for side in Side:
+        for side in SIDES:
             face = face_of_side(side, 4)
             corners = face.cube_vertices if face.cube_vertices else face.cell.vertices
             start, end = face.diagonal
@@ -265,6 +265,12 @@ class TestReport:
         assert report["tesseract"] == {"vertices": 16, "edges": 32, "cells": 8, "cube_cells": 2}
         assert report["flat"] is True
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 6, 40])
+    def test_one_name_per_side(self, n):
+        # the report keys, SIDES and the records' side fields are the same colours in one order
+        assert tuple(geometry_report(n)["sides"]) == SIDES == ("blue", "red", "yellow")
+        assert tuple(side.side for side in triangle(n).sides) == SIDES
+
     def test_degenerate_report(self):
         report = geometry_report(0)
         assert "checks" not in report and "tesseract" not in report
@@ -275,21 +281,21 @@ class TestFlatnessByRows:
     def test_row_step_is_flat(self):
         # every row of a region advances by UP - DOWN, and head(i + 2) = head(i) + UP + DOWN,
         # so the heads of rows 0 and 1 stand for the region
-        assert sub(Vec4(2, 0, 1, 1), UP) == DOWN
-        assert verify_flat([sub(UP, DOWN), Vec4(2, 0, 1, 1)]) == (True, None)
+        assert sub(LatticeNode(2, 0, 1, 1), UP) == DOWN
+        assert verify_flat([sub(UP, DOWN), LatticeNode(2, 0, 1, 1)]) == (True, None)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 25])
     def test_two_heads_and_two_steps_make_the_region(self, n):
         heads = [(0, 0, 0, 0), (1, 1, 1, 0)][:2 * n + 1]
         made = {tuple(h + a * s + b * t for h, s, t in zip(head, (2, 0, 1, 1), (0, 2, 1, -1)))
                 for head in heads for a in range(n + 1) for b in range(n + 1)}
-        region = enumerate_nodes(LatticeRegion(n))
-        assert {node for node in made if is_lattice_node(*node, LatticeRegion(n))} == set(region)
-        assert verify_flat(LatticeRegion(n)) == verify_flat(region) == (True, None)
+        region = enumerate_nodes(n)
+        assert {node for node in made if is_lattice_node(*node, n)} == set(region)
+        assert verify_flat(n) == verify_flat(region) == (True, None)
 
     def test_large_region(self):
-        assert verify_flat(LatticeRegion(100_000)) == (True, None)
-        assert verify_flat(LatticeRegion(10**301)) == (True, None)
+        assert verify_flat(100_000) == (True, None)
+        assert verify_flat(10**301) == (True, None)
 
     def test_large_report(self):
         assert geometry_report(20_000)["flat"] is True
@@ -298,28 +304,28 @@ class TestFlatnessByRows:
 class TestSideLengthRange:
     def test_beyond_float_squares(self):
         n = 10**160
-        assert side_length(Side.BLUE, n) == pytest.approx(math.sqrt(6) * 1e160, rel=1e-15)
+        assert side_length("blue", n) == pytest.approx(math.sqrt(6) * 1e160, rel=1e-15)
 
     def test_beyond_float_lengths(self):
         with pytest.raises(OverflowError):
-            side_length(Side.BLUE, 10**310)
+            side_length("blue", 10**310)
 
 
 # SHA-256 of each record's Name(field=...) repr at n = 1, which callers may log
 # or compare, so a change of record type must keep it.
 _RECORDS = {
-    "TriangleSide": (lambda: triangle(1).side(Side.RED),
-                     "aa88bc118e6cfd0f18d94f66e8d43b7214c184ca0c2ff703f2f86c649a0b58f9"),
+    "TriangleSide": (lambda: triangle(1).side("red"),
+                     "306a8b6835705489a971f6ec64fa153a8a8e15f39c02c794e35f0baec64a94ba"),
     "TriangleGeometry": (lambda: triangle(1),
-                         "84406941c8580438e6caab27ca954428f0ed3f3690e85c4d60ad756e2eb5ee04"),
+                         "ff1eb3f2bdfd632ec331d034bc38c8f4d6f00c645eb1fda1d74259cce21c8e0c"),
     "RightIsoscelesReport": (lambda: verify_right_isosceles(1),
                              "ad873e78c397e7ede8a4f00cec613268d251fe0a4b5cc84d9f077627ccde5fce"),
     "Cell": (lambda: double_tesseract(1).cell("i", 0),
              "3ae606e58d1dd8b9e356b817374e76e8b282bd888efce1264e7bd502dc2e1916"),
     "DoubleTesseract": (lambda: double_tesseract(1),
                         "dc7b8601c674355ea35e54e50e411b9c598294a3bfc74d4bb299fe63cb39911e"),
-    "SideFace": (lambda: face_of_side(Side.YELLOW, 1),
-                 "fbb64bb9d6e3568c4fea4c24ef46896e97453c42f2538a4bed2de89a79d7aaa2"),
+    "SideFace": (lambda: face_of_side("yellow", 1),
+                 "92e55eded3052fcedb52de8b9a8a432f221e7afdc4c9ee663a5ea12878ef5c26"),
 }
 
 

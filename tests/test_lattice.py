@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from dyck4d import (LatticeNode, LatticeRegion, NotInLattice, ParityViolation,
+from dyck4d import (LatticeNode, NotInLattice, ParityViolation,
                     catalan, complete_node, count_paths_through, enumerate_nodes,
-                    is_lattice_node, parse_word, rank, unrank, word_to_path)
+                    is_lattice_node, parse_word, rank, unrank, verify_flat, word_to_path)
 from dyck4d.lattice import _all_counts, prefix_count_table
 
 
@@ -15,8 +15,8 @@ class TestMembership:
     def test_examples(self):
         assert is_lattice_node(2, 0, 1, 1)
         assert not is_lattice_node(2, 2, 0, 1)
-        assert is_lattice_node(12, 0, 6, 6, LatticeRegion(6))
-        assert not is_lattice_node(7, 7, 7, 0, LatticeRegion(6))
+        assert is_lattice_node(12, 0, 6, 6, 6)
+        assert not is_lattice_node(7, 7, 7, 0, 6)
 
     def test_negative_coordinates(self):
         assert not is_lattice_node(-2, 0, -1, -1)
@@ -24,27 +24,27 @@ class TestMembership:
 
     def test_every_path_node_is_member(self):
         for n in range(6):
-            region = LatticeRegion(n)
             for text in oracles.all_balanced(n):
                 for node in oracles.visited_nodes(text):
-                    assert is_lattice_node(*node, region=region)
+                    assert is_lattice_node(*node, n)
                     assert is_lattice_node(*node)
 
     def test_monotone_in_bound(self):
         for n in range(6):
-            for node in enumerate_nodes(LatticeRegion(n)):
-                assert is_lattice_node(*node, region=LatticeRegion(n + 1))
+            for node in enumerate_nodes(n):
+                assert is_lattice_node(*node, n + 1)
                 assert is_lattice_node(*node)
 
     def test_region_rejects_negative_bound(self):
-        with pytest.raises(ValueError):
-            LatticeRegion(-1)
-
-    def test_region_needs_a_bound(self):
-        with pytest.raises(TypeError):
-            LatticeRegion()
-        with pytest.raises(TypeError):
-            LatticeRegion(None)
+        with pytest.raises(ValueError, match="^half-length must be non-negative$"):
+            enumerate_nodes(-1)
+        with pytest.raises(ValueError, match="^half-length must be non-negative$"):
+            verify_flat(-1)
+        # before the membership check, which no node passes at n = -1
+        with pytest.raises(ValueError, match="^half-length must be non-negative$"):
+            count_paths_through((0, 0, 0, 0), -1)
+        # membership never raises: no node lies in a triangle of negative half-length
+        assert not is_lattice_node(0, 0, 0, 0, -1)
 
 
 class TestCompleteNode:
@@ -101,19 +101,19 @@ class TestCompleteNode:
 
 class TestEnumerateNodes:
     def test_smallest_regions(self):
-        assert enumerate_nodes(LatticeRegion(0)) == [(0, 0, 0, 0)]
-        assert enumerate_nodes(LatticeRegion(1)) == [(0, 0, 0, 0), (1, 1, 1, 0), (2, 0, 1, 1)]
+        assert enumerate_nodes(0) == [(0, 0, 0, 0)]
+        assert enumerate_nodes(1) == [(0, 0, 0, 0), (1, 1, 1, 0), (2, 0, 1, 1)]
 
     def test_count_formula(self):
         for n in range(9):
-            nodes = enumerate_nodes(LatticeRegion(n))
+            nodes = enumerate_nodes(n)
             assert len(nodes) == (n + 1) * (n + 2) // 2
         # direct count of pairs r <= l <= 6
-        assert len(enumerate_nodes(LatticeRegion(6))) == sum(1 for l in range(7) for r in range(l + 1))
+        assert len(enumerate_nodes(6)) == sum(1 for l in range(7) for r in range(l + 1))
 
     def test_lexicographic_ij_order(self):
         for n in range(41):
-            nodes = enumerate_nodes(LatticeRegion(n))
+            nodes = enumerate_nodes(n)
             keys = [(node.i, node.j) for node in nodes]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
@@ -127,7 +127,7 @@ class TestEnumerateNodes:
             visited = set()
             for text in oracles.all_balanced(n):
                 visited.update(oracles.visited_nodes(text))
-            assert visited == {tuple(node) for node in enumerate_nodes(LatticeRegion(n))}
+            assert visited == {tuple(node) for node in enumerate_nodes(n)}
 
 
 class TestCountPaths:
@@ -140,13 +140,13 @@ class TestCountPaths:
     @pytest.mark.parametrize("n", range(9))
     def test_matches_brute_force_everywhere(self, n):
         expected = oracles.visitation_counts(n)
-        for node in enumerate_nodes(LatticeRegion(n)):
+        for node in enumerate_nodes(n):
             assert count_paths_through(node, n) == expected[tuple(node)]
 
     @pytest.mark.parametrize("n", range(9))
     def test_level_sums_are_catalan(self, n):
         levels = {}
-        for node in enumerate_nodes(LatticeRegion(n)):
+        for node in enumerate_nodes(n):
             levels[node.i] = levels.get(node.i, 0) + count_paths_through(node, n)
         assert set(levels) == set(range(2 * n + 1))
         assert all(total == catalan(n) for total in levels.values())
@@ -175,7 +175,7 @@ class TestBallotNumbers:
 
     def test_every_node_up_to_60(self):
         for n in range(61):
-            for node in enumerate_nodes(LatticeRegion(n)):
+            for node in enumerate_nodes(n):
                 assert count_paths_through(node, n) == _table_count(node, n)
 
     def test_seeded_nodes_at_1000(self):
@@ -188,7 +188,7 @@ class TestBallotNumbers:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 30])
     def test_all_counts_by_table(self, n):
-        nodes = enumerate_nodes(LatticeRegion(n))
+        nodes = enumerate_nodes(n)
         assert list(_all_counts(n)) == [(node, count_paths_through(node, n)) for node in nodes]
 
     def test_outside_the_region_before_any_arithmetic(self):

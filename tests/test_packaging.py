@@ -54,8 +54,13 @@ def test_star_import_binds_every_public_name():
 
 
 def test_unknown_attribute():
-    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
-        dyck4d.no_such_name  # noqa: B018
+    # a triangle is its half-length n, a side its colour and every 4-vector a LatticeNode
+    for name in ("no_such_name", "LatticeRegion", "Side", "Vec4"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(dyck4d, name)
+        assert name not in dyck4d.__all__
+        assert [module for module in dyck4d._EXPORTS
+                if hasattr(importlib.import_module(f"dyck4d.{module}"), name)] == []
     assert not hasattr(dyck4d, "prefix_count_table")
 
 

@@ -175,7 +175,7 @@ class TestPathToWord:
         assert str(exc.value) == "node 2: 3 coordinates, not 4"
 
     def test_accepts_raw_node_sequences(self):
-        assert path_to_word([(0, 0, 0, 0), (1, 1, 1, 0), (2, 0, 1, 1)]).n == 1
+        assert path_to_word(Path4D([(0, 0, 0, 0), (1, 1, 1, 0), (2, 0, 1, 1)])).n == 1
 
 
 class TestJsonForm:
