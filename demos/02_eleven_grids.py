@@ -5,13 +5,13 @@ Any 2, 3 or all 4 of the axes {i, j, l, r} form a coordinate grid: 6 + 4
 every projection can be lifted back to the exact original path.
 """
 
-from dyck4d import all_modifications, lift, parse_word, project, word_to_path
+from dyck4d import AXIS_SETS, lift, parse_word, project, word_to_path
 
 path = word_to_path(parse_word("(())()"))
 
-for axes in all_modifications():
+for axes in AXIS_SETS:
     image = project(path, axes)
-    label = "x".join(axes.names())
+    label = "x".join(axes)
     print(f"{label:>7}: {list(image.points)}")
     assert lift(image) == path
 

@@ -6,7 +6,7 @@ i green; the drawn path is near-black.
 
 from pathlib import Path
 
-from dyck4d import (AxisSet, double_tesseract, parse_word, project,
+from dyck4d import (double_tesseract, parse_word, project,
                     render_grid_2d, render_wireframe, word_to_path)
 
 out_dir = Path(__file__).parent / "rendered"
@@ -15,10 +15,9 @@ out_dir.mkdir(exist_ok=True)
 word = parse_word("((()())(()))")  # 6 pairs, a mix of climbs and valleys
 path = word_to_path(word)
 
-for letters, name in [("lr", "staircase"), ("ij", "mountain"), ("jl", "mixed")]:
-    axes = AxisSet.of(letters)
+for axes, name in [("lr", "staircase"), ("ij", "mountain"), ("jl", "mixed")]:
     svg = render_grid_2d(axes, word.n, project(path, axes))
-    (out_dir / f"grid_{letters}_{name}.svg").write_text(svg)
+    (out_dir / f"grid_{axes}_{name}.svg").write_text(svg)
 
 box = double_tesseract(word.n)
 

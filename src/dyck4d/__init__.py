@@ -26,9 +26,9 @@ _EXPORTS = {
                 "geometry_report norm_squared side_length side_length_squared sub triangle "
                 "verify_flat verify_right_isosceles",
     "lattice": "complete_node count_paths_through enumerate_nodes is_lattice_node",
-    "projections": "AxisSet ProjectedPath all_modifications lift project "
+    "projections": "AXIS_SETS ProjectedPath axis_set lift project "
                    "projected_path_as_json projected_path_from_json",
-    "render": "ROLE_COLORS Scene edge_list_text render_grid_2d render_wireframe",
+    "render": "ROLE_COLORS edge_list_text render_grid_2d render_wireframe",
     "words": "AXES DOWN_STEP DyckWord LatticeNode ORIGIN Path4D UP_STEP parse_word "
              "path_as_lists path_from_lists path_to_word render_word word_to_path",
 }

@@ -105,9 +105,9 @@ _TRIANGLE_N = 10**5
 
 
 def _axes_arg(text: str):
-    from .projections import AxisSet
+    from .projections import axis_set
     try:
-        return AxisSet.of(text)
+        return axis_set(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -172,7 +172,7 @@ def _convert_line(args, text: str) -> str:
 def _project_line(args, text: str) -> str:
     from . import projections
     proj = projections.project(words.word_to_path(words.parse_word(text)), args.axes)
-    axes = json.dumps(args.axes.names(), separators=(",", ":"))
+    axes = json.dumps(list(args.axes), separators=(",", ":"))
     return f'{{"axes":{axes},"points":{_int_rows(proj.points, len(args.axes))}}}'
 
 

@@ -29,28 +29,29 @@ def catalan(n: int) -> int:
 def enumerate_words(n: int) -> Iterator[DyckWord]:
     """Yield every word of half-length n in lexicographic order.
 
-    Generates by backtracking with the feasibility bounds (open while
-    l < n, close while r < l); '(' is explored first, so the output is
-    already sorted.
+    Steps from each word to its lexicographic successor (Knuth, TAOCP 4A
+    §7.2.1.6): the rightmost '(' whose prefix has positive balance becomes
+    ')', and the rest is the least completion, every remaining '(' first.
+    The first word is n opens then n closes.  No recursion, so any n streams.
     """
     if n < 0:
         raise ValueError("half-length must be non-negative")
-    chars: list[str] = []
-
-    def walk(l: int, r: int) -> Iterator[DyckWord]:
-        if l == n and r == n:
-            yield DyckWord("".join(chars))
+    text = "(" * n + ")" * n
+    while True:
+        yield DyckWord(text)
+        excess = 0  # closes minus opens right of position p
+        for p in range(2 * n - 1, -1, -1):
+            if text[p] == ")":
+                excess += 1
+            elif excess > 1:  # the prefix before p has balance excess - 1 > 0
+                break
+            else:
+                excess -= 1
+        else:
             return
-        if l < n:
-            chars.append("(")
-            yield from walk(l + 1, r)
-            chars.pop()
-        if r < l:
-            chars.append(")")
-            yield from walk(l, r + 1)
-            chars.pop()
-
-    yield from walk(0, 0)
+        l = text.count("(", 0, p)
+        r = p - l + 1
+        text = text[:p] + ")" + "(" * (n - l) + ")" * (n - r)
 
 
 def rank(word: DyckWord) -> int:

@@ -15,14 +15,13 @@ then applies the same j-oblique 3D part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import add, attrgetter, mul, sub
 from typing import NamedTuple
 
 from .errors import WrongArity
 from .geometry import DoubleTesseract, _ends, triangle
-from .projections import AxisSet, ProjectedPath
+from .projections import ProjectedPath, _canonical
 from .words import AXES
 
 ROLE_COLORS = {
@@ -79,35 +78,27 @@ def _circle(at, role, css_class="vertex", radius=3.0) -> Element:
                           f'r="{_fmt(radius)}" fill="{ROLE_COLORS[role]}"/>')
 
 
-@dataclass
-class Scene:
-    """Drawing ``Element``s in source (lattice) coordinates, drawn in the order added."""
-
-    elements: list = field(default_factory=list)
-
-    def add(self, element: Element):
-        self.elements.append(element)
-
-    def to_svg(self) -> str:
-        """Emit SVG 1.1; the y axis is flipped so larger values draw upward."""
-        xs, ys = zip(*(list(chain.from_iterable(map(attrgetter("points"), self.elements)))
-                       or [(0.0, 0.0)]))
-        min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
-        # MARGIN + PIXELS_PER_UNIT * (x - min_x) and (max_y - y), a column at a time
-        px = _fmt_all(map(add, repeat(MARGIN), map(mul, repeat(PIXELS_PER_UNIT),
-                                                   map(sub, xs, repeat(min_x)))))
-        py = _fmt_all(map(add, repeat(MARGIN), map(mul, repeat(PIXELS_PER_UNIT),
-                                                   map(sub, repeat(max_y), ys))))
-        width = _fmt(2 * MARGIN + PIXELS_PER_UNIT * (max_x - min_x))
-        height = _fmt(2 * MARGIN + PIXELS_PER_UNIT * (max_y - min_y))
-        lines = [
-            '<?xml version="1.0" encoding="UTF-8"?>',
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-            *map(attrgetter("svg"), self.elements),
-            "</svg>\n",
-        ]
-        return "\n".join(lines).format(*chain.from_iterable(zip(px, py)))
+def _to_svg(elements) -> str:
+    """Emit SVG 1.1 of ``Element``s in source (lattice) coordinates, drawn in list
+    order; the y axis is flipped so larger values draw upward."""
+    xs, ys = zip(*(list(chain.from_iterable(map(attrgetter("points"), elements)))
+                   or [(0.0, 0.0)]))
+    min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
+    # MARGIN + PIXELS_PER_UNIT * (x - min_x) and (max_y - y), a column at a time
+    px = _fmt_all(map(add, repeat(MARGIN), map(mul, repeat(PIXELS_PER_UNIT),
+                                               map(sub, xs, repeat(min_x)))))
+    py = _fmt_all(map(add, repeat(MARGIN), map(mul, repeat(PIXELS_PER_UNIT),
+                                               map(sub, repeat(max_y), ys))))
+    width = _fmt(2 * MARGIN + PIXELS_PER_UNIT * (max_x - min_x))
+    height = _fmt(2 * MARGIN + PIXELS_PER_UNIT * (max_y - min_y))
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        *map(attrgetter("svg"), elements),
+        "</svg>\n",
+    ]
+    return "\n".join(lines).format(*chain.from_iterable(zip(px, py)))
 
 
 def _fmt(value) -> str:
@@ -122,31 +113,31 @@ def _fmt_all(values) -> list[str]:
 _EXTENT = {"i": 2, "j": 1, "l": 1, "r": 1}  # in units of n
 
 
-def render_grid_2d(axes: AxisSet, n: int, proj: ProjectedPath | None = None) -> str:
+def render_grid_2d(axes: str, n: int, proj: ProjectedPath | None = None) -> str:
     """A 2-axis grid with its isolines, plus an optional path polyline.
 
     The first (canonical) axis runs horizontally.  The l x r grid also
     carries the dashed diagonal ray joining the nodes with j = 0.
     """
-    if len(axes) != 2:
+    if len(_canonical(axes)) != 2:
         raise WrongArity(f"grid rendering needs exactly 2 axes, got {len(axes)}")
-    if proj is not None and proj.axis_set != axes:
+    if proj is not None and proj.axes != axes:
         raise ValueError("projected path does not match the grid axes")
-    ax_x, ax_y = axes.axes
+    ax_x, ax_y = axes
     w = _EXTENT[ax_x] * n
     h = _EXTENT[ax_y] * n
     x_role, y_role = AXIS_ROLES[ax_x], AXIS_ROLES[ax_y]
-    scene = Scene()
+    elements = []
     for x in range(w + 1):  # isolines of the horizontal axis are vertical lines
-        scene.add(_line((x, 0), (x, h), role=x_role))
+        elements.append(_line((x, 0), (x, h), role=x_role))
     for y in range(h + 1):
-        scene.add(_line((0, y), (w, y), role=y_role))
-    if axes.axes == "lr":
-        scene.add(_line((0, 0), (n, n), role="blue-j",
-                        css_class="diagonal", dashed=True, width=2.0))
+        elements.append(_line((0, y), (w, y), role=y_role))
+    if axes == "lr":
+        elements.append(_line((0, 0), (n, n), role="blue-j",
+                               css_class="diagonal", dashed=True, width=2.0))
     if proj is not None:
-        scene.add(_polyline(tuple(proj.points), role="path", css_class="path", width=2.5))
-    return scene.to_svg()
+        elements.append(_polyline(tuple(proj.points), role="path", css_class="path", width=2.5))
+    return _to_svg(elements)
 
 
 def _ortho_point(vertex) -> tuple[float, float]:
@@ -197,25 +188,25 @@ def render_wireframe(structure, style: str, include_triangle: bool = False):
         mapper = _ortho_point
 
     positions = [mapper(v) for v in structure.vertices]
-    scene = Scene()
+    elements = []
     for a, b in structure.edges:
-        scene.add(_line(positions[a], positions[b],
-                        role=_edge_role(structure.vertices[a], structure.vertices[b]),
-                        css_class="edge", width=1.5))
+        elements.append(_line(positions[a], positions[b],
+                              role=_edge_role(structure.vertices[a], structure.vertices[b]),
+                              css_class="edge", width=1.5))
     for position in positions:
-        scene.add(_circle(position, role="neutral", css_class="vertex"))
+        elements.append(_circle(position, role="neutral", css_class="vertex"))
 
     if style == "schlegel":
         origin, end, apex = _ends(structure.n)[0]
         for anchor in (origin, apex, end):
-            scene.add(_circle(mapper(anchor), role="path", css_class="anchor", radius=4.5))
+            elements.append(_circle(mapper(anchor), role="path", css_class="anchor", radius=4.5))
     if include_triangle:
         for ts in triangle(structure.n).sides:
-            scene.add(_polyline(tuple(map(mapper, ts.nodes)),
-                                role=SIDE_ROLES[ts.side],
-                                css_class=f"side-{ts.side}", width=2.5))
+            elements.append(_polyline(tuple(map(mapper, ts.nodes)),
+                                      role=SIDE_ROLES[ts.side],
+                                      css_class=f"side-{ts.side}", width=2.5))
 
-    return scene.to_svg(), edge_list_text(structure)
+    return _to_svg(elements), edge_list_text(structure)
 
 
 def edge_list_text(structure) -> str:

@@ -16,11 +16,11 @@ from contextlib import contextmanager
 import pytest
 
 import oracles
-from dyck4d import (NegativePrefix, Unbalanced, all_modifications,
+from dyck4d import (AXIS_SETS, NegativePrefix, Unbalanced,
                     catalan, count_paths_through, dot, double_tesseract,
                     enumerate_nodes, enumerate_words, lift,
                     parse_word, project, render_grid_2d, render_wireframe,
-                    side_length, side_length_squared, AxisSet,
+                    side_length, side_length_squared,
                     verify_flat, verify_right_isosceles, word_to_path)
 
 
@@ -90,13 +90,12 @@ def test_c05_tesseract_census_and_j0_cell():
 
 def test_c06_eleven_modifications_round_trip():
     with criterion("6 (11 modifications, lossless round trip, n<=6)"):
-        mods = all_modifications()
-        assert len(mods) == 11
+        assert len(AXIS_SETS) == 11
         checked = 0
         for n in range(7):
             for word in enumerate_words(n):
                 path = word_to_path(word)
-                for axes in mods:
+                for axes in AXIS_SETS:
                     assert lift(project(path, axes)) == path
                     checked += 1
         assert checked >= 132 * 11
@@ -158,12 +157,12 @@ def test_c10_renderer_determinism_and_structure():
             svg_a,
             render_wireframe(box, "orthographic-3d", include_triangle=True)[0],
             render_wireframe(box.cell("i", 0), "orthographic-3d")[0],
-            render_grid_2d(AxisSet.of("lr"), 6),
-            render_grid_2d(AxisSet.of("lr"), 6,
-                           project(word_to_path(parse_word("()()()()()()")), AxisSet.of("lr"))),
-            render_grid_2d(AxisSet.of("ij"), 6,
-                           project(word_to_path(parse_word("(((((())))))")), AxisSet.of("ij"))),
+            render_grid_2d("lr", 6),
+            render_grid_2d("lr", 6,
+                           project(word_to_path(parse_word("()()()()()()")), "lr")),
+            render_grid_2d("ij", 6,
+                           project(word_to_path(parse_word("(((((())))))")), "ij")),
         ]
         for svg in documents:
             ET.fromstring(svg)  # well-formed XML or dies
-        assert render_grid_2d(AxisSet.of("lr"), 6) == render_grid_2d(AxisSet.of("lr"), 6)
+        assert render_grid_2d("lr", 6) == render_grid_2d("lr", 6)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from dyck4d import SIDES, __version__
+from dyck4d import SIDES, __version__, unrank
 from dyck4d.cli import build_parser, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -280,6 +280,20 @@ class TestEnumerateRankSample:
         rc, out, _ = run(capsys, "enumerate", "--n", "3", "--format", "json")
         rows = [json.loads(line) for line in out.strip().split("\n")]
         assert [int(row["rank"]) for row in rows] == list(range(5))
+
+    def test_enumerate_streams_past_the_recursion_limit(self):
+        # One stack frame per symbol would end in RecursionError near n = 495.
+        with subprocess.Popen([sys.executable, "-m", "dyck4d", "enumerate", "--n", "600",
+                               "--format", "json"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=CHILD_ENV) as child:
+            rows = [json.loads(child.stdout.readline()) for _ in range(20)]
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            rc = child.wait(timeout=30)
+        assert rows == [{"word": unrank(k, 600).text, "rank": str(k)} for k in range(20)]
+        assert "Traceback" not in err
+        assert (rc, err) == (1, "error:unwritable-output\n")
 
     def test_enumerate_pipes_into_validate(self, capsys, monkeypatch):
         rc, out, _ = run(capsys, "enumerate", "--n", "4")

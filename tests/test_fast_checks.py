@@ -17,7 +17,7 @@ import random
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from dyck4d import (AxisSet, DyckError, DyckWord, FlatnessResult,
+from dyck4d import (DyckError, DyckWord, FlatnessResult,
                     InconsistentProjection, InvalidCharacter, InvalidProjection,
                     LatticeNode, MalformedPath, NegativePrefix, Path4D,
                     ProjectedPath, Unbalanced, enumerate_nodes, lift, parse_word,
@@ -387,23 +387,17 @@ def test_json_axes(case, text):
     points = [[node["ijlr".find(a)] for a in order] for node in nodes]
     data = {"axes": axes, "points": points}
     expected = outcome(ref_json_axes, axes)
-    got = outcome(projected_path_from_json, data, field="axis_set")
-    if expected[0] != "ok":
-        assert got == expected
-        return
-    assert got == ("ok", AxisSet(expected[1]))
-    assert lift(projected_path_from_json(data)).nodes == tuple(nodes)
+    assert outcome(projected_path_from_json, data, field="axes") == expected
+    if expected[0] == "ok":
+        assert lift(projected_path_from_json(data)).nodes == tuple(nodes)
 
 
 @settings(max_examples=300, deadline=None)
 @given(projections())
 def test_projected_path_and_lift(case):
     names, points = case
-    got = outcome(ProjectedPath, AxisSet.of(names), points, field="points")
-    assert got == outcome(ref_projected, names, points)
-    if got[0] == "ok":
-        proj = ProjectedPath(AxisSet.of(names), points)
-        assert outcome(lift, proj, field="nodes") == outcome(ref_lift, names, points)
+    assert outcome(lift, ProjectedPath(names, points), field="nodes") == outcome(
+        ref_lift, names, points)
 
 
 @settings(max_examples=300, deadline=None)

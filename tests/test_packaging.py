@@ -54,14 +54,27 @@ def test_star_import_binds_every_public_name():
 
 
 def test_unknown_attribute():
-    # a triangle is its half-length n, a side its colour and every 4-vector a LatticeNode
-    for name in ("no_such_name", "LatticeRegion", "Side", "Vec4"):
+    # a triangle is its half-length n, a side its colour, every 4-vector a LatticeNode,
+    # an axis set its string and a figure a list of elements
+    for name in ("no_such_name", "LatticeRegion", "Side", "Vec4",
+                 "AxisSet", "all_modifications", "Scene"):
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(dyck4d, name)
         assert name not in dyck4d.__all__
         assert [module for module in dyck4d._EXPORTS
                 if hasattr(importlib.import_module(f"dyck4d.{module}"), name)] == []
     assert not hasattr(dyck4d, "prefix_count_table")
+
+
+def test_axis_sets_and_figures_are_plain_values():
+    assert dyck4d._EXPORTS["projections"].split() == [
+        "AXIS_SETS", "ProjectedPath", "axis_set", "lift", "project",
+        "projected_path_as_json", "projected_path_from_json"]
+    assert dyck4d._EXPORTS["render"].split() == [
+        "ROLE_COLORS", "edge_list_text", "render_grid_2d", "render_wireframe"]
+    assert dyck4d.ProjectedPath._fields == ("axes", "points")
+    for module in ("projections", "render"):
+        assert not hasattr(importlib.import_module(f"dyck4d.{module}"), "dataclass")
 
 
 def test_cli_import_loads_only_what_counting_runs():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyck4d import render
-from dyck4d import (AxisSet, ROLE_COLORS, WrongArity, double_tesseract,
+from dyck4d import (ROLE_COLORS, WrongArity, double_tesseract,
                     edge_list_text, parse_word, project, render_grid_2d,
                     render_wireframe, word_to_path)
 
@@ -24,7 +24,7 @@ def elements_of_class(svg, css_class):
 
 class TestGrid:
     def test_lr_grid_structure(self):
-        svg = render_grid_2d(AxisSet.of("lr"), 6)
+        svg = render_grid_2d("lr", 6)
         counts = classes(svg)
         assert counts["grid"] == 14  # 7 vertical + 7 horizontal isolines
         assert counts["diagonal"] == 1
@@ -33,7 +33,7 @@ class TestGrid:
         assert diagonal.get("stroke-dasharray") is not None
 
     def test_ij_mountain_frame(self):
-        svg = render_grid_2d(AxisSet.of("ij"), 1, project(word_to_path(parse_word("()")), AxisSet.of("ij")))
+        svg = render_grid_2d("ij", 1, project(word_to_path(parse_word("()")), "ij"))
         counts = classes(svg)
         assert counts["grid"] == 3 + 2  # i = 0..2 vertical, j = 0..1 horizontal
         assert counts["path"] == 1
@@ -42,25 +42,25 @@ class TestGrid:
         assert polyline.get("points") == "20.00,60.00 60.00,20.00 100.00,60.00"
 
     def test_no_diagonal_outside_lr(self):
-        assert classes(render_grid_2d(AxisSet.of("ij"), 4))["diagonal"] == 0
+        assert classes(render_grid_2d("ij", 4))["diagonal"] == 0
 
     def test_grid_line_colors_follow_axes(self):
-        svg = render_grid_2d(AxisSet.of("lr"), 2)
+        svg = render_grid_2d("lr", 2)
         strokes = {el.get("stroke") for el in elements_of_class(svg, "grid")}
         assert strokes == {ROLE_COLORS["yellow-l"], ROLE_COLORS["red-r"]}
 
     def test_wrong_arity(self):
         with pytest.raises(WrongArity):
-            render_grid_2d(AxisSet.of("ijl"), 4)
+            render_grid_2d("ijl", 4)
 
     def test_mismatched_projection(self):
-        proj = project(word_to_path(parse_word("()")), AxisSet.of("ij"))
+        proj = project(word_to_path(parse_word("()")), "ij")
         with pytest.raises(ValueError):
-            render_grid_2d(AxisSet.of("lr"), 1, proj)
+            render_grid_2d("lr", 1, proj)
 
     def test_deterministic(self):
-        a = render_grid_2d(AxisSet.of("lr"), 6, project(word_to_path(parse_word("()()()()()()")), AxisSet.of("lr")))
-        b = render_grid_2d(AxisSet.of("lr"), 6, project(word_to_path(parse_word("()()()()()()")), AxisSet.of("lr")))
+        a = render_grid_2d("lr", 6, project(word_to_path(parse_word("()()()()()()")), "lr"))
+        b = render_grid_2d("lr", 6, project(word_to_path(parse_word("()()()()()()")), "lr"))
         assert a == b
 
 
@@ -153,9 +153,9 @@ class TestEdgeList:
 class TestSvgHygiene:
     def documents(self):
         box = double_tesseract(6)
-        yield render_grid_2d(AxisSet.of("lr"), 6)
-        yield render_grid_2d(AxisSet.of("ij"), 3, project(word_to_path(parse_word("((()))")), AxisSet.of("ij")))
-        yield render_grid_2d(AxisSet.of("il"), 2)
+        yield render_grid_2d("lr", 6)
+        yield render_grid_2d("ij", 3, project(word_to_path(parse_word("((()))")), "ij"))
+        yield render_grid_2d("il", 2)
         yield render_wireframe(box, "orthographic-3d", True)[0]
         yield render_wireframe(box, "schlegel", True)[0]
         yield render_wireframe(box.cell("l", 6), "orthographic-3d")[0]
@@ -175,11 +175,10 @@ class TestSvgHygiene:
                         assert value in allowed, (attr, value)
 
     def test_empty_scene_renders(self):
-        from dyck4d.render import Scene
-        ET.fromstring(Scene().to_svg())
+        ET.fromstring(render._to_svg([]))
 
 
-# A scene element as (tag, points, builder keywords); the builders take the
+# A drawing element as (tag, points, builder keywords); the builders take the
 # first point (circle) or the first two (line) positionally.
 _COORD = st.one_of(st.integers(-10**6, 10**6),
                    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
@@ -206,7 +205,7 @@ def _build(tag, points, style):
 
 
 def reference_svg(specs):
-    """The per-element renderer the columnar ``Scene.to_svg`` must match byte for byte."""
+    """The per-element renderer the columnar ``render._to_svg`` must match byte for byte."""
     def fmt(value):
         return f"{float(value):.2f}"
 
@@ -247,7 +246,4 @@ def reference_svg(specs):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_SPEC, max_size=8))
 def test_scene_matches_per_element_reference(specs):
-    scene = render.Scene()
-    for spec in specs:
-        scene.add(_build(*spec))
-    assert scene.to_svg() == reference_svg(specs)
+    assert render._to_svg([_build(*spec) for spec in specs]) == reference_svg(specs)
