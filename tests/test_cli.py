@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from dyck4d import SIDES, __version__, unrank
+from dyck4d import SIDES, __version__, parse_word, rank, sample_uniform, unrank
 from dyck4d.cli import build_parser, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -37,6 +37,16 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _run_in_256_mb(argv, stdin=None):
+    """``python -m dyck4d`` with ``argv`` in a child limited to 256 MB of address space."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
+
+    return subprocess.run(
+        [sys.executable, "-m", "dyck4d", *argv], input=stdin, capture_output=True,
+        text=True, env=CHILD_ENV, timeout=30, preexec_fn=limit_memory)
 
 
 class TestValidate:
@@ -187,20 +197,14 @@ class TestCount:
     def test_one_node_builds_no_table(self):
         # The prefix table for n = 100000 would hold about 5e9 big integers; the two
         # ballot numbers of one node fit in these 256 MB of address space.
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
-
         n = 100000
-        result = subprocess.run(
-            [sys.executable, "-m", "dyck4d", "count", "--n", str(n), "--node",
-             f"{2 * n},0,{n},{n}"],
-            capture_output=True, text=True, env=CHILD_ENV, timeout=30, preexec_fn=limit_memory)
+        result = _run_in_256_mb(["count", "--n", str(n), "--node", f"{2 * n},0,{n},{n}"])
         assert (result.returncode, result.stderr) == (0, "")
         catalan = str(decimal.Decimal(math.comb(2 * n, n) // (n + 1)))
         assert result.stdout == f"{2 * n},0,{n},{n}\t{catalan}\n"
 
 
-#: A word whose prefix table (about 2 million big integers at n = 2000) outgrows 256 MB.
+#: A word whose prefix table (about 2 million big integers at n = 2000) would outgrow 256 MB.
 _DEEP_WORD = "(" * 2000 + ")" * 2000
 
 
@@ -208,21 +212,41 @@ class TestOutOfMemory:
     """A ``MemoryError`` is one ``error:out-of-memory`` line, and a batch goes on past it."""
 
     @pytest.mark.parametrize("argv, stdin, stdout", [
-        (["sample", "--n", "2000", "--seed", "1"], None, ""),
-        (["rank", _DEEP_WORD], None, ""),
         (["count", "--n", "2000"], None, ""),
-        (["rank"], f"{_DEEP_WORD}\n()\n", "0\n"),
-    ], ids=["sample", "rank", "count", "rank-batch"])
+        # the path of a 2 000 000-symbol word is 2 000 001 nodes of four ints
+        (["convert", "--to", "path"], "(" * 10**6 + ")" * 10**6 + "\n()\n",
+         "[[0,0,0,0],[1,1,1,0],[2,0,1,1]]\n"),
+    ], ids=["count", "convert-batch"])
     def test_one_error_line(self, argv, stdin, stdout):
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
-
-        result = subprocess.run(
-            [sys.executable, "-m", "dyck4d", *argv], input=stdin, capture_output=True,
-            text=True, env=CHILD_ENV, timeout=30, preexec_fn=limit_memory)
+        result = _run_in_256_mb(argv, stdin)
         assert (result.returncode, result.stdout) == (1, stdout)
         assert result.stderr == "error:out-of-memory\n"
         assert "Traceback" not in result.stderr
+
+
+class TestCountingMemory:
+    """rank and sample walk ballot numbers: their memory follows the answer, not a table."""
+
+    def test_sample_text(self):
+        result = _run_in_256_mb(["sample", "--n", "2000", "--seed", "1"])
+        assert (result.returncode, result.stderr) == (0, "")
+        word = result.stdout.removesuffix("\n")
+        assert oracles.scan(word) == ("ok", 2000)
+        assert word == sample_uniform(2000, 1).text
+
+    def test_sample_json(self):
+        result = _run_in_256_mb(["sample", "--n", "5000", "--seed", "1", "--count", "2",
+                                 "--format", "json"])
+        assert (result.returncode, result.stderr) == (0, "")
+        rows = [json.loads(line) for line in result.stdout.splitlines()]
+        assert len(rows) == 2
+        for row in rows:
+            assert oracles.scan(row["word"]) == ("ok", 5000)
+            assert row["rank"] == str(rank(parse_word(row["word"])))
+
+    def test_rank(self):
+        result = _run_in_256_mb(["rank", _DEEP_WORD])
+        assert (result.returncode, result.stdout, result.stderr) == (0, "0\n", "")
 
 
 class TestGeometry:
@@ -398,12 +422,7 @@ class TestRender:
     def test_triangle_n_past_largest(self, view, n):
         # The overlay's nodes grow with n: unbounded, 10**300 ran out of these 256 MB
         # of address space with a traceback, and 10**5 + 1 wrote 6.6 MB of SVG.
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
-
-        result = subprocess.run(
-            [sys.executable, "-m", "dyck4d", "render", view, "--n", str(n), "--triangle"],
-            capture_output=True, text=True, env=CHILD_ENV, timeout=30, preexec_fn=limit_memory)
+        result = _run_in_256_mb(["render", view, "--n", str(n), "--triangle"])
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.endswith("argument --n: must be at most 1e+05 with --triangle\n")
         assert "Traceback" not in result.stderr

@@ -1,12 +1,18 @@
+import functools
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from dyck4d import (RankOutOfRange, catalan, draw_uniform_rank,
                     enumerate_words, parse_word, rank, render_word,
                     sample_uniform, unrank)
+from dyck4d import enumeration
+from dyck4d.lattice import prefix_count_table
 
 
 class TestCatalan:
@@ -96,6 +102,137 @@ class TestRankUnrank:
     def test_rank_of_parsed_word(self):
         assert rank(parse_word("(())")) == 0
         assert rank(parse_word("()()")) == 1
+
+
+def _counted_by(source, function, *args):
+    """``function(*args)`` with rank and unrank counting by ``source``: "walk" or "table"."""
+    bought = {"walk": lambda n: None, "table": prefix_count_table}[source]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration, "_bought_table", bought)
+        return function(*args)
+
+
+@functools.cache
+def _brute_force_order(n):
+    return oracles.all_balanced(n)
+
+
+class TestWalkAgainstTable:
+    """The ballot walk and the prefix table give every rank and word alike."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 300), seed=st.integers(0, 2**32))
+    def test_random_words(self, n, seed):
+        text = oracles.random_word_text(random.Random(seed), n)
+        word = parse_word(text)
+        k = _counted_by("walk", rank, word)
+        assert _counted_by("table", rank, word) == k
+        assert _counted_by("walk", unrank, k, n) == word == _counted_by("table", unrank, k, n)
+        if n < 10:
+            assert _brute_force_order(n)[k] == text
+
+    @pytest.mark.parametrize("n", [999, 1000, 1001])
+    def test_both_sides_of_the_cap(self, n):
+        rng = random.Random(n)
+        try:
+            for _ in range(3):
+                word = parse_word(oracles.random_word_text(rng, n))
+                k = _counted_by("walk", rank, word)
+                assert _counted_by("table", rank, word) == k
+                assert _counted_by("walk", unrank, k, n) == word
+                assert _counted_by("table", unrank, k, n) == word
+        finally:
+            prefix_count_table.cache_clear()  # about 93 MB per table
+
+
+class TestBuyRule:
+    """Call c at n reads the table once 16 c >= n, and never above n = 1000."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_counts(self):
+        enumeration._calls.clear()
+        prefix_count_table.cache_clear()
+        yield
+        enumeration._calls.clear()
+        prefix_count_table.cache_clear()
+
+    @staticmethod
+    def _calls_at(n, calls):
+        """``calls`` alternating rank and unrank calls at n; the table misses after each."""
+        word = parse_word(oracles.random_word_text(random.Random(n), n))
+        k = rank(word)
+        misses = [prefix_count_table.cache_info().misses]
+        for call in range(2, calls + 1):
+            assert (unrank(k, n) if call % 2 else rank(word)) == (word if call % 2 else k)
+            misses.append(prefix_count_table.cache_info().misses)
+        return misses
+
+    @pytest.mark.parametrize("n", [1, 16, 17, 100, 1000])
+    def test_bought_on_the_paying_call(self, n):
+        paying = math.ceil(n / 16)
+        misses = self._calls_at(n, paying + 5)
+        assert misses == [0] * (paying - 1) + [1] * 6
+
+    def test_never_bought_above_the_cap(self):
+        calls = math.ceil(1001 / 16) + 5
+        assert self._calls_at(1001, calls) == [0] * calls
+
+    def test_counts_bounded_and_correct_after_eviction(self):
+        ns = range(20, 40)
+        for n in ns:
+            assert rank(unrank(n, n)) == n
+        assert list(enumeration._calls) == list(ns[-8:])
+        assert set(enumeration._calls.values()) == {2}
+        # a call at n = 32 makes it the most recent, so n = 40 evicts n = 33
+        assert unrank(0, 32) == parse_word("(" * 32 + ")" * 32)
+        assert rank(unrank(0, 40)) == 0
+        assert list(enumeration._calls) == [*range(34, 40), 32, 40]
+        assert enumeration._calls[32] == 3
+        # n = 20 was evicted: its count starts again
+        assert rank(unrank(1, 20)) == 1
+        assert len(enumeration._calls) == 8 and enumeration._calls[20] == 2
+
+
+class TestThreads:
+    @pytest.fixture(autouse=True)
+    def short_switch_interval(self):
+        enumeration._calls.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(interval)
+        enumeration._calls.clear()
+
+    def test_no_call_is_lost(self):
+        # 8 half-lengths fit the bound, so every count must end at the calls made
+        ns = range(2, 10)
+
+        def work(_):
+            for _ in range(100):
+                for n in ns:
+                    rank(unrank(1, n))
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert list(pool.map(work, range(8), timeout=120)) == [None] * 8
+        assert enumeration._calls == dict.fromkeys(ns, 8 * 100 * 2)
+
+    def test_shared_counts_stay_right(self):
+        # 12 half-lengths cross the bound of 8 counts; each thread makes runs of calls at
+        # one n, so the counts at n <= 160 reach their paying call while others evict them.
+        ns = [3, 10, 17, 24, 40, 64, 80, 100, 120, 140, 160, 1001]
+
+        def work(seed):
+            rng = random.Random(seed)
+            for n in rng.sample(ns, len(ns)):
+                for _ in range(12):
+                    k = rng.randrange(catalan(n))
+                    if rank(unrank(k, n)) != k:
+                        return (n, k)
+            return None
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert list(pool.map(work, range(8), timeout=120)) == [None] * 8
+        assert len(enumeration._calls) <= 8
 
 
 class TestSampling:

@@ -171,7 +171,8 @@ def _table_count(node, n):
 
 class TestBallotNumbers:
     """count_paths_through multiplies two ballot numbers; the prefix table, which
-    rank, unrank and ``count --n`` over all nodes still read, must agree."""
+    ``count --n`` over all nodes reads (and rank and unrank, once they have
+    bought it instead of walking ballot numbers), must agree."""
 
     def test_every_node_up_to_60(self):
         for n in range(61):
