@@ -32,6 +32,8 @@ CELLS = ("imin", "imax", "jmin", "jmax", "lmin", "lmax", "rmin", "rmax")
 
 _rng = random.Random(20192)
 WORDS = {n: oracles.random_word_text(_rng, n) for n in (1, 4, 9)}
+#: Grids at the sizes the figures benchmark draws, drawn after WORDS so theirs stay put.
+LARGE_WORDS = {n: oracles.random_word_text(_rng, n) for n in (40, 400)}
 
 
 def _cases():
@@ -57,6 +59,12 @@ def _cases():
         yield f"render schlegel --n {n}", ["render", "schlegel", "--n", str(n), "--edges", "EDGES"]
         yield (f"render schlegel --n {n} --triangle",
                ["render", "schlegel", "--n", str(n), "--triangle", "--edges", "EDGES"])
+    for axes in AXIS_PAIRS:
+        for n, word in LARGE_WORDS.items():
+            yield (f"render grid --axes {axes} --n {n} --word <{n}>",
+                   ["render", "grid", "--axes", axes, "--n", str(n), "--word", word])
+    yield ("render schlegel --n 400 --triangle",
+           ["render", "schlegel", "--n", "400", "--triangle", "--edges", "EDGES"])
 
 
 CASES = list(_cases())
