@@ -253,7 +253,7 @@ def cmd_sample(args) -> int:
     total = enumeration.catalan(args.n)
     for _ in range(args.count):
         k = enumeration.draw_uniform_rank(rng, total)
-        word = enumeration.unrank(k, args.n)
+        word = enumeration._unrank(k, args.n, total)
         print(_ranked_line(args, word, k, words.render_word(word)))
     return 0
 

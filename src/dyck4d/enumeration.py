@@ -68,7 +68,9 @@ _WALK_RATIO = 16
 _TABLE_CAP = 1000
 #: rank and unrank calls so far per n, for the _COUNTED n used last (oldest first).
 _calls: dict[int, int] = {}
-_COUNTED = 8
+#: No more n than prefix_count_table keeps tables for, so a process that rotates
+#: through more n walks at each instead of buying tables the cache then evicts.
+_COUNTED = prefix_count_table.cache_parameters()["maxsize"]
 _calls_lock = threading.Lock()
 
 
@@ -115,8 +117,14 @@ def unrank(k: int, n: int) -> DyckWord:
     """Inverse of :func:`rank`: the k-th word of half-length n."""
     if n < 0:
         raise ValueError("half-length must be non-negative")
+    return _unrank(k, n, None)
+
+
+def _unrank(k: int, n: int, total: int | None) -> DyckWord:
+    """:func:`unrank` for n >= 0, given ``total`` = catalan(n) if the caller has it."""
     table = _bought_table(n)
-    total = table[n][n] if table else catalan(n)
+    if total is None:
+        total = table[n][n] if table else catalan(n)
     if not 0 <= k < total:
         raise RankOutOfRange(f"rank {k} not in [0, {total}) for n={n}")
     c = 0 if table else total * (n + 1) // 2  # C(2n, n) / 2, as in rank
@@ -158,4 +166,5 @@ def sample_uniform(n: int, seed: int) -> DyckWord:
     is exactly uniformity over ranks.
     """
     rng = random.Random(seed)
-    return unrank(draw_uniform_rank(rng, catalan(n)), n)
+    total = catalan(n)
+    return _unrank(draw_uniform_rank(rng, total), n, total)

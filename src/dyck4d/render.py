@@ -16,7 +16,7 @@ then applies the same j-oblique 3D part.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from operator import add, attrgetter, mul, sub
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import WrongArity
@@ -83,14 +83,8 @@ def _to_svg(elements) -> str:
     order; the y axis is flipped so larger values draw upward."""
     xs, ys = zip(*(list(chain.from_iterable(map(attrgetter("points"), elements)))
                    or [(0.0, 0.0)]))
-    min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
-    # MARGIN + PIXELS_PER_UNIT * (x - min_x) and (max_y - y), a column at a time
-    px = _fmt_all(map(add, repeat(MARGIN), map(mul, repeat(PIXELS_PER_UNIT),
-                                               map(sub, xs, repeat(min_x)))))
-    py = _fmt_all(map(add, repeat(MARGIN), map(mul, repeat(PIXELS_PER_UNIT),
-                                               map(sub, repeat(max_y), ys))))
-    width = _fmt(2 * MARGIN + PIXELS_PER_UNIT * (max_x - min_x))
-    height = _fmt(2 * MARGIN + PIXELS_PER_UNIT * (max_y - min_y))
+    width, px = _pixel_column(xs, flip=False)
+    height, py = _pixel_column(ys, flip=True)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -99,6 +93,26 @@ def _to_svg(elements) -> str:
         "</svg>\n",
     ]
     return "\n".join(lines).format(*chain.from_iterable(zip(px, py)))
+
+
+#: An int below this is exact in binary64, so its float formats as its digits + ".00".
+_EXACT_INT = 2**53
+
+
+def _pixel_column(values, flip: bool) -> tuple[str, list[str]]:
+    """The canvas extent along one axis and every value's pixel, as ``_fmt`` text.
+
+    A pixel is MARGIN + PIXELS_PER_UNIT * (v - min), or (max - v) when ``flip``,
+    computed as -PIXELS_PER_UNIT * (v - max), which is the same float.  An all-int
+    column whose extent is below ``_EXACT_INT`` stays in ints and skips float
+    formatting: every pixel lies inside the extent, so it is exact.
+    """
+    lo, hi = min(values), max(values)
+    extent = 2 * MARGIN + PIXELS_PER_UNIT * (hi - lo)
+    origin, scale = (hi, -PIXELS_PER_UNIT) if flip else (lo, PIXELS_PER_UNIT)
+    if extent < _EXACT_INT and set(map(type, values)) == {int}:
+        return f"{extent}.00", [f"{MARGIN + scale * (v - origin)}.00" for v in values]
+    return _fmt(extent), _fmt_all([MARGIN + scale * (v - origin) for v in values])
 
 
 def _fmt(value) -> str:
@@ -126,12 +140,11 @@ def render_grid_2d(axes: str, n: int, proj: ProjectedPath | None = None) -> str:
     ax_x, ax_y = axes
     w = _EXTENT[ax_x] * n
     h = _EXTENT[ax_y] * n
-    x_role, y_role = AXIS_ROLES[ax_x], AXIS_ROLES[ax_y]
-    elements = []
-    for x in range(w + 1):  # isolines of the horizontal axis are vertical lines
-        elements.append(_line((x, 0), (x, h), role=x_role))
-    for y in range(h + 1):
-        elements.append(_line((0, y), (w, y), role=y_role))
+    # isolines of the horizontal axis are vertical lines; each family shares one SVG text
+    vertical = _line((0, 0), (0, h), role=AXIS_ROLES[ax_x]).svg
+    horizontal = _line((0, 0), (w, 0), role=AXIS_ROLES[ax_y]).svg
+    elements = [Element(((x, 0), (x, h)), vertical) for x in range(w + 1)]
+    elements += [Element(((0, y), (w, y)), horizontal) for y in range(h + 1)]
     if axes == "lr":
         elements.append(_line((0, 0), (n, n), role="blue-j",
                                css_class="diagonal", dashed=True, width=2.0))

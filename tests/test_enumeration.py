@@ -12,6 +12,7 @@ from dyck4d import (RankOutOfRange, catalan, draw_uniform_rank,
                     enumerate_words, parse_word, rank, render_word,
                     sample_uniform, unrank)
 from dyck4d import enumeration
+from dyck4d.cli import main
 from dyck4d.lattice import prefix_count_table
 
 
@@ -178,19 +179,35 @@ class TestBuyRule:
         assert self._calls_at(1001, calls) == [0] * calls
 
     def test_counts_bounded_and_correct_after_eviction(self):
+        counted = enumeration._COUNTED
         ns = range(20, 40)
         for n in ns:
             assert rank(unrank(n, n)) == n
-        assert list(enumeration._calls) == list(ns[-8:])
+        assert list(enumeration._calls) == list(ns[-counted:])
         assert set(enumeration._calls.values()) == {2}
-        # a call at n = 32 makes it the most recent, so n = 40 evicts n = 33
-        assert unrank(0, 32) == parse_word("(" * 32 + ")" * 32)
+        # a call at the oldest counted n makes it the most recent, so n = 40 evicts the next
+        oldest, evicted = ns[-counted], ns[-counted + 1]
+        assert unrank(0, oldest) == parse_word("(" * oldest + ")" * oldest)
         assert rank(unrank(0, 40)) == 0
-        assert list(enumeration._calls) == [*range(34, 40), 32, 40]
-        assert enumeration._calls[32] == 3
+        assert list(enumeration._calls) == [*ns[-counted + 2:], oldest, 40]
+        assert evicted not in enumeration._calls and enumeration._calls[oldest] == 3
         # n = 20 was evicted: its count starts again
         assert rank(unrank(1, 20)) == 1
-        assert len(enumeration._calls) == 8 and enumeration._calls[20] == 2
+        assert len(enumeration._calls) == counted and enumeration._calls[20] == 2
+
+    @pytest.mark.parametrize("rotated, builds", [(enumeration._COUNTED + 1, 0),
+                                                 (enumeration._COUNTED, enumeration._COUNTED)])
+    def test_rotating_half_lengths(self, rotated, builds):
+        # one n more than the tables kept: each n's count restarts before it can buy;
+        # as many n as the tables kept: each buys its table once and keeps it
+        ns = [200 + 200 * step // (rotated - 1) for step in range(rotated)]
+        words = {n: parse_word(oracles.random_word_text(random.Random(n), n)) for n in ns}
+        ks = {n: rank(word) for n, word in words.items()}
+        for call in range(200 - rotated):
+            n = ns[call % rotated]
+            assert (unrank(ks[n], n) if call % 2 else rank(words[n])) == (
+                words[n] if call % 2 else ks[n])
+        assert prefix_count_table.cache_info().misses == builds
 
 
 class TestThreads:
@@ -204,8 +221,8 @@ class TestThreads:
         enumeration._calls.clear()
 
     def test_no_call_is_lost(self):
-        # 8 half-lengths fit the bound, so every count must end at the calls made
-        ns = range(2, 10)
+        # as many half-lengths as the bound holds, so every count must end at the calls made
+        ns = range(2, 2 + enumeration._COUNTED)
 
         def work(_):
             for _ in range(100):
@@ -217,7 +234,7 @@ class TestThreads:
         assert enumeration._calls == dict.fromkeys(ns, 8 * 100 * 2)
 
     def test_shared_counts_stay_right(self):
-        # 12 half-lengths cross the bound of 8 counts; each thread makes runs of calls at
+        # 12 half-lengths cross the bound on the counts; each thread makes runs of calls at
         # one n, so the counts at n <= 160 reach their paying call while others evict them.
         ns = [3, 10, 17, 24, 40, 64, 80, 100, 120, 140, 160, 1001]
 
@@ -232,10 +249,29 @@ class TestThreads:
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             assert list(pool.map(work, range(8), timeout=120)) == [None] * 8
-        assert len(enumeration._calls) <= 8
+        assert len(enumeration._calls) <= enumeration._COUNTED
 
 
 class TestSampling:
+    # n = 1001 is above the table cap, so a walking unrank needs catalan(n) for its start
+    @pytest.fixture
+    def catalan_calls(self, monkeypatch):
+        """The n of every ``enumeration.catalan`` call from now on."""
+        calls = []
+        real = enumeration.catalan
+        monkeypatch.setattr(enumeration, "catalan", lambda n: calls.append(n) or real(n))
+        return calls
+
+    def test_one_catalan_number_per_draw(self, catalan_calls):
+        word = sample_uniform(1001, 5)
+        assert catalan_calls == [1001]
+        assert rank(word) < catalan(1001)
+
+    def test_one_catalan_number_per_sample_command(self, catalan_calls, capsys):
+        assert main(["sample", "--n", "1001", "--seed", "5", "--count", "3"]) == 0
+        assert catalan_calls == [1001]
+        assert len(capsys.readouterr().out.split()) == 3
+
     def test_single_word_universe(self):
         assert sample_uniform(0, 123).n == 0
         assert render_word(sample_uniform(1, 99)) == "()"

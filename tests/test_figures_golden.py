@@ -5,7 +5,9 @@ flatness scan and the SVG coordinates were rewritten to work on whole columns.
 ``data/figures_golden.json`` maps every case to the SHA-256 of its stdout, the
 SHA-256 of its stderr and its exit code, plus the SHA-256 of the ``--edges``
 file for the cases that write one, recorded from the node-by-node and
-number-by-number implementation.
+number-by-number implementation.  The grids at n = 40 and 400 and the nested-cube
+view at n = 400 were recorded later, while every pixel still went through float
+formatting.
 
 Re-record (only when a change of output is intended) with
 ``PYTHONPATH=src python tests/test_figures_golden.py``.

@@ -178,6 +178,61 @@ class TestSvgHygiene:
         ET.fromstring(render._to_svg([]))
 
 
+def _fmt(value):
+    return format(float(value), ".2f")
+
+
+class TestPixelColumn:
+    """An all-int column skips float formatting only where that gives the same bytes:
+    below an extent of 2**53, where every int is exact in binary64."""
+
+    @pytest.fixture
+    def unit_pixels(self, monkeypatch):
+        # a pixel is its offset from the column's edge, so it can be any int near 2**53
+        monkeypatch.setattr(render, "MARGIN", 0)
+        monkeypatch.setattr(render, "PIXELS_PER_UNIT", 1)
+
+    @pytest.fixture
+    def float_columns(self, monkeypatch):
+        """Every column formatted by the float path from now on."""
+        columns = []
+        real = render._fmt_all
+        monkeypatch.setattr(render, "_fmt_all",
+                            lambda values: columns.append(values) or real(values))
+        return columns
+
+    @pytest.mark.parametrize("v", [0, 1, -1, 2**53 - 2, 2**53 - 1, -(2**53 - 1)])
+    def test_int_path_below_the_bound(self, unit_pixels, float_columns, v):
+        # with flip, a pixel is -(v - max): (0, v) reaches |v| either way
+        extent, pixels = render._pixel_column((0, v), flip=v < 0)
+        assert (extent, pixels) == (_fmt(abs(v)), [_fmt(0), _fmt(abs(v))])
+        assert float_columns == []
+
+    @pytest.mark.parametrize("v", [2**53, 2**53 + 1, -(2**53 + 1)])
+    def test_float_path_from_the_bound(self, unit_pixels, float_columns, v):
+        extent, pixels = render._pixel_column((0, v), flip=v < 0)
+        assert (extent, pixels) == (_fmt(abs(v)), [_fmt(0), _fmt(abs(v))])
+        assert float_columns == [[0, abs(v)]]
+        if abs(v) > 2**53:  # where an int's own digits would no longer match
+            assert f"{abs(v)}.00" != _fmt(abs(v))
+
+    @pytest.mark.parametrize("column", [(0, 1.0), (0.5, 3), (2.0, 4.0)])
+    def test_float_path_unless_every_value_is_an_int(self, float_columns, column):
+        _, pixels = render._pixel_column(column, flip=False)
+        lo = min(column)
+        assert pixels == [_fmt(render.MARGIN + render.PIXELS_PER_UNIT * (v - lo))
+                          for v in column]
+        assert len(float_columns) == 1
+
+    def test_bound_at_the_real_canvas_metrics(self, float_columns):
+        # 2 MARGIN + PIXELS_PER_UNIT * span first reaches 2**53 at this span
+        span = (2**53 - 2 * render.MARGIN) // render.PIXELS_PER_UNIT + 1
+        render._pixel_column((0, span - 1), flip=False)
+        assert float_columns == []
+        render._pixel_column((0, span), flip=False)
+        assert len(float_columns) == 1
+
+
 # A drawing element as (tag, points, builder keywords); the builders take the
 # first point (circle) or the first two (line) positionally.
 _COORD = st.one_of(st.integers(-10**6, 10**6),
