@@ -8,8 +8,10 @@ implementation.  An exception that escaped ``main`` there was recorded as
 ``"exception:<class>"``; those cases (``lift`` on JSON of the wrong shape) must
 now fail with one ``error:invalid-projection`` line and exit code 1.
 
-Re-record (only when a change of output is intended) with
-``PYTHONPATH=src python tests/test_paths_golden.py``.
+Record the cases that have no entry yet with
+``PYTHONPATH=src python tests/test_paths_golden.py``; it keeps every recorded
+entry, so re-recording one (only when a change of output is intended) means
+deleting it first.
 """
 
 import contextlib
@@ -102,6 +104,46 @@ def _cases():
     for k, data in enumerate(BAD_PROJECTIONS):
         for to in ("path", "word"):
             yield f"lift --to {to} <bad projection {k}>", ["lift", "--to", to, data], ""
+    yield from _mixed_cases()
+    for axes in AXIS_SETS:
+        prefix = projected(UNBALANCED_PREFIX, axes)
+        for to in ("path", "word"):
+            yield f"lift --to {to} <unbalanced prefix {axes}>", ["lift", "--to", to], prefix + "\n"
+    for argv in BATCH_COMMANDS:
+        for name, line in (("empty word", ""), ("origin path", "[[0,0,0,0]]")):
+            yield f"{' '.join(argv)} <{name}>", argv, line + "\n"
+    for axes in AXIS_SETS:
+        for to in ("path", "word"):
+            yield f"lift --to {to} <empty word {axes}>", ["lift", "--to", to], projected("", axes) + "\n"
+
+
+#: A prefix whose unbalance never returns to 0 after its first step: every
+#: grid's image of it lifts to a path, but to no balanced word.
+UNBALANCED_PREFIX = "(" + GOOD_WORDS[11] + "(()"
+
+BATCH_COMMANDS = (["validate"], ["convert", "--to", "path"], ["convert", "--to", "word"],
+                  *(["project", "--axes", axes] for axes in AXIS_SETS),
+                  ["lift", "--to", "path"], ["lift", "--to", "word"], ["rank"])
+
+
+def _mixed_cases():
+    """One stdin batch per command with bad lines between good ones: every line
+    gets its own output or error line, in order."""
+    def lines(*items):
+        return "".join(f"{item}\n" for item in items)
+    words = lines(GOOD_WORDS[5], BAD_WORDS[1], GOOD_WORDS[12], BAD_WORDS[17], GOOD_WORDS[0],
+                  BAD_WORDS[3], GOOD_WORDS[18])
+    yield "convert --to path <mixed batch>", ["convert", "--to", "path"], words
+    yield "project --axes jr <mixed batch>", ["project", "--axes", "jr"], words
+    paths = lines(GOOD_PATHS[5], BAD_PATHS[11], GOOD_PATHS[12], BAD_PATHS[16], GOOD_PATHS[0],
+                  BAD_PATHS[7], GOOD_PATHS[9])
+    yield "convert --to word <mixed batch>", ["convert", "--to", "word"], paths
+    projections = lines(projected(GOOD_WORDS[5], "il"), BAD_PROJECTIONS[3],
+                        projected(GOOD_WORDS[12], "jr"), projected(UNBALANCED_PREFIX, "lr"),
+                        BAD_PROJECTIONS[14], projected(GOOD_WORDS[0], "ijr"),
+                        BAD_PROJECTIONS[20], projected(GOOD_WORDS[9], "ij"))
+    for to in ("path", "word"):
+        yield f"lift --to {to} <mixed batch>", ["lift", "--to", to], projections
 
 
 CASES = list(_cases())
@@ -147,5 +189,7 @@ def test_golden(case_id, argv, stdin):
 
 
 if __name__ == "__main__":
-    DATA.write_text(json.dumps({case_id: digest(*run_case(argv, stdin))
+    # Recorded entries stay as they are (the escaped exceptions cannot be
+    # recorded again); delete an entry to record it anew.
+    DATA.write_text(json.dumps({case_id: EXPECTED.get(case_id) or digest(*run_case(argv, stdin))
                                 for case_id, argv, stdin in CASES}, indent=0) + "\n")
