@@ -144,42 +144,46 @@ def _validate_line(args, text: str) -> str:
     return f"valid n={words.parse_word(text).n}"
 
 
-def _int_rows(rows, width: int) -> str:
-    """``json.dumps(rows, separators=(",", ":"))`` for a sequence of ``width``-int rows.
+def _int_rows(columns) -> str:
+    """``json.dumps(rows, separators=(",", ":"))`` for the rows of equally long int columns.
 
     One ``str.format`` fills one template, which writes an int as ``json.dumps``
-    does; a bool (``True``) or a float would not match, so only int rows may
-    reach it.  Every caller's rows are built from canonical columns
-    (:func:`words.word_to_path` and its projection) or completed from values
-    that passed ``words._first_bad_row`` (:func:`projections.lift`).
+    does; a bool (``True``) or a float would not match, so only int columns may
+    reach it.  Its callers, :func:`_convert_line`, :func:`_project_line` and
+    :func:`_lift_line`, pass the canonical columns of a word
+    (``words._word_columns``) or columns that the axes select from them, or
+    the columns of values that passed ``words._first_bad_row`` and the path
+    check (``words._columns_from_lists``, ``projections._lift_columns``).
     """
-    row = "[" + ",".join(repeat("{}", width)) + "]"
-    return ("[" + ",".join(repeat(row, len(rows))) + "]").format(*chain.from_iterable(rows))
+    row = "[" + ",".join(repeat("{}", len(columns))) + "]"
+    template = "[" + ",".join(repeat(row, len(columns[0]))) + "]"
+    return template.format(*chain.from_iterable(zip(*columns)))
 
 
-def _path_line(path, to: str) -> str:
+def _path_line(columns, to: str) -> str:
+    """The line of a path given by its (i, j, l, r) columns: its word or its nodes."""
     if to == "word":
-        return words.render_word(words.path_to_word(path))
-    return _int_rows(path.nodes, 4)
+        return words.render_word(words._word_of(columns[2]))
+    return _int_rows(columns)
 
 
 def _convert_line(args, text: str) -> str:
     if args.to == "path":
-        return _path_line(words.word_to_path(words.parse_word(text)), args.to)
-    return _path_line(words.path_from_lists(_json(text)), args.to)
+        return _int_rows(words._word_columns(words.parse_word(text)))
+    return _path_line(words._columns_from_lists(_json(text)), args.to)
 
 
 def _project_line(args, text: str) -> str:
     from . import projections
-    proj = projections.project(words.word_to_path(words.parse_word(text)), args.axes)
+    columns = projections._selector(args.axes)(words._word_columns(words.parse_word(text)))
     axes = json.dumps(list(args.axes), separators=(",", ":"))
-    return f'{{"axes":{axes},"points":{_int_rows(proj.points, len(args.axes))}}}'
+    return f'{{"axes":{axes},"points":{_int_rows(columns)}}}'
 
 
 def _lift_line(args, text: str) -> str:
     from . import projections
-    return _path_line(projections.lift(projections.projected_path_from_json(_json(text))),
-                      args.to)
+    proj = projections.projected_path_from_json(_json(text))
+    return _path_line(projections._lift_columns(proj.axes, proj.points), args.to)
 
 
 def _digits(k: int) -> str:

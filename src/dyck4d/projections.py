@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import InconsistentProjection, InvalidProjection
 from .lattice import _complete_pair
-from .words import AXES, Path4D, _first, _first_bad_row
+from .words import AXES, Path4D, _first, _first_bad_row, _path_columns, _path_of
 
 
 #: The 11 axis sets in canonical order: 6 pairs, 4 triples, the full set.  An
@@ -47,10 +47,33 @@ class ProjectedPath(NamedTuple):
     points: tuple
 
 
+def _selector(axes):
+    """The ``itemgetter`` of the coordinates of ``axes``: it selects a point from a
+    node, and the projected columns from a path's (i, j, l, r) columns."""
+    return itemgetter(*map(AXES.index, _canonical(axes)))
+
+
 def project(path: Path4D, axes: str) -> ProjectedPath:
     """Pointwise coordinate selection; the node order is preserved."""
-    select = itemgetter(*map(AXES.index, _canonical(axes)))
-    return ProjectedPath(axes, tuple(map(select, path.nodes)))
+    return ProjectedPath(axes, tuple(map(_selector(axes), path.nodes)))
+
+
+def _lift_columns(axes: str, points) -> tuple[tuple[int, ...], ...]:
+    """The (i, j, l, r) columns of the path whose projection onto ``axes`` is
+    ``points``, a tuple of tuples; raises as :func:`lift` does."""
+    select = _selector(axes)
+    if set(map(len, points)) - {len(axes)}:
+        wrong = _first(map(ne, map(len, points), itertools.repeat(len(axes))))
+        raise ValueError(f"point {points[wrong]} does not match {len(axes)} axes")
+    first, second = axes[:2]
+    columns = tuple(zip(*points)) or ((),) * len(axes)
+    completion = _complete_pair(first, columns[0], second, columns[1])
+    if select(completion) != columns:
+        nodes = tuple(zip(*completion))
+        index = _first(map(ne, map(select, nodes), points))
+        raise InconsistentProjection(
+            index, f"completion {nodes[index]} projects back to {select(nodes[index])}")
+    return _path_columns(completion)
 
 
 def lift(proj: ProjectedPath) -> Path4D:
@@ -60,24 +83,10 @@ def lift(proj: ProjectedPath) -> Path4D:
     :class:`InconsistentProjection` for the first point that its
     completion from its first two coordinates does not project back to, and
     :class:`MalformedPath` when the completed nodes do not form a path.
-    Lattice membership is left to the path constructor, so a structurally
+    Lattice membership is left to the path check, so a structurally
     sound but invalid node sequence surfaces as MalformedPath.
     """
-    axes = _canonical(proj.axes)
-    points = tuple(map(tuple, proj.points))
-    if set(map(len, points)) - {len(axes)}:
-        wrong = _first(map(ne, map(len, points), itertools.repeat(len(axes))))
-        raise ValueError(f"point {points[wrong]} does not match {len(axes)} axes")
-    first, second = axes[:2]
-    columns = tuple(zip(*points)) or ((),) * len(axes)
-    completion = _complete_pair(first, columns[0], second, columns[1])
-    nodes = tuple(zip(*completion))
-    select = itemgetter(*map(AXES.index, axes))
-    if select(completion) != columns:
-        index = _first(map(ne, map(select, nodes), points))
-        raise InconsistentProjection(
-            index, f"completion {nodes[index]} projects back to {select(nodes[index])}")
-    return Path4D(nodes)
+    return _path_of(_lift_columns(proj.axes, tuple(map(tuple, proj.points))))
 
 
 def projected_path_as_json(proj: ProjectedPath) -> dict:

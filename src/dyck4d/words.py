@@ -49,6 +49,7 @@ _DROP_WHITESPACE = str.maketrans("", "", _WHITESPACE)
 _FOREIGN = re.compile(f"[^(){_WHITESPACE}]")
 _NOT_PARENTHESIS = re.compile("[^()]")
 _UNIT = {"(": 1, ")": -1}
+_OPENS = bytes.maketrans(b"()", b"\1\0")
 
 
 def _first(flags):
@@ -116,6 +117,30 @@ def _canonical_columns(opens) -> tuple[tuple[int, ...], ...]:
     return i, tuple(map(sub, l, r)), l, r
 
 
+def _path_columns(columns):
+    """``columns``, the (i, j, l, r) columns of a node sequence, when they are a path.
+
+    That is the one path check: the columns must be the canonical columns of
+    the word their l column spells, '(' wherever l changes, and j must never
+    go negative.  Otherwise :class:`MalformedPath` names the first bad node,
+    the first one checked being the origin.
+    """
+    if next(zip(*columns), None) != ORIGIN:
+        raise MalformedPath(0, "path must start at the origin (0, 0, 0, 0)")
+    l = columns[2]
+    canonical = _canonical_columns(map(ne, l[1:], l))
+    if columns == canonical and min(canonical[1]) >= 0:
+        return columns
+    # Up to the first node that differs from the canonical one, the deltas
+    # are steps; that node's delta is not (or is not a number at all).
+    differs = _first(map(ne, zip(*columns), zip(*canonical)))
+    negative = _first(map(gt, repeat(0), canonical[1]))
+    if negative is not None and (differs is None or negative < differs):
+        raise MalformedPath(negative, "unbalance went negative")
+    delta = tuple(column[differs] - column[differs - 1] for column in columns)
+    raise MalformedPath(differs, f"delta {delta} is neither an up-step nor a down-step")
+
+
 @dataclass(frozen=True)
 class Path4D:
     """An origin-anchored node sequence whose deltas are UP_STEP or DOWN_STEP.
@@ -136,20 +161,7 @@ class Path4D:
                 wide = _first(map(ne, map(len, nodes), repeat(4)))
                 raise TypeError(f"node {wide}: {len(nodes[wide])} coordinates, not 4")
         object.__setattr__(self, "nodes", nodes)
-        if not nodes or nodes[0] != ORIGIN:
-            raise MalformedPath(0, "path must start at the origin (0, 0, 0, 0)")
-        columns = tuple(zip(*nodes))
-        canonical = _canonical_columns(map(ne, columns[2][1:], columns[2]))
-        if columns == canonical and min(canonical[1]) >= 0:
-            return
-        # Up to the first node that differs from the canonical one, the deltas
-        # are steps; that node's delta is not (or is not a number at all).
-        differs = _first(map(ne, nodes, zip(*canonical)))
-        negative = _first(map(gt, repeat(0), canonical[1]))
-        if negative is not None and (differs is None or negative < differs):
-            raise MalformedPath(negative, "unbalance went negative")
-        delta = tuple(map(sub, nodes[differs], nodes[differs - 1]))
-        raise MalformedPath(differs, f"delta {delta} is neither an up-step nor a down-step")
+        _path_columns(tuple(zip(*nodes)))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -158,31 +170,40 @@ class Path4D:
         return iter(self.nodes)
 
 
-def _canonical_path(opens) -> Path4D:
-    """The :class:`Path4D` of :func:`_canonical_columns`, built without re-checking.
+def _path_of(columns) -> Path4D:
+    """The :class:`Path4D` of columns that are a path, built without re-checking.
 
-    ``Path4D.__post_init__`` accepts a path exactly when its nodes are the
-    canonical columns of its own l column and j never goes negative.  Nodes
-    zipped from canonical columns are canonical by construction, so only the
-    sign of j is left to prove, and a caller proves it first: the j column of
-    a balanced word is its running balance, which :class:`DyckWord` has checked.
+    ``columns`` have passed :func:`_path_columns`, or are the canonical
+    columns of a balanced word (:func:`_word_columns`), which pass it by
+    construction: the j column of a balanced word is its running balance,
+    which :class:`DyckWord` has checked.
     """
     path = object.__new__(Path4D)
     # tuple.__new__ builds the nodes without a Python-level call per node
-    nodes = tuple(map(tuple.__new__, repeat(LatticeNode), zip(*_canonical_columns(opens))))
+    nodes = tuple(map(tuple.__new__, repeat(LatticeNode), zip(*columns)))
     object.__setattr__(path, "nodes", nodes)
     return path
 
 
+def _word_columns(word: DyckWord) -> tuple[tuple[int, ...], ...]:
+    """The (i, j, l, r) columns of a word's canonical path."""
+    # A word is ASCII: its bytes, '(' made 1 and ')' 0, are its opens as ints.
+    return _canonical_columns(word.text.encode("ascii").translate(_OPENS))
+
+
+def _word_of(l) -> DyckWord:
+    """The word whose canonical path has the l column ``l``, '(' wherever l rises."""
+    return DyckWord("".join(map(")(".__getitem__, map(gt, l[1:], l))))
+
+
 def word_to_path(word: DyckWord) -> Path4D:
     """The canonical path of a word: node k holds the counts after k symbols."""
-    return _canonical_path(map("(".__eq__, word.text))
+    return _path_of(_word_columns(word))
 
 
 def path_to_word(path: Path4D) -> DyckWord:
     """Inverse of :func:`word_to_path`."""
-    l = tuple(map(itemgetter(2), path.nodes))
-    return DyckWord("".join(map(")(".__getitem__, map(gt, l[1:], l))))
+    return _word_of(tuple(map(itemgetter(2), path.nodes)))
 
 
 def path_as_lists(path: Path4D) -> list[list[int]]:
@@ -204,9 +225,14 @@ def _first_bad_row(rows, width: int):
                   for row in rows)
 
 
-def path_from_lists(rows) -> Path4D:
-    """Rebuild a validated path from its JSON form, an array of [i, j, l, r] arrays."""
+def _columns_from_lists(rows):
+    """The (i, j, l, r) columns of the JSON form of a path, once they are a path."""
     bad = _first_bad_row(rows, 4)
     if bad is not None:
         raise MalformedPath(bad, "a node must be four integers [i, j, l, r]")
-    return Path4D(tuple(rows))
+    return _path_columns(tuple(zip(*rows)))
+
+
+def path_from_lists(rows) -> Path4D:
+    """Rebuild a validated path from its JSON form, an array of [i, j, l, r] arrays."""
+    return _path_of(_columns_from_lists(rows))

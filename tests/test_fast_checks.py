@@ -1,5 +1,7 @@
 """The column-wise checks reject exactly what the element-by-element checks
 rejected, with the same exception class and the same position or index.
+The command line's batch lines, which go from input columns to output
+columns without building a node, print what the library's node route prints.
 
 Each reference below walks one character, step, node or point at a time,
 as the package did before its checks were rewritten to work on whole
@@ -8,7 +10,7 @@ small perturbations (a swapped symbol, a dropped or duplicated node, a wrong
 redundant coordinate, a mixed-parity (i, j), a bad width, a moved, swapped
 or dropped coordinate).  Two shortcuts are checked against the full code
 path the same way: ``word_to_path``, which builds without re-checking, and
-``cli._int_rows``, which writes integer rows without ``json.dumps``.
+``cli._int_rows``, which writes the rows of integer columns without ``json.dumps``.
 """
 
 import json
@@ -17,11 +19,15 @@ import random
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from argparse import Namespace
+
 from dyck4d import (DyckError, DyckWord, FlatnessResult,
                     InconsistentProjection, InvalidCharacter, InvalidProjection,
                     LatticeNode, MalformedPath, NegativePrefix, Path4D,
                     ProjectedPath, Unbalanced, enumerate_nodes, lift, parse_word,
-                    path_from_lists, projected_path_from_json, verify_flat, word_to_path)
+                    path_from_lists, path_to_word, project, projected_path_as_json,
+                    projected_path_from_json, render_word, verify_flat, word_to_path)
+from dyck4d import cli
 from dyck4d.cli import _int_rows
 
 AXIS_SETS = ("ij", "il", "ir", "jl", "jr", "lr", "ijl", "ijr", "ilr", "jlr", "ijlr")
@@ -286,7 +292,8 @@ def test_word_to_path_builds_what_path4d_accepts(text):
 
 @st.composite
 def int_rows(draw):
-    """(width, rows): up to 8 rows of ``width`` ints, small, negative or above 2**64."""
+    """(width, rows): up to 8 rows of ``width`` ints, small, negative or above 2**64;
+    ``_int_rows`` gets their columns."""
     width = draw(st.sampled_from((2, 3, 4)))
     values = st.one_of(st.integers(-3, 3), st.integers(-2**80, 2**80),
                        st.sampled_from((2**64, 2**64 + 1, -2**64 - 1)))
@@ -302,7 +309,8 @@ def int_rows(draw):
 @example((4, ((-1, 2**64 + 1, -2**64 - 1, 0),)))
 def test_int_rows(case):
     width, rows = case
-    assert _int_rows(rows, width) == json.dumps(rows, separators=(",", ":"))
+    columns = tuple(zip(*rows)) or ((),) * width
+    assert _int_rows(columns) == json.dumps(rows, separators=(",", ":"))
 
 
 @st.composite
@@ -416,3 +424,83 @@ def test_enumerate_nodes_and_region_flatness():
         assert nodes == ref_region(n)
         assert all(type(node) is LatticeNode for node in nodes)
         assert verify_flat(n) == ref_flat(nodes) == FlatnessResult(True, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_rows(), projections())
+@example([], ("lr", []))
+@example([[0, 0, 0, 0]], ("ijlr", [[0, 0, 0, 0]]))
+def test_lift_and_path_from_lists_return_checked_paths(rows, case):
+    """``path_from_lists`` and ``lift`` build their paths from the columns the
+    path check accepted, without checking the nodes again: every path they
+    return is one that ``Path4D`` accepts as it is and the node-by-node
+    reference accepts too, and every input they reject, the reference rejects."""
+    names, points = case
+    for build, subject, reference in ((path_from_lists, rows, lambda: ref_rows(rows)),
+                                      (lift, ProjectedPath(names, points),
+                                       lambda: ref_lift(names, points))):
+        got = outcome(build, subject)
+        assert got[0] == outcome(reference)[0]
+        if got[0] == "ok":
+            path = got[1]
+            assert Path4D(path.nodes) == path
+            assert all(type(node) is LatticeNode for node in path.nodes)
+            assert path.nodes == ref_path(path.nodes)
+
+
+@st.composite
+def long_words(draw):
+    """A valid word of half-length n <= 300."""
+    n = draw(st.integers(0, 300))
+    return oracles.random_word_text(random.Random(draw(st.integers(0, 2**32))), n)
+
+
+def line_of(route, text):
+    """The output line of ``route`` on ``text``, or the error line of the
+    :class:`DyckError` it raises, as the batch commands print them."""
+    try:
+        return route(text)
+    except DyckError as exc:
+        return cli._error_line(exc)
+
+
+def node_json(nodes):
+    return json.dumps(nodes, separators=(",", ":"))
+
+
+def lifted(text):
+    return lift(projected_path_from_json(json.loads(text)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(long_words(), texts()), odd_node_rows(), odd_projections(),
+       st.sampled_from(AXIS_SETS))
+def test_cli_lines_agree_with_the_library(text, rows, case, axes):
+    """Each column-wise batch line function gives the line, or the error line,
+    of the library's route through nodes: ``word_to_path``, ``project``,
+    ``lift``, ``path_from_lists`` and ``path_to_word``."""
+    names, points = case
+    paths, images = [node_json(rows)], [node_json({"axes": list(names), "points": points})]
+    if oracles.scan(text)[0] == "ok":  # the word's own path and its image as well
+        nodes = oracles.visited_nodes(text)
+        paths.append(node_json(nodes))
+        columns = list(map("ijlr".index, axes))
+        images.append(node_json({"axes": list(axes),
+                                 "points": [[node[c] for c in columns] for node in nodes]}))
+    routes = [
+        (cli._convert_line, Namespace(to="path"), [text],
+         lambda line: node_json(word_to_path(parse_word(line)).nodes)),
+        (cli._project_line, Namespace(axes=axes), [text],
+         lambda line: node_json(projected_path_as_json(
+             project(word_to_path(parse_word(line)), axes)))),
+        (cli._convert_line, Namespace(to="word"), paths,
+         lambda line: render_word(path_to_word(path_from_lists(json.loads(line))))),
+        (cli._lift_line, Namespace(to="path"), images,
+         lambda line: node_json(lifted(line).nodes)),
+        (cli._lift_line, Namespace(to="word"), images,
+         lambda line: render_word(path_to_word(lifted(line)))),
+    ]
+    for line_function, args, lines, library in routes:
+        for line in lines:
+            assert line_of(lambda line: line_function(args, line), line) == \
+                line_of(library, line)

@@ -114,7 +114,8 @@ def _cases():
             yield f"{' '.join(argv)} <{name}>", argv, line + "\n"
     for axes in AXIS_SETS:
         for to in ("path", "word"):
-            yield f"lift --to {to} <empty word {axes}>", ["lift", "--to", to], projected("", axes) + "\n"
+            yield (f"lift --to {to} <empty word {axes}>", ["lift", "--to", to],
+                   projected("", axes) + "\n")
 
 
 #: A prefix whose unbalance never returns to 0 after its first step: every
