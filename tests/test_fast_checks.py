@@ -15,12 +15,11 @@ path the same way: ``word_to_path``, which builds without re-checking, and
 
 import json
 import random
+from argparse import Namespace
 
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from argparse import Namespace
-
 from dyck4d import (DyckError, DyckWord, FlatnessResult,
                     InconsistentProjection, InvalidCharacter, InvalidProjection,
                     LatticeNode, MalformedPath, NegativePrefix, Path4D,
@@ -28,7 +27,6 @@ from dyck4d import (DyckError, DyckWord, FlatnessResult,
                     path_from_lists, path_to_word, project, projected_path_as_json,
                     projected_path_from_json, render_word, verify_flat, word_to_path)
 from dyck4d import cli
-from dyck4d.cli import _int_rows
 
 AXIS_SETS = ("ij", "il", "ir", "jl", "jr", "lr", "ijl", "ijr", "ilr", "jlr", "ijlr")
 WHITESPACE = " \t\n\r\f\v"
@@ -161,8 +159,8 @@ def ref_region(n):
 # -- perturbed inputs ----------------------------------------------------------
 
 @st.composite
-def words(draw, min_n=0):
-    n = draw(st.integers(min_n, 30))
+def words(draw, min_n=0, max_n=30):
+    n = draw(st.integers(min_n, max_n))
     return oracles.random_word_text(random.Random(draw(st.integers(0, 2**32))), n)
 
 
@@ -310,7 +308,7 @@ def int_rows(draw):
 def test_int_rows(case):
     width, rows = case
     columns = tuple(zip(*rows)) or ((),) * width
-    assert _int_rows(columns) == json.dumps(rows, separators=(",", ":"))
+    assert cli._int_rows(columns) == json.dumps(rows, separators=(",", ":"))
 
 
 @st.composite
@@ -448,13 +446,6 @@ def test_lift_and_path_from_lists_return_checked_paths(rows, case):
             assert path.nodes == ref_path(path.nodes)
 
 
-@st.composite
-def long_words(draw):
-    """A valid word of half-length n <= 300."""
-    n = draw(st.integers(0, 300))
-    return oracles.random_word_text(random.Random(draw(st.integers(0, 2**32))), n)
-
-
 def line_of(route, text):
     """The output line of ``route`` on ``text``, or the error line of the
     :class:`DyckError` it raises, as the batch commands print them."""
@@ -473,7 +464,7 @@ def lifted(text):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(long_words(), texts()), odd_node_rows(), odd_projections(),
+@given(st.one_of(words(max_n=300), texts()), odd_node_rows(), odd_projections(),
        st.sampled_from(AXIS_SETS))
 def test_cli_lines_agree_with_the_library(text, rows, case, axes):
     """Each column-wise batch line function gives the line, or the error line,
