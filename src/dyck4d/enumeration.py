@@ -96,7 +96,7 @@ def rank(word: DyckWord) -> int:
     c = 0 if table else math.comb(2 * n, n) // 2
     k = 0
     row, col = n, n - 1
-    for char in word.text:
+    for char in word:
         if char == "(":
             if not table:
                 c = c * col // (row + col)

@@ -55,7 +55,7 @@ def _selector(axes):
 
 def project(path: Path4D, axes: str) -> ProjectedPath:
     """Pointwise coordinate selection; the node order is preserved."""
-    return ProjectedPath(axes, tuple(map(_selector(axes), path.nodes)))
+    return ProjectedPath(axes, tuple(map(_selector(axes), path)))
 
 
 def _lift_columns(axes: str, points) -> tuple[tuple[int, ...], ...]:

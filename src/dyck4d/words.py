@@ -11,7 +11,6 @@ moves a path by ``UP_STEP = (1, 1, 1, 0)``, reading ')' by
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
 from operator import gt, itemgetter, ne, sub
 from typing import NamedTuple
@@ -57,36 +56,38 @@ def _first(flags):
     return next(compress(count(), flags), None)
 
 
-@dataclass(frozen=True)
-class DyckWord:
+class DyckWord(str):
     """A balanced word: equal opens and closes, no prefix with excess closes.
 
-    Constructing one validates the invariants, so every instance in
-    circulation is valid; the empty word is allowed.  ``text`` is a ``str``
-    of '(' and ')' only: :class:`InvalidCharacter` names the index of any
-    other character, whitespace too (:func:`parse_word` skips whitespace).
+    A word is its text, a ``str`` of '(' and ')' only, and compares, hashes
+    and prints as that string.  Construction validates, so every instance is
+    valid; the empty word is allowed.  :class:`InvalidCharacter` names the
+    index of any other character, whitespace too (:func:`parse_word` skips it).
     """
 
-    text: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        foreign = _NOT_PARENTHESIS.search(self.text)  # TypeError unless a str
+    def __new__(cls, text: str):
+        foreign = _NOT_PARENTHESIS.search(text)  # TypeError unless a str
         if foreign:
             raise InvalidCharacter(foreign.start(), foreign.group())
-        balance = tuple(accumulate(map(_UNIT.__getitem__, self.text), initial=0))
+        balance = tuple(accumulate(map(_UNIT.__getitem__, text), initial=0))
         if min(balance) < 0:
             # Steps are +-1 from 0, so the first negative balance is -1.
             raise NegativePrefix(balance.index(-1))
         if balance[-1]:
             raise Unbalanced(balance[-1])
+        return str.__new__(cls, text)
+
+    @property
+    def text(self) -> str:
+        """The word as a plain ``str``."""
+        return str(self)
 
     @property
     def n(self) -> int:
         """Half-length: the number of '(' (equal to the number of ')')."""
-        return len(self.text) // 2
-
-    def __str__(self) -> str:
-        return self.text
+        return len(self) // 2
 
 
 def parse_word(text: str) -> DyckWord:
@@ -141,33 +142,32 @@ def _path_columns(columns):
     raise MalformedPath(differs, f"delta {delta} is neither an up-step nor a down-step")
 
 
-@dataclass(frozen=True)
-class Path4D:
+class Path4D(tuple):
     """An origin-anchored node sequence whose deltas are UP_STEP or DOWN_STEP.
 
-    Validation guarantees the unbalance j stays non-negative everywhere,
-    which is exactly the balanced-word condition.  The nodes must equal the
-    canonical path of the word their l column spells, '(' wherever l changes.
+    A path is the ``tuple`` of its :class:`LatticeNode` nodes, and compares,
+    hashes and prints as that tuple.  Validation guarantees j >= 0 everywhere
+    (the balanced-word condition) and that the nodes equal the canonical path
+    of the word their l column spells, '(' wherever l changes.
     """
 
-    nodes: tuple[LatticeNode, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        nodes = tuple(self.nodes)
+    def __new__(cls, nodes):
+        nodes = tuple(nodes)
         if set(map(type, nodes)) != {LatticeNode}:
             # tuple.__new__ builds the nodes without a Python-level call per node
             nodes = tuple(map(tuple.__new__, repeat(LatticeNode), nodes))
             if set(map(len, nodes)) - {4}:
                 wide = _first(map(ne, map(len, nodes), repeat(4)))
                 raise TypeError(f"node {wide}: {len(nodes[wide])} coordinates, not 4")
-        object.__setattr__(self, "nodes", nodes)
         _path_columns(tuple(zip(*nodes)))
+        return tuple.__new__(cls, nodes)
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __iter__(self):
-        return iter(self.nodes)
+    @property
+    def nodes(self) -> tuple[LatticeNode, ...]:
+        """The nodes as a plain ``tuple``."""
+        return tuple(self)
 
 
 def _path_of(columns) -> Path4D:
@@ -178,17 +178,14 @@ def _path_of(columns) -> Path4D:
     construction: the j column of a balanced word is its running balance,
     which :class:`DyckWord` has checked.
     """
-    path = object.__new__(Path4D)
     # tuple.__new__ builds the nodes without a Python-level call per node
-    nodes = tuple(map(tuple.__new__, repeat(LatticeNode), zip(*columns)))
-    object.__setattr__(path, "nodes", nodes)
-    return path
+    return tuple.__new__(Path4D, map(tuple.__new__, repeat(LatticeNode), zip(*columns)))
 
 
 def _word_columns(word: DyckWord) -> tuple[tuple[int, ...], ...]:
     """The (i, j, l, r) columns of a word's canonical path."""
     # A word is ASCII: its bytes, '(' made 1 and ')' 0, are its opens as ints.
-    return _canonical_columns(word.text.encode("ascii").translate(_OPENS))
+    return _canonical_columns(word.encode("ascii").translate(_OPENS))
 
 
 def _word_of(l) -> DyckWord:
@@ -203,12 +200,12 @@ def word_to_path(word: DyckWord) -> Path4D:
 
 def path_to_word(path: Path4D) -> DyckWord:
     """Inverse of :func:`word_to_path`."""
-    return _word_of(tuple(map(itemgetter(2), path.nodes)))
+    return _word_of(tuple(map(itemgetter(2), path)))
 
 
 def path_as_lists(path: Path4D) -> list[list[int]]:
     """JSON-ready form: a path is an array of [i, j, l, r] nodes."""
-    return [list(node) for node in path.nodes]
+    return [list(node) for node in path]
 
 
 def _first_bad_row(rows, width: int):

@@ -460,6 +460,14 @@ class TestUsageErrors:
             assert err.endswith("error: argument --axes: axis set must be one of "
                                 "ij, il, ir, jl, jr, lr, ijl, ijr, ilr, jlr, ijlr\n")
 
+    @pytest.mark.parametrize("node, message", [("1,2", "node must be i,j,l,r"),
+                                               ("1,x,0,0", "node coordinates must be integers")])
+    def test_bad_node_value(self, capsys, node, message):
+        rc, out, err = run(capsys, "count", "--n", "3", "--node", node)
+        assert (rc, out) == (2, "")
+        assert err.endswith(f"error: argument --node: {message}\n")
+        assert "Traceback" not in err
+
     def test_grid_with_three_axes_is_domain_error(self, capsys):
         rc, _, err = run(capsys, "render", "grid", "--axes", "ijl", "--n", "2")
         assert rc == 1

@@ -309,3 +309,10 @@ class TestSampling:
         sigma = math.sqrt(draws * (1 / 14) * (13 / 14))
         for text, observed in counts.items():
             assert abs(observed - expected) <= 5 * sigma, (text, observed)
+
+
+@pytest.mark.parametrize("call", [lambda: next(enumerate_words(-1)), lambda: unrank(0, -1)],
+                         ids=["enumerate_words", "unrank"])
+def test_negative_half_length_rejected(call):
+    with pytest.raises(ValueError, match="^half-length must be non-negative$"):
+        call()

@@ -345,3 +345,23 @@ class TestRecords:
             "RightIsoscelesReport(n=1, right_angle=True, isosceles=True, pythagoras=True, "
             "direction_ab=LatticeNode(i=1, j=1, l=1, r=0), "
             "direction_bc=LatticeNode(i=1, j=-1, l=0, r=1))")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: triangle(-1), "half-length must be non-negative"),
+    (lambda: side_length_squared("red", -1), "half-length must be non-negative"),
+    (lambda: face_of_side("red", 0), "the box degenerates below n = 1"),
+], ids=["triangle", "side_length_squared", "face_of_side"])
+def test_half_length_out_of_range(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, key", [
+    (lambda: triangle(2).side("green"), "green"),
+    (lambda: double_tesseract(2).cell("i", 1), ("i", 1)),
+], ids=["side", "cell"])
+def test_lookup_of_a_missing_part(call, key):
+    with pytest.raises(KeyError) as exc:
+        call()
+    assert exc.value.args == (key,)

@@ -73,7 +73,7 @@ def test_axis_sets_and_figures_are_plain_values():
     assert dyck4d._EXPORTS["render"].split() == [
         "ROLE_COLORS", "edge_list_text", "render_grid_2d", "render_wireframe"]
     assert dyck4d.ProjectedPath._fields == ("axes", "points")
-    for module in ("projections", "render"):
+    for module in ("projections", "render", "words"):
         assert not hasattr(importlib.import_module(f"dyck4d.{module}"), "dataclass")
 
 
@@ -82,8 +82,14 @@ def test_cli_import_loads_only_what_counting_runs():
     src = str(Path(dyck4d.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, dyck4d.cli; print(*sorted(m for m in sys.modules if 'dyck4d' in m))"
+    # No module uses dataclasses, whose import pulls in inspect, ast, dis and tokenize;
+    # only what the import adds counts, not what site loaded before it.
+    code = ("import sys; before = set(sys.modules); import dyck4d.cli\n"
+            "print(*sorted(m for m in sys.modules if 'dyck4d' in m))\n"
+            "print(*sorted({'dataclasses', 'inspect'} & (sys.modules.keys() - before)))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, timeout=30, check=True)
-    assert result.stdout.split() == ["dyck4d", "dyck4d.cli", "dyck4d.enumeration",
-                                     "dyck4d.errors", "dyck4d.lattice", "dyck4d.words"]
+    package, stdlib = result.stdout.split("\n")[:2]
+    assert package.split() == ["dyck4d", "dyck4d.cli", "dyck4d.enumeration",
+                               "dyck4d.errors", "dyck4d.lattice", "dyck4d.words"]
+    assert stdlib == ""

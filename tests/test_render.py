@@ -117,6 +117,11 @@ class TestWireframe:
         with pytest.raises(ValueError):
             render_wireframe(box.cell("i", 0), "schlegel")
 
+    def test_triangle_overlay_needs_full_box(self):
+        cell = double_tesseract(2).cell("i", 0)
+        with pytest.raises(ValueError, match="^the triangle overlay needs the full 4D box$"):
+            render_wireframe(cell, "orthographic-3d", include_triangle=True)
+
     def test_no_projected_vertex_collisions(self):
         from dyck4d.render import _ortho_point, _schlegel_point
         for n in range(1, 9):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -67,7 +69,7 @@ class TestParse:
             DyckWord(text)
         assert (exc.value.position, exc.value.char) == (position, char)
 
-    @pytest.mark.parametrize("text", [("(", ")"), b"()", None])
+    @pytest.mark.parametrize("text", [("(", ")"), b"()", None, 5])
     def test_direct_construction_takes_only_str(self, text):
         with pytest.raises(TypeError):
             DyckWord(text)
@@ -222,3 +224,54 @@ def test_parse_agrees_with_oracle(text):
 
 def test_origin_constant():
     assert ORIGIN == LatticeNode(0, 0, 0, 0)
+
+
+#: One word and its path, each built by two routes: equal values, distinct objects.
+_WORD, _SAME_WORD = DyckWord("(()())"), parse_word(" ( ()() ) ")
+_PATH, _SAME_PATH = word_to_path(_WORD), path_from_lists(path_as_lists(word_to_path(_WORD)))
+
+
+class TestValueSemantics:
+    """A word is a validated ``str``, a path a validated ``tuple`` of nodes."""
+
+    def test_classes_add_no_instance_state(self):
+        assert issubclass(DyckWord, str) and issubclass(Path4D, tuple)
+        assert DyckWord.__slots__ == () and Path4D.__slots__ == ()
+        assert not hasattr(_WORD, "__dict__") and not hasattr(_PATH, "__dict__")
+
+    @pytest.mark.parametrize("value, attr", [(_WORD, "text"), (_WORD, "n"), (_WORD, "extra"),
+                                             (_PATH, "nodes"), (_PATH, "extra")])
+    def test_assignment_raises(self, value, attr):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, "()")
+
+    def test_text_and_nodes_are_plain(self):
+        assert type(_WORD.text) is str and _WORD.text == "(()())"
+        assert type(_PATH.nodes) is tuple and _PATH.nodes == tuple(_PATH)
+        assert set(map(type, _PATH.nodes)) == {LatticeNode}
+
+    def test_equal_values_hash_equal(self):
+        assert _WORD is not _SAME_WORD and _PATH is not _SAME_PATH
+        assert _WORD == _SAME_WORD and hash(_WORD) == hash(_SAME_WORD)
+        assert _PATH == _SAME_PATH and hash(_PATH) == hash(_SAME_PATH)
+        # a word compares and hashes like its text, a path like the tuple of its nodes
+        assert _WORD == "(()())" and hash(_WORD) == hash("(()())")
+        assert _PATH == _PATH.nodes and hash(_PATH) == hash(_PATH.nodes)
+        assert len({_WORD, _SAME_WORD, "(()())"}) == 1 and len({_PATH, _SAME_PATH}) == 1
+
+    def test_keyword_construction(self):
+        assert DyckWord(text="(()())") == _WORD
+        assert Path4D(nodes=_PATH.nodes) == _PATH
+        assert Path4D(nodes=path_as_lists(_PATH)) == _PATH
+
+    @pytest.mark.parametrize("value", [_WORD, _PATH, DyckWord(""), Path4D([ORIGIN])],
+                             ids=["word", "path", "empty-word", "origin-path"])
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, value, protocol):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert type(back) is type(value) and back == value
+
+    @pytest.mark.parametrize("value", [_WORD, _PATH], ids=["word", "path"])
+    def test_deepcopy(self, value):
+        back = copy.deepcopy(value)
+        assert type(back) is type(value) and back == value
