@@ -7,10 +7,14 @@ SHA-256 of its stderr and its exit code, plus the SHA-256 of the ``--edges``
 file for the cases that write one, recorded from the node-by-node and
 number-by-number implementation.  The grids at n = 40 and 400 and the nested-cube
 view at n = 400 were recorded later, while every pixel still went through float
-formatting.
+formatting.  Grids whose word has another half-length than the grid, grids with
+the empty word and the orthographic triangle at n = 400 were recorded later
+still, while a grid drew one element per isoline and its overlay from a path.
 
-Re-record (only when a change of output is intended) with
-``PYTHONPATH=src python tests/test_figures_golden.py``.
+Record the cases that have no entry yet with
+``PYTHONPATH=src python tests/test_figures_golden.py``; it keeps every recorded
+entry, so re-recording one (only when a change of output is intended) means
+deleting it first.
 """
 
 import contextlib
@@ -67,6 +71,18 @@ def _cases():
                    ["render", "grid", "--axes", axes, "--n", str(n), "--word", word])
     yield ("render schlegel --n 400 --triangle",
            ["render", "schlegel", "--n", "400", "--triangle", "--edges", "EDGES"])
+    # A word longer than the grid grows the canvas past it; a shorter one stays inside.
+    words = {**WORDS, **LARGE_WORDS}
+    for axes in ("ij", "lr"):
+        for n, m in ((0, 4), (4, 9), (9, 4), (9, 1), (40, 400), (400, 40)):
+            yield (f"render grid --axes {axes} --n {n} --word <{m}>",
+                   ["render", "grid", "--axes", axes, "--n", str(n), "--word", words[m]])
+    for axes in AXIS_PAIRS:  # the empty word overlays one point
+        for n in (0, 2):
+            yield (f'render grid --axes {axes} --n {n} --word ""',
+                   ["render", "grid", "--axes", axes, "--n", str(n), "--word", ""])
+    yield ("render wireframe --n 400 --triangle",
+           ["render", "wireframe", "--n", "400", "--triangle", "--edges", "EDGES"])
 
 
 CASES = list(_cases())
@@ -103,5 +119,5 @@ def test_golden(case_id, argv):
 
 
 if __name__ == "__main__":
-    DATA.write_text(json.dumps({case_id: run_case(argv) for case_id, argv in CASES},
-                               indent=0) + "\n")
+    DATA.write_text(json.dumps({case_id: EXPECTED.get(case_id) or run_case(argv)
+                                for case_id, argv in CASES}, indent=0) + "\n")
