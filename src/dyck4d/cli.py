@@ -153,7 +153,8 @@ def _int_rows(columns) -> str:
     :func:`_lift_line`, pass the canonical columns of a word
     (``words._word_columns``) or columns that the axes select from them, or
     the columns of values that passed ``words._first_bad_row`` and the path
-    check (``words._columns_from_lists``, ``projections._lift_columns``).
+    check (``words._columns_from_lists``, ``projections._json_rows`` and
+    ``projections._lift_columns``).
     """
     row = "[" + ",".join(repeat("{}", len(columns))) + "]"
     template = "[" + ",".join(repeat(row, len(columns[0]))) + "]"
@@ -182,8 +183,8 @@ def _project_line(args, text: str) -> str:
 
 def _lift_line(args, text: str) -> str:
     from . import projections
-    proj = projections.projected_path_from_json(_json(text))
-    return _path_line(projections._lift_columns(proj.axes, proj.points), args.to)
+    return _path_line(projections._lift_columns(*projections._json_rows(_json(text))),
+                      args.to)
 
 
 def _digits(k: int) -> str:
@@ -269,12 +270,11 @@ _CELL_NAMES = [f"{axis}{end}" for axis in words.AXES for end in ("min", "max")]
 def cmd_render(args) -> int:
     from . import geometry, projections, render
     if args.view == "grid":
-        axes = args.axes
-        proj = None
+        overlay = None
         if args.word is not None:
-            proj = projections.project(
-                words.word_to_path(words.parse_word(args.word)), axes)
-        _write_document(render.render_grid_2d(axes, args.n, proj), args.out)
+            overlay = projections._selector(args.axes)(
+                words._word_columns(words.parse_word(args.word)))
+        _write_document(render._grid(args.axes, args.n, overlay), args.out)
         return 0
     box = geometry.double_tesseract(args.n)
     structure = box

@@ -74,12 +74,16 @@ def triangle(n: int) -> TriangleGeometry:
     if n < 0:
         raise ValueError("half-length must be non-negative")
     vertices, ends = _ends(n)
-    blue = TriangleSide("blue", *ends["blue"],
-                        tuple(LatticeNode(2 * k, 0, k, k) for k in range(n + 1)))
-    red = TriangleSide("red", *ends["red"],
-                       tuple(LatticeNode(k, k, k, 0) for k in range(n + 1)))
-    yellow = TriangleSide("yellow", *ends["yellow"],
-                          tuple(LatticeNode(n + k, n - k, n, k) for k in range(n + 1)))
+
+    def side(name, *columns):
+        # tuple.__new__ builds the nodes without a Python-level call per node
+        nodes = tuple(map(tuple.__new__, itertools.repeat(LatticeNode), zip(*columns)))
+        return TriangleSide(name, *ends[name], nodes)
+
+    k = range(n + 1)
+    blue = side("blue", range(0, 2 * n + 1, 2), itertools.repeat(0), k, k)  # (2k, 0, k, k)
+    red = side("red", k, k, k, itertools.repeat(0))  # (k, k, k, 0)
+    yellow = side("yellow", range(n, 2 * n + 1), range(n, -1, -1), itertools.repeat(n), k)
     return TriangleGeometry(n, *vertices, (blue, red, yellow))
 
 

@@ -60,7 +60,7 @@ def project(path: Path4D, axes: str) -> ProjectedPath:
 
 def _lift_columns(axes: str, points) -> tuple[tuple[int, ...], ...]:
     """The (i, j, l, r) columns of the path whose projection onto ``axes`` is
-    ``points``, a tuple of tuples; raises as :func:`lift` does."""
+    ``points``, a sequence of tuples or lists; raises as :func:`lift` does."""
     select = _selector(axes)
     if set(map(len, points)) - {len(axes)}:
         wrong = _first(map(ne, map(len, points), itertools.repeat(len(axes))))
@@ -70,7 +70,7 @@ def _lift_columns(axes: str, points) -> tuple[tuple[int, ...], ...]:
     completion = _complete_pair(first, columns[0], second, columns[1])
     if select(completion) != columns:
         nodes = tuple(zip(*completion))
-        index = _first(map(ne, map(select, nodes), points))
+        index = _first(map(ne, map(select, nodes), zip(*columns)))
         raise InconsistentProjection(
             index, f"completion {nodes[index]} projects back to {select(nodes[index])}")
     return _path_columns(completion)
@@ -102,6 +102,13 @@ def projected_path_from_json(data) -> ProjectedPath:
     for data of any other shape, and for points that are not arrays of one
     integer per axis.
     """
+    axes, points = _json_rows(data)
+    return ProjectedPath(axes, tuple(map(tuple, points)))
+
+
+def _json_rows(data) -> tuple[str, list]:
+    """The axis set and the point arrays of the JSON form of a projection, checked
+    as :func:`projected_path_from_json` checks them."""
     try:
         names, points = data["axes"], data["points"]
         # One letter per axis: a join alone would also take "lr", {"l": 0, "r": 1} or ["lr"].
@@ -113,4 +120,4 @@ def projected_path_from_json(data) -> ProjectedPath:
     bad = _first_bad_row(points, len(axes))
     if bad is not None:
         raise InvalidProjection(f"point {bad} is not {len(axes)} integers")
-    return ProjectedPath(axes, tuple(map(tuple, points)))
+    return axes, points

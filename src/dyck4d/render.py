@@ -16,7 +16,7 @@ then applies the same j-oblique 3D part.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from operator import attrgetter
+from operator import attrgetter, sub
 from typing import NamedTuple
 
 from .errors import WrongArity
@@ -49,11 +49,13 @@ SCHLEGEL_INNER_SCALE = 0.5
 
 
 class Element(NamedTuple):
-    """One drawing element: its (x, y) points in source coordinates and its
-    finished SVG line with one ``{}`` per pixel coordinate, x then y for each
-    point."""
+    """One or more drawing elements: the x and the y column of their points in
+    source coordinates, and their finished SVG text with one ``{}`` per pixel
+    coordinate, x then y for each point in column order.  The text may hold
+    several lines, joined by newlines, when one set of columns draws them all."""
 
-    points: tuple
+    xs: tuple
+    ys: tuple
     svg: str
 
 
@@ -63,26 +65,32 @@ def _stroke(role: str, width: float, dashed: bool) -> str:
 
 
 def _line(start, end, role, css_class="grid", dashed=False, width=1.0) -> Element:
-    return Element((start, end), f'<line class="{css_class}" x1="{{}}" y1="{{}}" '
-                                 f'x2="{{}}" y2="{{}}" {_stroke(role, width, dashed)}/>')
+    return Element((start[0], end[0]), (start[1], end[1]),
+                   f'<line class="{css_class}" x1="{{}}" y1="{{}}" '
+                   f'x2="{{}}" y2="{{}}" {_stroke(role, width, dashed)}/>')
 
 
 def _polyline(points, role, css_class="path", dashed=False, width=2.0) -> Element:
-    coords = " ".join(repeat("{},{}", len(points)))
-    return Element(points, f'<polyline class="{css_class}" points="{coords}" '
+    return _polyline_of(*(tuple(zip(*points)) or ((), ())), role, css_class, dashed, width)
+
+
+def _polyline_of(xs, ys, role, css_class="path", dashed=False, width=2.0) -> Element:
+    """:func:`_polyline` of the points given as their x and y columns."""
+    coords = " ".join(repeat("{},{}", len(xs)))
+    return Element(xs, ys, f'<polyline class="{css_class}" points="{coords}" '
                            f'fill="none" {_stroke(role, width, dashed)}/>')
 
 
 def _circle(at, role, css_class="vertex", radius=3.0) -> Element:
-    return Element((at,), f'<circle class="{css_class}" cx="{{}}" cy="{{}}" '
-                          f'r="{_fmt(radius)}" fill="{ROLE_COLORS[role]}"/>')
+    return Element((at[0],), (at[1],), f'<circle class="{css_class}" cx="{{}}" cy="{{}}" '
+                                       f'r="{_fmt(radius)}" fill="{ROLE_COLORS[role]}"/>')
 
 
 def _to_svg(elements) -> str:
     """Emit SVG 1.1 of ``Element``s in source (lattice) coordinates, drawn in list
     order; the y axis is flipped so larger values draw upward."""
-    xs, ys = zip(*(list(chain.from_iterable(map(attrgetter("points"), elements)))
-                   or [(0.0, 0.0)]))
+    xs = list(chain.from_iterable(map(attrgetter("xs"), elements))) or [0.0]
+    ys = list(chain.from_iterable(map(attrgetter("ys"), elements))) or [0.0]
     width, px = _pixel_column(xs, flip=False)
     height, py = _pixel_column(ys, flip=True)
     lines = [
@@ -105,12 +113,18 @@ def _pixel_column(values, flip: bool) -> tuple[str, list[str]]:
     A pixel is MARGIN + PIXELS_PER_UNIT * (v - min), or (max - v) when ``flip``,
     computed as -PIXELS_PER_UNIT * (v - max), which is the same float.  An all-int
     column whose extent is below ``_EXACT_INT`` stays in ints and skips float
-    formatting: every pixel lies inside the extent, so it is exact.
+    formatting: every pixel lies inside the extent, so it is exact.  When such a
+    column holds at least two values per int of its span, as a grid's isolines
+    do, each int of the span is formatted once and every value looks its text up.
     """
     lo, hi = min(values), max(values)
     extent = 2 * MARGIN + PIXELS_PER_UNIT * (hi - lo)
     origin, scale = (hi, -PIXELS_PER_UNIT) if flip else (lo, PIXELS_PER_UNIT)
     if extent < _EXACT_INT and set(map(type, values)) == {int}:
+        if hi - lo < len(values) // 2:  # the table is at most half as long as the column
+            table = [f"{MARGIN + scale * (v - origin)}.00" for v in range(lo, hi + 1)]
+            offsets = map(sub, values, repeat(lo)) if lo else values
+            return f"{extent}.00", list(map(table.__getitem__, offsets))
         return f"{extent}.00", [f"{MARGIN + scale * (v - origin)}.00" for v in values]
     return _fmt(extent), _fmt_all([MARGIN + scale * (v - origin) for v in values])
 
@@ -127,29 +141,47 @@ def _fmt_all(values) -> list[str]:
 _EXTENT = {"i": 2, "j": 1, "l": 1, "r": 1}  # in units of n
 
 
+def _grid_axes(axes: str) -> str:
+    """``axes`` when it is an axis pair, else :class:`WrongArity`."""
+    if len(_canonical(axes)) != 2:
+        raise WrongArity(f"grid rendering needs exactly 2 axes, got {len(axes)}")
+    return axes
+
+
 def render_grid_2d(axes: str, n: int, proj: ProjectedPath | None = None) -> str:
     """A 2-axis grid with its isolines, plus an optional path polyline.
 
     The first (canonical) axis runs horizontally.  The l x r grid also
     carries the dashed diagonal ray joining the nodes with j = 0.
     """
-    if len(_canonical(axes)) != 2:
-        raise WrongArity(f"grid rendering needs exactly 2 axes, got {len(axes)}")
-    if proj is not None and proj.axes != axes:
+    _grid_axes(axes)
+    if proj is None:
+        return _grid(axes, n, None)
+    if proj.axes != axes:
         raise ValueError("projected path does not match the grid axes")
-    ax_x, ax_y = axes
+    return _grid(axes, n, tuple(zip(*proj.points)) or ((), ()))
+
+
+def _grid(axes: str, n: int, overlay) -> str:
+    """:func:`render_grid_2d` with the path given as its (x, y) columns, or None."""
+    ax_x, ax_y = _grid_axes(axes)
     w = _EXTENT[ax_x] * n
     h = _EXTENT[ax_y] * n
-    # isolines of the horizontal axis are vertical lines; each family shares one SVG text
+    # Isolines of the horizontal axis are vertical lines.  Each family is one
+    # element: its lines share one text, and its columns hold both ends of each.
+    xs, ys = range(w + 1), range(h + 1)
     vertical = _line((0, 0), (0, h), role=AXIS_ROLES[ax_x]).svg
     horizontal = _line((0, 0), (w, 0), role=AXIS_ROLES[ax_y]).svg
-    elements = [Element(((x, 0), (x, h)), vertical) for x in range(w + 1)]
-    elements += [Element(((0, y), (w, y)), horizontal) for y in range(h + 1)]
+    families = (Element(tuple(chain.from_iterable(zip(xs, xs))), (0, h) * len(xs),
+                        "\n".join(repeat(vertical, len(xs)))),
+                Element((0, w) * len(ys), tuple(chain.from_iterable(zip(ys, ys))),
+                        "\n".join(repeat(horizontal, len(ys)))))
+    elements = [family for family in families if family.xs]  # none below n = 0
     if axes == "lr":
         elements.append(_line((0, 0), (n, n), role="blue-j",
                                css_class="diagonal", dashed=True, width=2.0))
-    if proj is not None:
-        elements.append(_polyline(tuple(proj.points), role="path", css_class="path", width=2.5))
+    if overlay is not None:
+        elements.append(_polyline_of(*overlay, role="path", width=2.5))
     return _to_svg(elements)
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracles
+from dyck4d import projections
 from dyck4d import (AXIS_SETS, InconsistentProjection, MalformedPath,
                     ProjectedPath, axis_set, enumerate_words, lift,
                     parse_word, project, projected_path_as_json,
@@ -119,6 +120,22 @@ class TestLift:
         with pytest.raises(InconsistentProjection) as exc:
             lift(proj)
         assert exc.value.index == 1
+
+    @pytest.mark.parametrize("axes, points", [
+        ("ij", ((0, 0), (1, 1), (2, 0), (3, 0))),
+        ("ijl", ((0, 0, 0), (1, 1, 1), (2, 0, 2))),
+        ("jlr", ((0, 0, 0), (1, 1, 0), (0, 1, 0))),
+    ])
+    def test_json_rows_find_the_same_point(self, axes, points):
+        """The CLI lifts the JSON arrays as they are: the first bad point, its
+        index and its message are those of the tuples."""
+        raised = []
+        for rows in (points, [list(p) for p in points]):
+            with pytest.raises(InconsistentProjection) as exc:
+                projections._lift_columns(axes, rows)
+            raised.append((exc.value.index, str(exc.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][0] == len(points) - 1
 
     def test_redundant_coordinate_contradiction(self):
         proj = ProjectedPath("ijl", ((0, 0, 0), (1, 1, 0)))

@@ -1,13 +1,18 @@
+import contextlib
+import io
+import random
 import xml.etree.ElementTree as ET
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from dyck4d import render
-from dyck4d import (ROLE_COLORS, WrongArity, double_tesseract,
+from dyck4d import (ROLE_COLORS, ProjectedPath, WrongArity, double_tesseract,
                     edge_list_text, parse_word, project, render_grid_2d,
                     render_wireframe, word_to_path)
+from dyck4d.cli import main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -57,6 +62,32 @@ class TestGrid:
         proj = project(word_to_path(parse_word("()")), "ij")
         with pytest.raises(ValueError):
             render_grid_2d("lr", 1, proj)
+
+    def test_wrong_arity_before_the_mismatch(self):
+        proj = project(word_to_path(parse_word("()")), "ij")
+        with pytest.raises(WrongArity):
+            render_grid_2d("ijl", 1, proj)
+
+    @pytest.mark.parametrize("axes", ["ij", "il", "ir", "jl", "jr", "lr"])
+    @pytest.mark.parametrize("n, m", [(0, 0), (3, 3), (9, 9), (0, 2), (3, 7), (7, 3), (4, 0)])
+    def test_library_and_cli_draw_the_same_bytes(self, axes, n, m):
+        """The CLI draws its overlay from the word's columns, the library from a
+        projected path; a word of another half-length than the grid included."""
+        word = oracles.random_word_text(random.Random(100 * n + m), m)
+        expected = render_grid_2d(axes, n, project(word_to_path(parse_word(word)), axes))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["render", "grid", "--axes", axes, "--n", str(n), "--word", word]) == 0
+        assert out.getvalue() == expected
+
+    @pytest.mark.parametrize("axes, n", [("ij", 0), ("ij", 3), ("lr", 2), ("jr", 1)])
+    def test_empty_projected_path(self, axes, n):
+        """An overlay of no points leaves the canvas as it is and adds an empty polyline."""
+        bare = render_grid_2d(axes, n).split("\n")
+        drawn = render_grid_2d(axes, n, ProjectedPath(axes, ())).split("\n")
+        assert drawn == bare[:-2] + [
+            '<polyline class="path" points="" fill="none" stroke="#111111" '
+            'stroke-width="2.50"/>'] + bare[-2:]
 
     def test_deterministic(self):
         a = render_grid_2d("lr", 6, project(word_to_path(parse_word("()()()()()()")), "lr"))
@@ -236,6 +267,37 @@ class TestPixelColumn:
         assert float_columns == []
         render._pixel_column((0, span), flip=False)
         assert len(float_columns) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([0, -5, 2**53 - 3, 2**53, -(2**53) - 1, 2**60]),
+           st.integers(0, 30).flatmap(
+               lambda span: st.lists(st.integers(0, span), min_size=2 * span + 2, max_size=120)),
+           st.booleans())
+    def test_lookup_equals_the_formula(self, base, offsets, flip):
+        """A column with at least two values per int of its span reads each pixel from
+        a table; the text is the float formula's, also for values near or past
+        ``_EXACT_INT`` whose span is small, for negative values and for a span of 0."""
+        column = [base + k for k in offsets]
+        lo, hi = min(column), max(column)
+        assert hi - lo < len(column) // 2  # the lookup's condition
+        origin, scale = (hi, -render.PIXELS_PER_UNIT) if flip else (lo, render.PIXELS_PER_UNIT)
+        assert render._pixel_column(column, flip) == (
+            _fmt(2 * render.MARGIN + render.PIXELS_PER_UNIT * (hi - lo)),
+            [_fmt(render.MARGIN + scale * (v - origin)) for v in column])
+
+    @pytest.mark.parametrize("column", [(0, 1.0) * 4, (2.5, 3, 3, 2.5, 3), (True, 0) * 3])
+    def test_repeated_values_keep_the_float_path(self, float_columns, column):
+        # a float or a bool sends a column to float formatting, repeated or not
+        _, pixels = render._pixel_column(column, flip=True)
+        hi = max(column)
+        assert pixels == [_fmt(render.MARGIN - render.PIXELS_PER_UNIT * (v - hi))
+                          for v in column]
+        assert len(float_columns) == 1
+
+    def test_repeated_values_from_the_bound_keep_the_float_path(self, unit_pixels,
+                                                                float_columns):
+        render._pixel_column((0, 2**53) * 4, flip=False)
+        assert float_columns == [[0, 2**53] * 4]
 
 
 # A drawing element as (tag, points, builder keywords); the builders take the
