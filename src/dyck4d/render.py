@@ -16,7 +16,7 @@ then applies the same j-oblique 3D part.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from operator import attrgetter, sub
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import WrongArity
@@ -113,19 +113,16 @@ def _pixel_column(values, flip: bool) -> tuple[str, list[str]]:
     A pixel is MARGIN + PIXELS_PER_UNIT * (v - min), or (max - v) when ``flip``,
     computed as -PIXELS_PER_UNIT * (v - max), which is the same float.  An all-int
     column whose extent is below ``_EXACT_INT`` stays in ints and skips float
-    formatting: every pixel lies inside the extent, so it is exact.  When such a
-    column holds at least two values per int of its span, as a grid's isolines
-    do, each int of the span is formatted once and every value looks its text up.
+    formatting: every pixel lies inside the extent, so it is exact.  Each of its
+    distinct values is formatted once, so a grid's isolines, which repeat every
+    value, format each pixel once.
     """
     lo, hi = min(values), max(values)
     extent = 2 * MARGIN + PIXELS_PER_UNIT * (hi - lo)
     origin, scale = (hi, -PIXELS_PER_UNIT) if flip else (lo, PIXELS_PER_UNIT)
     if extent < _EXACT_INT and set(map(type, values)) == {int}:
-        if hi - lo < len(values) // 2:  # the table is at most half as long as the column
-            table = [f"{MARGIN + scale * (v - origin)}.00" for v in range(lo, hi + 1)]
-            offsets = map(sub, values, repeat(lo)) if lo else values
-            return f"{extent}.00", list(map(table.__getitem__, offsets))
-        return f"{extent}.00", [f"{MARGIN + scale * (v - origin)}.00" for v in values]
+        table = {v: f"{MARGIN + scale * (v - origin)}.00" for v in set(values)}
+        return f"{extent}.00", list(map(table.__getitem__, values))
     return _fmt(extent), _fmt_all([MARGIN + scale * (v - origin) for v in values])
 
 
@@ -141,30 +138,25 @@ def _fmt_all(values) -> list[str]:
 _EXTENT = {"i": 2, "j": 1, "l": 1, "r": 1}  # in units of n
 
 
-def _grid_axes(axes: str) -> str:
-    """``axes`` when it is an axis pair, else :class:`WrongArity`."""
-    if len(_canonical(axes)) != 2:
-        raise WrongArity(f"grid rendering needs exactly 2 axes, got {len(axes)}")
-    return axes
-
-
 def render_grid_2d(axes: str, n: int, proj: ProjectedPath | None = None) -> str:
     """A 2-axis grid with its isolines, plus an optional path polyline.
 
     The first (canonical) axis runs horizontally.  The l x r grid also
     carries the dashed diagonal ray joining the nodes with j = 0.
     """
-    _grid_axes(axes)
     if proj is None:
-        return _grid(axes, n, None)
-    if proj.axes != axes:
+        return _grid(axes, n)
+    return _grid(axes, n, tuple(zip(*proj.points)) or ((), ()), proj.axes)
+
+
+def _grid(axes: str, n: int, overlay=None, overlay_axes=None) -> str:
+    """:func:`render_grid_2d` with the path given as its (x, y) columns, or None,
+    projected onto ``overlay_axes``, which must then be ``axes`` when given."""
+    if len(_canonical(axes)) != 2:
+        raise WrongArity(f"grid rendering needs exactly 2 axes, got {len(axes)}")
+    if overlay_axes not in (None, axes):
         raise ValueError("projected path does not match the grid axes")
-    return _grid(axes, n, tuple(zip(*proj.points)) or ((), ()))
-
-
-def _grid(axes: str, n: int, overlay) -> str:
-    """:func:`render_grid_2d` with the path given as its (x, y) columns, or None."""
-    ax_x, ax_y = _grid_axes(axes)
+    ax_x, ax_y = axes
     w = _EXTENT[ax_x] * n
     h = _EXTENT[ax_y] * n
     # Isolines of the horizontal axis are vertical lines.  Each family is one
