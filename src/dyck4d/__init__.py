@@ -30,7 +30,7 @@ _EXPORTS = {
                    "projected_path_as_json projected_path_from_json",
     "render": "ROLE_COLORS edge_list_text render_grid_2d render_wireframe",
     "words": "AXES DOWN_STEP DyckWord LatticeNode ORIGIN Path4D UP_STEP parse_word "
-             "path_as_lists path_from_lists path_to_word render_word word_to_path",
+             "path_as_lists path_from_lists path_to_word word_to_path",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

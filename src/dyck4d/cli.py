@@ -164,7 +164,7 @@ def _int_rows(columns) -> str:
 def _path_line(columns, to: str) -> str:
     """The line of a path given by its (i, j, l, r) columns: its word or its nodes."""
     if to == "word":
-        return words.render_word(words._word_of(columns[2]))
+        return words._word_of(columns[2])
     return _int_rows(columns)
 
 
@@ -236,14 +236,13 @@ def cmd_geometry(args) -> int:
 def _ranked_line(args, word, k, text) -> str:
     """One ranked word: a {"word", "rank"} JSON line, or ``text`` as is."""
     if args.format == "json":
-        return json.dumps({"word": words.render_word(word), "rank": _digits(k)},
-                          separators=(",", ":"))
+        return json.dumps({"word": word, "rank": _digits(k)}, separators=(",", ":"))
     return text
 
 
 def cmd_enumerate(args) -> int:
     for k, word in enumerate(enumeration.enumerate_words(args.n)):
-        print(_ranked_line(args, word, k, words.render_word(word)))
+        print(_ranked_line(args, word, k, word))
     return 0
 
 
@@ -259,7 +258,7 @@ def cmd_sample(args) -> int:
     for _ in range(args.count):
         k = enumeration.draw_uniform_rank(rng, total)
         word = enumeration._unrank(k, args.n, total)
-        print(_ranked_line(args, word, k, words.render_word(word)))
+        print(_ranked_line(args, word, k, word))
     return 0
 
 

@@ -17,7 +17,7 @@ import math
 from typing import NamedTuple
 
 from . import lattice
-from .words import AXES, LatticeNode
+from .words import AXES, ORIGIN, LatticeNode
 
 
 def dot(a, b) -> int:
@@ -62,11 +62,10 @@ class TriangleGeometry(NamedTuple):
 
 def _ends(n: int) -> tuple[tuple[LatticeNode, LatticeNode, LatticeNode], dict]:
     """The vertices (origin, end, apex) and each side's (start, end) for half-length n."""
-    origin = LatticeNode(0, 0, 0, 0)
     end = LatticeNode(2 * n, 0, n, n)
     apex = LatticeNode(n, n, n, 0)
-    sides = {"blue": (origin, end), "red": (origin, apex), "yellow": (apex, end)}
-    return (origin, end, apex), sides
+    sides = {"blue": (ORIGIN, end), "red": (ORIGIN, apex), "yellow": (apex, end)}
+    return (ORIGIN, end, apex), sides
 
 
 def triangle(n: int) -> TriangleGeometry:

@@ -14,7 +14,7 @@ from math import comb
 from operator import add, floordiv, sub
 
 from .errors import NotInLattice, ParityViolation
-from .words import LatticeNode
+from .words import AXES, LatticeNode
 
 
 def is_lattice_node(i: int, j: int, l: int, r: int, n: int | None = None) -> bool:
@@ -61,7 +61,7 @@ def complete_node(i: int | None = None, j: int | None = None,
     (i, j) pair of mixed parity) and :class:`NotInLattice` when it falls
     outside the lattice.
     """
-    given = {name: value for name, value in zip("ijlr", (i, j, l, r)) if value is not None}
+    given = {name: value for name, value in zip(AXES, (i, j, l, r)) if value is not None}
     if len(given) != 2:
         raise ValueError(f"exactly two coordinates required, got {len(given)}")
     (x, a), (y, b) = given.items()

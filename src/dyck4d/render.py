@@ -70,12 +70,7 @@ def _line(start, end, role, css_class="grid", dashed=False, width=1.0) -> Elemen
                    f'x2="{{}}" y2="{{}}" {_stroke(role, width, dashed)}/>')
 
 
-def _polyline(points, role, css_class="path", dashed=False, width=2.0) -> Element:
-    return _polyline_of(*(tuple(zip(*points)) or ((), ())), role, css_class, dashed, width)
-
-
-def _polyline_of(xs, ys, role, css_class="path", dashed=False, width=2.0) -> Element:
-    """:func:`_polyline` of the points given as their x and y columns."""
+def _polyline(xs, ys, role, css_class="path", dashed=False, width=2.0) -> Element:
     coords = " ".join(repeat("{},{}", len(xs)))
     return Element(xs, ys, f'<polyline class="{css_class}" points="{coords}" '
                            f'fill="none" {_stroke(role, width, dashed)}/>')
@@ -156,6 +151,8 @@ def _grid(axes: str, n: int, overlay=None, overlay_axes=None) -> str:
         raise WrongArity(f"grid rendering needs exactly 2 axes, got {len(axes)}")
     if overlay_axes not in (None, axes):
         raise ValueError("projected path does not match the grid axes")
+    if n < 0:
+        raise ValueError("half-length must be non-negative")
     ax_x, ax_y = axes
     w = _EXTENT[ax_x] * n
     h = _EXTENT[ax_y] * n
@@ -164,16 +161,15 @@ def _grid(axes: str, n: int, overlay=None, overlay_axes=None) -> str:
     xs, ys = range(w + 1), range(h + 1)
     vertical = _line((0, 0), (0, h), role=AXIS_ROLES[ax_x]).svg
     horizontal = _line((0, 0), (w, 0), role=AXIS_ROLES[ax_y]).svg
-    families = (Element(tuple(chain.from_iterable(zip(xs, xs))), (0, h) * len(xs),
+    elements = [Element(tuple(chain.from_iterable(zip(xs, xs))), (0, h) * len(xs),
                         "\n".join(repeat(vertical, len(xs)))),
                 Element((0, w) * len(ys), tuple(chain.from_iterable(zip(ys, ys))),
-                        "\n".join(repeat(horizontal, len(ys)))))
-    elements = [family for family in families if family.xs]  # none below n = 0
+                        "\n".join(repeat(horizontal, len(ys))))]
     if axes == "lr":
         elements.append(_line((0, 0), (n, n), role="blue-j",
                                css_class="diagonal", dashed=True, width=2.0))
     if overlay is not None:
-        elements.append(_polyline_of(*overlay, role="path", width=2.5))
+        elements.append(_polyline(*overlay, role="path", width=2.5))
     return _to_svg(elements)
 
 
@@ -239,8 +235,7 @@ def render_wireframe(structure, style: str, include_triangle: bool = False):
             elements.append(_circle(mapper(anchor), role="path", css_class="anchor", radius=4.5))
     if include_triangle:
         for ts in triangle(structure.n).sides:
-            elements.append(_polyline(tuple(map(mapper, ts.nodes)),
-                                      role=SIDE_ROLES[ts.side],
+            elements.append(_polyline(*zip(*map(mapper, ts.nodes)), role=SIDE_ROLES[ts.side],
                                       css_class=f"side-{ts.side}", width=2.5))
 
     return _to_svg(elements), edge_list_text(structure)

@@ -80,11 +80,6 @@ class DyckWord(str):
         return str.__new__(cls, text)
 
     @property
-    def text(self) -> str:
-        """The word as a plain ``str``."""
-        return str(self)
-
-    @property
     def n(self) -> int:
         """Half-length: the number of '(' (equal to the number of ')')."""
         return len(self) // 2
@@ -102,11 +97,6 @@ def parse_word(text: str) -> DyckWord:
     if foreign:
         raise InvalidCharacter(foreign.start(), foreign.group())
     return DyckWord(text.translate(_DROP_WHITESPACE))
-
-
-def render_word(word: DyckWord) -> str:
-    """Inverse of :func:`parse_word`: '(' for each open, ')' for each close."""
-    return word.text
 
 
 def _canonical_columns(opens) -> tuple[tuple[int, ...], ...]:
@@ -163,11 +153,6 @@ class Path4D(tuple):
                 raise TypeError(f"node {wide}: {len(nodes[wide])} coordinates, not 4")
         _path_columns(tuple(zip(*nodes)))
         return tuple.__new__(cls, nodes)
-
-    @property
-    def nodes(self) -> tuple[LatticeNode, ...]:
-        """The nodes as a plain ``tuple``."""
-        return tuple(self)
 
 
 def _path_of(columns) -> Path4D:

@@ -40,7 +40,7 @@ def test_c01_every_n6_path_ends_at_12_0_6_6():
         words = list(enumerate_words(6))
         assert len(words) == 132
         for word in words:
-            assert word_to_path(word).nodes[-1] == (12, 0, 6, 6)
+            assert word_to_path(word)[-1] == (12, 0, 6, 6)
         assert time.perf_counter() - start < 1.0
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from dyck4d import (RankOutOfRange, catalan, draw_uniform_rank,
-                    enumerate_words, parse_word, rank, render_word,
+                    enumerate_words, parse_word, rank,
                     sample_uniform, unrank)
 from dyck4d import enumeration
 from dyck4d.cli import main
@@ -42,11 +42,11 @@ class TestCatalan:
 
 class TestEnumerateWords:
     def test_smallest(self):
-        assert [render_word(w) for w in enumerate_words(0)] == [""]
-        assert [render_word(w) for w in enumerate_words(1)] == ["()"]
+        assert [str(w) for w in enumerate_words(0)] == [""]
+        assert [str(w) for w in enumerate_words(1)] == ["()"]
 
     def test_first_element_is_all_opens_first(self):
-        assert render_word(next(iter(enumerate_words(3)))) == "((()))"
+        assert str(next(iter(enumerate_words(3)))) == "((()))"
 
     def test_n4_count(self):
         assert len(list(enumerate_words(4))) == 14
@@ -54,7 +54,7 @@ class TestEnumerateWords:
     @pytest.mark.parametrize("n", range(8))
     def test_equals_sorted_oracle_enumeration(self, n):
         # oracles.all_balanced filters itertools.product output, already lex order
-        assert [render_word(w) for w in enumerate_words(n)] == oracles.all_balanced(n)
+        assert [str(w) for w in enumerate_words(n)] == oracles.all_balanced(n)
 
     def test_lengths_up_to_ten(self):
         for n in (9, 10):
@@ -62,17 +62,17 @@ class TestEnumerateWords:
 
     def test_strictly_increasing_and_unique(self):
         for n in range(8):
-            rendered = [render_word(w) for w in enumerate_words(n)]
+            rendered = [str(w) for w in enumerate_words(n)]
             assert all(a < b for a, b in zip(rendered, rendered[1:]))
 
     def test_all_valid(self):
         for word in enumerate_words(6):
-            assert oracles.is_balanced(render_word(word))
+            assert oracles.is_balanced(str(word))
 
 
 class TestRankUnrank:
     def test_unrank_zero(self):
-        assert render_word(unrank(0, 3)) == "((()))"
+        assert str(unrank(0, 3)) == "((()))"
 
     def test_rank_matches_enumeration_index(self):
         for n in range(7):
@@ -274,14 +274,14 @@ class TestSampling:
 
     def test_single_word_universe(self):
         assert sample_uniform(0, 123).n == 0
-        assert render_word(sample_uniform(1, 99)) == "()"
+        assert str(sample_uniform(1, 99)) == "()"
 
     def test_deterministic_per_seed(self):
         for seed in (0, 1, 7, 2**63 - 1):
             assert sample_uniform(12, seed) == sample_uniform(12, seed)
 
     def test_different_seeds_vary(self):
-        samples = {render_word(sample_uniform(8, seed)) for seed in range(40)}
+        samples = {str(sample_uniform(8, seed)) for seed in range(40)}
         assert len(samples) > 1
 
     def test_draw_uniform_rank_bounds_and_coverage(self):
@@ -302,7 +302,7 @@ class TestSampling:
         draws = 14000
         counts = {}
         for seed in range(draws):
-            text = render_word(sample_uniform(4, seed))
+            text = str(sample_uniform(4, seed))
             counts[text] = counts.get(text, 0) + 1
         assert len(counts) == 14
         expected = draws / 14

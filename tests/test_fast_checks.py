@@ -25,7 +25,7 @@ from dyck4d import (DyckError, DyckWord, FlatnessResult,
                     LatticeNode, MalformedPath, NegativePrefix, Path4D,
                     ProjectedPath, Unbalanced, enumerate_nodes, lift, parse_word,
                     path_from_lists, path_to_word, project, projected_path_as_json,
-                    projected_path_from_json, render_word, verify_flat, word_to_path)
+                    projected_path_from_json, verify_flat, word_to_path)
 from dyck4d import cli
 
 AXIS_SETS = ("ij", "il", "ir", "jl", "jr", "lr", "ijl", "ijr", "ilr", "jlr", "ijlr")
@@ -267,14 +267,14 @@ def flat_subjects(draw):
 @settings(max_examples=300, deadline=None)
 @given(texts())
 def test_parse_word(text):
-    assert outcome(parse_word, text, field="text") == outcome(ref_parse, text)
+    assert outcome(parse_word, text) == outcome(ref_parse, text)
 
 
 @settings(max_examples=300, deadline=None)
 @given(texts())
 def test_dyck_word(text):
     for candidate in (text, "".join(c for c in text if c in "()")):
-        assert outcome(DyckWord, candidate, field="text") == outcome(ref_word, candidate)
+        assert outcome(DyckWord, candidate) == outcome(ref_word, candidate)
         if outcome(ref_word, candidate)[0] == "ok":
             assert str(DyckWord(candidate)) == candidate
 
@@ -283,9 +283,9 @@ def test_dyck_word(text):
 @given(words())
 def test_word_to_path_builds_what_path4d_accepts(text):
     path = word_to_path(DyckWord(text))
-    assert Path4D(path.nodes) == path
-    assert all(type(node) is LatticeNode for node in path.nodes)
-    assert path.nodes == ref_path(oracles.visited_nodes(text))
+    assert Path4D(tuple(path)) == path
+    assert all(type(node) is LatticeNode for node in path)
+    assert path == ref_path(oracles.visited_nodes(text))
 
 
 @st.composite
@@ -326,7 +326,7 @@ def odd_node_rows(draw):
 @given(odd_node_rows(), st.sampled_from((list, tuple, LatticeNode._make)))
 def test_path4d(rows, kind):
     nodes = [kind(row) if len(row) == 4 else tuple(row) for row in rows]
-    assert outcome(Path4D, nodes, field="nodes") == outcome(ref_path, nodes)
+    assert outcome(Path4D, nodes) == outcome(ref_path, nodes)
 
 
 @settings(max_examples=300, deadline=None)
@@ -334,7 +334,7 @@ def test_path4d(rows, kind):
 def test_path_from_lists(rows, odd):
     if odd is not None and rows and rows[-1]:
         rows[-1][-1] = odd(rows[-1][-1])
-    assert outcome(path_from_lists, rows, field="nodes") == outcome(ref_rows, rows)
+    assert outcome(path_from_lists, rows) == outcome(ref_rows, rows)
 
 
 @st.composite
@@ -395,14 +395,14 @@ def test_json_axes(case, text):
     expected = outcome(ref_json_axes, axes)
     assert outcome(projected_path_from_json, data, field="axes") == expected
     if expected[0] == "ok":
-        assert lift(projected_path_from_json(data)).nodes == tuple(nodes)
+        assert lift(projected_path_from_json(data)) == tuple(nodes)
 
 
 @settings(max_examples=300, deadline=None)
 @given(projections())
 def test_projected_path_and_lift(case):
     names, points = case
-    assert outcome(lift, ProjectedPath(names, points), field="nodes") == outcome(
+    assert outcome(lift, ProjectedPath(names, points)) == outcome(
         ref_lift, names, points)
 
 
@@ -441,9 +441,9 @@ def test_lift_and_path_from_lists_return_checked_paths(rows, case):
         assert got[0] == outcome(reference)[0]
         if got[0] == "ok":
             path = got[1]
-            assert Path4D(path.nodes) == path
-            assert all(type(node) is LatticeNode for node in path.nodes)
-            assert path.nodes == ref_path(path.nodes)
+            assert Path4D(tuple(path)) == path
+            assert all(type(node) is LatticeNode for node in path)
+            assert path == ref_path(tuple(path))
 
 
 def line_of(route, text):
@@ -480,16 +480,16 @@ def test_cli_lines_agree_with_the_library(text, rows, case, axes):
                                  "points": [[node[c] for c in columns] for node in nodes]}))
     routes = [
         (cli._convert_line, Namespace(to="path"), [text],
-         lambda line: node_json(word_to_path(parse_word(line)).nodes)),
+         lambda line: node_json(word_to_path(parse_word(line)))),
         (cli._project_line, Namespace(axes=axes), [text],
          lambda line: node_json(projected_path_as_json(
              project(word_to_path(parse_word(line)), axes)))),
         (cli._convert_line, Namespace(to="word"), paths,
-         lambda line: render_word(path_to_word(path_from_lists(json.loads(line))))),
+         lambda line: str(path_to_word(path_from_lists(json.loads(line))))),
         (cli._lift_line, Namespace(to="path"), images,
-         lambda line: node_json(lifted(line).nodes)),
+         lambda line: node_json(lifted(line))),
         (cli._lift_line, Namespace(to="word"), images,
-         lambda line: render_word(path_to_word(lifted(line)))),
+         lambda line: str(path_to_word(lifted(line)))),
     ]
     for line_function, args, lines, library in routes:
         for line in lines:

@@ -68,7 +68,7 @@ class TestTriangle:
         assert tuple(q for q in zigzag if q.j == 0) == tri.side("blue").nodes
         # the fully nested word walks red then yellow
         nested = word_to_path(parse_word("(" * n + ")" * n))
-        assert nested.nodes == tri.side("red").nodes + tri.side("yellow").nodes[1:]
+        assert nested == tri.side("red").nodes + tri.side("yellow").nodes[1:]
 
 
 class TestSideLengths:

@@ -55,9 +55,9 @@ def test_star_import_binds_every_public_name():
 
 def test_unknown_attribute():
     # a triangle is its half-length n, a side its colour, every 4-vector a LatticeNode,
-    # an axis set its string and a figure a list of elements
+    # an axis set its string, a figure a list of elements and a word its str
     for name in ("no_such_name", "LatticeRegion", "Side", "Vec4",
-                 "AxisSet", "all_modifications", "Scene"):
+                 "AxisSet", "all_modifications", "Scene", "render_word"):
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(dyck4d, name)
         assert name not in dyck4d.__all__

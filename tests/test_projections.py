@@ -65,7 +65,7 @@ class TestProject:
 
     def test_full_axis_set_is_identity(self):
         path = word_to_path(parse_word("()"))
-        assert project(path, "ijlr").points == tuple(tuple(n) for n in path.nodes)
+        assert project(path, "ijlr").points == tuple(map(tuple, path))
 
     def test_step_images(self):
         # '(' is a horizontal link and ')' a vertical link in the l x r grid;
@@ -73,7 +73,7 @@ class TestProject:
         path = word_to_path(parse_word("(())"))
         lr = project(path, "lr").points
         ij = project(path, "ij").points
-        for k, char in enumerate(parse_word("(())").text):
+        for k, char in enumerate(parse_word("(())")):
             d_lr = (lr[k + 1][0] - lr[k][0], lr[k + 1][1] - lr[k][1])
             d_ij = (ij[k + 1][0] - ij[k][0], ij[k + 1][1] - ij[k][1])
             if char == "(":

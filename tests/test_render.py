@@ -57,6 +57,8 @@ class TestGrid:
     def test_wrong_arity(self):
         with pytest.raises(WrongArity):
             render_grid_2d("ijl", 4)
+        with pytest.raises(WrongArity):  # before the half-length check
+            render_grid_2d("ijl", -1)
 
     def test_mismatched_projection(self):
         proj = project(word_to_path(parse_word("()")), "ij")
@@ -67,6 +69,14 @@ class TestGrid:
         proj = project(word_to_path(parse_word("()")), "ij")
         with pytest.raises(WrongArity):
             render_grid_2d("ijl", 1, proj)
+
+    @pytest.mark.parametrize("axes", ["ij", "il", "ir", "jl", "jr", "lr"])
+    @pytest.mark.parametrize("n", [-1, -2])
+    @pytest.mark.parametrize("overlay", [False, True], ids=["bare", "overlay"])
+    def test_negative_half_length(self, axes, n, overlay):
+        proj = project(word_to_path(parse_word("()")), axes) if overlay else None
+        with pytest.raises(ValueError, match="half-length must be non-negative"):
+            render_grid_2d(axes, n, proj)
 
     @pytest.mark.parametrize("axes", ["ij", "il", "ir", "jl", "jr", "lr"])
     @pytest.mark.parametrize("n, m", [(0, 0), (3, 3), (9, 9), (0, 2), (3, 7), (7, 3), (4, 0)])
@@ -322,7 +332,7 @@ def _build(tag, points, style):
     if tag == "line":
         return render._line(*points, **style)
     if tag == "polyline":
-        return render._polyline(points, **style)
+        return render._polyline(*zip(*points), **style)
     return render._circle(*points, **style)
 
 

@@ -9,19 +9,19 @@ import oracles
 from dyck4d import (DyckWord, InvalidCharacter, LatticeNode, MalformedPath,
                     NegativePrefix, ORIGIN, Path4D, Unbalanced,
                     parse_word, path_as_lists, path_from_lists, path_to_word,
-                    render_word, word_to_path)
+                    word_to_path)
 
 
 class TestParse:
     def test_smallest_word(self):
         word = parse_word("()")
         assert word.n == 1
-        assert word.text == "()"
+        assert word == "()"
 
     def test_empty_word(self):
         word = parse_word("")
         assert word.n == 0
-        assert word.text == ""
+        assert word == ""
 
     def test_negative_prefix_position(self):
         with pytest.raises(NegativePrefix) as exc:
@@ -94,13 +94,13 @@ class TestParse:
 
 class TestRender:
     def test_examples(self):
-        assert render_word(parse_word("()")) == "()"
-        assert render_word(parse_word("")) == ""
+        assert str(parse_word("()")) == "()"
+        assert str(parse_word("")) == ""
 
     def test_round_trip_exhaustive(self):
         for n in range(9):
             for text in oracles.all_balanced(n):
-                assert render_word(parse_word(text)) == text
+                assert str(parse_word(text)) == text
 
     def test_str_matches_render(self):
         word = parse_word("(())")
@@ -110,17 +110,17 @@ class TestRender:
 class TestWordToPath:
     def test_smallest(self):
         path = word_to_path(parse_word("()"))
-        assert [tuple(node) for node in path.nodes] == [(0, 0, 0, 0), (1, 1, 1, 0), (2, 0, 1, 1)]
+        assert [tuple(node) for node in path] == [(0, 0, 0, 0), (1, 1, 1, 0), (2, 0, 1, 1)]
 
     def test_endpoint_n6(self):
         for text in oracles.all_balanced(6):
             path = word_to_path(parse_word(text))
-            assert path.nodes[-1] == (12, 0, 6, 6)
+            assert path[-1] == (12, 0, 6, 6)
 
     def test_open_run_prefix(self):
         path = word_to_path(parse_word("((()))"))
         for k in range(4):
-            assert path.nodes[k] == (k, k, k, 0)
+            assert path[k] == (k, k, k, 0)
 
     def test_node_count_and_tie(self):
         for n in range(7):
@@ -141,7 +141,7 @@ class TestWordToPath:
 class TestPathToWord:
     def test_smallest(self):
         path = Path4D(((0, 0, 0, 0), (1, 1, 1, 0), (2, 0, 1, 1)))
-        assert render_word(path_to_word(path)) == "()"
+        assert str(path_to_word(path)) == "()"
 
     def test_origin_only(self):
         assert path_to_word(Path4D(((0, 0, 0, 0),))).n == 0
@@ -203,7 +203,7 @@ def test_parse_render_identity_on_random_words(n, seed):
     text = oracles.random_word_text(random.Random(seed), n)
     word = parse_word(text)
     assert word.n == n
-    assert render_word(word) == text
+    assert str(word) == text
     assert path_to_word(word_to_path(word)) == word
 
 
@@ -245,10 +245,10 @@ class TestValueSemantics:
         with pytest.raises(AttributeError):
             setattr(value, attr, "()")
 
-    def test_text_and_nodes_are_plain(self):
-        assert type(_WORD.text) is str and _WORD.text == "(()())"
-        assert type(_PATH.nodes) is tuple and _PATH.nodes == tuple(_PATH)
-        assert set(map(type, _PATH.nodes)) == {LatticeNode}
+    def test_no_second_name_for_the_value(self):
+        # a word is its text and a path the tuple of its nodes, under no other name
+        assert not hasattr(DyckWord("()"), "text")
+        assert not hasattr(Path4D([ORIGIN]), "nodes")
 
     def test_equal_values_hash_equal(self):
         assert _WORD is not _SAME_WORD and _PATH is not _SAME_PATH
@@ -256,12 +256,12 @@ class TestValueSemantics:
         assert _PATH == _SAME_PATH and hash(_PATH) == hash(_SAME_PATH)
         # a word compares and hashes like its text, a path like the tuple of its nodes
         assert _WORD == "(()())" and hash(_WORD) == hash("(()())")
-        assert _PATH == _PATH.nodes and hash(_PATH) == hash(_PATH.nodes)
+        assert _PATH == tuple(_PATH) and hash(_PATH) == hash(tuple(_PATH))
         assert len({_WORD, _SAME_WORD, "(()())"}) == 1 and len({_PATH, _SAME_PATH}) == 1
 
     def test_keyword_construction(self):
         assert DyckWord(text="(()())") == _WORD
-        assert Path4D(nodes=_PATH.nodes) == _PATH
+        assert Path4D(nodes=tuple(_PATH)) == _PATH
         assert Path4D(nodes=path_as_lists(_PATH)) == _PATH
 
     @pytest.mark.parametrize("value", [_WORD, _PATH, DyckWord(""), Path4D([ORIGIN])],
