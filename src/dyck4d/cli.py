@@ -254,10 +254,9 @@ def _rank_line(args, text: str) -> str:
 
 def cmd_sample(args) -> int:
     rng = random.Random(args.seed)
-    total = enumeration.catalan(args.n)
+    total = None
     for _ in range(args.count):
-        k = enumeration.draw_uniform_rank(rng, total)
-        word = enumeration._unrank(k, args.n, total)
+        k, word, total = enumeration._draw(rng, args.n, total)
         print(_ranked_line(args, word, k, word))
     return 0
 

@@ -9,7 +9,9 @@ number B(a, b) = C(a + b, b)(a - b + 1)/(a + 1).  The walk carries that
 binomial from step to step, in O(n) memory.  Once a process's walks at one
 n have cost about one build of the Θ(n²)-entry prefix table, rank and
 unrank read that table instead (ski rental: Karlin, Manasse, Rudolph and
-Sleator, "Competitive snoopy caching", 1988).
+Sleator, "Competitive snoopy caching", 1988).  Row l of the table is the
+same for every n >= l, so a process keeps one table, grown to the largest
+n bought, and every n below its length reads it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import threading
 from typing import Iterator
 
 from .errors import RankOutOfRange
-from .lattice import prefix_count_table
+from .lattice import _prefix_rows
 from .words import DyckWord
 
 
@@ -64,18 +66,25 @@ def enumerate_words(n: int) -> Iterator[DyckWord]:
 #: adds Θ(n³) bits, a walk multiplies Θ(n²)).  So the call at n whose count
 #: reaches n / _WALK_RATIO buys the table, and every later call at n reads it.
 _WALK_RATIO = 16
-#: No table is bought above this n: one table there is about 93 MB.
+#: The table is never grown past this n: rows 0..1000 hold about 78 MB.
 _TABLE_CAP = 1000
-#: rank and unrank calls so far per n, for the _COUNTED n used last (oldest first).
+#: Rows 0..len - 1 of the prefix table, read by every n below its length.  One
+#: process-wide tuple, replaced by a longer one when a call buys a larger n.
+_table: tuple = ()
+#: rank and unrank calls so far per n, for the _COUNTED n used last (oldest first),
+#: counting only calls the table did not cover; bounded, so a process that rotates
+#: through more n walks at each instead of growing memory with its history.
 _calls: dict[int, int] = {}
-#: No more n than prefix_count_table keeps tables for, so a process that rotates
-#: through more n walks at each instead of buying tables the cache then evicts.
-_COUNTED = prefix_count_table.cache_parameters()["maxsize"]
+_COUNTED = 4
 _calls_lock = threading.Lock()
 
 
 def _bought_table(n: int):
-    """The prefix table of n, once this call has paid for it; None: walk instead."""
+    """The prefix table, rows 0..n at least, once a call at n has paid for it; None: walk."""
+    global _table
+    table = _table  # one read of an immutable tuple: no lock needed to use it
+    if n < len(table):
+        return table
     if n > _TABLE_CAP:
         return None
     with _calls_lock:
@@ -83,7 +92,11 @@ def _bought_table(n: int):
         _calls[n] = calls
         if len(_calls) > _COUNTED:
             del _calls[next(iter(_calls))]
-    return prefix_count_table(n) if calls * _WALK_RATIO >= n else None
+        if calls * _WALK_RATIO < n:
+            return None
+        if len(_table) <= n:  # another thread may have grown it since the read above
+            _table = _prefix_rows(n, _table)
+        return _table
 
 
 def rank(word: DyckWord) -> int:
@@ -117,14 +130,12 @@ def unrank(k: int, n: int) -> DyckWord:
     """Inverse of :func:`rank`: the k-th word of half-length n."""
     if n < 0:
         raise ValueError("half-length must be non-negative")
-    return _unrank(k, n, None)
-
-
-def _unrank(k: int, n: int, total: int | None) -> DyckWord:
-    """:func:`unrank` for n >= 0, given ``total`` = catalan(n) if the caller has it."""
     table = _bought_table(n)
-    if total is None:
-        total = table[n][n] if table else catalan(n)
+    return _unrank(k, n, table, table[n][n] if table else catalan(n))
+
+
+def _unrank(k: int, n: int, table, total: int) -> DyckWord:
+    """:func:`unrank` for n >= 0 with ``total`` = catalan(n), reading ``table`` (None: walk)."""
     if not 0 <= k < total:
         raise RankOutOfRange(f"rank {k} not in [0, {total}) for n={n}")
     c = 0 if table else total * (n + 1) // 2  # C(2n, n) / 2, as in rank
@@ -158,6 +169,20 @@ def draw_uniform_rank(rng: random.Random, total: int) -> int:
             return k
 
 
+def _draw(rng: random.Random, n: int, total: int | None = None):
+    """(rank, word, catalan(n)) of one uniform draw at n, with one buy-rule call.
+
+    catalan(n) is read from the table when it covers n, else it is ``total`` if
+    the caller has it from an earlier draw, else computed here.
+    """
+    if n < 0:
+        raise ValueError("half-length must be non-negative")
+    table = _bought_table(n)
+    total = table[n][n] if table else total or catalan(n)
+    k = draw_uniform_rank(rng, total)
+    return k, _unrank(k, n, table, total), total
+
+
 def sample_uniform(n: int, seed: int) -> DyckWord:
     """A uniformly random word of half-length n, deterministic per (n, seed).
 
@@ -165,6 +190,4 @@ def sample_uniform(n: int, seed: int) -> DyckWord:
     Twister seeded with ``seed`` and unranks it, so uniformity over words
     is exactly uniformity over ranks.
     """
-    rng = random.Random(seed)
-    total = catalan(n)
-    return _unrank(draw_uniform_rank(rng, total), n, total)
+    return _draw(random.Random(seed), n)[1]

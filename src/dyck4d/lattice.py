@@ -8,7 +8,6 @@ a triangular slab of (n + 1)(n + 2) / 2 nodes.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import comb
 from operator import add, floordiv, sub
@@ -94,18 +93,17 @@ def enumerate_nodes(n: int) -> list[LatticeNode]:
     return list(map(tuple.__new__, repeat(LatticeNode), chain.from_iterable(rows)))
 
 
-@lru_cache(maxsize=4)
-def prefix_count_table(n: int):
-    """table[l][r] = number of balanced-word prefixes reaching (l, r), r <= l <= n.
+def _prefix_rows(n: int, rows: tuple = ()) -> tuple:
+    """Rows 0, ..., n of the prefix table, extending ``rows`` (its rows 0, ..., k <= n).
 
-    The four most recently used tables are kept, so a process's memory is
-    bounded by the sizes it is asked for now, not by every size it has seen.
+    Row l holds the number of balanced-word prefixes reaching (l, r) for r = 0, ..., l,
+    the ballot numbers B(l, r); it is the same for every half-length n >= l.
     """
     # A prefix reaching (l, r < l) ends in '(' from (l - 1, r) or ')' from
     # (l, r - 1), so row l is the running sum of row l - 1; (l, l) is reached
     # only from (l, l - 1), so the row ends by repeating its last value.
-    rows = [(1,)]
-    for _ in range(n):
+    rows = list(rows) or [(1,)]
+    while len(rows) <= n:
         row = tuple(accumulate(rows[-1]))
         rows.append(row + row[-1:])
     return tuple(rows)
@@ -135,7 +133,8 @@ def count_paths_through(node, n: int) -> int:
 
 def _all_counts(n: int):
     """(node, :func:`count_paths_through`) for every node of half-length n, from one
-    table: its Θ(n²) entries cost no more than the Θ(n³) bits of the output."""
-    table = prefix_count_table(n)
+    table: its Θ(n²) entries cost no more than the Θ(n³) bits of the output.  The
+    table is this generator's own, so nothing of it is kept once the output is done."""
+    table = _prefix_rows(n)
     for node in enumerate_nodes(n):
         yield node, table[node.l][node.r] * table[n - node.r][n - node.l]

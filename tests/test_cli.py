@@ -39,13 +39,14 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
-def _run_in_256_mb(argv, stdin=None):
-    """``python -m dyck4d`` with ``argv`` in a child limited to 256 MB of address space."""
+def _run_in_256_mb(argv, stdin=None, program=("-m", "dyck4d")):
+    """``python -m dyck4d`` (or ``python *program``) with ``argv`` in a child limited
+    to 256 MB of address space."""
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
 
     return subprocess.run(
-        [sys.executable, "-m", "dyck4d", *argv], input=stdin, capture_output=True,
+        [sys.executable, *program, *argv], input=stdin, capture_output=True,
         text=True, env=CHILD_ENV, timeout=30, preexec_fn=limit_memory)
 
 
@@ -247,6 +248,34 @@ class TestCountingMemory:
     def test_rank(self):
         result = _run_in_256_mb(["rank", _DEEP_WORD])
         assert (result.returncode, result.stdout, result.stderr) == (0, "0\n", "")
+
+    def test_tables_bought_at_four_n(self):
+        # each n pays for its rows on its ceil(n / 16)-th call; one table of n = 1000 is
+        # about 78 MB, so a process that kept one table per n would not fit in 256 MB
+        result = _run_in_256_mb([], program=("-c", _FOUR_BUYS))
+        assert (result.returncode, result.stderr) == (0, "")
+        *lines, length = result.stdout.splitlines()
+        assert length == "1001"
+        for line, n in zip(lines, (970, 980, 990, 1000), strict=True):
+            k, word = line.split()
+            assert oracles.scan(word) == ("ok", n)
+            assert rank(parse_word(word)) == int(k)
+
+
+#: Buys the prefix table at four n near the cap, then round-trips a rank at each.
+_FOUR_BUYS = """
+import math
+from dyck4d import catalan, enumeration, rank, unrank
+for n in (970, 980, 990, 1000):
+    for call in range(math.ceil(n / 16)):
+        unrank(call, n)
+for n in (970, 980, 990, 1000):
+    k = catalan(n) // 3
+    word = unrank(k, n)
+    assert rank(word) == k
+    print(k, word)
+print(len(enumeration._table))
+"""
 
 
 class TestGeometry:

@@ -13,7 +13,7 @@ from dyck4d import (RankOutOfRange, catalan, draw_uniform_rank,
                     sample_uniform, unrank)
 from dyck4d import enumeration
 from dyck4d.cli import main
-from dyck4d.lattice import prefix_count_table
+from dyck4d.lattice import _prefix_rows
 
 
 class TestCatalan:
@@ -105,11 +105,10 @@ class TestRankUnrank:
         assert rank(parse_word("()()")) == 1
 
 
-def _counted_by(source, function, *args):
-    """``function(*args)`` with rank and unrank counting by ``source``: "walk" or "table"."""
-    bought = {"walk": lambda n: None, "table": prefix_count_table}[source]
+def _counted_by(table, function, *args):
+    """``function(*args)`` with rank and unrank reading ``table``, or walking if it is None."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(enumeration, "_bought_table", bought)
+        patch.setattr(enumeration, "_bought_table", lambda n: table)
         return function(*args)
 
 
@@ -118,88 +117,135 @@ def _brute_force_order(n):
     return oracles.all_balanced(n)
 
 
+@functools.cache
+def _rows_300():
+    return _prefix_rows(300)
+
+
 class TestWalkAgainstTable:
     """The ballot walk and the prefix table give every rank and word alike."""
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 300), seed=st.integers(0, 2**32))
     def test_random_words(self, n, seed):
+        # the rows up to 300 serve every n up to 300, as the shared table does
         text = oracles.random_word_text(random.Random(seed), n)
         word = parse_word(text)
-        k = _counted_by("walk", rank, word)
-        assert _counted_by("table", rank, word) == k
-        assert _counted_by("walk", unrank, k, n) == word == _counted_by("table", unrank, k, n)
+        k = _counted_by(None, rank, word)
+        assert _counted_by(_rows_300(), rank, word) == k
+        assert _counted_by(None, unrank, k, n) == word == _counted_by(_rows_300(), unrank, k, n)
         if n < 10:
             assert _brute_force_order(n)[k] == text
 
     @pytest.mark.parametrize("n", [999, 1000, 1001])
     def test_both_sides_of_the_cap(self, n):
         rng = random.Random(n)
-        try:
-            for _ in range(3):
-                word = parse_word(oracles.random_word_text(rng, n))
-                k = _counted_by("walk", rank, word)
-                assert _counted_by("table", rank, word) == k
-                assert _counted_by("walk", unrank, k, n) == word
-                assert _counted_by("table", unrank, k, n) == word
-        finally:
-            prefix_count_table.cache_clear()  # about 93 MB per table
+        table = _prefix_rows(n)  # this test's own, about 78 MB, dropped when it ends
+        for _ in range(3):
+            word = parse_word(oracles.random_word_text(rng, n))
+            k = _counted_by(None, rank, word)
+            assert _counted_by(table, rank, word) == k
+            assert _counted_by(None, unrank, k, n) == word
+            assert _counted_by(table, unrank, k, n) == word
 
 
+def _agrees_with_the_walk(ns):
+    """rank and unrank at each n of ``ns``, reading the shared table, agree with the walk."""
+    for n in ns:
+        assert n < len(enumeration._table)
+        word = parse_word(oracles.random_word_text(random.Random(n), n))
+        k = _counted_by(None, rank, word)
+        assert rank(word) == k
+        assert unrank(k, n) == word
+
+
+@pytest.mark.usefixtures("fresh_counting")
+class TestGrownTable:
+    """Rows grown from a shorter table equal a fresh build, and every n they cover reads them."""
+
+    def test_steps_up_to_the_cap(self):
+        for n in (0, 250, 500, 1000):
+            enumeration._table = _prefix_rows(n, enumeration._table)
+            _agrees_with_the_walk(range(n + 1))
+        assert enumeration._table == _prefix_rows(1000)
+        assert not enumeration._calls  # a call at a covered n is not counted
+
+    @settings(max_examples=10, deadline=None)
+    @given(steps=st.lists(st.integers(0, 300), min_size=1, max_size=6))
+    def test_random_steps(self, steps):
+        enumeration._table = ()
+        for n in sorted(steps):
+            enumeration._table = _prefix_rows(n, enumeration._table)
+            assert enumeration._table == _prefix_rows(n)
+            _agrees_with_the_walk(range(n + 1))
+
+
+@pytest.mark.usefixtures("fresh_counting")
 class TestBuyRule:
-    """Call c at n reads the table once 16 c >= n, and never above n = 1000."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_counts(self):
-        enumeration._calls.clear()
-        prefix_count_table.cache_clear()
-        yield
-        enumeration._calls.clear()
-        prefix_count_table.cache_clear()
+    """Call c at n grows the table once 16 c >= n, never above n = 1000; covered n read it."""
 
     @staticmethod
     def _calls_at(n, calls):
-        """``calls`` alternating rank and unrank calls at n; the table misses after each."""
+        """``calls`` alternating rank and unrank calls at n; the table's length after each."""
         word = parse_word(oracles.random_word_text(random.Random(n), n))
         k = rank(word)
-        misses = [prefix_count_table.cache_info().misses]
+        lengths = [len(enumeration._table)]
         for call in range(2, calls + 1):
             assert (unrank(k, n) if call % 2 else rank(word)) == (word if call % 2 else k)
-            misses.append(prefix_count_table.cache_info().misses)
-        return misses
+            lengths.append(len(enumeration._table))
+        return lengths
 
     @pytest.mark.parametrize("n", [1, 16, 17, 100, 1000])
     def test_bought_on_the_paying_call(self, n):
         paying = math.ceil(n / 16)
-        misses = self._calls_at(n, paying + 5)
-        assert misses == [0] * (paying - 1) + [1] * 6
+        lengths = self._calls_at(n, paying + 5)
+        assert lengths == [0] * (paying - 1) + [n + 1] * 6
+        # from the paying call on, calls at n read the table and count nothing
+        assert enumeration._calls == {n: paying}
 
     def test_never_bought_above_the_cap(self):
         calls = math.ceil(1001 / 16) + 5
         assert self._calls_at(1001, calls) == [0] * calls
+        assert not enumeration._calls
+
+    def test_smaller_n_read_the_table_at_once(self):
+        self._calls_at(100, math.ceil(100 / 16))
+        enumeration._calls.clear()
+        assert self._calls_at(60, 3) == [101] * 3
+        assert not enumeration._calls
+        # a larger n grows the same table from its last row
+        first_rows = enumeration._table
+        self._calls_at(120, math.ceil(120 / 16))
+        assert enumeration._table[:101] == first_rows
+        assert all(a is b for a, b in zip(enumeration._table, first_rows))
 
     def test_counts_bounded_and_correct_after_eviction(self):
+        # two calls at n > 32 never pay (16 * 2 < n), so every n stays counted
         counted = enumeration._COUNTED
-        ns = range(20, 40)
+        ns = range(40, 60)
         for n in ns:
             assert rank(unrank(n, n)) == n
         assert list(enumeration._calls) == list(ns[-counted:])
         assert set(enumeration._calls.values()) == {2}
-        # a call at the oldest counted n makes it the most recent, so n = 40 evicts the next
+        # a call at the oldest counted n makes it the most recent, so n = 60 evicts the next
         oldest, evicted = ns[-counted], ns[-counted + 1]
         assert unrank(0, oldest) == parse_word("(" * oldest + ")" * oldest)
-        assert rank(unrank(0, 40)) == 0
-        assert list(enumeration._calls) == [*ns[-counted + 2:], oldest, 40]
+        assert rank(unrank(0, 60)) == 0
+        assert list(enumeration._calls) == [*ns[-counted + 2:], oldest, 60]
         assert evicted not in enumeration._calls and enumeration._calls[oldest] == 3
-        # n = 20 was evicted: its count starts again
-        assert rank(unrank(1, 20)) == 1
-        assert len(enumeration._calls) == counted and enumeration._calls[20] == 2
+        # n = 40 was evicted: its count starts again
+        assert rank(unrank(1, 40)) == 1
+        assert len(enumeration._calls) == counted and enumeration._calls[40] == 2
+        assert enumeration._table == ()
 
     @pytest.mark.parametrize("rotated, builds", [(enumeration._COUNTED + 1, 0),
                                                  (enumeration._COUNTED, enumeration._COUNTED)])
-    def test_rotating_half_lengths(self, rotated, builds):
-        # one n more than the tables kept: each n's count restarts before it can buy;
-        # as many n as the tables kept: each buys its table once and keeps it
+    def test_rotating_half_lengths(self, rotated, builds, monkeypatch):
+        # one n more than the counts kept: each n's count restarts before it can buy;
+        # as many n as the counts kept: each n grows the table once, the smallest first
+        built = []
+        monkeypatch.setattr(enumeration, "_prefix_rows",
+                            lambda n, rows: built.append(n) or _prefix_rows(n, rows))
         ns = [200 + 200 * step // (rotated - 1) for step in range(rotated)]
         words = {n: parse_word(oracles.random_word_text(random.Random(n), n)) for n in ns}
         ks = {n: rank(word) for n, word in words.items()}
@@ -207,21 +253,23 @@ class TestBuyRule:
             n = ns[call % rotated]
             assert (unrank(ks[n], n) if call % 2 else rank(words[n])) == (
                 words[n] if call % 2 else ks[n])
-        assert prefix_count_table.cache_info().misses == builds
+        assert built == ns[:builds]
+        assert len(enumeration._table) == (ns[-1] + 1 if builds else 0)
 
 
+@pytest.mark.usefixtures("fresh_counting")
 class TestThreads:
     @pytest.fixture(autouse=True)
     def short_switch_interval(self):
-        enumeration._calls.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         yield
         sys.setswitchinterval(interval)
-        enumeration._calls.clear()
 
-    def test_no_call_is_lost(self):
-        # as many half-lengths as the bound holds, so every count must end at the calls made
+    def test_no_call_is_lost(self, monkeypatch):
+        # no call ever pays, so every count must end at the calls made; as many
+        # half-lengths as the bound holds, so none is evicted
+        monkeypatch.setattr(enumeration, "_WALK_RATIO", 0)
         ns = range(2, 2 + enumeration._COUNTED)
 
         def work(_):
@@ -232,11 +280,15 @@ class TestThreads:
         with ThreadPoolExecutor(max_workers=8) as pool:
             assert list(pool.map(work, range(8), timeout=120)) == [None] * 8
         assert enumeration._calls == dict.fromkeys(ns, 8 * 100 * 2)
+        assert enumeration._table == ()
 
-    def test_shared_counts_stay_right(self):
+    def test_shared_counts_stay_right(self, monkeypatch):
         # 12 half-lengths cross the bound on the counts; each thread makes runs of calls at
         # one n, so the counts at n <= 160 reach their paying call while others evict them.
         ns = [3, 10, 17, 24, 40, 64, 80, 100, 120, 140, 160, 1001]
+        built = []
+        monkeypatch.setattr(enumeration, "_prefix_rows",
+                            lambda n, rows: built.append((len(rows), n)) or _prefix_rows(n, rows))
 
         def work(seed):
             rng = random.Random(seed)
@@ -250,6 +302,9 @@ class TestThreads:
         with ThreadPoolExecutor(max_workers=8) as pool:
             assert list(pool.map(work, range(8), timeout=120)) == [None] * 8
         assert len(enumeration._calls) <= enumeration._COUNTED
+        # each build starts where the last one ended: no two threads built the same rows
+        assert [start for start, _ in built] == [0] + [n + 1 for _, n in built[:-1]]
+        assert enumeration._table == _prefix_rows(built[-1][1])
 
 
 class TestSampling:
@@ -262,6 +317,14 @@ class TestSampling:
         monkeypatch.setattr(enumeration, "catalan", lambda n: calls.append(n) or real(n))
         return calls
 
+    @pytest.fixture
+    def buy_rule_calls(self, monkeypatch):
+        """The n of every buy-rule call from now on."""
+        calls = []
+        real = enumeration._bought_table
+        monkeypatch.setattr(enumeration, "_bought_table", lambda n: calls.append(n) or real(n))
+        return calls
+
     def test_one_catalan_number_per_draw(self, catalan_calls):
         word = sample_uniform(1001, 5)
         assert catalan_calls == [1001]
@@ -271,6 +334,20 @@ class TestSampling:
         assert main(["sample", "--n", "1001", "--seed", "5", "--count", "3"]) == 0
         assert catalan_calls == [1001]
         assert len(capsys.readouterr().out.split()) == 3
+
+    def test_covered_n_reads_its_total_from_the_table(self, fresh_counting, catalan_calls,
+                                                      buy_rule_calls, capsys):
+        argv = ["sample", "--n", "30", "--seed", "5", "--count", "3"]
+        enumeration._table = _prefix_rows(30)
+        words = [sample_uniform(n, 5) for n in (0, 7, 30)]
+        assert main(argv) == 0
+        assert catalan_calls == []
+        assert buy_rule_calls == [0, 7, 30] + [30] * 3  # one buy-rule call per draw
+        printed = capsys.readouterr().out
+        enumeration._table = ()  # walking draws the same words
+        assert [sample_uniform(n, 5) for n in (0, 7, 30)] == words
+        assert main(argv) == 0
+        assert capsys.readouterr().out == printed
 
     def test_single_word_universe(self):
         assert sample_uniform(0, 123).n == 0
@@ -311,8 +388,10 @@ class TestSampling:
             assert abs(observed - expected) <= 5 * sigma, (text, observed)
 
 
-@pytest.mark.parametrize("call", [lambda: next(enumerate_words(-1)), lambda: unrank(0, -1)],
-                         ids=["enumerate_words", "unrank"])
-def test_negative_half_length_rejected(call):
+@pytest.mark.parametrize("call", [lambda: next(enumerate_words(-1)), lambda: unrank(0, -1),
+                                  lambda: sample_uniform(-1, 0)],
+                         ids=["enumerate_words", "unrank", "sample_uniform"])
+def test_negative_half_length_rejected(call, fresh_counting):
+    enumeration._table = _prefix_rows(3)  # a table covers every n below its length, not n < 0
     with pytest.raises(ValueError, match="^half-length must be non-negative$"):
         call()

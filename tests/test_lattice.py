@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +10,8 @@ import oracles
 from dyck4d import (LatticeNode, NotInLattice, ParityViolation,
                     catalan, complete_node, count_paths_through, enumerate_nodes,
                     is_lattice_node, parse_word, rank, unrank, verify_flat, word_to_path)
-from dyck4d.lattice import _all_counts, prefix_count_table
+from dyck4d import cli, enumeration, lattice
+from dyck4d.lattice import _all_counts, _prefix_rows
 
 
 class TestMembership:
@@ -163,9 +166,8 @@ class TestCountPaths:
         assert count_paths_through(LatticeNode(2, 0, 1, 1), 2) == count_paths_through((2, 0, 1, 1), 2)
 
 
-def _table_count(node, n):
+def _table_count(node, n, table):
     """The count as the prefix table gives it: prefixes to (l, r) times those to (n - r, n - l)."""
-    table = prefix_count_table(n)
     return table[node.l][node.r] * table[n - node.r][n - node.l]
 
 
@@ -175,17 +177,19 @@ class TestBallotNumbers:
     bought it instead of walking ballot numbers), must agree."""
 
     def test_every_node_up_to_60(self):
+        table = _prefix_rows(60)  # row l is the same for every n >= l
         for n in range(61):
             for node in enumerate_nodes(n):
-                assert count_paths_through(node, n) == _table_count(node, n)
+                assert count_paths_through(node, n) == _table_count(node, n, table)
 
     def test_seeded_nodes_at_1000(self):
         rng = random.Random(1000)
+        table = _prefix_rows(1000)
         for _ in range(200):
             l = rng.randint(0, 1000)
             r = rng.randint(0, l)
             node = LatticeNode(l + r, l - r, l, r)
-            assert count_paths_through(node, 1000) == _table_count(node, 1000)
+            assert count_paths_through(node, 1000) == _table_count(node, 1000, table)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 30])
     def test_all_counts_by_table(self, n):
@@ -198,15 +202,32 @@ class TestBallotNumbers:
             count_paths_through((1, 1, 1, 1), 10**300)
 
 
-class TestCountTableCache:
-    def test_bounded_and_correct_after_eviction(self):
-        prefix_count_table.cache_clear()
-        for n in range(10):
-            prefix_count_table(n)
-        assert prefix_count_table.cache_info().currsize == 4
-        # n = 4 was evicted: rank and unrank build its table again
+@pytest.mark.usefixtures("fresh_counting")
+class TestSharedTable:
+    def test_one_table_and_bounded_counts(self):
+        for n in range(10):  # below n = 16 the first call at n pays
+            assert rank(unrank(0, n)) == 0
+        assert enumeration._table == _prefix_rows(9)
+        assert list(enumeration._calls) == [6, 7, 8, 9]
+        # n = 4 was evicted from the counts, but the table covers it: rank and unrank read it
         for k, text in enumerate(oracles.all_balanced(4)):
             word = parse_word(text)
             assert rank(word) == k
             assert unrank(k, 4) == word
-        assert prefix_count_table.cache_info().currsize == 4
+        assert list(enumeration._calls) == [6, 7, 8, 9]
+        assert len(enumeration._table) == 10
+
+    def test_count_over_all_nodes_keeps_nothing(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(lattice, "_prefix_rows",
+                            lambda n, rows=(): built.append(_prefix_rows(n, rows)) or built[-1])
+        enumeration._table = table = _prefix_rows(5)
+        assert cli.main(["count", "--n", "30"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 31 * 32 // 2
+        assert enumeration._table is table and not enumeration._calls
+        gc.collect()
+        assert [len(rows) for rows in built] == [31]
+        # the rows the command built are held by ``built`` alone, as a list's own rows are
+        alone = [_prefix_rows(30)]
+        refs, refs_alone = sys.getrefcount(built[0]), sys.getrefcount(alone[0])
+        assert refs == refs_alone

@@ -55,15 +55,15 @@ def test_star_import_binds_every_public_name():
 
 def test_unknown_attribute():
     # a triangle is its half-length n, a side its colour, every 4-vector a LatticeNode,
-    # an axis set its string, a figure a list of elements and a word its str
-    for name in ("no_such_name", "LatticeRegion", "Side", "Vec4",
-                 "AxisSet", "all_modifications", "Scene", "render_word"):
+    # an axis set its string, a figure a list of elements, a word its str, and
+    # counting keeps one prefix table per process, not one cached per n
+    for name in ("no_such_name", "LatticeRegion", "Side", "Vec4", "AxisSet",
+                 "all_modifications", "Scene", "render_word", "prefix_count_table"):
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(dyck4d, name)
         assert name not in dyck4d.__all__
         assert [module for module in dyck4d._EXPORTS
                 if hasattr(importlib.import_module(f"dyck4d.{module}"), name)] == []
-    assert not hasattr(dyck4d, "prefix_count_table")
 
 
 def test_axis_sets_and_figures_are_plain_values():
