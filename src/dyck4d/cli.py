@@ -147,18 +147,18 @@ def _validate_line(args, text: str) -> str:
 def _int_rows(columns) -> str:
     """``json.dumps(rows, separators=(",", ":"))`` for the rows of equally long int columns.
 
-    One ``str.format`` fills one template, which writes an int as ``json.dumps``
+    The values fill one ``%d`` template, which writes an int as ``json.dumps``
     does; a bool (``True``) or a float would not match, so only int columns may
     reach it.  Its callers, :func:`_convert_line`, :func:`_project_line` and
     :func:`_lift_line`, pass the canonical columns of a word
-    (``words._word_columns``) or columns that the axes select from them, or
+    (``words._parsed_columns``) or columns that the axes select from them, or
     the columns of values that passed ``words._first_bad_row`` and the path
     check (``words._columns_from_lists``, ``projections._json_rows`` and
     ``projections._lift_columns``).
     """
-    row = "[" + ",".join(repeat("{}", len(columns))) + "]"
+    row = "[" + ",".join(repeat("%d", len(columns))) + "]"
     template = "[" + ",".join(repeat(row, len(columns[0]))) + "]"
-    return template.format(*chain.from_iterable(zip(*columns)))
+    return template % tuple(chain.from_iterable(zip(*columns)))
 
 
 def _path_line(columns, to: str) -> str:
@@ -170,13 +170,13 @@ def _path_line(columns, to: str) -> str:
 
 def _convert_line(args, text: str) -> str:
     if args.to == "path":
-        return _int_rows(words._word_columns(words.parse_word(text)))
+        return _int_rows(words._parsed_columns(text))
     return _path_line(words._columns_from_lists(_json(text)), args.to)
 
 
 def _project_line(args, text: str) -> str:
     from . import projections
-    columns = projections._selector(args.axes)(words._word_columns(words.parse_word(text)))
+    columns = projections._selector(args.axes)(words._parsed_columns(text))
     axes = json.dumps(list(args.axes), separators=(",", ":"))
     return f'{{"axes":{axes},"points":{_int_rows(columns)}}}'
 
@@ -270,8 +270,7 @@ def cmd_render(args) -> int:
     if args.view == "grid":
         overlay = None
         if args.word is not None:
-            overlay = projections._selector(args.axes)(
-                words._word_columns(words.parse_word(args.word)))
+            overlay = projections._selector(args.axes)(words._parsed_columns(args.word))
         _write_document(render._grid(args.axes, args.n, overlay), args.out)
         return 0
     box = geometry.double_tesseract(args.n)

@@ -45,7 +45,7 @@ def enumerate_words(n: int) -> Iterator[DyckWord]:
         raise ValueError("half-length must be non-negative")
     text = "(" * n + ")" * n
     while True:
-        yield DyckWord(text)
+        yield str.__new__(DyckWord, text)  # balanced by construction: no second scan
         excess = 0  # closes minus opens right of position p
         for p in range(2 * n - 1, -1, -1):
             if text[p] == ")":
@@ -155,7 +155,7 @@ def _unrank(k: int, n: int, table, total: int) -> DyckWord:
                 c = c * row // (row + col)
             row -= 1
     chars.append(")" * row)
-    return DyckWord("".join(chars))
+    return str.__new__(DyckWord, "".join(chars))  # balanced by construction: no second scan
 
 
 def draw_uniform_rank(rng: random.Random, total: int) -> int:

@@ -71,8 +71,11 @@ def _lift_columns(axes: str, points) -> tuple[tuple[int, ...], ...]:
     if select(completion) != columns:
         nodes = tuple(zip(*completion))
         index = _first(map(ne, map(select, nodes), zip(*columns)))
-        raise InconsistentProjection(
-            index, f"completion {nodes[index]} projects back to {select(nodes[index])}")
+        try:
+            reason = f"completion {nodes[index]} projects back to {select(nodes[index])}"
+        except ValueError:  # a coordinate past the int digit limit (4300 digits by default)
+            reason = "the completion does not project back to the point"
+        raise InconsistentProjection(index, reason)
     return _path_columns(completion)
 
 

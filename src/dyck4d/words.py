@@ -49,11 +49,32 @@ _FOREIGN = re.compile(f"[^(){_WHITESPACE}]")
 _NOT_PARENTHESIS = re.compile("[^()]")
 _UNIT = {"(": 1, ")": -1}
 _OPENS = bytes.maketrans(b"()", b"\1\0")
+_RISES = bytes.maketrans(b"\1\0", b"()")
 
 
 def _first(flags):
     """The index of the first true flag, or None."""
     return next(compress(count(), flags), None)
+
+
+def _stripped(text: str) -> str:
+    """``text`` without its ASCII whitespace, once no other character but '(' and
+    ')' is left; else :class:`InvalidCharacter` at its index in ``text``."""
+    foreign = _FOREIGN.search(text)
+    if foreign:
+        raise InvalidCharacter(foreign.start(), foreign.group())
+    return text.translate(_DROP_WHITESPACE)
+
+
+def _balanced(j) -> None:
+    """The one balance rule of words, on ``j``, a word's running balance from 0:
+    :class:`NegativePrefix` names the first prefix that closes more than it
+    opens, else :class:`Unbalanced` a final excess of opens."""
+    if min(j) < 0:
+        # Steps are +-1 from 0, so the first negative balance is -1.
+        raise NegativePrefix(j.index(-1))
+    if j[-1]:
+        raise Unbalanced(j[-1])
 
 
 class DyckWord(str):
@@ -63,6 +84,9 @@ class DyckWord(str):
     and prints as that string.  Construction validates, so every instance is
     valid; the empty word is allowed.  :class:`InvalidCharacter` names the
     index of any other character, whitespace too (:func:`parse_word` skips it).
+    The package's builders of words that are balanced by construction
+    (:func:`path_to_word`, ``enumerate_words`` and ``unrank``) make theirs
+    with ``str.__new__``, which skips the scan.
     """
 
     __slots__ = ()
@@ -71,12 +95,7 @@ class DyckWord(str):
         foreign = _NOT_PARENTHESIS.search(text)  # TypeError unless a str
         if foreign:
             raise InvalidCharacter(foreign.start(), foreign.group())
-        balance = tuple(accumulate(map(_UNIT.__getitem__, text), initial=0))
-        if min(balance) < 0:
-            # Steps are +-1 from 0, so the first negative balance is -1.
-            raise NegativePrefix(balance.index(-1))
-        if balance[-1]:
-            raise Unbalanced(balance[-1])
+        _balanced(tuple(accumulate(map(_UNIT.__getitem__, text), initial=0)))
         return str.__new__(cls, text)
 
     @property
@@ -93,10 +112,7 @@ def parse_word(text: str) -> DyckWord:
     Balance violations raise :class:`NegativePrefix` (position = number of
     parenthesis steps consumed) or :class:`Unbalanced` (final excess).
     """
-    foreign = _FOREIGN.search(text)
-    if foreign:
-        raise InvalidCharacter(foreign.start(), foreign.group())
-    return DyckWord(text.translate(_DROP_WHITESPACE))
+    return DyckWord(_stripped(text))
 
 
 def _canonical_columns(opens) -> tuple[tuple[int, ...], ...]:
@@ -129,7 +145,11 @@ def _path_columns(columns):
     if negative is not None and (differs is None or negative < differs):
         raise MalformedPath(negative, "unbalance went negative")
     delta = tuple(column[differs] - column[differs - 1] for column in columns)
-    raise MalformedPath(differs, f"delta {delta} is neither an up-step nor a down-step")
+    try:
+        reason = f"delta {delta} is neither an up-step nor a down-step"
+    except ValueError:  # a coordinate past the int digit limit (4300 digits by default)
+        reason = "the delta is neither an up-step nor a down-step"
+    raise MalformedPath(differs, reason)
 
 
 class Path4D(tuple):
@@ -159,23 +179,40 @@ def _path_of(columns) -> Path4D:
     """The :class:`Path4D` of columns that are a path, built without re-checking.
 
     ``columns`` have passed :func:`_path_columns`, or are the canonical
-    columns of a balanced word (:func:`_word_columns`), which pass it by
-    construction: the j column of a balanced word is its running balance,
-    which :class:`DyckWord` has checked.
+    columns of a balanced word (:func:`_word_columns` of a :class:`DyckWord`,
+    or :func:`_parsed_columns`), which pass it by construction: the j column
+    of a word is its running balance, which :func:`_balanced` has checked.
     """
     # tuple.__new__ builds the nodes without a Python-level call per node
     return tuple.__new__(Path4D, map(tuple.__new__, repeat(LatticeNode), zip(*columns)))
 
 
-def _word_columns(word: DyckWord) -> tuple[tuple[int, ...], ...]:
-    """The (i, j, l, r) columns of a word's canonical path."""
-    # A word is ASCII: its bytes, '(' made 1 and ')' 0, are its opens as ints.
+def _word_columns(word: str) -> tuple[tuple[int, ...], ...]:
+    """The (i, j, l, r) columns of the canonical path of ``word``, a text of '(' and ')'."""
+    # Such a text is ASCII: its bytes, '(' made 1 and ')' 0, are its opens as ints.
     return _canonical_columns(word.encode("ascii").translate(_OPENS))
 
 
+def _parsed_columns(text: str) -> tuple[tuple[int, ...], ...]:
+    """``_word_columns(parse_word(text))``, with the text checked once: the same
+    errors at the same positions, the balance rule read from the j column."""
+    columns = _word_columns(_stripped(text))
+    _balanced(columns[1])
+    return columns
+
+
 def _word_of(l) -> DyckWord:
-    """The word whose canonical path has the l column ``l``, '(' wherever l rises."""
-    return DyckWord("".join(map(")(".__getitem__, map(gt, l[1:], l))))
+    """The word whose canonical path has the l column ``l``, '(' wherever l rises.
+
+    ``l`` is the l column of checked columns (:func:`_path_columns`), so no
+    prefix of the word closes more than it opens: only a final excess of opens,
+    a path that ends above j = 0, raises :class:`Unbalanced`.
+    """
+    excess = 2 * l[-1] - (len(l) - 1)
+    if excess:
+        raise Unbalanced(excess)
+    # The rises as bytes, 1 made '(' and 0 ')', are the word's ASCII text.
+    return str.__new__(DyckWord, bytes(map(gt, l[1:], l)).translate(_RISES).decode("ascii"))
 
 
 def word_to_path(word: DyckWord) -> Path4D:

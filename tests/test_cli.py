@@ -15,7 +15,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from dyck4d import SIDES, __version__, parse_word, rank, sample_uniform, unrank
+from dyck4d import (AXIS_SETS, SIDES, MalformedPath, ProjectedPath, __version__, lift,
+                    parse_word, rank, sample_uniform, unrank)
 from dyck4d.cli import build_parser, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -708,6 +709,44 @@ class TestJsonBeyondLimits:
         assert len(expected.splitlines()) == 2
 
 
+#: The longest int that json.loads reads under the default digit limit (4300 digits).
+_NINES = 10**4300 - 1
+
+
+class TestPastTheDigitLimit:
+    """Points and nodes of ints that json.loads reads, whose completions or deltas
+    pass the interpreter's int digit limit, fail with one error line, not a traceback."""
+
+    @pytest.mark.parametrize("argv, line, expected", [
+        (["lift"], {"axes": ["l", "r"], "points": [[0, 0], [_NINES, _NINES]]},
+         "error:malformed-path:1"),
+        (["lift", "--to", "word"], {"axes": ["l", "r"], "points": [[0, 0], [_NINES, _NINES]]},
+         "error:malformed-path:1"),
+        (["lift"], {"axes": ["i", "l"], "points": [[0, 0], [0, _NINES]]}, "error:malformed-path:1"),
+        (["lift"], {"axes": ["i", "r"], "points": [[0, 0], [0, _NINES]]}, "error:malformed-path:1"),
+        (["lift"], {"axes": ["j", "l"], "points": [[0, 0], [-_NINES, _NINES]]},
+         "error:malformed-path:1"),
+        (["lift"], {"axes": ["i", "l", "r"], "points": [[0, 0, 0], [0, _NINES, 5]]},
+         "error:inconsistent-projection:1"),
+        (["convert", "--to", "word"], [[0, 0, 0, 0], [1, 1, 1, 0], [-_NINES, 0, 0, 0]],
+         "error:malformed-path:2"),
+    ], ids=["lift lr", "lift --to word lr", "lift il", "lift ir", "lift jl", "lift ilr",
+            "convert --to word"])
+    def test_one_error_line(self, argv, line, expected):
+        result = subprocess.run([sys.executable, "-m", "dyck4d", *argv],
+                                input=json.dumps(line) + "\n", capture_output=True, text=True,
+                                env=CHILD_ENV, timeout=60)
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", expected + "\n")
+
+    def test_library_raises_malformed_path(self):
+        with pytest.raises(MalformedPath) as caught:
+            lift(ProjectedPath("lr", ((0, 0), (_NINES, _NINES))))
+        assert caught.value.index == 1
+        with pytest.raises(MalformedPath, match=r"^node 1: delta \(2, 0, 1, 1\) is neither "
+                                                r"an up-step nor a down-step$"):
+            lift(ProjectedPath("lr", ((0, 0), (1, 1))))
+
+
 class TestVersion:
     def test_version(self, capsys):
         assert run(capsys, "--version") == (0, f"dyck4d {__version__}\n", "")
@@ -753,9 +792,25 @@ LINE_COMMANDS = [
 _FRAGMENTS = ["(", ")", "()", "[", "]", "{", "}", ",", ":", " ", "0", "1", "2", "-1", "1.5",
               "null", "true", "x", '"axes"', '"points"', '"l"', '"r"', '"i"', '"j"', '"q"',
               _path_json("(())"), _projected_json("()()", "jr")]
+
+
+@st.composite
+def _long_int_line(draw):
+    """A path or a projected path from the origin whose values may be ±(10**4300 - 1):
+    the nodes completed from them, and their deltas, pass the int digit limit."""
+    axes = draw(st.sampled_from(AXIS_SETS))
+    value = st.sampled_from([0, 1, -1, _NINES, -_NINES])
+    points = [[0] * len(axes), *draw(st.lists(st.lists(value, min_size=len(axes),
+                                                       max_size=len(axes)), min_size=1, max_size=2))]
+    if axes == "ijlr" and draw(st.booleans()):
+        return json.dumps(points)
+    return json.dumps({"axes": list(axes), "points": points})
+
+
 _fuzz_line = st.one_of(
     st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join),
     st.text(st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)), max_size=16),
+    _long_int_line(),
 )
 
 

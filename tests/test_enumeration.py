@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from dyck4d import (RankOutOfRange, catalan, draw_uniform_rank,
+from dyck4d import (DyckWord, RankOutOfRange, catalan, draw_uniform_rank,
                     enumerate_words, parse_word, rank,
                     sample_uniform, unrank)
 from dyck4d import enumeration
@@ -147,6 +147,33 @@ class TestWalkAgainstTable:
             assert _counted_by(table, rank, word) == k
             assert _counted_by(None, unrank, k, n) == word
             assert _counted_by(table, unrank, k, n) == word
+
+
+def _checked(word):
+    """Whether ``word``, built without :class:`DyckWord`'s scan, is a word the scan accepts."""
+    return type(word) is DyckWord and DyckWord(str(word)) == word
+
+
+class TestBuiltWordsPassTheScan:
+    """unrank, sample_uniform and enumerate_words build balanced words by
+    construction and skip DyckWord's scan; each word they build passes it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 300), data=st.data())
+    def test_unrank(self, n, data):
+        k = data.draw(st.integers(0, catalan(n) - 1))
+        assert _checked(_counted_by(None, unrank, k, n))
+        assert _checked(_counted_by(_rows_300(), unrank, k, n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 300), seed=st.integers(0, 2**32))
+    def test_sample_uniform(self, n, seed):
+        assert _checked(_counted_by(None, sample_uniform, n, seed))
+        assert _checked(_counted_by(_rows_300(), sample_uniform, n, seed))
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_enumerate_words(self, n):
+        assert all(map(_checked, enumerate_words(n)))
 
 
 def _agrees_with_the_walk(ns):

@@ -8,14 +8,18 @@ as the package did before its checks were rewritten to work on whole
 columns; inputs are valid words, paths, projections and triangle nodes with
 small perturbations (a swapped symbol, a dropped or duplicated node, a wrong
 redundant coordinate, a mixed-parity (i, j), a bad width, a moved, swapped
-or dropped coordinate).  Two shortcuts are checked against the full code
-path the same way: ``word_to_path``, which builds without re-checking, and
-``cli._int_rows``, which writes the rows of integer columns without ``json.dumps``.
+or dropped coordinate).  Shortcuts are checked against the full code path
+the same way: ``word_to_path``, which builds without re-checking,
+``words._parsed_columns``, which checks a text once on its way to columns,
+``words._word_of``, which builds a word from checked columns without
+``DyckWord``'s scan, and ``cli._int_rows``, which writes the rows of integer
+columns without ``json.dumps``.
 """
 
 import json
 import random
 from argparse import Namespace
+from operator import gt
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -27,6 +31,7 @@ from dyck4d import (DyckError, DyckWord, FlatnessResult,
                     path_from_lists, path_to_word, project, projected_path_as_json,
                     projected_path_from_json, verify_flat, word_to_path)
 from dyck4d import cli
+from dyck4d.words import _parsed_columns, _path_columns, _word_columns, _word_of
 
 AXIS_SETS = ("ij", "il", "ir", "jl", "jr", "lr", "ijl", "ijr", "ilr", "jlr", "ijlr")
 WHITESPACE = " \t\n\r\f\v"
@@ -286,6 +291,54 @@ def test_word_to_path_builds_what_path4d_accepts(text):
     assert Path4D(tuple(path)) == path
     assert all(type(node) is LatticeNode for node in path)
     assert path == ref_path(oracles.visited_nodes(text))
+
+
+@st.composite
+def raw_texts(draw):
+    """A word's text with symbols swapped, dropped, doubled or inserted, among
+    them whitespace and foreign or non-ASCII characters."""
+    return "".join(perturb(draw, draw(words(max_n=60)), st.sampled_from("()()x[（） \t\n\v")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_texts())
+@example("")
+@example("(" * 300 + ")" * 299)
+@example(" ( ) ")
+@example("(）")
+def test_parsed_columns(text):
+    """``_parsed_columns`` checks a text once and gives the columns of its parsed
+    word, or the error of parsing it: the same class and position or excess.
+    Both share the one balance rule, so the columns or the error are also those
+    of the character-by-character reference."""
+    got = outcome(_parsed_columns, text)
+    assert got == outcome(lambda: _word_columns(parse_word(text)))
+    expected = outcome(ref_parse, text)
+    if expected[0] == "ok":
+        expected = "ok", tuple(zip(*oracles.visited_nodes(expected[1])))
+    assert got == expected
+
+
+@st.composite
+def checked_l_columns(draw):
+    """The l column of the path of a prefix of a word, which the path check
+    accepts; most prefixes end above j = 0."""
+    text = draw(words(max_n=60))
+    prefix = text[:draw(st.integers(0, len(text)))]
+    return _path_columns(tuple(zip(*oracles.visited_nodes(prefix))))[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(checked_l_columns())
+@example((0,))
+@example((0, 1))
+@example(tuple(range(301)))
+def test_word_of(l):
+    """``_word_of`` skips ``DyckWord``'s scan and keeps only its end-balance check:
+    it gives the word, or the error, of scanning the text that l spells."""
+    got = outcome(_word_of, l)
+    assert got == outcome(lambda: DyckWord("".join(map(")(".__getitem__, map(gt, l[1:], l)))))
+    assert got[0] != "ok" or type(got[1]) is DyckWord
 
 
 @st.composite
