@@ -11,7 +11,8 @@ n have cost about one build of the Θ(n²)-entry prefix table, rank and
 unrank read that table instead (ski rental: Karlin, Manasse, Rudolph and
 Sleator, "Competitive snoopy caching", 1988).  Row l of the table is the
 same for every n >= l, so a process keeps one table, grown to the largest
-n bought, and every n below its length reads it.
+n bought, and every n below its length reads it.  This module builds the
+table and is its only reader.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from __future__ import annotations
 import math
 import random
 import threading
+from itertools import accumulate
 from typing import Iterator
 
-from .errors import RankOutOfRange
-from .lattice import _prefix_rows
+from .errors import RankOutOfRange, _formatted
 from .words import DyckWord
 
 
@@ -59,6 +60,22 @@ def enumerate_words(n: int) -> Iterator[DyckWord]:
         l = text.count("(", 0, p)
         r = p - l + 1
         text = text[:p] + ")" + "(" * (n - l) + ")" * (n - r)
+
+
+def _prefix_rows(n: int, rows: tuple = ()) -> tuple:
+    """Rows 0, ..., n of the prefix table, extending ``rows`` (its rows 0, ..., k <= n).
+
+    Row l holds the number of balanced-word prefixes reaching (l, r) for r = 0, ..., l,
+    the ballot numbers B(l, r); it is the same for every half-length n >= l.
+    """
+    # A prefix reaching (l, r < l) ends in '(' from (l - 1, r) or ')' from
+    # (l, r - 1), so row l is the running sum of row l - 1; (l, l) is reached
+    # only from (l, l - 1), so the row ends by repeating its last value.
+    rows = list(rows) or [(1,)]
+    while len(rows) <= n:
+        row = tuple(accumulate(rows[-1]))
+        rows.append(row + row[-1:])
+    return tuple(rows)
 
 
 #: A table build at n costs about n / _WALK_RATIO walks: at n = 1000 one build
@@ -137,7 +154,7 @@ def unrank(k: int, n: int) -> DyckWord:
 def _unrank(k: int, n: int, table, total: int) -> DyckWord:
     """:func:`unrank` for n >= 0 with ``total`` = catalan(n), reading ``table`` (None: walk)."""
     if not 0 <= k < total:
-        raise RankOutOfRange(f"rank {k} not in [0, {total}) for n={n}")
+        raise RankOutOfRange(_formatted("rank {} not in [0, {}) for n={}", k, total, n))
     c = 0 if table else total * (n + 1) // 2  # C(2n, n) / 2, as in rank
     chars = []
     row, col = n, n - 1  # as in rank: n - r and n - l - 1

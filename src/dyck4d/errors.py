@@ -17,6 +17,15 @@ class DyckError(Exception):
         self.detail = detail
 
 
+def _formatted(template: str, *values, fallback=None):
+    """``template.format(*values)``, or ``fallback`` (None: the error's own message)
+    when a value holds an int past the int digit limit (4300 digits by default)."""
+    try:
+        return template.format(*values)
+    except ValueError:
+        return fallback
+
+
 class InvalidCharacter(DyckError):
     """A word's text holds a character other than '(' or ')'; parse_word skips ASCII whitespace."""
 

@@ -3,16 +3,18 @@
 The lattice is the set of integer points (i, j, l, r) with i = l + r,
 j = l - r and l >= r >= 0.  Bounding it by a half-length n keeps exactly
 the points reachable by balanced words of length 2n (additionally l <= n),
-a triangular slab of (n + 1)(n + 2) / 2 nodes.
+a triangular slab of (n + 1)(n + 2) / 2 nodes.  Every count here is a
+closed form in ballot numbers, one node or one row of nodes at a time: this
+module builds no table.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from math import comb
 from operator import add, floordiv, sub
 
-from .errors import NotInLattice, ParityViolation
+from .errors import NotInLattice, ParityViolation, _formatted
 from .words import AXES, LatticeNode
 
 
@@ -68,7 +70,8 @@ def complete_node(i: int | None = None, j: int | None = None,
     if node._replace(**given) != node:
         raise ParityViolation()
     if not is_lattice_node(*node):
-        raise NotInLattice(f"completion of {dict(sorted(given.items()))} gives {tuple(node)}")
+        raise NotInLattice(_formatted("completion of {} gives {}",
+                                      dict(sorted(given.items())), tuple(node)))
     return node
 
 
@@ -93,22 +96,6 @@ def enumerate_nodes(n: int) -> list[LatticeNode]:
     return list(map(tuple.__new__, repeat(LatticeNode), chain.from_iterable(rows)))
 
 
-def _prefix_rows(n: int, rows: tuple = ()) -> tuple:
-    """Rows 0, ..., n of the prefix table, extending ``rows`` (its rows 0, ..., k <= n).
-
-    Row l holds the number of balanced-word prefixes reaching (l, r) for r = 0, ..., l,
-    the ballot numbers B(l, r); it is the same for every half-length n >= l.
-    """
-    # A prefix reaching (l, r < l) ends in '(' from (l - 1, r) or ')' from
-    # (l, r - 1), so row l is the running sum of row l - 1; (l, l) is reached
-    # only from (l, l - 1), so the row ends by repeating its last value.
-    rows = list(rows) or [(1,)]
-    while len(rows) <= n:
-        row = tuple(accumulate(rows[-1]))
-        rows.append(row + row[-1:])
-    return tuple(rows)
-
-
 def _ballot(l: int, r: int) -> int:
     """Prefixes reaching (l, r), r <= l: the ballot number C(l + r, r)(l - r + 1)/(l + 1)."""
     return comb(l + r, r) * (l - r + 1) // (l + 1)
@@ -127,14 +114,19 @@ def count_paths_through(node, n: int) -> int:
         raise ValueError("half-length must be non-negative")
     node = LatticeNode(*node)
     if not is_lattice_node(*node, n):
-        raise NotInLattice(f"{tuple(node)} is not in the lattice bounded by n={n}")
+        raise NotInLattice(_formatted("{} is not in the lattice bounded by n={}", tuple(node), n))
     return _ballot(node.l, node.r) * _ballot(n - node.r, n - node.l)
 
 
 def _all_counts(n: int):
-    """(node, :func:`count_paths_through`) for every node of half-length n, from one
-    table: its Θ(n²) entries cost no more than the Θ(n³) bits of the output.  The
-    table is this generator's own, so nothing of it is kept once the output is done."""
-    table = _prefix_rows(n)
-    for node in enumerate_nodes(n):
-        yield node, table[node.l][node.r] * table[n - node.r][n - node.l]
+    """(node, :func:`count_paths_through`) for every node of half-length n, keeping only
+    the current count.  Each next node in a row, (0, 2, 1, -1) further on, moves both
+    ballot numbers by one ratio: B(l, r) by r(j + 3) / ((j + 1)(l + 2)), and
+    B(n - r, n - l) by (n - l)(j + 3) / ((j + 1)(n - r + 2)); the division is exact."""
+    for (i, j, l, r), k in _region_rows(n):
+        count = _ballot(l, r) * _ballot(n - r, n - l)
+        for _ in range(k):
+            yield LatticeNode(i, j, l, r), count
+            count = (count * (r * (n - l) * (j + 3) ** 2)
+                     // ((j + 1) ** 2 * (l + 2) * (n - r + 2)))
+            j, l, r = j + 2, l + 1, r - 1

@@ -13,7 +13,7 @@ import itertools
 from operator import itemgetter, ne
 from typing import NamedTuple
 
-from .errors import InconsistentProjection, InvalidProjection
+from .errors import InconsistentProjection, InvalidProjection, _formatted
 from .lattice import _complete_pair
 from .words import AXES, Path4D, _first, _first_bad_row, _path_columns, _path_of
 
@@ -71,11 +71,9 @@ def _lift_columns(axes: str, points) -> tuple[tuple[int, ...], ...]:
     if select(completion) != columns:
         nodes = tuple(zip(*completion))
         index = _first(map(ne, map(select, nodes), zip(*columns)))
-        try:
-            reason = f"completion {nodes[index]} projects back to {select(nodes[index])}"
-        except ValueError:  # a coordinate past the int digit limit (4300 digits by default)
-            reason = "the completion does not project back to the point"
-        raise InconsistentProjection(index, reason)
+        raise InconsistentProjection(index, _formatted(
+            "completion {} projects back to {}", nodes[index], select(nodes[index]),
+            fallback="the completion does not project back to the point"))
     return _path_columns(completion)
 
 

@@ -15,7 +15,7 @@ from itertools import accumulate, chain, compress, count, repeat
 from operator import gt, itemgetter, ne, sub
 from typing import NamedTuple
 
-from .errors import InvalidCharacter, MalformedPath, NegativePrefix, Unbalanced
+from .errors import InvalidCharacter, MalformedPath, NegativePrefix, Unbalanced, _formatted
 
 
 #: The axis letters in canonical order; also the component order of nodes and vectors.
@@ -145,11 +145,9 @@ def _path_columns(columns):
     if negative is not None and (differs is None or negative < differs):
         raise MalformedPath(negative, "unbalance went negative")
     delta = tuple(column[differs] - column[differs - 1] for column in columns)
-    try:
-        reason = f"delta {delta} is neither an up-step nor a down-step"
-    except ValueError:  # a coordinate past the int digit limit (4300 digits by default)
-        reason = "the delta is neither an up-step nor a down-step"
-    raise MalformedPath(differs, reason)
+    raise MalformedPath(differs, _formatted(
+        "delta {} is neither an up-step nor a down-step", delta,
+        fallback="the delta is neither an up-step nor a down-step"))
 
 
 class Path4D(tuple):

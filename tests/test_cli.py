@@ -15,8 +15,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from dyck4d import (AXIS_SETS, SIDES, MalformedPath, ProjectedPath, __version__, lift,
-                    parse_word, rank, sample_uniform, unrank)
+from dyck4d import (AXIS_SETS, SIDES, MalformedPath, NotInLattice, ProjectedPath,
+                    RankOutOfRange, __version__, complete_node, count_paths_through,
+                    enumerate_nodes, lift, parse_word, rank, sample_uniform, unrank)
 from dyck4d.cli import build_parser, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -40,15 +41,17 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def _limit_to_256_mb():
+    """Run in a child before it starts: limits its address space to 256 MB."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
+
+
 def _run_in_256_mb(argv, stdin=None, program=("-m", "dyck4d")):
     """``python -m dyck4d`` (or ``python *program``) with ``argv`` in a child limited
     to 256 MB of address space."""
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
-
     return subprocess.run(
         [sys.executable, *program, *argv], input=stdin, capture_output=True,
-        text=True, env=CHILD_ENV, timeout=30, preexec_fn=limit_memory)
+        text=True, env=CHILD_ENV, timeout=30, preexec_fn=_limit_to_256_mb)
 
 
 class TestValidate:
@@ -214,11 +217,12 @@ class TestOutOfMemory:
     """A ``MemoryError`` is one ``error:out-of-memory`` line, and a batch goes on past it."""
 
     @pytest.mark.parametrize("argv, stdin, stdout", [
-        (["count", "--n", "2000"], None, ""),
+        # the 3 000 002 isolines of a 2 000 000 by 1 000 000 grid, one SVG line each
+        (["render", "grid", "--axes", "ij", "--n", "1000000"], None, ""),
         # the path of a 2 000 000-symbol word is 2 000 001 nodes of four ints
         (["convert", "--to", "path"], "(" * 10**6 + ")" * 10**6 + "\n()\n",
          "[[0,0,0,0],[1,1,1,0],[2,0,1,1]]\n"),
-    ], ids=["count", "convert-batch"])
+    ], ids=["render-grid", "convert-batch"])
     def test_one_error_line(self, argv, stdin, stdout):
         result = _run_in_256_mb(argv, stdin)
         assert (result.returncode, result.stdout) == (1, stdout)
@@ -227,7 +231,23 @@ class TestOutOfMemory:
 
 
 class TestCountingMemory:
-    """rank and sample walk ballot numbers: their memory follows the answer, not a table."""
+    """count, rank and sample walk ballot numbers: their memory follows the answer, not a table."""
+
+    def test_count_streams(self):
+        # The prefix table of n = 1500 (about 1.1 million big integers) would not fit in
+        # 256 MB; the stream prints its first rows at once and stops at a closed pipe.
+        with subprocess.Popen([sys.executable, "-m", "dyck4d", "count", "--n", "1500"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
+                              preexec_fn=_limit_to_256_mb) as child:
+            lines = [child.stdout.readline().decode() for _ in range(40)]
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            rc = child.wait(timeout=30)
+        nodes = enumerate_nodes(11)[:40]  # rows i <= 11, the same for every n >= 11
+        assert lines == [f"{node.i},{node.j},{node.l},{node.r}\t"
+                         f"{count_paths_through(node, 1500)}\n" for node in nodes]
+        assert "Traceback" not in err
+        assert (rc, err) == (1, "error:unwritable-output\n")
 
     def test_sample_text(self):
         result = _run_in_256_mb(["sample", "--n", "2000", "--seed", "1"])
@@ -745,6 +765,17 @@ class TestPastTheDigitLimit:
         with pytest.raises(MalformedPath, match=r"^node 1: delta \(2, 0, 1, 1\) is neither "
                                                 r"an up-step nor a down-step$"):
             lift(ProjectedPath("lr", ((0, 0), (1, 1))))
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: unrank(-1, 8000), RankOutOfRange),  # the message holds catalan(8000)
+        (lambda: unrank(10**5000, 3), RankOutOfRange),
+        (lambda: complete_node(l=-_NINES, r=-_NINES), NotInLattice),
+        (lambda: count_paths_through((1, 1, 1, 1), 10**4300), NotInLattice),
+        (lambda: count_paths_through((10**4300, 0, 0, 0), 5), NotInLattice),
+    ], ids=["unrank catalan", "unrank rank", "complete_node", "count n", "count node"])
+    def test_library_raises_the_domain_error(self, call, error):
+        with pytest.raises(error):
+            call()
 
 
 class TestVersion:

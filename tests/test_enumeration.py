@@ -13,7 +13,7 @@ from dyck4d import (DyckWord, RankOutOfRange, catalan, draw_uniform_rank,
                     sample_uniform, unrank)
 from dyck4d import enumeration
 from dyck4d.cli import main
-from dyck4d.lattice import _prefix_rows
+from dyck4d.enumeration import _prefix_rows
 
 
 class TestCatalan:

@@ -1,7 +1,5 @@
-import gc
 import itertools
 import random
-import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +9,8 @@ from dyck4d import (LatticeNode, NotInLattice, ParityViolation,
                     catalan, complete_node, count_paths_through, enumerate_nodes,
                     is_lattice_node, parse_word, rank, unrank, verify_flat, word_to_path)
 from dyck4d import cli, enumeration, lattice
-from dyck4d.lattice import _all_counts, _prefix_rows
+from dyck4d.enumeration import _prefix_rows
+from dyck4d.lattice import _all_counts
 
 
 class TestMembership:
@@ -172,9 +171,9 @@ def _table_count(node, n, table):
 
 
 class TestBallotNumbers:
-    """count_paths_through multiplies two ballot numbers; the prefix table, which
-    ``count --n`` over all nodes reads (and rank and unrank, once they have
-    bought it instead of walking ballot numbers), must agree."""
+    """count_paths_through multiplies two ballot numbers, and ``count --n`` over all
+    nodes moves them by one ratio per node; the prefix table, which rank and unrank
+    read once they have bought it instead of walking ballot numbers, must agree."""
 
     def test_every_node_up_to_60(self):
         table = _prefix_rows(60)  # row l is the same for every n >= l
@@ -191,10 +190,21 @@ class TestBallotNumbers:
             node = LatticeNode(l + r, l - r, l, r)
             assert count_paths_through(node, 1000) == _table_count(node, 1000, table)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 7, 30])
+    @pytest.mark.parametrize("n", range(61))
     def test_all_counts_by_table(self, n):
-        nodes = enumerate_nodes(n)
-        assert list(_all_counts(n)) == [(node, count_paths_through(node, n)) for node in nodes]
+        table = _prefix_rows(n)
+        expected = [(node, _table_count(node, n, table)) for node in enumerate_nodes(n)]
+        assert list(_all_counts(n)) == expected
+        if n <= 7:
+            brute = oracles.visitation_counts(n)
+            assert [count for _, count in expected] == [brute[tuple(node)] for node, _ in expected]
+
+    def test_all_counts_spot_rows_at_1000(self):
+        rows = {0, 1, 2, 3, 500, 999, 1000, 1001, 1500, 1997, 1998, 1999, 2000}
+        spots = [(node, count) for node, count in _all_counts(1000) if node.i in rows]
+        assert len(spots) == sum(min(i, 2000 - i) // 2 + 1 for i in rows)
+        for node, count in spots:
+            assert count == count_paths_through(node, 1000)
 
     def test_outside_the_region_before_any_arithmetic(self):
         # membership is checked first, so a huge n outside the region fails at once
@@ -219,15 +229,10 @@ class TestSharedTable:
 
     def test_count_over_all_nodes_keeps_nothing(self, monkeypatch, capsys):
         built = []
-        monkeypatch.setattr(lattice, "_prefix_rows",
-                            lambda n, rows=(): built.append(_prefix_rows(n, rows)) or built[-1])
+        monkeypatch.setattr(enumeration, "_prefix_rows",
+                            lambda n, rows=(): built.append(n) or _prefix_rows(n, rows))
         enumeration._table = table = _prefix_rows(5)
         assert cli.main(["count", "--n", "30"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 31 * 32 // 2
         assert enumeration._table is table and not enumeration._calls
-        gc.collect()
-        assert [len(rows) for rows in built] == [31]
-        # the rows the command built are held by ``built`` alone, as a list's own rows are
-        alone = [_prefix_rows(30)]
-        refs, refs_alone = sys.getrefcount(built[0]), sys.getrefcount(alone[0])
-        assert refs == refs_alone
+        assert built == [] and not hasattr(lattice, "_prefix_rows")
