@@ -10,6 +10,8 @@ view at n = 400 were recorded later, while every pixel still went through float
 formatting.  Grids whose word has another half-length than the grid, grids with
 the empty word and the orthographic triangle at n = 400 were recorded later
 still, while a grid drew one element per isoline and its overlay from a path.
+The report at n = 400, the triangle overlays at n = 399 and 370 and the boxes at
+n = 10**300 were recorded while the view maps still worked point by point.
 
 Record the cases that have no entry yet with
 ``PYTHONPATH=src python tests/test_figures_golden.py``; it keeps every recorded
@@ -83,6 +85,17 @@ def _cases():
                    ["render", "grid", "--axes", axes, "--n", str(n), "--word", ""])
     yield ("render wireframe --n 400 --triangle",
            ["render", "wireframe", "--n", "400", "--triangle", "--edges", "EDGES"])
+    # The benchmark's largest report, an odd n whose centre n / 2 is no integer, and
+    # a box so large that every pixel is a 300-digit float.
+    yield "geometry --n 400 --format json", ["geometry", "--n", "400", "--format", "json"]
+    yield ("render schlegel --n 399 --triangle",
+           ["render", "schlegel", "--n", "399", "--triangle", "--edges", "EDGES"])
+    yield ("render wireframe --n 370 --triangle",
+           ["render", "wireframe", "--n", "370", "--triangle", "--edges", "EDGES"])
+    yield ("render schlegel --n 10**300",
+           ["render", "schlegel", "--n", str(10**300), "--edges", "EDGES"])
+    yield ("render wireframe --n 10**300 --cell rmax",
+           ["render", "wireframe", "--n", str(10**300), "--cell", "rmax", "--edges", "EDGES"])
 
 
 CASES = list(_cases())
