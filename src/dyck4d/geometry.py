@@ -68,22 +68,31 @@ def _ends(n: int) -> tuple[tuple[LatticeNode, LatticeNode, LatticeNode], dict]:
     return (ORIGIN, end, apex), sides
 
 
-def triangle(n: int) -> TriangleGeometry:
-    """Vertices and side node lists; degenerate but well-defined at n = 0."""
+def _side_columns(n: int) -> tuple:
+    """Each side's (i, j, l, r) columns for half-length n, in ``SIDES`` order.
+
+    A column is a range of n + 1 values or an unbounded repeat of a constant,
+    which ends with the ranges it is zipped or mapped beside: unlike a tuple of
+    n + 1 constants it has no size to fail on past ``sys.maxsize``.
+    """
     if n < 0:
         raise ValueError("half-length must be non-negative")
-    vertices, ends = _ends(n)
-
-    def side(name, *columns):
-        # tuple.__new__ builds the nodes without a Python-level call per node
-        nodes = tuple(map(tuple.__new__, itertools.repeat(LatticeNode), zip(*columns)))
-        return TriangleSide(name, *ends[name], nodes)
-
     k = range(n + 1)
-    blue = side("blue", range(0, 2 * n + 1, 2), itertools.repeat(0), k, k)  # (2k, 0, k, k)
-    red = side("red", k, k, k, itertools.repeat(0))  # (k, k, k, 0)
-    yellow = side("yellow", range(n, 2 * n + 1), range(n, -1, -1), itertools.repeat(n), k)
-    return TriangleGeometry(n, *vertices, (blue, red, yellow))
+    return ((range(0, 2 * n + 1, 2), itertools.repeat(0), k, k),  # blue (2k, 0, k, k)
+            (k, k, k, itertools.repeat(0)),  # red (k, k, k, 0)
+            (range(n, 2 * n + 1), range(n, -1, -1), itertools.repeat(n), k))  # yellow
+
+
+def triangle(n: int) -> TriangleGeometry:
+    """Vertices and side node lists; degenerate but well-defined at n = 0."""
+    columns = _side_columns(n)
+    vertices, ends = _ends(n)
+    sides = []
+    for side, side_columns in zip(SIDES, columns):
+        # tuple.__new__ builds the nodes without a Python-level call per node
+        nodes = tuple(map(tuple.__new__, itertools.repeat(LatticeNode), zip(*side_columns)))
+        sides.append(TriangleSide(side, *ends[side], nodes))
+    return TriangleGeometry(n, *vertices, tuple(sides))
 
 
 def side_length_squared(side: str, n: int) -> int:
@@ -228,12 +237,10 @@ def double_tesseract(n: int) -> DoubleTesseract:
         raise ValueError("the box degenerates below n = 1")
     extents = (2 * n, n, n, n)
     vertices = _box_corners((0, e) for e in extents)
-    edges = _box_edges(vertices)
     cells = []
     for position, axis in enumerate(AXES):
         spans = sorted(extents[p] for p in range(4) if p != position)
-        for value in (0, extents[position]):
-            indices = tuple(k for k, v in enumerate(vertices) if v[position] == value)
+        for value, indices in zip((0, extents[position]), _CELL_INDICES[position]):
             cells.append(Cell(
                 axis=axis,
                 value=value,
@@ -241,13 +248,23 @@ def double_tesseract(n: int) -> DoubleTesseract:
                 vertices=tuple(vertices[k] for k in indices),
                 is_cube=spans[0] == spans[-1],
             ))
-    return DoubleTesseract(n, vertices, edges, tuple(cells))
+    return DoubleTesseract(n, vertices, _BOX_EDGES, tuple(cells))
 
 
 def _box_corners(bounds) -> tuple[LatticeNode, ...]:
     """Corners of an axis-aligned box given (lo, hi) per axis; lo == hi collapses."""
     choices = tuple((lo,) if lo == hi else (lo, hi) for lo, hi in bounds)
     return tuple(LatticeNode(*point) for point in itertools.product(*choices))
+
+
+# Every box with four positive extents lists its corners in the unit box's order,
+# so it shares the unit box's topology: its edges as corner index pairs and, per
+# axis, the corner indices of its low and its high cell.
+_UNIT_CORNERS = _box_corners(((0, 1),) * 4)
+_BOX_EDGES = _box_edges(_UNIT_CORNERS)
+_CELL_INDICES = tuple(tuple(tuple(k for k, v in enumerate(_UNIT_CORNERS) if v[position] == value)
+                            for value in (0, 1))
+                      for position in range(4))
 
 
 class SideFace(NamedTuple):
@@ -325,6 +342,6 @@ def _summary(n: int) -> dict:
 def geometry_report(n: int) -> dict:
     """JSON-ready report: triangle data, exact verdicts and the box census."""
     report = _summary(n)
-    for ts in triangle(n).sides:
-        report["sides"][ts.side]["nodes"] = [list(node) for node in ts.nodes]
+    for side, columns in zip(SIDES, _side_columns(n)):
+        report["sides"][side]["nodes"] = list(map(list, zip(*columns)))
     return report

@@ -15,12 +15,13 @@ then applies the same j-oblique 3D part.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import WrongArity
-from .geometry import DoubleTesseract, _ends, triangle
+from .geometry import SIDES, DoubleTesseract, _ends, _side_columns
 from .projections import ProjectedPath, _canonical
 from .words import AXES
 
@@ -126,8 +127,9 @@ def _fmt(value) -> str:
 
 
 def _fmt_all(values) -> list[str]:
-    """``_fmt`` of every value, without a Python-level call per value."""
-    return list(map(format, map(float, values), repeat(".2f")))
+    """``_fmt`` of every value of a sequence, with one ``%`` call: ``%.2f`` converts
+    an int with ``float`` and formats a float as ``format(value, ".2f")`` does."""
+    return ("%.2f\n" * len(values) % tuple(values)).split("\n")[:-1]
 
 
 _EXTENT = {"i": 2, "j": 1, "l": 1, "r": 1}  # in units of n
@@ -173,20 +175,28 @@ def _grid(axes: str, n: int, overlay=None, overlay_axes=None) -> str:
     return _to_svg(elements)
 
 
-def _ortho_point(vertex) -> tuple[float, float]:
-    i, j, l, r = vertex
-    return (l + VIEW_J[0] * j + VIEW_I[0] * i,
-            r + VIEW_J[1] * j + VIEW_I[1] * i)
+def _ortho_columns(i, j, l, r) -> tuple[list, list]:
+    """The plain orthographic view of points given as (i, j, l, r) columns: their
+    x column l + VIEW_J[0] * j + VIEW_I[0] * i and their y column r + VIEW_J[1] * j
+    + VIEW_I[1] * i, each point's floats computed in that order."""
+    (xj, yj), (xi, yi) = VIEW_J, VIEW_I
+    return ([c + xj * b + xi * a for a, b, c in zip(i, j, l)],
+            [d + yj * b + yi * a for a, b, d in zip(i, j, r)])
 
 
-def _schlegel_point(vertex, n: int) -> tuple[float, float]:
-    i, j, l, r = vertex
-    scale = 1.0 - (i / (2 * n)) * (1.0 - SCHLEGEL_INNER_SCALE)
-    center = n / 2
-    qj = center + scale * (j - center)
-    ql = center + scale * (l - center)
-    qr = center + scale * (r - center)
-    return (ql + VIEW_J[0] * qj, qr + VIEW_J[1] * qj)
+def _schlegel_columns(n: int, i, j, l, r) -> tuple[list, list]:
+    """The nested-cube view of points given as (i, j, l, r) columns: j, l and r
+    scaled about the centre n / 2 by 1 - (i / (2n)) * (1 - SCHLEGEL_INNER_SCALE),
+    then the x column l + VIEW_J[0] * j and the y column r + VIEW_J[1] * j, each
+    point's floats computed in that order."""
+    center, double_n, shrink = n / 2, 2 * n, 1.0 - SCHLEGEL_INNER_SCALE
+    (xj, yj), xs, ys = VIEW_J, [], []
+    for a, b, c, d in zip(i, j, l, r):
+        scale = 1.0 - (a / double_n) * shrink
+        qj = center + scale * (b - center)
+        xs.append(center + scale * (c - center) + xj * qj)
+        ys.append(center + scale * (d - center) + yj * qj)
+    return xs, ys
 
 
 def _edge_role(a, b) -> str:
@@ -214,29 +224,24 @@ def render_wireframe(structure, style: str, include_triangle: bool = False):
     if include_triangle and not is_box:
         raise ValueError("the triangle overlay needs the full 4D box")
 
-    if style == "schlegel":
-        def mapper(v):
-            return _schlegel_point(v, structure.n)
-    else:
-        mapper = _ortho_point
-
-    positions = [mapper(v) for v in structure.vertices]
+    view = partial(_schlegel_columns, structure.n) if style == "schlegel" else _ortho_columns
+    xs, ys = view(*zip(*structure.vertices))
     elements = []
     for a, b in structure.edges:
-        elements.append(_line(positions[a], positions[b],
+        elements.append(_line((xs[a], ys[a]), (xs[b], ys[b]),
                               role=_edge_role(structure.vertices[a], structure.vertices[b]),
                               css_class="edge", width=1.5))
-    for position in positions:
-        elements.append(_circle(position, role="neutral", css_class="vertex"))
+    vertex = _circle((0, 0), role="neutral", css_class="vertex").svg
+    elements.append(Element(xs, ys, "\n".join(repeat(vertex, len(xs)))))
 
     if style == "schlegel":
         origin, end, apex = _ends(structure.n)[0]
-        for anchor in (origin, apex, end):
-            elements.append(_circle(mapper(anchor), role="path", css_class="anchor", radius=4.5))
+        anchor = _circle((0, 0), role="path", css_class="anchor", radius=4.5).svg
+        elements.append(Element(*view(*zip(origin, apex, end)), "\n".join(repeat(anchor, 3))))
     if include_triangle:
-        for ts in triangle(structure.n).sides:
-            elements.append(_polyline(*zip(*map(mapper, ts.nodes)), role=SIDE_ROLES[ts.side],
-                                      css_class=f"side-{ts.side}", width=2.5))
+        for side, columns in zip(SIDES, _side_columns(structure.n)):
+            elements.append(_polyline(*view(*columns), role=SIDE_ROLES[side],
+                                      css_class=f"side-{side}", width=2.5))
 
     return _to_svg(elements), edge_list_text(structure)
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -10,6 +11,7 @@ from dyck4d import (DOWN_STEP, SIDES, UP_STEP, LatticeNode, dot,
                     is_lattice_node, norm_squared, parse_word, side_length,
                     side_length_squared, sub, triangle, verify_flat,
                     verify_right_isosceles, word_to_path)
+from dyck4d.geometry import _box_edges, _side_columns
 
 UP = UP_STEP
 DOWN = DOWN_STEP
@@ -177,6 +179,21 @@ class TestDoubleTesseract:
             assert len(cell.vertices) == 8
 
     @pytest.mark.parametrize("n", range(1, 9))
+    def test_topology_is_that_of_the_corners(self, n):
+        # the box's edges and cells come from the unit box; here they are derived
+        # from this box's own corners, pair by pair and coordinate by coordinate
+        box = double_tesseract(n)
+        assert box.edges == _box_edges(box.vertices)
+        for cell in box.cells:
+            position = "ijlr".index(cell.axis)
+            assert cell.vertex_indices == tuple(
+                k for k, v in enumerate(box.vertices) if v[position] == cell.value)
+            assert cell.vertices == tuple(box.vertices[k] for k in cell.vertex_indices)
+            assert cell.edges == tuple(
+                (a, b) for a in range(8) for b in range(a + 1, 8)
+                if sum(x != y for x, y in zip(cell.vertices[a], cell.vertices[b])) == 1)
+
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_j0_cell_vertex_list(self, n):
         box = double_tesseract(n)
         cell = box.cell("j", 0)
@@ -189,6 +206,13 @@ class TestDoubleTesseract:
         for text in oracles.all_balanced(n):
             for i, j, l, r in oracles.visited_nodes(text):
                 assert 0 <= i <= 2 * n and 0 <= j <= n and 0 <= l <= n and 0 <= r <= n
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, random.Random(26).randint(6, 400)])
+    def test_side_nodes_are_the_side_columns(self, n):
+        tri = triangle(n)
+        for side, columns in zip(SIDES, _side_columns(n)):
+            assert tri.side(side).nodes == tuple(zip(*columns))
+            assert geometry_report(n)["sides"][side]["nodes"] == list(map(list, zip(*columns)))
 
     def test_side_nodes_lie_in_their_cells(self):
         n = 5
@@ -349,9 +373,10 @@ class TestRecords:
 
 @pytest.mark.parametrize("call, message", [
     (lambda: triangle(-1), "half-length must be non-negative"),
+    (lambda: geometry_report(-1), "half-length must be non-negative"),
     (lambda: side_length_squared("red", -1), "half-length must be non-negative"),
     (lambda: face_of_side("red", 0), "the box degenerates below n = 1"),
-], ids=["triangle", "side_length_squared", "face_of_side"])
+], ids=["triangle", "geometry_report", "side_length_squared", "face_of_side"])
 def test_half_length_out_of_range(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

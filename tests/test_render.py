@@ -1,5 +1,7 @@
 import contextlib
+import functools
 import io
+import math
 import random
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -164,11 +166,39 @@ class TestWireframe:
             render_wireframe(cell, "orthographic-3d", include_triangle=True)
 
     def test_no_projected_vertex_collisions(self):
-        from dyck4d.render import _ortho_point, _schlegel_point
         for n in range(1, 9):
-            box = double_tesseract(n)
-            assert len({_ortho_point(v) for v in box.vertices}) == 16
-            assert len({_schlegel_point(v, n) for v in box.vertices}) == 16
+            columns = tuple(zip(*double_tesseract(n).vertices))
+            assert len(set(zip(*render._ortho_columns(*columns)))) == 16
+            assert len(set(zip(*render._schlegel_columns(n, *columns)))) == 16
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 399, 400, 10**300])
+    def test_view_columns_match_the_point_formulas(self, n):
+        """Both views give every point the floats of the formulas in the module
+        docstring, evaluated one point at a time in the same order."""
+        def ortho(i, j, l, r):
+            return (l + render.VIEW_J[0] * j + render.VIEW_I[0] * i,
+                    r + render.VIEW_J[1] * j + render.VIEW_I[1] * i)
+
+        def schlegel(i, j, l, r):
+            scale = 1.0 - (i / (2 * n)) * (1.0 - render.SCHLEGEL_INNER_SCALE)
+            center = n / 2
+            qj, ql, qr = (center + scale * (c - center) for c in (j, l, r))
+            return (ql + render.VIEW_J[0] * qj, qr + render.VIEW_J[1] * qj)
+
+        rng = random.Random(n)
+        points = list(double_tesseract(n).vertices) + [
+            (rng.randint(0, 2 * n), rng.randint(0, n), rng.randint(0, n), rng.randint(0, n))
+            for _ in range(50)]
+        columns = tuple(zip(*points))
+        for view, point in ((render._ortho_columns, ortho),
+                            (functools.partial(render._schlegel_columns, n), schlegel)):
+            assert list(zip(*view(*columns))) == [point(*p) for p in points]
+
+    @pytest.mark.parametrize("style", ["orthographic-3d", "schlegel"])
+    def test_overlay_of_a_negative_half_length(self, style):
+        box = double_tesseract(2)._replace(n=-1)
+        with pytest.raises(ValueError, match="^half-length must be non-negative$"):
+            render_wireframe(box, style, include_triangle=True)
 
 
 class TestEdgeList:
@@ -261,6 +291,13 @@ class TestPixelColumn:
         assert float_columns == [[0, abs(v)]]
         if abs(v) > 2**53:  # where an int's own digits would no longer match
             assert f"{abs(v)}.00" != _fmt(abs(v))
+
+    def test_fmt_all_formats_as_fmt(self):
+        # halfway cases that binary64 rounds either way, an int past 2**53, a
+        # 302-digit float, the infinities and nan
+        values = [-0.0, 0.005, 0.015, 2.675, 2**53 + 1, 4e301, math.inf, -math.inf, math.nan]
+        assert render._fmt_all(values) == [f"{float(x):.2f}" for x in values]
+        assert render._fmt_all([]) == []
 
     @pytest.mark.parametrize("column", [(0, 1.0), (0.5, 3), (2.0, 4.0)])
     def test_float_path_unless_every_value_is_an_int(self, float_columns, column):
