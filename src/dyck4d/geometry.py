@@ -72,8 +72,8 @@ def _side_columns(n: int) -> tuple:
     """Each side's (i, j, l, r) columns for half-length n, in ``SIDES`` order.
 
     A column is a range of n + 1 values or an unbounded repeat of a constant,
-    which ends with the ranges it is zipped or mapped beside: unlike a tuple of
-    n + 1 constants it has no size to fail on past ``sys.maxsize``.
+    which a zip with the ranges ends.  Unlike a tuple of n + 1 constants, a
+    repeat has no size, which past ``sys.maxsize`` could not be allocated.
     """
     if n < 0:
         raise ValueError("half-length must be non-negative")

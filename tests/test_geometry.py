@@ -72,6 +72,13 @@ class TestTriangle:
         nested = word_to_path(parse_word("(" * n + ")" * n))
         assert nested == tri.side("red").nodes + tri.side("yellow").nodes[1:]
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, random.Random(26).randint(6, 400)])
+    def test_side_nodes_are_the_side_columns(self, n):
+        tri = triangle(n)
+        for side, columns in zip(SIDES, _side_columns(n)):
+            assert tri.side(side).nodes == tuple(zip(*columns))
+            assert geometry_report(n)["sides"][side]["nodes"] == list(map(list, zip(*columns)))
+
 
 class TestSideLengths:
     def test_exact_squares_n6(self):
@@ -206,13 +213,6 @@ class TestDoubleTesseract:
         for text in oracles.all_balanced(n):
             for i, j, l, r in oracles.visited_nodes(text):
                 assert 0 <= i <= 2 * n and 0 <= j <= n and 0 <= l <= n and 0 <= r <= n
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, random.Random(26).randint(6, 400)])
-    def test_side_nodes_are_the_side_columns(self, n):
-        tri = triangle(n)
-        for side, columns in zip(SIDES, _side_columns(n)):
-            assert tri.side(side).nodes == tuple(zip(*columns))
-            assert geometry_report(n)["sides"][side]["nodes"] == list(map(list, zip(*columns)))
 
     def test_side_nodes_lie_in_their_cells(self):
         n = 5
