@@ -6,7 +6,7 @@ opens l, closes r.  A word of half-length n always ends at (2n, 0, n, n).
 
 import json
 
-from dyck4d import DyckError, parse_word, path_as_lists, path_to_word, word_to_path
+from dyck4d import DyckError, parse_word, path_to_word, word_to_path
 
 text = "(()())"
 word = parse_word(text)
@@ -17,7 +17,7 @@ print("its path, one node per symbol read:")
 for node in path:
     print(f"  i={node.i}  j={node.j}  l={node.l}  r={node.r}")
 
-print("as JSON:", json.dumps(path_as_lists(path)))
+print("as JSON:", json.dumps(path))
 print("back to text:", path_to_word(path))
 
 for bad in [")(", "(()", "(a)"]:

@@ -23,15 +23,13 @@ import threading
 from itertools import accumulate
 from typing import Iterator
 
-from .errors import RankOutOfRange, _formatted
+from .errors import RankOutOfRange, _formatted, _half_length
 from .words import DyckWord
 
 
 def catalan(n: int) -> int:
     """The n-th Catalan number, exact at any size."""
-    if n < 0:
-        raise ValueError("half-length must be non-negative")
-    return math.comb(2 * n, n) // (n + 1)
+    return math.comb(2 * _half_length(n), n) // (n + 1)
 
 
 def enumerate_words(n: int) -> Iterator[DyckWord]:
@@ -42,9 +40,7 @@ def enumerate_words(n: int) -> Iterator[DyckWord]:
     ')', and the rest is the least completion, every remaining '(' first.
     The first word is n opens then n closes.  No recursion, so any n streams.
     """
-    if n < 0:
-        raise ValueError("half-length must be non-negative")
-    text = "(" * n + ")" * n
+    text = "(" * _half_length(n) + ")" * n
     while True:
         yield str.__new__(DyckWord, text)  # balanced by construction: no second scan
         excess = 0  # closes minus opens right of position p
@@ -145,9 +141,7 @@ def rank(word: DyckWord) -> int:
 
 def unrank(k: int, n: int) -> DyckWord:
     """Inverse of :func:`rank`: the k-th word of half-length n."""
-    if n < 0:
-        raise ValueError("half-length must be non-negative")
-    table = _bought_table(n)
+    table = _bought_table(_half_length(n))
     return _unrank(k, n, table, table[n][n] if table else catalan(n))
 
 
@@ -192,9 +186,7 @@ def _draw(rng: random.Random, n: int, total: int | None = None):
     catalan(n) is read from the table when it covers n, else it is ``total`` if
     the caller has it from an earlier draw, else computed here.
     """
-    if n < 0:
-        raise ValueError("half-length must be non-negative")
-    table = _bought_table(n)
+    table = _bought_table(_half_length(n))
     total = table[n][n] if table else total or catalan(n)
     k = draw_uniform_rank(rng, total)
     return k, _unrank(k, n, table, total), total

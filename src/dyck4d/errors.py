@@ -26,6 +26,13 @@ def _formatted(template: str, *values, fallback=None):
         return fallback
 
 
+def _half_length(n: int) -> int:
+    """``n``, the half-length of a word or triangle, once it is not negative."""
+    if n < 0:
+        raise ValueError("half-length must be non-negative")
+    return n
+
+
 class InvalidCharacter(DyckError):
     """A word's text holds a character other than '(' or ')'; parse_word skips ASCII whitespace."""
 

@@ -17,6 +17,7 @@ import math
 from typing import NamedTuple
 
 from . import lattice
+from .errors import _half_length
 from .words import AXES, ORIGIN, LatticeNode
 
 
@@ -75,9 +76,7 @@ def _side_columns(n: int) -> tuple:
     which a zip with the ranges ends.  Unlike a tuple of n + 1 constants, a
     repeat has no size, which past ``sys.maxsize`` could not be allocated.
     """
-    if n < 0:
-        raise ValueError("half-length must be non-negative")
-    k = range(n + 1)
+    k = range(_half_length(n) + 1)
     return ((range(0, 2 * n + 1, 2), itertools.repeat(0), k, k),  # blue (2k, 0, k, k)
             (k, k, k, itertools.repeat(0)),  # red (k, k, k, 0)
             (range(n, 2 * n + 1), range(n, -1, -1), itertools.repeat(n), k))  # yellow
@@ -97,9 +96,7 @@ def triangle(n: int) -> TriangleGeometry:
 
 def side_length_squared(side: str, n: int) -> int:
     """Squared Euclidean length of a side, an exact integer (6n² or 3n²)."""
-    if n < 0:
-        raise ValueError("half-length must be non-negative")
-    start, end = _ends(n)[1][side]
+    start, end = _ends(_half_length(n))[1][side]
     return norm_squared(sub(end, start))
 
 

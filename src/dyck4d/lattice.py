@@ -14,7 +14,7 @@ from itertools import chain, repeat
 from math import comb
 from operator import add, floordiv, sub
 
-from .errors import NotInLattice, ParityViolation, _formatted
+from .errors import NotInLattice, ParityViolation, _formatted, _half_length
 from .words import AXES, LatticeNode
 
 
@@ -82,10 +82,8 @@ def _region_rows(n: int):
     at (i, i % 2, ceil(i / 2), floor(i / 2)), runs to j = min(i, 2n - i), and
     each next node adds UP - DOWN = (0, 2, 1, -1).
     """
-    if n < 0:
-        raise ValueError("half-length must be non-negative")
     return (((i, i % 2, (i + 1) // 2, i // 2), min(i, 2 * n - i) // 2 + 1)
-            for i in range(2 * n + 1))
+            for i in range(2 * _half_length(n) + 1))
 
 
 def enumerate_nodes(n: int) -> list[LatticeNode]:
@@ -110,8 +108,7 @@ def count_paths_through(node, n: int) -> int:
     (n - r, n - l), so each factor is a ballot number (Bertrand's ballot
     theorem, by André's reflection) and no table is built.
     """
-    if n < 0:
-        raise ValueError("half-length must be non-negative")
+    _half_length(n)  # before the node, so a negative n is named first
     node = LatticeNode(*node)
     if not is_lattice_node(*node, n):
         raise NotInLattice(_formatted("{} is not in the lattice bounded by n={}", tuple(node), n))

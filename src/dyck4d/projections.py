@@ -90,18 +90,13 @@ def lift(proj: ProjectedPath) -> Path4D:
     return _path_of(_lift_columns(proj.axes, tuple(map(tuple, proj.points))))
 
 
-def projected_path_as_json(proj: ProjectedPath) -> dict:
-    """JSON form: {"axes": ["l", "r"], "points": [[0, 0], ...]}."""
-    return {"axes": list(proj.axes), "points": [list(p) for p in proj.points]}
-
-
 def projected_path_from_json(data) -> ProjectedPath:
     """Rebuild a projected path; the axis set is always taken from the data.
 
-    ``axes`` is an array of one-letter strings in canonical order, as
-    :func:`projected_path_as_json` writes it.  Raises :class:`InvalidProjection`
-    for data of any other shape, and for points that are not arrays of one
-    integer per axis.
+    ``axes`` is an array of one-letter strings in canonical order, as ``dyck4d
+    project`` and ``json.dumps({"axes": list(proj.axes), "points": proj.points})``
+    write it.  Raises :class:`InvalidProjection` for data of any other shape, and
+    for points that are not arrays of one integer per axis.
     """
     axes, points = _json_rows(data)
     return ProjectedPath(axes, tuple(map(tuple, points)))

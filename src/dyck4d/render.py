@@ -20,7 +20,7 @@ from itertools import chain, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import WrongArity
+from .errors import WrongArity, _half_length
 from .geometry import SIDES, DoubleTesseract, _ends, _side_columns
 from .projections import ProjectedPath, _canonical
 from .words import AXES
@@ -65,10 +65,9 @@ def _stroke(role: str, width: float, dashed: bool) -> str:
     return f'stroke="{ROLE_COLORS[role]}" stroke-width="{_fmt(width)}"{dash}'
 
 
-def _line(start, end, role, css_class="grid", dashed=False, width=1.0) -> Element:
-    return Element((start[0], end[0]), (start[1], end[1]),
-                   f'<line class="{css_class}" x1="{{}}" y1="{{}}" '
-                   f'x2="{{}}" y2="{{}}" {_stroke(role, width, dashed)}/>')
+def _line(role, css_class="grid", dashed=False, width=1.0) -> str:
+    return (f'<line class="{css_class}" x1="{{}}" y1="{{}}" '
+            f'x2="{{}}" y2="{{}}" {_stroke(role, width, dashed)}/>')
 
 
 def _polyline(xs, ys, role, css_class="path", dashed=False, width=2.0) -> Element:
@@ -77,9 +76,9 @@ def _polyline(xs, ys, role, css_class="path", dashed=False, width=2.0) -> Elemen
                            f'fill="none" {_stroke(role, width, dashed)}/>')
 
 
-def _circle(at, role, css_class="vertex", radius=3.0) -> Element:
-    return Element((at[0],), (at[1],), f'<circle class="{css_class}" cx="{{}}" cy="{{}}" '
-                                       f'r="{_fmt(radius)}" fill="{ROLE_COLORS[role]}"/>')
+def _circle(role, css_class="vertex", radius=3.0) -> str:
+    return (f'<circle class="{css_class}" cx="{{}}" cy="{{}}" '
+            f'r="{_fmt(radius)}" fill="{ROLE_COLORS[role]}"/>')
 
 
 def _to_svg(elements) -> str:
@@ -153,23 +152,20 @@ def _grid(axes: str, n: int, overlay=None, overlay_axes=None) -> str:
         raise WrongArity(f"grid rendering needs exactly 2 axes, got {len(axes)}")
     if overlay_axes not in (None, axes):
         raise ValueError("projected path does not match the grid axes")
-    if n < 0:
-        raise ValueError("half-length must be non-negative")
     ax_x, ax_y = axes
-    w = _EXTENT[ax_x] * n
+    w = _EXTENT[ax_x] * _half_length(n)
     h = _EXTENT[ax_y] * n
     # Isolines of the horizontal axis are vertical lines.  Each family is one
     # element: its lines share one text, and its columns hold both ends of each.
     xs, ys = range(w + 1), range(h + 1)
-    vertical = _line((0, 0), (0, h), role=AXIS_ROLES[ax_x]).svg
-    horizontal = _line((0, 0), (w, 0), role=AXIS_ROLES[ax_y]).svg
+    vertical, horizontal = _line(AXIS_ROLES[ax_x]), _line(AXIS_ROLES[ax_y])
     elements = [Element(tuple(chain.from_iterable(zip(xs, xs))), (0, h) * len(xs),
                         "\n".join(repeat(vertical, len(xs)))),
                 Element((0, w) * len(ys), tuple(chain.from_iterable(zip(ys, ys))),
                         "\n".join(repeat(horizontal, len(ys))))]
     if axes == "lr":
-        elements.append(_line((0, 0), (n, n), role="blue-j",
-                               css_class="diagonal", dashed=True, width=2.0))
+        elements.append(Element((0, n), (0, n), _line("blue-j", css_class="diagonal",
+                                                      dashed=True, width=2.0)))
     if overlay is not None:
         elements.append(_polyline(*overlay, role="path", width=2.5))
     return _to_svg(elements)
@@ -200,10 +196,8 @@ def _schlegel_columns(n: int, i, j, l, r) -> tuple[list, list]:
 
 
 def _edge_role(a, b) -> str:
-    for axis, (x, y) in zip(AXES, zip(a, b)):
-        if x != y:
-            return AXIS_ROLES[axis]
-    return "neutral"
+    """The role of the axis along which an edge from corner ``a`` to ``b`` runs."""
+    return AXIS_ROLES[next(axis for axis, x, y in zip(AXES, a, b) if x != y)]
 
 
 def render_wireframe(structure, style: str, include_triangle: bool = False):
@@ -225,18 +219,19 @@ def render_wireframe(structure, style: str, include_triangle: bool = False):
         raise ValueError("the triangle overlay needs the full 4D box")
 
     view = partial(_schlegel_columns, structure.n) if style == "schlegel" else _ortho_columns
-    xs, ys = view(*zip(*structure.vertices))
-    elements = []
-    for a, b in structure.edges:
-        elements.append(_line((xs[a], ys[a]), (xs[b], ys[b]),
-                              role=_edge_role(structure.vertices[a], structure.vertices[b]),
-                              css_class="edge", width=1.5))
-    vertex = _circle((0, 0), role="neutral", css_class="vertex").svg
-    elements.append(Element(xs, ys, "\n".join(repeat(vertex, len(xs)))))
+    vertices, edges = structure.vertices, structure.edges  # a Cell's edges are computed
+    xs, ys = view(*zip(*vertices))
+    # All edges are one element, as a grid's isolines: its columns hold both ends of each.
+    ends = tuple(chain.from_iterable(edges))
+    lines = (_line(_edge_role(vertices[a], vertices[b]), css_class="edge", width=1.5)
+             for a, b in edges)
+    elements = [Element(tuple(map(xs.__getitem__, ends)), tuple(map(ys.__getitem__, ends)),
+                        "\n".join(lines)),
+                Element(xs, ys, "\n".join(repeat(_circle("neutral"), len(xs))))]
 
     if style == "schlegel":
         origin, end, apex = _ends(structure.n)[0]
-        anchor = _circle((0, 0), role="path", css_class="anchor", radius=4.5).svg
+        anchor = _circle("path", css_class="anchor", radius=4.5)
         elements.append(Element(*view(*zip(origin, apex, end)), "\n".join(repeat(anchor, 3))))
     if include_triangle:
         for side, columns in zip(SIDES, _side_columns(structure.n)):

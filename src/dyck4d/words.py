@@ -223,11 +223,6 @@ def path_to_word(path: Path4D) -> DyckWord:
     return _word_of(tuple(map(itemgetter(2), path)))
 
 
-def path_as_lists(path: Path4D) -> list[list[int]]:
-    """JSON-ready form: a path is an array of [i, j, l, r] nodes."""
-    return [list(node) for node in path]
-
-
 def _first_bad_row(rows, width: int):
     """The index of the first row of the JSON value ``rows`` that is not a list of
     ``width`` integers, or None when none is; a ``rows`` that is not a list fails

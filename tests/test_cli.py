@@ -17,7 +17,8 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 from dyck4d import (AXIS_SETS, SIDES, MalformedPath, NotInLattice, ProjectedPath,
                     RankOutOfRange, __version__, complete_node, count_paths_through,
-                    enumerate_nodes, lift, parse_word, rank, sample_uniform, unrank)
+                    enumerate_nodes, lift, parse_word, project, rank, sample_uniform, unrank,
+                    word_to_path)
 from dyck4d.cli import build_parser, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -159,6 +160,18 @@ class TestProjectLift:
         outputs = {run(capsys, "project", "--axes", axes, "(())")
                    for axes in ("lr", "rl", "l,r", "L R", "RL")}
         assert outputs == {(0, '{"axes":["l","r"],"points":[[0,0],[1,0],[2,0],[2,1],[2,2]]}\n', "")}
+
+    @pytest.mark.parametrize("text", ["", "()", "(()())", "(" * 40 + ")" * 40])
+    def test_json_dumps_writes_the_cli_lines(self, capsys, text):
+        # The library has no JSON writer of its own: a path and a projected path's
+        # points are tuples of tuples, which json.dumps writes as the CLI does.
+        path = word_to_path(parse_word(text))
+        assert run(capsys, "convert", "--to", "path", text)[1] == \
+            json.dumps(path, separators=(",", ":")) + "\n"
+        for axes in AXIS_SETS:
+            p = project(path, axes)
+            assert run(capsys, "project", "--axes", axes, text)[1] == json.dumps(
+                {"axes": list(p.axes), "points": p.points}, separators=(",", ":")) + "\n"
 
 
 class TestCount:

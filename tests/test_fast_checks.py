@@ -28,8 +28,8 @@ from dyck4d import (DyckError, DyckWord, FlatnessResult,
                     InconsistentProjection, InvalidCharacter, InvalidProjection,
                     LatticeNode, MalformedPath, NegativePrefix, Path4D,
                     ProjectedPath, Unbalanced, enumerate_nodes, lift, parse_word,
-                    path_from_lists, path_to_word, project, projected_path_as_json,
-                    projected_path_from_json, verify_flat, word_to_path)
+                    path_from_lists, path_to_word, project, projected_path_from_json,
+                    verify_flat, word_to_path)
 from dyck4d import cli
 from dyck4d.words import _parsed_columns, _path_columns, _word_columns, _word_of
 
@@ -535,8 +535,8 @@ def test_cli_lines_agree_with_the_library(text, rows, case, axes):
         (cli._convert_line, Namespace(to="path"), [text],
          lambda line: node_json(word_to_path(parse_word(line)))),
         (cli._project_line, Namespace(axes=axes), [text],
-         lambda line: node_json(projected_path_as_json(
-             project(word_to_path(parse_word(line)), axes)))),
+         lambda line: node_json({"axes": list(axes),
+                                 "points": project(word_to_path(parse_word(line)), axes).points})),
         (cli._convert_line, Namespace(to="word"), paths,
          lambda line: str(path_to_word(path_from_lists(json.loads(line))))),
         (cli._lift_line, Namespace(to="path"), images,

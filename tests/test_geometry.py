@@ -6,10 +6,11 @@ import tracemalloc
 import pytest
 
 import oracles
-from dyck4d import (DOWN_STEP, SIDES, UP_STEP, LatticeNode, dot,
-                    double_tesseract, enumerate_nodes, face_of_side, geometry_report,
-                    is_lattice_node, norm_squared, parse_word, side_length,
-                    side_length_squared, sub, triangle, verify_flat,
+from dyck4d import (DOWN_STEP, SIDES, UP_STEP, LatticeNode, catalan,
+                    count_paths_through, dot, double_tesseract, enumerate_nodes,
+                    enumerate_words, face_of_side, geometry_report, is_lattice_node,
+                    norm_squared, parse_word, render_grid_2d, sample_uniform, side_length,
+                    side_length_squared, sub, triangle, unrank, verify_flat,
                     verify_right_isosceles, word_to_path)
 from dyck4d.geometry import _box_edges, _side_columns
 
@@ -371,12 +372,30 @@ class TestRecords:
             "direction_bc=LatticeNode(i=1, j=-1, l=0, r=1))")
 
 
+_NEGATIVE = "half-length must be non-negative"
+
+
+# Every public entry that takes a half-length n, at n = -1: one rule, one message,
+# checked before the node of count_paths_through and the side of side_length.
 @pytest.mark.parametrize("call, message", [
-    (lambda: triangle(-1), "half-length must be non-negative"),
-    (lambda: geometry_report(-1), "half-length must be non-negative"),
-    (lambda: side_length_squared("red", -1), "half-length must be non-negative"),
+    (lambda: triangle(-1), _NEGATIVE),
+    (lambda: geometry_report(-1), _NEGATIVE),
+    (lambda: side_length_squared("red", -1), _NEGATIVE),
     (lambda: face_of_side("red", 0), "the box degenerates below n = 1"),
-], ids=["triangle", "geometry_report", "side_length_squared", "face_of_side"])
+    (lambda: catalan(-1), _NEGATIVE),
+    (lambda: next(enumerate_words(-1)), _NEGATIVE),
+    (lambda: unrank(0, -1), _NEGATIVE),
+    (lambda: sample_uniform(-1, 0), _NEGATIVE),
+    (lambda: enumerate_nodes(-1), _NEGATIVE),
+    (lambda: verify_flat(-1), _NEGATIVE),
+    (lambda: count_paths_through((0, 0, 0, 0), -1), _NEGATIVE),
+    (lambda: count_paths_through((0, 0), -1), _NEGATIVE),
+    (lambda: side_length("green", -1), _NEGATIVE),
+    (lambda: render_grid_2d("lr", -1), _NEGATIVE),
+], ids=["triangle", "geometry_report", "side_length_squared", "face_of_side", "catalan",
+        "enumerate_words", "unrank", "sample_uniform", "enumerate_nodes", "verify_flat",
+        "count_paths_through", "count_paths_through-malformed-node", "side_length",
+        "render_grid_2d"])
 def test_half_length_out_of_range(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

@@ -38,6 +38,7 @@ def test_one_version():
 def test_every_public_name_resolves_once():
     assert len(set(dyck4d.__all__)) == len(dyck4d.__all__)
     assert [name for name in dyck4d.__all__ if not hasattr(dyck4d, name)] == []
+    assert set(dir(dyck4d)) >= set(dyck4d.__all__)
 
 
 def test_every_public_name_resolves_by_getattr():
@@ -56,9 +57,11 @@ def test_star_import_binds_every_public_name():
 def test_unknown_attribute():
     # a triangle is its half-length n, a side its colour, every 4-vector a LatticeNode,
     # an axis set its string, a figure a list of elements, a word its str, and
-    # counting keeps one prefix table per process, not one cached per n
+    # counting keeps one prefix table per process, not one cached per n; json.dumps
+    # writes a path and a projected path, which are tuples
     for name in ("no_such_name", "LatticeRegion", "Side", "Vec4", "AxisSet",
-                 "all_modifications", "Scene", "render_word", "prefix_count_table"):
+                 "all_modifications", "Scene", "render_word", "prefix_count_table",
+                 "path_as_lists", "projected_path_as_json"):
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(dyck4d, name)
         assert name not in dyck4d.__all__
@@ -69,7 +72,7 @@ def test_unknown_attribute():
 def test_axis_sets_and_figures_are_plain_values():
     assert dyck4d._EXPORTS["projections"].split() == [
         "AXIS_SETS", "ProjectedPath", "axis_set", "lift", "project",
-        "projected_path_as_json", "projected_path_from_json"]
+        "projected_path_from_json"]
     assert dyck4d._EXPORTS["render"].split() == [
         "ROLE_COLORS", "edge_list_text", "render_grid_2d", "render_wireframe"]
     assert dyck4d.ProjectedPath._fields == ("axes", "points")

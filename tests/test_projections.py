@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,8 +7,13 @@ import oracles
 from dyck4d import projections
 from dyck4d import (AXIS_SETS, InconsistentProjection, MalformedPath,
                     ProjectedPath, axis_set, enumerate_words, lift,
-                    parse_word, project, projected_path_as_json,
-                    projected_path_from_json, render_grid_2d, word_to_path)
+                    parse_word, project, projected_path_from_json, render_grid_2d,
+                    word_to_path)
+
+
+def as_json(proj):
+    """The JSON form of a projected path, as a reference."""
+    return {"axes": list(proj.axes), "points": [list(p) for p in proj.points]}
 
 
 class TestAxisSet:
@@ -159,12 +165,15 @@ class TestLift:
 class TestJsonForm:
     def test_shape(self):
         proj = project(word_to_path(parse_word("()")), "lr")
-        assert projected_path_as_json(proj) == {"axes": ["l", "r"], "points": [[0, 0], [1, 0], [1, 1]]}
+        assert as_json(proj) == {"axes": ["l", "r"], "points": [[0, 0], [1, 0], [1, 1]]}
+        # the points are a tuple of tuples, so json.dumps writes them in the JSON form
+        assert json.dumps({"axes": list(proj.axes), "points": proj.points}) == \
+            json.dumps(as_json(proj))
 
     def test_round_trip(self):
         for axes in AXIS_SETS:
             proj = project(word_to_path(parse_word("(())()")), axes)
-            assert projected_path_from_json(projected_path_as_json(proj)) == proj
+            assert projected_path_from_json(as_json(proj)) == proj
 
     def test_point_width_checked(self):
         with pytest.raises(ValueError, match=r"point \(0, 0, 0\) does not match 2 axes"):

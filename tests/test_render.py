@@ -366,11 +366,12 @@ _SPEC = st.one_of(
 
 
 def _build(tag, points, style):
+    xs, ys = zip(*points)
     if tag == "line":
-        return render._line(*points, **style)
+        return render.Element(xs, ys, render._line(**style))
     if tag == "polyline":
-        return render._polyline(*zip(*points), **style)
-    return render._circle(*points, **style)
+        return render._polyline(xs, ys, **style)
+    return render.Element(xs, ys, render._circle(**style))
 
 
 def reference_svg(specs):

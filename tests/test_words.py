@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 
@@ -8,8 +9,12 @@ from hypothesis import given, strategies as st
 import oracles
 from dyck4d import (DyckWord, InvalidCharacter, LatticeNode, MalformedPath,
                     NegativePrefix, ORIGIN, Path4D, Unbalanced,
-                    parse_word, path_as_lists, path_from_lists, path_to_word,
-                    word_to_path)
+                    parse_word, path_from_lists, path_to_word, word_to_path)
+
+
+def as_lists(path):
+    """The JSON form of a path, an array of [i, j, l, r] arrays, as a reference."""
+    return [list(node) for node in path]
 
 
 class TestParse:
@@ -182,13 +187,15 @@ class TestPathToWord:
 
 class TestJsonForm:
     def test_as_lists(self):
+        # a path is a tuple of tuples, so json.dumps writes it in its JSON form
         path = word_to_path(parse_word("()"))
-        assert path_as_lists(path) == [[0, 0, 0, 0], [1, 1, 1, 0], [2, 0, 1, 1]]
+        assert as_lists(path) == [[0, 0, 0, 0], [1, 1, 1, 0], [2, 0, 1, 1]]
+        assert json.dumps(path) == json.dumps(as_lists(path))
 
     def test_from_lists_round_trip(self):
         for text in oracles.all_balanced(4):
             path = word_to_path(parse_word(text))
-            assert path_from_lists(path_as_lists(path)) == path
+            assert path_from_lists(as_lists(path)) == path
 
     def test_from_lists_rejects_bad_rows(self):
         with pytest.raises(MalformedPath) as exc:
@@ -228,7 +235,7 @@ def test_origin_constant():
 
 #: One word and its path, each built by two routes: equal values, distinct objects.
 _WORD, _SAME_WORD = DyckWord("(()())"), parse_word(" ( ()() ) ")
-_PATH, _SAME_PATH = word_to_path(_WORD), path_from_lists(path_as_lists(word_to_path(_WORD)))
+_PATH, _SAME_PATH = word_to_path(_WORD), path_from_lists(as_lists(word_to_path(_WORD)))
 
 
 class TestValueSemantics:
@@ -262,7 +269,7 @@ class TestValueSemantics:
     def test_keyword_construction(self):
         assert DyckWord(text="(()())") == _WORD
         assert Path4D(nodes=tuple(_PATH)) == _PATH
-        assert Path4D(nodes=path_as_lists(_PATH)) == _PATH
+        assert Path4D(nodes=as_lists(_PATH)) == _PATH
 
     @pytest.mark.parametrize("value", [_WORD, _PATH, DyckWord(""), Path4D([ORIGIN])],
                              ids=["word", "path", "empty-word", "origin-path"])
