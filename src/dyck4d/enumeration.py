@@ -6,9 +6,9 @@ monotone path of ballot numbers instead of materializing the enumeration:
 the completions of a prefix at (l, r), read backwards with '(' and ')'
 swapped, are the prefixes reaching (n - r, n - l), counted by the ballot
 number B(a, b) = C(a + b, b)(a - b + 1)/(a + 1).  The walk carries that
-binomial from step to step, in O(n) memory.  Once a process's walks at one
-n have cost about one build of the Θ(n²)-entry prefix table, rank and
-unrank read that table instead (ski rental: Karlin, Manasse, Rudolph and
+binomial from step to step, in O(n) memory.  Once a process's walks have
+cost about one build of the Θ(n²)-entry prefix table at the n called, rank
+and unrank read that table instead (ski rental: Karlin, Manasse, Rudolph and
 Sleator, "Competitive snoopy caching", 1988).  Row l of the table is the
 same for every n >= l, so a process keeps one table, grown to the largest
 n bought, and every n below its length reads it.  This module builds the
@@ -74,40 +74,35 @@ def _prefix_rows(n: int, rows: tuple = ()) -> tuple:
     return tuple(rows)
 
 
-#: A table build at n costs about n / _WALK_RATIO walks: at n = 1000 one build
-#: took 110-150 ms and one walk 2-3 ms, and the ratio grows like n (a build
-#: adds Θ(n³) bits, a walk multiplies Θ(n²)).  So the call at n whose count
-#: reaches n / _WALK_RATIO buys the table, and every later call at n reads it.
+#: A table build at n costs about n / _WALK_RATIO walks at n: at n = 1000 one
+#: build took 110-150 ms and one walk 2-3 ms, and the ratio grows like n (a build
+#: adds Θ(n³) bits, a walk multiplies Θ(n²)).  So a walk at n costs n² and a build
+#: n³ / _WALK_RATIO, and the call whose walks so far reach that cost buys rows 0..n.
 _WALK_RATIO = 16
 #: The table is never grown past this n: rows 0..1000 hold about 78 MB.
 _TABLE_CAP = 1000
 #: Rows 0..len - 1 of the prefix table, read by every n below its length.  One
 #: process-wide tuple, replaced by a longer one when a call buys a larger n.
 _table: tuple = ()
-#: rank and unrank calls so far per n, for the _COUNTED n used last (oldest first),
-#: counting only calls the table did not cover; bounded, so a process that rotates
-#: through more n walks at each instead of growing memory with its history.
-_calls: dict[int, int] = {}
-_COUNTED = 4
-_calls_lock = threading.Lock()
+#: The summed cost n² of every walk at an n <= _TABLE_CAP the table did not cover.
+#: Never reset: it stops growing once the table covers every n up to _TABLE_CAP.
+_walked = 0
+_lock = threading.Lock()  # guards _walked and the table's growth
 
 
 def _bought_table(n: int):
-    """The prefix table, rows 0..n at least, once a call at n has paid for it; None: walk."""
-    global _table
+    """The prefix table, rows 0..n at least, once the walks so far have paid for it; None: walk."""
+    global _table, _walked
     table = _table  # one read of an immutable tuple: no lock needed to use it
     if n < len(table):
         return table
     if n > _TABLE_CAP:
         return None
-    with _calls_lock:
-        calls = _calls.pop(n, 0) + 1  # put back last: the most recently used n
-        _calls[n] = calls
-        if len(_calls) > _COUNTED:
-            del _calls[next(iter(_calls))]
-        if calls * _WALK_RATIO < n:
-            return None
+    with _lock:
         if len(_table) <= n:  # another thread may have grown it since the read above
+            _walked += n * n
+            if _WALK_RATIO * _walked < n**3:
+                return None
             _table = _prefix_rows(n, _table)
         return _table
 

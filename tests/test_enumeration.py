@@ -195,7 +195,7 @@ class TestGrownTable:
             enumeration._table = _prefix_rows(n, enumeration._table)
             _agrees_with_the_walk(range(n + 1))
         assert enumeration._table == _prefix_rows(1000)
-        assert not enumeration._calls  # a call at a covered n is not counted
+        assert enumeration._walked == 0  # a call at a covered n is not charged
 
     @settings(max_examples=10, deadline=None)
     @given(steps=st.lists(st.integers(0, 300), min_size=1, max_size=6))
@@ -207,81 +207,94 @@ class TestGrownTable:
             _agrees_with_the_walk(range(n + 1))
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The n of every table build from now on."""
+    built = []
+    monkeypatch.setattr(enumeration, "_prefix_rows",
+                        lambda n, rows=(): built.append(n) or _prefix_rows(n, rows))
+    return built
+
+
+def _words_at(n):
+    """A word of half-length n and its rank."""
+    word = parse_word(oracles.random_word_text(random.Random(n), n))
+    return word, _counted_by(None, rank, word)
+
+
 @pytest.mark.usefixtures("fresh_counting")
 class TestBuyRule:
-    """Call c at n grows the table once 16 c >= n, never above n = 1000; covered n read it."""
+    """A walk at n <= 1000 costs n²; the call whose walks so far reach n³ / 16 buys rows 0..n."""
 
     @staticmethod
-    def _calls_at(n, calls):
-        """``calls`` alternating rank and unrank calls at n; the table's length after each."""
-        word = parse_word(oracles.random_word_text(random.Random(n), n))
-        k = rank(word)
-        lengths = [len(enumeration._table)]
-        for call in range(2, calls + 1):
-            assert (unrank(k, n) if call % 2 else rank(word)) == (word if call % 2 else k)
+    def _rotated_calls(ns, calls):
+        """``calls`` alternating rank and unrank calls, cycling through ``ns``; the
+        table's length after each."""
+        words = {n: _words_at(n) for n in ns}
+        lengths = []
+        for call in range(calls):
+            word, k = words[ns[call % len(ns)]]
+            assert (unrank(k, word.n) if call % 2 else rank(word)) == (word if call % 2 else k)
             lengths.append(len(enumeration._table))
         return lengths
+
+    def _calls_at(self, n, calls):
+        return self._rotated_calls([n], calls)
 
     @pytest.mark.parametrize("n", [1, 16, 17, 100, 1000])
     def test_bought_on_the_paying_call(self, n):
         paying = math.ceil(n / 16)
         lengths = self._calls_at(n, paying + 5)
         assert lengths == [0] * (paying - 1) + [n + 1] * 6
-        # from the paying call on, calls at n read the table and count nothing
-        assert enumeration._calls == {n: paying}
+        # from the paying call on, calls at n read the table and are charged nothing
+        assert enumeration._walked == paying * n * n
 
     def test_never_bought_above_the_cap(self):
         calls = math.ceil(1001 / 16) + 5
         assert self._calls_at(1001, calls) == [0] * calls
-        assert not enumeration._calls
+        assert enumeration._walked == 0
+
+    def test_covered_and_capped_calls_charge_nothing(self):
+        enumeration._table = _prefix_rows(50)
+        enumeration._walked = walked = 12345
+        assert self._rotated_calls([0, 1, 30, 50, 1001, 1200], 12) == [51] * 12
+        assert enumeration._walked == walked
 
     def test_smaller_n_read_the_table_at_once(self):
         self._calls_at(100, math.ceil(100 / 16))
-        enumeration._calls.clear()
+        walked = enumeration._walked
         assert self._calls_at(60, 3) == [101] * 3
-        assert not enumeration._calls
-        # a larger n grows the same table from its last row
+        assert enumeration._walked == walked
+        # a larger n grows the same table from its last row; the walks at n = 100
+        # pay part of it, so the third call at 120 buys, not the eighth
         first_rows = enumeration._table
-        self._calls_at(120, math.ceil(120 / 16))
+        assert self._calls_at(120, 3) == [101, 101, 121]
         assert enumeration._table[:101] == first_rows
         assert all(a is b for a, b in zip(enumeration._table, first_rows))
 
-    def test_counts_bounded_and_correct_after_eviction(self):
-        # two calls at n > 32 never pay (16 * 2 < n), so every n stays counted
-        counted = enumeration._COUNTED
-        ns = range(40, 60)
-        for n in ns:
-            assert rank(unrank(n, n)) == n
-        assert list(enumeration._calls) == list(ns[-counted:])
-        assert set(enumeration._calls.values()) == {2}
-        # a call at the oldest counted n makes it the most recent, so n = 60 evicts the next
-        oldest, evicted = ns[-counted], ns[-counted + 1]
-        assert unrank(0, oldest) == parse_word("(" * oldest + ")" * oldest)
-        assert rank(unrank(0, 60)) == 0
-        assert list(enumeration._calls) == [*ns[-counted + 2:], oldest, 60]
-        assert evicted not in enumeration._calls and enumeration._calls[oldest] == 3
-        # n = 40 was evicted: its count starts again
-        assert rank(unrank(1, 40)) == 1
-        assert len(enumeration._calls) == counted and enumeration._calls[40] == 2
-        assert enumeration._table == ()
+    def test_alternating_half_lengths_share_the_cost(self, builds):
+        # 7 walks at 99 and 100 cost more than a build at 99: the 7th call buys rows
+        # 0..99 and the 8th rows 0..100
+        assert self._rotated_calls([99, 100], 10) == [0] * 6 + [100] + [101] * 3
+        assert builds == [99, 100]
+        assert enumeration._walked == 4 * 99**2 + 4 * 100**2
 
-    @pytest.mark.parametrize("rotated, builds", [(enumeration._COUNTED + 1, 0),
-                                                 (enumeration._COUNTED, enumeration._COUNTED)])
-    def test_rotating_half_lengths(self, rotated, builds, monkeypatch):
-        # one n more than the counts kept: each n's count restarts before it can buy;
-        # as many n as the counts kept: each n grows the table once, the smallest first
-        built = []
-        monkeypatch.setattr(enumeration, "_prefix_rows",
-                            lambda n, rows: built.append(n) or _prefix_rows(n, rows))
+    @pytest.mark.parametrize("rotated", [4, 5, 12])
+    def test_rotating_half_lengths(self, rotated, builds):
+        # however many n a process rotates through, each grows the table once, the smallest first
         ns = [200 + 200 * step // (rotated - 1) for step in range(rotated)]
-        words = {n: parse_word(oracles.random_word_text(random.Random(n), n)) for n in ns}
-        ks = {n: rank(word) for n, word in words.items()}
-        for call in range(200 - rotated):
-            n = ns[call % rotated]
-            assert (unrank(ks[n], n) if call % 2 else rank(words[n])) == (
-                words[n] if call % 2 else ks[n])
-        assert built == ns[:builds]
-        assert len(enumeration._table) == (ns[-1] + 1 if builds else 0)
+        self._rotated_calls(ns, 200 - rotated)
+        assert builds == ns
+        assert len(enumeration._table) == ns[-1] + 1
+
+    def test_cold_commands_build_nothing(self, builds, capsys):
+        # a counting-cold request is one command in a fresh process: four draws at n = 200
+        # or one rank at n = 1000 cost far less than a build there
+        assert main(["sample", "--n", "200", "--seed", "1", "--count", "4"]) == 0
+        assert len(capsys.readouterr().out.split()) == 4
+        word, k = _words_at(1000)
+        assert rank(word) == k
+        assert builds == [] and enumeration._table == ()
 
 
 @pytest.mark.usefixtures("fresh_counting")
@@ -294,10 +307,9 @@ class TestThreads:
         sys.setswitchinterval(interval)
 
     def test_no_call_is_lost(self, monkeypatch):
-        # no call ever pays, so every count must end at the calls made; as many
-        # half-lengths as the bound holds, so none is evicted
+        # no call ever pays, so the charge must end at the cost of every call made
         monkeypatch.setattr(enumeration, "_WALK_RATIO", 0)
-        ns = range(2, 2 + enumeration._COUNTED)
+        ns = range(2, 6)
 
         def work(_):
             for _ in range(100):
@@ -306,12 +318,12 @@ class TestThreads:
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             assert list(pool.map(work, range(8), timeout=120)) == [None] * 8
-        assert enumeration._calls == dict.fromkeys(ns, 8 * 100 * 2)
+        assert enumeration._walked == 8 * 100 * 2 * sum(n * n for n in ns)
         assert enumeration._table == ()
 
     def test_shared_counts_stay_right(self, monkeypatch):
-        # 12 half-lengths cross the bound on the counts; each thread makes runs of calls at
-        # one n, so the counts at n <= 160 reach their paying call while others evict them.
+        # each thread makes runs of calls at one of 12 half-lengths, and the walks of
+        # all threads pay for the builds
         ns = [3, 10, 17, 24, 40, 64, 80, 100, 120, 140, 160, 1001]
         built = []
         monkeypatch.setattr(enumeration, "_prefix_rows",
@@ -328,7 +340,8 @@ class TestThreads:
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             assert list(pool.map(work, range(8), timeout=120)) == [None] * 8
-        assert len(enumeration._calls) <= enumeration._COUNTED
+        # no more is charged than every call at n <= 1000 walking
+        assert enumeration._walked <= 8 * 12 * 2 * sum(n * n for n in ns[:-1])
         # each build starts where the last one ended: no two threads built the same rows
         assert [start for start, _ in built] == [0] + [n + 1 for _, n in built[:-1]]
         assert enumeration._table == _prefix_rows(built[-1][1])

@@ -218,13 +218,13 @@ class TestSharedTable:
         for n in range(10):  # below n = 16 the first call at n pays
             assert rank(unrank(0, n)) == 0
         assert enumeration._table == _prefix_rows(9)
-        assert list(enumeration._calls) == [6, 7, 8, 9]
-        # n = 4 was evicted from the counts, but the table covers it: rank and unrank read it
+        assert enumeration._walked == sum(n * n for n in range(10))  # one walk at each n
+        # the table covers n = 4: rank and unrank read it, and no walk is charged
         for k, text in enumerate(oracles.all_balanced(4)):
             word = parse_word(text)
             assert rank(word) == k
             assert unrank(k, 4) == word
-        assert list(enumeration._calls) == [6, 7, 8, 9]
+        assert enumeration._walked == sum(n * n for n in range(10))
         assert len(enumeration._table) == 10
 
     def test_count_over_all_nodes_keeps_nothing(self, monkeypatch, capsys):
@@ -234,5 +234,5 @@ class TestSharedTable:
         enumeration._table = table = _prefix_rows(5)
         assert cli.main(["count", "--n", "30"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 31 * 32 // 2
-        assert enumeration._table is table and not enumeration._calls
+        assert enumeration._table is table and enumeration._walked == 0
         assert built == [] and not hasattr(lattice, "_prefix_rows")
