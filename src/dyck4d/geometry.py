@@ -232,18 +232,17 @@ def double_tesseract(n: int) -> DoubleTesseract:
     """Vertices, edges and cells of the enclosing box for half-length n."""
     if n < 1:
         raise ValueError("the box degenerates below n = 1")
-    extents = (2 * n, n, n, n)
+    extents = tuple(e * n for e in _EXTENTS)
     vertices = _box_corners((0, e) for e in extents)
     cells = []
     for position, axis in enumerate(AXES):
-        spans = sorted(extents[p] for p in range(4) if p != position)
         for value, indices in zip((0, extents[position]), _CELL_INDICES[position]):
             cells.append(Cell(
                 axis=axis,
                 value=value,
                 vertex_indices=indices,
                 vertices=tuple(vertices[k] for k in indices),
-                is_cube=spans[0] == spans[-1],
+                is_cube=_CUBE_CELLS[position],
             ))
     return DoubleTesseract(n, vertices, _BOX_EDGES, tuple(cells))
 
@@ -254,14 +253,18 @@ def _box_corners(bounds) -> tuple[LatticeNode, ...]:
     return tuple(LatticeNode(*point) for point in itertools.product(*choices))
 
 
-# Every box with four positive extents lists its corners in the unit box's order,
-# so it shares the unit box's topology: its edges as corner index pairs and, per
-# axis, the corner indices of its low and its high cell.
+# The box's extent along each axis, in units of n: [0, 2n] x [0, n]³.  Every box
+# with four positive extents lists its corners in the unit box's order, so it
+# shares the unit box's topology: its edges as corner index pairs and, per axis,
+# the corner indices of its low and its high cell.  An axis's two cells are cubes
+# when the other three extents are equal.
+_EXTENTS = (2, 1, 1, 1)
 _UNIT_CORNERS = _box_corners(((0, 1),) * 4)
 _BOX_EDGES = _box_edges(_UNIT_CORNERS)
 _CELL_INDICES = tuple(tuple(tuple(k for k, v in enumerate(_UNIT_CORNERS) if v[position] == value)
                             for value in (0, 1))
                       for position in range(4))
+_CUBE_CELLS = tuple(len(set(_EXTENTS[:p] + _EXTENTS[p + 1:])) == 1 for p in range(4))
 
 
 class SideFace(NamedTuple):
@@ -282,8 +285,6 @@ class SideFace(NamedTuple):
 
 def face_of_side(side: str, n: int) -> SideFace:
     """The 3D face holding a side, plus the half-cube whose diagonal it is."""
-    if n < 1:
-        raise ValueError("the box degenerates below n = 1")
     box = double_tesseract(n)
     diagonal = _ends(n)[1][side]
     if side == "blue":
@@ -326,12 +327,11 @@ def _summary(n: int) -> dict:
             "direction_bc": list(check.direction_bc),
             "dot": dot(check.direction_ab, check.direction_bc),
         }
-        box = double_tesseract(n)
-        report["tesseract"] = {
-            "vertices": len(box.vertices),
-            "edges": len(box.edges),
-            "cells": len(box.cells),
-            "cube_cells": sum(1 for cell in box.cells if cell.is_cube),
+        report["tesseract"] = {  # the census of every box, read off the unit box
+            "vertices": len(_UNIT_CORNERS),
+            "edges": len(_BOX_EDGES),
+            "cells": sum(map(len, _CELL_INDICES)),
+            "cube_cells": sum(map(len, itertools.compress(_CELL_INDICES, _CUBE_CELLS))),
         }
     return report
 

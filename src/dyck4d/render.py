@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import WrongArity, _half_length
-from .geometry import SIDES, DoubleTesseract, _ends, _side_columns
+from .geometry import SIDES, _EXTENTS, DoubleTesseract, _ends, _side_columns
 from .projections import ProjectedPath, _canonical
 from .words import AXES
 
@@ -131,9 +131,6 @@ def _fmt_all(values) -> list[str]:
     return ("%.2f\n" * len(values) % tuple(values)).split("\n")[:-1]
 
 
-_EXTENT = {"i": 2, "j": 1, "l": 1, "r": 1}  # in units of n
-
-
 def render_grid_2d(axes: str, n: int, proj: ProjectedPath | None = None) -> str:
     """A 2-axis grid with its isolines, plus an optional path polyline.
 
@@ -153,8 +150,8 @@ def _grid(axes: str, n: int, overlay=None, overlay_axes=None) -> str:
     if overlay_axes not in (None, axes):
         raise ValueError("projected path does not match the grid axes")
     ax_x, ax_y = axes
-    w = _EXTENT[ax_x] * _half_length(n)
-    h = _EXTENT[ax_y] * n
+    w = _EXTENTS[AXES.index(ax_x)] * _half_length(n)
+    h = _EXTENTS[AXES.index(ax_y)] * n
     # Isolines of the horizontal axis are vertical lines.  Each family is one
     # element: its lines share one text, and its columns hold both ends of each.
     xs, ys = range(w + 1), range(h + 1)

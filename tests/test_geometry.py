@@ -12,6 +12,7 @@ from dyck4d import (DOWN_STEP, SIDES, UP_STEP, LatticeNode, catalan,
                     norm_squared, parse_word, render_grid_2d, sample_uniform, side_length,
                     side_length_squared, sub, triangle, unrank, verify_flat,
                     verify_right_isosceles, word_to_path)
+from dyck4d import cli, geometry
 from dyck4d.geometry import _box_edges, _side_columns
 
 UP = UP_STEP
@@ -200,6 +201,9 @@ class TestDoubleTesseract:
             assert cell.edges == tuple(
                 (a, b) for a in range(8) for b in range(a + 1, 8)
                 if sum(x != y for x, y in zip(cell.vertices[a], cell.vertices[b])) == 1)
+            # a cube's three free axes span equal lengths over its own corners
+            spans = {max(column) - min(column) for column in zip(*cell.vertices)} - {0}
+            assert cell.is_cube == (len(spans) == 1)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_j0_cell_vertex_list(self, n):
@@ -295,6 +299,26 @@ class TestReport:
         # the report keys, SIDES and the records' side fields are the same colours in one order
         assert tuple(geometry_report(n)["sides"]) == SIDES == ("blue", "red", "yellow")
         assert tuple(side.side for side in triangle(n).sides) == SIDES
+
+    def test_census_builds_no_box(self, monkeypatch, capsys):
+        census = {"vertices": 16, "edges": 32, "cells": 8, "cube_cells": 2}
+        for n in range(1, 9):
+            box = double_tesseract(n)
+            assert geometry_report(n)["tesseract"] == {
+                "vertices": len(box.vertices), "edges": len(box.edges), "cells": len(box.cells),
+                "cube_cells": sum(cell.is_cube for cell in box.cells)} == census
+
+        def no_box(*args):
+            raise AssertionError("the census built a box")
+
+        monkeypatch.setattr(geometry, "double_tesseract", no_box)
+        monkeypatch.setattr(geometry, "_box_corners", no_box)
+        for n in (1, 2, 6):
+            assert geometry_report(n)["tesseract"] == census
+        # the JSON report at this n would list 3(n + 1) side nodes; the text one lists none
+        assert geometry._summary(10**300)["tesseract"] == census
+        assert cli.main(["geometry", "--n", "6"]) == 0
+        assert capsys.readouterr().out.endswith("tesseract: 16 vertices, 32 edges, 8 cells (2 cubes)\n")
 
     def test_degenerate_report(self):
         report = geometry_report(0)
