@@ -1,6 +1,11 @@
 """Golden corpus for the paths subcommands: validate, convert, project and lift
 print the same bytes and exit with the same code as before their word, path
-and projection checks were rewritten to work on whole columns.
+and projection checks were rewritten to work on whole columns.  The corpus
+also pins the counting routes that no other corpus runs: ``count --node`` in
+text and JSON, with a good, a short, a non-integer and an off-lattice node;
+``count --format json`` over all nodes; and ``rank``, ``enumerate`` and
+``sample`` with ``--format json``.  A usage error's stderr is argparse's usage
+line and message, formatted for an 80-column terminal.
 
 ``data/paths_golden.json`` maps every case to the SHA-256 of its stdout, the
 SHA-256 of its stderr and its exit code, recorded from the row-by-row
@@ -18,10 +23,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -116,6 +123,7 @@ def _cases():
         for to in ("path", "word"):
             yield (f"lift --to {to} <empty word {axes}>", ["lift", "--to", to],
                    projected("", axes) + "\n")
+    yield from _counting_cases()
 
 
 #: A prefix whose unbalance never returns to 0 after its first step: every
@@ -147,6 +155,20 @@ def _mixed_cases():
         yield f"lift --to {to} <mixed batch>", ["lift", "--to", to], projections
 
 
+def _counting_cases():
+    """The counting subcommands' routes that print a node or JSON, argv only but rank."""
+    for node in ("2,0,1,1", "1,1,1", "1,x,1,0", "1,0,1,0"):
+        for fmt in ("text", "json"):
+            argv = ["count", "--n", "3", "--node", node, "--format", fmt]
+            yield " ".join(argv), argv, ""
+    for argv in (["count", "--n", "4", "--format", "json"],
+                 ["enumerate", "--n", "4", "--format", "json"],
+                 ["sample", "--n", "6", "--seed", "7", "--count", "5", "--format", "json"]):
+        yield " ".join(argv), argv, ""
+    lines = "".join(f"{w}\n" for w in GOOD_WORDS + BAD_WORDS[:4])
+    yield "rank --format json <good and bad words>", ["rank", "--format", "json"], lines
+
+
 CASES = list(_cases())
 
 
@@ -156,7 +178,9 @@ def run_case(argv, stdin):
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # argparse wraps its usage line at the terminal's width, which COLUMNS sets.
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+              mock.patch.dict(os.environ, {"COLUMNS": "80"})):
             try:
                 code = main(argv)
             except Exception as exc:  # recorded, then compared like any outcome
