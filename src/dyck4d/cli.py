@@ -150,11 +150,10 @@ def _int_rows(columns) -> str:
     The values fill one ``%d`` template, which writes an int as ``json.dumps``
     does; a bool (``True``) or a float would not match, so only int columns may
     reach it.  Its callers, :func:`_convert_line`, :func:`_project_line` and
-    :func:`_lift_line`, pass the canonical columns of a word
-    (``words._parsed_columns``) or columns that the axes select from them, or
-    the columns of values that passed ``words._first_bad_row`` and the path
-    check (``words._columns_from_lists``, ``projections._json_rows`` and
-    ``projections._lift_columns``).
+    :func:`_lift_line`, pass canonical columns, which hold only ints: those of
+    a word (``words._parsed_columns``) or columns that the axes select from
+    them, or those the path check returns for a lift
+    (``projections._lift_columns``).
     """
     row = "[" + ",".join(repeat("%d", len(columns))) + "]"
     template = "[" + ",".join(repeat(row, len(columns[0]))) + "]"

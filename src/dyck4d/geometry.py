@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import lattice
 from .errors import _half_length
-from .words import AXES, ORIGIN, LatticeNode
+from .words import AXES, ORIGIN, LatticeNode, _nodes
 
 
 def dot(a, b) -> int:
@@ -88,9 +88,7 @@ def triangle(n: int) -> TriangleGeometry:
     vertices, ends = _ends(n)
     sides = []
     for side, side_columns in zip(SIDES, columns):
-        # tuple.__new__ builds the nodes without a Python-level call per node
-        nodes = tuple(map(tuple.__new__, itertools.repeat(LatticeNode), zip(*side_columns)))
-        sides.append(TriangleSide(side, *ends[side], nodes))
+        sides.append(TriangleSide(side, *ends[side], tuple(_nodes(zip(*side_columns)))))
     return TriangleGeometry(n, *vertices, tuple(sides))
 
 
@@ -126,10 +124,9 @@ def verify_flat(subject) -> FlatnessResult:
     That identity says q lies in the 2-plane spanned by the two step
     vectors through the origin; it reduces to i = l + r and j = l - r,
     since the l and r components are trivially equal.  ``subject`` may be
-    an int n, the triangle of that half-length, or any iterable of 4-tuples
-    such as a Path4D; the first violating node is returned as witness.  A
-    triangle is checked on the heads of its rows 0 and 1 alone, in O(1) time
-    for any n.
+    an int n or any iterable of 4-tuples such as a Path4D; the first
+    violating node is returned as witness.  The triangle of half-length n is
+    checked on the heads of its rows 0 and 1 alone, in O(1) time for any n.
     """
     if isinstance(subject, int):
         # Every other node is one of these two heads plus whole multiples of
@@ -250,7 +247,7 @@ def double_tesseract(n: int) -> DoubleTesseract:
 def _box_corners(bounds) -> tuple[LatticeNode, ...]:
     """Corners of an axis-aligned box given (lo, hi) per axis; lo == hi collapses."""
     choices = tuple((lo,) if lo == hi else (lo, hi) for lo, hi in bounds)
-    return tuple(LatticeNode(*point) for point in itertools.product(*choices))
+    return tuple(_nodes(itertools.product(*choices)))
 
 
 # The box's extent along each axis, in units of n: [0, 2n] x [0, n]³.  Every box

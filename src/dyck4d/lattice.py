@@ -15,7 +15,7 @@ from math import comb
 from operator import add, floordiv, sub
 
 from .errors import NotInLattice, ParityViolation, _formatted, _half_length
-from .words import AXES, LatticeNode
+from .words import AXES, LatticeNode, _nodes
 
 
 def is_lattice_node(i: int, j: int, l: int, r: int, n: int | None = None) -> bool:
@@ -90,8 +90,7 @@ def enumerate_nodes(n: int) -> list[LatticeNode]:
     """All nodes of the triangle of half-length n in lexicographic (i, j) order."""
     rows = (zip(repeat(i, k), range(j, j + 2 * k, 2), range(l, l + k), range(r, r - k, -1))
             for (i, j, l, r), k in _region_rows(n))
-    # tuple.__new__ builds the nodes without a Python-level call per node
-    return list(map(tuple.__new__, repeat(LatticeNode), chain.from_iterable(rows)))
+    return list(_nodes(chain.from_iterable(rows)))
 
 
 def _ballot(l: int, r: int) -> int:

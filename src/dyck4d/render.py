@@ -70,10 +70,10 @@ def _line(role, css_class="grid", dashed=False, width=1.0) -> str:
             f'x2="{{}}" y2="{{}}" {_stroke(role, width, dashed)}/>')
 
 
-def _polyline(xs, ys, role, css_class="path", dashed=False, width=2.0) -> Element:
+def _polyline(xs, ys, role, css_class="path") -> Element:
     coords = " ".join(repeat("{},{}", len(xs)))
     return Element(xs, ys, f'<polyline class="{css_class}" points="{coords}" '
-                           f'fill="none" {_stroke(role, width, dashed)}/>')
+                           f'fill="none" {_stroke(role, 2.5, False)}/>')
 
 
 def _circle(role, css_class="vertex", radius=3.0) -> str:
@@ -164,7 +164,7 @@ def _grid(axes: str, n: int, overlay=None, overlay_axes=None) -> str:
         elements.append(Element((0, n), (0, n), _line("blue-j", css_class="diagonal",
                                                       dashed=True, width=2.0)))
     if overlay is not None:
-        elements.append(_polyline(*overlay, role="path", width=2.5))
+        elements.append(_polyline(*overlay, role="path"))
     return _to_svg(elements)
 
 
@@ -232,8 +232,7 @@ def render_wireframe(structure, style: str, include_triangle: bool = False):
         elements.append(Element(*view(*zip(origin, apex, end)), "\n".join(repeat(anchor, 3))))
     if include_triangle:
         for side, columns in zip(SIDES, _side_columns(structure.n)):
-            elements.append(_polyline(*view(*columns), role=SIDE_ROLES[side],
-                                      css_class=f"side-{side}", width=2.5))
+            elements.append(_polyline(*view(*columns), SIDE_ROLES[side], f"side-{side}"))
 
     return _to_svg(elements), edge_list_text(structure)
 

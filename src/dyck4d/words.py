@@ -125,9 +125,10 @@ def _canonical_columns(opens) -> tuple[tuple[int, ...], ...]:
 
 
 def _path_columns(columns):
-    """``columns``, the (i, j, l, r) columns of a node sequence, when they are a path.
+    """The canonical int columns equal to ``columns``, a node sequence's (i, j, l, r)
+    columns, when they are a path.
 
-    That is the one path check: the columns must be the canonical columns of
+    That is the one path check: the columns must equal the canonical columns of
     the word their l column spells, '(' wherever l changes, and j must never
     go negative.  Otherwise :class:`MalformedPath` names the first bad node,
     the first one checked being the origin.
@@ -137,7 +138,7 @@ def _path_columns(columns):
     l = columns[2]
     canonical = _canonical_columns(map(ne, l[1:], l))
     if columns == canonical and min(canonical[1]) >= 0:
-        return columns
+        return canonical
     # Up to the first node that differs from the canonical one, the deltas
     # are steps; that node's delta is not (or is not a number at all).
     differs = _first(map(ne, zip(*columns), zip(*canonical)))
@@ -155,34 +156,35 @@ class Path4D(tuple):
 
     A path is the ``tuple`` of its :class:`LatticeNode` nodes, and compares,
     hashes and prints as that tuple.  Validation guarantees j >= 0 everywhere
-    (the balanced-word condition) and that the nodes equal the canonical path
-    of the word their l column spells, '(' wherever l changes.
+    (the balanced-word condition) and that the nodes are the canonical int
+    nodes of the word their l column spells, '(' wherever l changes.
     """
 
     __slots__ = ()
 
     def __new__(cls, nodes):
         nodes = tuple(nodes)
-        if set(map(type, nodes)) != {LatticeNode}:
-            # tuple.__new__ builds the nodes without a Python-level call per node
-            nodes = tuple(map(tuple.__new__, repeat(LatticeNode), nodes))
-            if set(map(len, nodes)) - {4}:
-                wide = _first(map(ne, map(len, nodes), repeat(4)))
-                raise TypeError(f"node {wide}: {len(nodes[wide])} coordinates, not 4")
-        _path_columns(tuple(zip(*nodes)))
-        return tuple.__new__(cls, nodes)
+        if set(map(len, nodes)) - {4}:
+            wide = _first(map(ne, map(len, nodes), repeat(4)))
+            raise TypeError(f"node {wide}: {len(nodes[wide])} coordinates, not 4")
+        return _path_of(_path_columns(tuple(zip(*nodes))), cls)
 
 
-def _path_of(columns) -> Path4D:
-    """The :class:`Path4D` of columns that are a path, built without re-checking.
+def _nodes(rows):
+    """The :class:`LatticeNode` of each row of four values, lazily, built by
+    ``tuple.__new__`` without a Python-level call per node."""
+    return map(tuple.__new__, repeat(LatticeNode), rows)
 
-    ``columns`` have passed :func:`_path_columns`, or are the canonical
+
+def _path_of(columns, cls=Path4D) -> Path4D:
+    """The ``cls`` path of canonical columns, built without re-checking.
+
+    ``columns`` are what :func:`_path_columns` returns, or the canonical
     columns of a balanced word (:func:`_word_columns` of a :class:`DyckWord`,
     or :func:`_parsed_columns`), which pass it by construction: the j column
     of a word is its running balance, which :func:`_balanced` has checked.
     """
-    # tuple.__new__ builds the nodes without a Python-level call per node
-    return tuple.__new__(Path4D, map(tuple.__new__, repeat(LatticeNode), zip(*columns)))
+    return tuple.__new__(cls, _nodes(zip(*columns)))
 
 
 def _word_columns(word: str) -> tuple[tuple[int, ...], ...]:

@@ -19,6 +19,7 @@ columns without ``json.dumps``.
 import json
 import random
 from argparse import Namespace
+from fractions import Fraction
 from operator import gt
 
 from hypothesis import example, given, settings, strategies as st
@@ -375,11 +376,23 @@ def odd_node_rows(draw):
     return rows
 
 
+def assert_int_path(path):
+    """Every coordinate of ``path`` is an int, so its JSON text rebuilds it."""
+    assert all(type(v) is int for node in path for v in node)
+    assert path_from_lists(json.loads(json.dumps(path))) == path
+
+
 @settings(max_examples=300, deadline=None)
 @given(odd_node_rows(), st.sampled_from((list, tuple, LatticeNode._make)))
+@example([[0, 0, 0, 0], [1.0, True, 1, 0], [2, 0, 1, 1]], list)
+@example([[False, 0, 0, 0], [1, 1, 1.0, 0]], LatticeNode._make)
+@example([[0, 0, 0, 0], [Fraction(1), 1, 1, 0], [2, 0, Fraction(2, 2), 1]], tuple)
 def test_path4d(rows, kind):
     nodes = [kind(row) if len(row) == 4 else tuple(row) for row in rows]
-    assert outcome(Path4D, nodes) == outcome(ref_path, nodes)
+    got = outcome(Path4D, nodes)
+    assert got == outcome(ref_path, nodes)
+    if got[0] == "ok":
+        assert_int_path(got[1])
 
 
 @settings(max_examples=300, deadline=None)
@@ -452,11 +465,18 @@ def test_json_axes(case, text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(projections())
-def test_projected_path_and_lift(case):
+@given(projections(), st.sampled_from((None, float, bool)))
+@example(("ij", [[0, 0], [1.0, 1.0], [2, 0]]), None)
+@example(("lr", [[0, 0], [1, 0], [1, 1]]), bool)
+def test_projected_path_and_lift(case, odd):
+    """Also with one value of the last point made a float or a bool."""
     names, points = case
-    assert outcome(lift, ProjectedPath(names, points)) == outcome(
-        ref_lift, names, points)
+    if odd is not None and points and points[-1]:
+        points[-1][-1] = odd(points[-1][-1])
+    got = outcome(lift, ProjectedPath(names, points))
+    assert got == outcome(ref_lift, names, points)
+    if got[0] == "ok":
+        assert_int_path(got[1])
 
 
 @settings(max_examples=300, deadline=None)

