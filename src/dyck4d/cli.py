@@ -99,9 +99,16 @@ _non_negative = _int_at_least(0)
 _box_n = _int_at_least(1, 10**300)
 #: The geometry report's float side lengths (√6·n at most) leave float range near n = 7.3e307.
 _geometry_n = _int_at_least(0, 10**307)
-#: The triangle overlay draws 3(n + 1) side nodes: its time, memory and SVG bytes
-#: grow with n, so with --triangle n stops where the SVG is a few MB.
+#: The triangle overlay and the JSON geometry report list the 3(n + 1) side nodes:
+#: their time, memory and bytes grow with n, so there n stops at a few MB of output.
 _TRIANGLE_N = 10**5
+
+
+def _side_nodes_option(args) -> str | None:
+    """The option with which a request lists the triangle's side nodes, or None."""
+    if getattr(args, "triangle", False):
+        return "--triangle"
+    return "--format json" if args.subcommand == "geometry" and args.format == "json" else None
 
 
 def _axes_arg(text: str):
@@ -330,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("geometry", help="triangle and box report")
     p.add_argument("--n", type=_geometry_n, required=True)
     _add_format(p)
-    p.set_defaults(handler=cmd_geometry)
+    p.set_defaults(handler=cmd_geometry, subparser=p)
 
     p = sub.add_parser("enumerate", help="all words of a half-length, in order")
     p.add_argument("--n", type=_non_negative, required=True)
@@ -366,14 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     shown.add_argument("--triangle", action="store_true", help="overlay the triangle sides")
     w.add_argument("--out", default=None)
     w.add_argument("--edges", default=None, help="also write the edge-list file here")
-    w.set_defaults(handler=cmd_render, view_parser=w)
+    w.set_defaults(handler=cmd_render, subparser=w)
 
     s = view.add_parser("schlegel", help="nested-cube view of the 4D box")
     s.add_argument("--n", type=_box_n, required=True)
     s.add_argument("--triangle", action="store_true")
     s.add_argument("--out", default=None)
     s.add_argument("--edges", default=None)
-    s.set_defaults(handler=cmd_render, view_parser=s)
+    s.set_defaults(handler=cmd_render, subparser=s)
 
     return parser
 
@@ -381,9 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "triangle", False) and args.n > _TRIANGLE_N:
-            args.view_parser.error(f"argument --n: must be at most {_TRIANGLE_N:.0e} "
-                                   "with --triangle")
+        option = _side_nodes_option(args)
+        if option is not None and args.n > _TRIANGLE_N:
+            args.subparser.error(f"argument --n: must be at most {_TRIANGLE_N:.0e} with {option}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -27,7 +27,10 @@ def _formatted(template: str, *values, fallback=None):
 
 
 def _half_length(n: int) -> int:
-    """``n``, the half-length of a word or triangle, once it is not negative."""
+    """``n``, the half-length of a word or triangle, once it is an int (not a bool
+    or a float) and not negative."""
+    if type(n) is not int:
+        raise TypeError(f"half-length must be an int, not {type(n).__name__}")
     if n < 0:
         raise ValueError("half-length must be non-negative")
     return n

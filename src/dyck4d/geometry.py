@@ -16,7 +16,6 @@ import itertools
 import math
 from typing import NamedTuple
 
-from . import lattice
 from .errors import _half_length
 from .words import AXES, ORIGIN, LatticeNode, _nodes
 
@@ -124,18 +123,16 @@ def verify_flat(subject) -> FlatnessResult:
     That identity says q lies in the 2-plane spanned by the two step
     vectors through the origin; it reduces to i = l + r and j = l - r,
     since the l and r components are trivially equal.  ``subject`` may be
-    an int n or any iterable of 4-tuples such as a Path4D; the first
+    a half-length n or any iterable of 4-tuples such as a Path4D; the first
     violating node is returned as witness.  The triangle of half-length n is
-    checked on the heads of its rows 0 and 1 alone, in O(1) time for any n.
+    checked on its three vertices alone, in O(1) time for any n.
     """
-    if isinstance(subject, int):
-        # Every other node is one of these two heads plus whole multiples of
-        # two steps: head(i + 2) = head(i) + (2, 0, 1, 1), and along a row
-        # each node adds (0, 2, 1, -1).  Both steps satisfy i = l + r and
-        # j = l - r, which are linear, so the triangle is flat exactly when
-        # both heads are; they come first in (i, j) order, so a failing head
-        # is also the triangle's first violating node.
-        subject = (head for head, _ in itertools.islice(lattice._region_rows(subject), 2))
+    if not hasattr(subject, "__iter__"):
+        # Every node l·UP_STEP + r·DOWN_STEP, n >= l >= r >= 0, is an affine
+        # combination of the origin, the end n·(UP_STEP + DOWN_STEP) and the
+        # apex n·UP_STEP; i = l + r and j = l - r are linear, so the triangle
+        # is flat exactly when its vertices are.
+        subject = _ends(_half_length(subject))[0]
     for node in subject:
         i, j, l, r = node
         if i != l + r or j != l - r:
@@ -162,7 +159,7 @@ def verify_right_isosceles(n: int) -> RightIsoscelesReport:
     the direction vectors of AB and BC are the two step vectors, and
     their scalar product vanishes.
     """
-    if n < 1:
+    if _half_length(n) < 1:
         raise ValueError("the angle degenerates at a point; need n >= 1")
     a = LatticeNode(n - 1, n - 1, n - 1, 0)
     b = LatticeNode(n, n, n, 0)
@@ -203,7 +200,7 @@ class Cell(NamedTuple):
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """The 12 edges of the cell, as index pairs into its own vertex list."""
-        return _box_edges(self.vertices)
+        return _CELL_EDGES
 
 
 class DoubleTesseract(NamedTuple):
@@ -227,7 +224,7 @@ class DoubleTesseract(NamedTuple):
 
 def double_tesseract(n: int) -> DoubleTesseract:
     """Vertices, edges and cells of the enclosing box for half-length n."""
-    if n < 1:
+    if _half_length(n) < 1:
         raise ValueError("the box degenerates below n = 1")
     extents = tuple(e * n for e in _EXTENTS)
     vertices = _box_corners((0, e) for e in extents)
@@ -253,14 +250,16 @@ def _box_corners(bounds) -> tuple[LatticeNode, ...]:
 # The box's extent along each axis, in units of n: [0, 2n] x [0, n]³.  Every box
 # with four positive extents lists its corners in the unit box's order, so it
 # shares the unit box's topology: its edges as corner index pairs and, per axis,
-# the corner indices of its low and its high cell.  An axis's two cells are cubes
-# when the other three extents are equal.
+# the corner indices of its low and its high cell.  Every cell lists its corners
+# in the order of the unit box's first 8, its low i cell, so all share their edges.
+# An axis's two cells are cubes when the other three extents are equal.
 _EXTENTS = (2, 1, 1, 1)
 _UNIT_CORNERS = _box_corners(((0, 1),) * 4)
 _BOX_EDGES = _box_edges(_UNIT_CORNERS)
 _CELL_INDICES = tuple(tuple(tuple(k for k, v in enumerate(_UNIT_CORNERS) if v[position] == value)
                             for value in (0, 1))
                       for position in range(4))
+_CELL_EDGES = _box_edges(_UNIT_CORNERS[:8])
 _CUBE_CELLS = tuple(len(set(_EXTENTS[:p] + _EXTENTS[p + 1:])) == 1 for p in range(4))
 
 
@@ -286,10 +285,9 @@ def face_of_side(side: str, n: int) -> SideFace:
     diagonal = _ends(n)[1][side]
     if side == "blue":
         return SideFace(side, box.cell("j", 0), None, None, diagonal)
+    cube = _box_corners(map(sorted, zip(*diagonal)))  # the diagonal's bounding box
     if side == "red":
-        cube = _box_corners(((0, n), (0, n), (0, n), (0, 0)))
         return SideFace(side, box.cell("r", 0), "low-i", cube, diagonal)
-    cube = _box_corners(((n, 2 * n), (0, n), (n, n), (0, n)))
     return SideFace(side, box.cell("l", n), "high-i", cube, diagonal)
 
 

@@ -21,11 +21,12 @@ from .words import AXES, LatticeNode, _nodes
 def is_lattice_node(i: int, j: int, l: int, r: int, n: int | None = None) -> bool:
     """True iff (i, j, l, r) is a node of the triangle of half-length n (None: the whole lattice).
 
-    Never raises: coordinates that break the tie, or an n below 0, simply yield False.
+    Never raises: coordinates that break the tie or are not equal to ints (1.5,
+    but not 1.0), or an n below 0, simply yield False.
     """
     if i != l + r or j != l - r:
         return False
-    if r < 0 or l < r:
+    if r < 0 or l < r or l % 1 or r % 1:
         return False
     return n is None or l <= n
 
@@ -72,7 +73,7 @@ def complete_node(i: int | None = None, j: int | None = None,
     if not is_lattice_node(*node):
         raise NotInLattice(_formatted("completion of {} gives {}",
                                       dict(sorted(given.items())), tuple(node)))
-    return node
+    return LatticeNode(*map(int, node))
 
 
 def _region_rows(n: int):
@@ -111,7 +112,8 @@ def count_paths_through(node, n: int) -> int:
     node = LatticeNode(*node)
     if not is_lattice_node(*node, n):
         raise NotInLattice(_formatted("{} is not in the lattice bounded by n={}", tuple(node), n))
-    return _ballot(node.l, node.r) * _ballot(n - node.r, n - node.l)
+    l, r = int(node.l), int(node.r)  # an integral float node counts as its int node
+    return _ballot(l, r) * _ballot(n - r, n - l)
 
 
 def _all_counts(n: int):

@@ -12,7 +12,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from dyck4d import (AXIS_SETS, SIDES, MalformedPath, NotInLattice, ProjectedPath,
@@ -329,7 +329,7 @@ class TestGeometry:
         assert "16 vertices, 32 edges, 8 cells (2 cubes)" in out
 
     def test_text_report_at_the_largest_n(self, capsys):
-        # flatness is read from two row heads, so the report costs O(1) in n
+        # flatness is read from the triangle's three vertices, so the report costs O(1) in n
         rc, out, err = run(capsys, "geometry", "--n", str(10**307))
         assert (rc, err) == (0, "")
         assert out.startswith(f"n={10**307} origin=[0, 0, 0, 0] end=[{2 * 10**307}, 0, ")
@@ -339,6 +339,20 @@ class TestGeometry:
         rc, out, err = run(capsys, "geometry", "--n", str(10**307 + 1))
         assert (rc, out) == (2, "")
         assert err.endswith("argument --n: must be at most 1e+307\n")
+
+    @pytest.mark.parametrize("n", [10**5 + 1, 10**301], ids=["1e5+1", "1e301"])
+    def test_json_n_past_largest(self, n):
+        # JSON lists the 3(n + 1) side nodes, as --triangle draws them: unbounded,
+        # n = 10**6 took 6.5 s and 748 MB, and 10**301 would never end
+        result = _run_in_256_mb(["geometry", "--n", str(n), "--format", "json"])
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.endswith("argument --n: must be at most 1e+05 with --format json\n")
+        assert "Traceback" not in result.stderr
+
+    def test_json_at_the_largest_n(self, capsys):
+        rc, out, err = run(capsys, "geometry", "--n", str(10**5), "--format", "json")
+        assert (rc, err) == (0, "")
+        assert len(json.loads(out)["sides"]["yellow"]["nodes"]) == 10**5 + 1
 
     def test_text_memory_does_not_grow_with_n(self, capsys):
         # the text report prints no side node, so none is built
@@ -923,9 +937,6 @@ class TestTotality:
                max_size=2))
     def test_every_subcommand(self, command_n, extra):
         command, n = command_n
-        # JSON geometry lists the 3(n + 1) side nodes; text mode prints a few lines
-        assume(not (command == ["geometry"] and n == str(10**301)
-                    and ["--format", "json"] in extra))
         _run_total(command + ["--n", n] + sum(extra, []))
 
 

@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import io
+import itertools
 import math
 import random
 import tracemalloc
@@ -12,7 +15,7 @@ from dyck4d import (DOWN_STEP, SIDES, UP_STEP, LatticeNode, catalan,
                     norm_squared, parse_word, render_grid_2d, sample_uniform, side_length,
                     side_length_squared, sub, triangle, unrank, verify_flat,
                     verify_right_isosceles, word_to_path)
-from dyck4d import cli, geometry
+from dyck4d import cli, geometry, lattice
 from dyck4d.geometry import _box_edges, _side_columns
 
 UP = UP_STEP
@@ -350,6 +353,92 @@ class TestFlatnessByRows:
         assert geometry_report(20_000)["flat"] is True
 
 
+class TestFlatnessByVertices:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 25])
+    def test_nodes_are_affine_combinations_of_the_vertices(self, n):
+        # n·(l·UP + r·DOWN) = (n - l)·origin + (l - r)·apex + r·end, with weights
+        # n - l, l - r, r >= 0 summing to n, so i = l + r and j = l - r, being
+        # linear, hold on the whole triangle once they hold on its vertices
+        origin, end, apex = triangle(n)[1:4]
+        for node in enumerate_nodes(n):
+            weights = (n - node.l, node.l - node.r, node.r)
+            assert min(weights) >= 0 and sum(weights) == n
+            assert tuple(n * x for x in node) == tuple(
+                sum(w * c for w, c in zip(weights, column)) for column in zip(origin, apex, end))
+        assert verify_flat([origin, end, apex]) == verify_flat(n) == (True, None)
+
+
+# ``render wireframe --n 6 --cell <cell> --edges <file>`` as recorded while each cell
+# still derived its edges from its own corners: the SHA-256 of the SVG on stdout,
+# then of the edge list.
+_CELL_FIGURES = {
+    "imin": ("014639a13629cb1136cc37c92e4a95e0bd563d810115a1f864c3d0c686c3d294",
+             "e358705cd65fbb04a6ba57df3df6c230839e0447678aa6c6737aa8e9e0b8f481"),
+    "imax": ("014639a13629cb1136cc37c92e4a95e0bd563d810115a1f864c3d0c686c3d294",
+             "ed140741389ec4dc201d42a61ebc5b0b35856da854b1f67a54bb7e78c2b2eac6"),
+    "jmin": ("649e47e9df4eda68acdbb1063e2bdda2e060e8c0dfa7a95d92676310cac67e32",
+             "335f6a5d21a350f375b5166773fff52a532f37eb6fab1f5dbb4eb792e25eaff2"),
+    "jmax": ("649e47e9df4eda68acdbb1063e2bdda2e060e8c0dfa7a95d92676310cac67e32",
+             "f81bcad7a5ec8e9e24381771415bddd3531b79925f5aa8d7ef2552c0caed8183"),
+    "lmin": ("9f4a49e776ed27a572e8b45d171ac6523d5d5c892b3412c2a9a0667e9985f156",
+             "4c1b37ab7ffa04d8f440566c23b87d0768a3e274e0e68ccddaf976ccf24c54a9"),
+    "lmax": ("9f4a49e776ed27a572e8b45d171ac6523d5d5c892b3412c2a9a0667e9985f156",
+             "615c2b88ceda28185909fcf6c535159ddc29952c80485daee37432f6e4ec2470"),
+    "rmin": ("6b432a0ad31c49097a004209add0f0f891a47aba4c3dd5b2847520b542c230c6",
+             "ea5767446df2b3d1deab22280ee85e9e1e2860c5a76ff3d4da7c442f97a0dcd9"),
+    "rmax": ("6b432a0ad31c49097a004209add0f0f891a47aba4c3dd5b2847520b542c230c6",
+             "549175fc88d1626412676850c3c48e890fc3eacc5e3cf56ed2c2ca1cafb75724"),
+}
+
+
+class TestUnitFigures:
+    """Requests read the cells' edges, the half-cubes and the triangle's flatness off
+    figures stated once: none derives a box's edges from its corners, and none reads
+    the rows of the lattice."""
+
+    @pytest.fixture(autouse=True)
+    def no_derivation(self, monkeypatch):
+        def derived(*args):
+            raise AssertionError("a request derived a figure stated once")
+
+        monkeypatch.setattr(geometry, "_box_edges", derived)
+        monkeypatch.setattr(lattice, "_region_rows", derived)
+
+    @pytest.mark.parametrize("cell", sorted(_CELL_FIGURES))
+    def test_cell_figure(self, cell, tmp_path):
+        edges = tmp_path / "edges.txt"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(["render", "wireframe", "--n", "6", "--cell", cell,
+                           "--edges", str(edges)])
+        assert rc == 0
+        assert (hashlib.sha256(out.getvalue().encode()).hexdigest(),
+                hashlib.sha256(edges.read_bytes()).hexdigest()) == _CELL_FIGURES[cell]
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_face_of_side(self, n):
+        box = double_tesseract(n)
+        cubes = {"red": ((0, n), (0, n), (0, n), (0,)),
+                 "yellow": ((n, 2 * n), (0, n), (n,), (0, n))}
+        expected = {
+            "blue": (box.cell("j", 0), None, None, ((0, 0, 0, 0), (2 * n, 0, n, n))),
+            "red": (box.cell("r", 0), "low-i", cubes["red"], ((0, 0, 0, 0), (n, n, n, 0))),
+            "yellow": (box.cell("l", n), "high-i", cubes["yellow"],
+                       ((n, n, n, 0), (2 * n, 0, n, n))),
+        }
+        for side in SIDES:
+            cell, half, bounds, diagonal = expected[side]
+            cube = None if bounds is None else tuple(
+                LatticeNode(*corner) for corner in itertools.product(*bounds))
+            face = face_of_side(side, n)
+            assert face == (side, cell, half, cube, diagonal)
+            assert all(type(v) is LatticeNode for v in face.cube_vertices or ())
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 10**301], ids=["0", "1", "7", "1e301"])
+    def test_flatness(self, n):
+        assert repr(verify_flat(n)) == "FlatnessResult(flat=True, witness=None)"
+
+
 class TestSideLengthRange:
     def test_beyond_float_squares(self):
         n = 10**160
@@ -398,31 +487,45 @@ class TestRecords:
 
 _NEGATIVE = "half-length must be non-negative"
 
+# Every public entry that takes a half-length n, as a call of n.
+_OF_N = {
+    "triangle": triangle,
+    "geometry_report": geometry_report,
+    "side_length_squared": lambda n: side_length_squared("red", n),
+    "face_of_side": lambda n: face_of_side("red", n),
+    "double_tesseract": double_tesseract,
+    "verify_right_isosceles": verify_right_isosceles,
+    "catalan": catalan,
+    "enumerate_words": lambda n: next(enumerate_words(n)),
+    "unrank": lambda n: unrank(0, n),
+    "sample_uniform": lambda n: sample_uniform(n, 0),
+    "enumerate_nodes": enumerate_nodes,
+    "verify_flat": verify_flat,
+    "count_paths_through": lambda n: count_paths_through((0, 0, 0, 0), n),
+    "count_paths_through-malformed-node": lambda n: count_paths_through((0, 0), n),
+    "side_length": lambda n: side_length("green", n),
+    "render_grid_2d": lambda n: render_grid_2d("lr", n),
+}
 
-# Every public entry that takes a half-length n, at n = -1: one rule, one message,
-# checked before the node of count_paths_through and the side of side_length.
-@pytest.mark.parametrize("call, message", [
-    (lambda: triangle(-1), _NEGATIVE),
-    (lambda: geometry_report(-1), _NEGATIVE),
-    (lambda: side_length_squared("red", -1), _NEGATIVE),
-    (lambda: face_of_side("red", 0), "the box degenerates below n = 1"),
-    (lambda: catalan(-1), _NEGATIVE),
-    (lambda: next(enumerate_words(-1)), _NEGATIVE),
-    (lambda: unrank(0, -1), _NEGATIVE),
-    (lambda: sample_uniform(-1, 0), _NEGATIVE),
-    (lambda: enumerate_nodes(-1), _NEGATIVE),
-    (lambda: verify_flat(-1), _NEGATIVE),
-    (lambda: count_paths_through((0, 0, 0, 0), -1), _NEGATIVE),
-    (lambda: count_paths_through((0, 0), -1), _NEGATIVE),
-    (lambda: side_length("green", -1), _NEGATIVE),
-    (lambda: render_grid_2d("lr", -1), _NEGATIVE),
-], ids=["triangle", "geometry_report", "side_length_squared", "face_of_side", "catalan",
-        "enumerate_words", "unrank", "sample_uniform", "enumerate_nodes", "verify_flat",
-        "count_paths_through", "count_paths_through-malformed-node", "side_length",
-        "render_grid_2d"])
-def test_half_length_out_of_range(call, message):
+
+# At n = -1: one rule, one message, checked before the box's own n >= 1 rule, the
+# node of count_paths_through and the side of side_length; face_of_side keeps the
+# box's message at n = 0.
+@pytest.mark.parametrize("name", sorted(_OF_N))
+def test_half_length_out_of_range(name):
+    n, message = (-1, _NEGATIVE)
+    if name == "face_of_side":
+        n, message = 0, "the box degenerates below n = 1"
     with pytest.raises(ValueError, match=f"^{message}$"):
-        call()
+        _OF_N[name](n)
+
+
+# A half-length is an int, not a bool or a float equal to one; each entry names the type.
+@pytest.mark.parametrize("n", [True, 1.0, 1.5], ids=["True", "1.0", "1.5"])
+@pytest.mark.parametrize("name", sorted(_OF_N))
+def test_half_length_of_another_type(name, n):
+    with pytest.raises(TypeError, match=f"^half-length must be an int, not {type(n).__name__}$"):
+        _OF_N[name](n)
 
 
 @pytest.mark.parametrize("call, key", [

@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 import random
 
 import pytest
@@ -47,6 +49,39 @@ class TestMembership:
             count_paths_through((0, 0, 0, 0), -1)
         # membership never raises: no node lies in a triangle of negative half-length
         assert not is_lattice_node(0, 0, 0, 0, -1)
+
+
+class TestIntNodes:
+    """A node's coordinates are ints: a value equal to an int (1.0, True) stands for
+    that int, and any other value (1.5, inf, nan) is not a lattice coordinate."""
+
+    def test_membership(self):
+        assert is_lattice_node(2.0, 0.0, 1.0, True)
+        assert is_lattice_node(2.0, 0.0, 1.0, 1.0, 3)
+        for node in [(2.0, 1.0, 1.5, 0.5), (1.0, 0.0, 0.5, 0.5), (3.0, 0.0, 1.5, 1.5),
+                     (math.inf, math.inf, math.inf, 0), (math.nan, 0, 0, 0),
+                     (math.inf, 0, math.inf, math.inf)]:
+            assert not is_lattice_node(*node)
+            assert not is_lattice_node(*node, 3)
+
+    def test_completion_is_the_int_node(self):
+        node = complete_node(l=1.0, r=True)
+        assert node == LatticeNode(2, 0, 1, 1)
+        assert [type(v) for v in node] == [int] * 4
+        assert json.dumps(node) == "[2, 0, 1, 1]"
+        assert list(map(type, complete_node(i=4.0, j=2.0))) == [int] * 4
+
+    def test_completion_of_halves(self):
+        with pytest.raises(NotInLattice, match=r"^completion of \{'l': 1.5, 'r': 0.5\} "
+                                               r"gives \(2.0, 1.0, 1.5, 0.5\)$"):
+            complete_node(l=1.5, r=0.5)
+
+    def test_count_of_an_integral_float_node(self):
+        assert count_paths_through((2.0, 0.0, 1.0, 1.0), 3) == count_paths_through(
+            (2, 0, 1, 1), 3) == 2
+        assert type(count_paths_through((2.0, 0.0, 1.0, True), 3)) is int
+        with pytest.raises(NotInLattice):
+            count_paths_through((2.0, 1.0, 1.5, 0.5), 3)
 
 
 class TestCompleteNode:

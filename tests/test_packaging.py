@@ -96,3 +96,15 @@ def test_cli_import_loads_only_what_counting_runs():
     assert package.split() == ["dyck4d", "dyck4d.cli", "dyck4d.enumeration",
                                "dyck4d.errors", "dyck4d.lattice", "dyck4d.words"]
     assert stdlib == ""
+
+
+def test_geometry_import_loads_only_words_and_errors():
+    # the triangle's flatness is read off its vertices, so geometry needs no lattice
+    src = str(Path(dyck4d.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, dyck4d.geometry; print(*sorted(m for m in sys.modules if 'dyck4d' in m))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=30, check=True)
+    assert result.stdout.split() == ["dyck4d", "dyck4d.errors", "dyck4d.geometry",
+                                     "dyck4d.words"]
