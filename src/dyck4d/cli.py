@@ -18,7 +18,7 @@ import random
 import stat
 import sys
 from contextlib import ExitStack, nullcontext, suppress
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from . import __version__, enumeration, lattice, words
 from .errors import DyckError, InvalidJson, OutOfMemory, UnreadableInput, UnwritableOutput
@@ -259,10 +259,7 @@ def _rank_line(args, text: str) -> str:
 
 
 def cmd_sample(args) -> int:
-    rng = random.Random(args.seed)
-    total = None
-    for _ in range(args.count):
-        k, word, total = enumeration._draw(rng, args.n, total)
+    for k, word in islice(enumeration._draws(random.Random(args.seed), args.n), args.count):
         print(_ranked_line(args, word, k, word))
     return 0
 

@@ -109,6 +109,8 @@ def _bought_table(n: int):
 
 def rank(word: DyckWord) -> int:
     """Index of ``word`` in the lexicographic enumeration of its half-length."""
+    if not isinstance(word, DyckWord):
+        raise TypeError(f"word must be a DyckWord, not {type(word).__name__}")
     n = word.n
     table = _bought_table(n)
     # table[row][col] = B(row, col) with row = n - r, col = n - l - 1 counts the
@@ -136,7 +138,10 @@ def rank(word: DyckWord) -> int:
 
 def unrank(k: int, n: int) -> DyckWord:
     """Inverse of :func:`rank`: the k-th word of half-length n."""
-    table = _bought_table(_half_length(n))
+    _half_length(n)
+    if type(k) is not int:
+        raise TypeError(f"rank must be an int, not {type(k).__name__}")
+    table = _bought_table(n)
     return _unrank(k, n, table, table[n][n] if table else catalan(n))
 
 
@@ -175,16 +180,15 @@ def draw_uniform_rank(rng: random.Random, total: int) -> int:
             return k
 
 
-def _draw(rng: random.Random, n: int, total: int | None = None):
-    """(rank, word, catalan(n)) of one uniform draw at n, with one buy-rule call.
-
-    catalan(n) is read from the table when it covers n, else it is ``total`` if
-    the caller has it from an earlier draw, else computed here.
-    """
-    table = _bought_table(_half_length(n))
-    total = table[n][n] if table else total or catalan(n)
-    k = draw_uniform_rank(rng, total)
-    return k, _unrank(k, n, table, total), total
+def _draws(rng: random.Random, n: int) -> Iterator[tuple[int, DyckWord]]:
+    """(rank, word) of each uniform draw at n from ``rng``, one buy-rule call per draw;
+    catalan(n) is read from the table when it covers n, else computed once for the stream."""
+    total = None
+    while True:
+        table = _bought_table(_half_length(n))
+        total = table[n][n] if table else total or catalan(n)
+        k = draw_uniform_rank(rng, total)
+        yield k, _unrank(k, n, table, total)
 
 
 def sample_uniform(n: int, seed: int) -> DyckWord:
@@ -194,4 +198,4 @@ def sample_uniform(n: int, seed: int) -> DyckWord:
     Twister seeded with ``seed`` and unranks it, so uniformity over words
     is exactly uniformity over ranks.
     """
-    return _draw(random.Random(seed), n)[1]
+    return next(_draws(random.Random(seed), n))[1]

@@ -17,7 +17,7 @@ import math
 from typing import NamedTuple
 
 from .errors import _half_length
-from .words import AXES, ORIGIN, LatticeNode, _nodes
+from .words import AXES, DOWN_STEP, ORIGIN, UP_STEP, LatticeNode, _nodes
 
 
 def dot(a, b) -> int:
@@ -68,6 +68,10 @@ def _ends(n: int) -> tuple[tuple[LatticeNode, LatticeNode, LatticeNode], dict]:
     return (ORIGIN, end, apex), sides
 
 
+#: Each side's squared length at n = 1: the triangle at n is n times that unit triangle.
+_UNIT_SQUARES = {side: norm_squared(sub(b, a)) for side, (a, b) in _ends(1)[1].items()}
+
+
 def _side_columns(n: int) -> tuple:
     """Each side's (i, j, l, r) columns for half-length n, in ``SIDES`` order.
 
@@ -93,8 +97,7 @@ def triangle(n: int) -> TriangleGeometry:
 
 def side_length_squared(side: str, n: int) -> int:
     """Squared Euclidean length of a side, an exact integer (6n² or 3n²)."""
-    start, end = _ends(_half_length(n))[1][side]
-    return norm_squared(sub(end, start))
+    return _half_length(n) ** 2 * _UNIT_SQUARES[side]
 
 
 def side_length(side: str, n: int) -> float:
@@ -154,28 +157,20 @@ class RightIsoscelesReport(NamedTuple):
 def verify_right_isosceles(n: int) -> RightIsoscelesReport:
     """Right angle, equal legs and the Pythagorean identity, all as integers.
 
-    The right angle is tested at the apex through the three nodes
-    A = (n-1, n-1, n-1, 0), B = (n, n, n, 0), C = (n+1, n-1, n, 1):
-    the direction vectors of AB and BC are the two step vectors, and
-    their scalar product vanishes.
+    The right angle is tested at the apex: the red leg runs into it along
+    UP_STEP and the yellow leg out of it along DOWN_STEP, and the scalar
+    product of the two step vectors vanishes.
     """
     if _half_length(n) < 1:
         raise ValueError("the angle degenerates at a point; need n >= 1")
-    a = LatticeNode(n - 1, n - 1, n - 1, 0)
-    b = LatticeNode(n, n, n, 0)
-    c = LatticeNode(n + 1, n - 1, n, 1)
-    ab = sub(b, a)
-    bc = sub(c, b)
-    red2 = side_length_squared("red", n)
-    yellow2 = side_length_squared("yellow", n)
-    blue2 = side_length_squared("blue", n)
+    red2, yellow2, blue2 = (side_length_squared(side, n) for side in ("red", "yellow", "blue"))
     return RightIsoscelesReport(
         n=n,
-        right_angle=dot(ab, bc) == 0,
+        right_angle=dot(UP_STEP, DOWN_STEP) == 0,
         isosceles=red2 == yellow2,
         pythagoras=red2 + yellow2 == blue2,
-        direction_ab=ab,
-        direction_bc=bc,
+        direction_ab=UP_STEP,
+        direction_bc=DOWN_STEP,
     )
 
 

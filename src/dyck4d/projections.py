@@ -54,8 +54,9 @@ def _selector(axes):
 
 
 def project(path: Path4D, axes: str) -> ProjectedPath:
-    """Pointwise coordinate selection; the node order is preserved."""
-    return ProjectedPath(axes, tuple(map(_selector(axes), path)))
+    """Pointwise coordinate selection, in node order; checks the axis set first,
+    then ``path`` as :class:`Path4D` checks it."""
+    return ProjectedPath(axes, tuple(map(_selector(axes), Path4D(path))))
 
 
 def _lift_columns(axes: str, points) -> tuple[tuple[int, ...], ...]:

@@ -221,8 +221,8 @@ def word_to_path(word: DyckWord) -> Path4D:
 
 
 def path_to_word(path: Path4D) -> DyckWord:
-    """Inverse of :func:`word_to_path`."""
-    return _word_of(tuple(map(itemgetter(2), path)))
+    """Inverse of :func:`word_to_path`; ``path`` is checked as :class:`Path4D` checks it."""
+    return _word_of(tuple(map(itemgetter(2), Path4D(path))))
 
 
 def _first_bad_row(rows, width: int):

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -435,3 +436,30 @@ def test_negative_half_length_rejected(call, fresh_counting):
     enumeration._table = _prefix_rows(3)  # a table covers every n below its length, not n < 0
     with pytest.raises(ValueError, match="^half-length must be non-negative$"):
         call()
+
+
+@pytest.mark.parametrize("n", [0, 3, 12, 200])
+def test_sample_command_starts_with_sample_uniform(n, capsys):
+    # the command prints the first --count draws of one stream, and sample_uniform is its first
+    for seed in (0, 5):
+        assert main(["sample", "--n", str(n), "--seed", str(seed), "--count", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and lines[0] == sample_uniform(n, seed)
+
+
+@pytest.mark.parametrize("word", ["()", b"()", None], ids=["str", "bytes", "None"])
+def test_rank_takes_a_dyck_word(word):
+    with pytest.raises(TypeError, match=f"^word must be a DyckWord, not {type(word).__name__}$"):
+        rank(word)
+
+
+@pytest.mark.parametrize("k", [True, 1.0, "1", Fraction(1)],
+                         ids=["bool", "float", "str", "Fraction"])
+def test_unrank_takes_an_int_rank(k, fresh_counting):
+    # rejected before the buy rule, so the call charges no walk and buys no table
+    with pytest.raises(TypeError, match=f"^rank must be an int, not {type(k).__name__}$"):
+        unrank(k, 2)
+    assert enumeration._walked == 0 and enumeration._table == ()
+    # the half-length rule comes first
+    with pytest.raises(ValueError, match="^half-length must be non-negative$"):
+        unrank(k, -1)

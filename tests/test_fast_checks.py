@@ -396,6 +396,23 @@ def test_path4d(rows, kind):
 
 
 @settings(max_examples=300, deadline=None)
+@given(odd_node_rows(), st.sampled_from((list, tuple, LatticeNode._make)),
+       st.sampled_from(AXIS_SETS))
+@example([[0, 0, 0, 0], [9, 9, 1, 0], [9, 9, 1, 1]], tuple, "lr")
+@example([[0, 0, 0, 0], [9, 9, 1, 0]], tuple, "lr")
+@example([], tuple, "lr")
+def test_path_to_word_and_project_check_as_path4d(rows, kind, axes):
+    # each fails exactly where Path4D fails, and otherwise reads the checked path
+    nodes = [kind(row) if len(row) == 4 else tuple(row) for row in rows]
+    got = outcome(Path4D, nodes)
+    if got[0] == "ok":
+        assert outcome(path_to_word, nodes) == outcome(path_to_word, got[1])
+        assert outcome(project, nodes, axes) == outcome(project, got[1], axes)
+    else:
+        assert outcome(path_to_word, nodes) == outcome(project, nodes, axes) == got
+
+
+@settings(max_examples=300, deadline=None)
 @given(node_rows(), st.sampled_from((None, float, bool, str)))
 def test_path_from_lists(rows, odd):
     if odd is not None and rows and rows[-1]:

@@ -439,6 +439,44 @@ class TestUnitFigures:
         assert repr(verify_flat(n)) == "FlatnessResult(flat=True, witness=None)"
 
 
+class TestUnitTriangle:
+    """The triangle of half-length n is n times the unit triangle: every squared side
+    length and the right angle's legs are read off it, with no node subtracted after
+    import, and give the values and bytes they gave when each call subtracted nodes."""
+
+    @pytest.fixture(autouse=True)
+    def no_subtraction(self, monkeypatch):
+        def subtracted(*args):
+            raise AssertionError("a request subtracted nodes")
+
+        monkeypatch.setattr(geometry, "sub", subtracted)
+        monkeypatch.setattr(geometry, "norm_squared", subtracted)
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 10**300], ids=["0", "1", "6", "1e300"])
+    def test_side_length_squared(self, n):
+        squares = [side_length_squared(side, n) for side in SIDES]
+        assert squares == [6 * n * n, 3 * n * n, 3 * n * n]
+
+    @pytest.mark.parametrize("n", [1, 6, 10**300], ids=["1", "6", "1e300"])
+    def test_right_isosceles(self, n):
+        assert repr(verify_right_isosceles(n)) == (
+            f"RightIsoscelesReport(n={n}, right_angle=True, isosceles=True, pythagoras=True, "
+            "direction_ab=LatticeNode(i=1, j=1, l=1, r=0), "
+            "direction_bc=LatticeNode(i=1, j=-1, l=0, r=1))")
+
+    def test_reports(self, capsys):
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert digest(repr(geometry_report(6))) == (
+            "4072b13f14f105bdf40dd774c0fa07ee3b44b8466462ed831679c7f1e345e420")
+        assert digest(repr(geometry._summary(10**300))) == (
+            "2b71c05e33cb519a08c9a2b4bd134f75922fd9cdd536bf383e66b357703941dc")
+        assert cli.main(["geometry", "--n", "6"]) == 0
+        assert digest(capsys.readouterr().out) == (
+            "437abf593930b38666c6e36d8dbedb8f74597cb56868dff0af0ca60d6da3de57")
+
+
 class TestSideLengthRange:
     def test_beyond_float_squares(self):
         n = 10**160
