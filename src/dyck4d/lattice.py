@@ -4,16 +4,18 @@ The lattice is the set of integer points (i, j, l, r) with i = l + r,
 j = l - r and l >= r >= 0.  Bounding it by a half-length n keeps exactly
 the points reachable by balanced words of length 2n (additionally l <= n),
 a triangular slab of (n + 1)(n + 2) / 2 nodes.  Every count here is a
-closed form in ballot numbers, one node or one row of nodes at a time: this
-module builds no table.
+product of ballot numbers, one node or one row of nodes at a time, from
+``enumeration._ballot``: it reads the prefix table when the process holds
+one (two reads, about 2 µs a node at n = 1000, against 110 µs for the closed
+form) and never buys one, so counting keeps no state.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
-from math import comb
 from operator import add, floordiv, sub
 
+from .enumeration import _ballot
 from .errors import NotInLattice, ParityViolation, _formatted, _half_length
 from .words import AXES, LatticeNode, _nodes
 
@@ -22,13 +24,14 @@ def is_lattice_node(i: int, j: int, l: int, r: int, n: int | None = None) -> boo
     """True iff (i, j, l, r) is a node of the triangle of half-length n (None: the whole lattice).
 
     Never raises: coordinates that break the tie or are not equal to ints (1.5,
-    but not 1.0), or an n below 0, simply yield False.
+    but not 1.0), or an n that is below 0 or not an int (1.5, True, "1"), simply
+    yield False.
     """
     if i != l + r or j != l - r:
         return False
     if r < 0 or l < r or l % 1 or r % 1:
         return False
-    return n is None or l <= n
+    return n is None or type(n) is int and l <= n
 
 
 #: (l, r) columns from the columns of two axes, keyed by the axis names in i, j, l, r order.
@@ -94,11 +97,6 @@ def enumerate_nodes(n: int) -> list[LatticeNode]:
     return list(_nodes(chain.from_iterable(rows)))
 
 
-def _ballot(l: int, r: int) -> int:
-    """Prefixes reaching (l, r), r <= l: the ballot number C(l + r, r)(l - r + 1)/(l + 1)."""
-    return comb(l + r, r) * (l - r + 1) // (l + 1)
-
-
 def count_paths_through(node, n: int) -> int:
     """Number of words of half-length n whose path visits ``node``, exactly.
 
@@ -106,7 +104,8 @@ def count_paths_through(node, n: int) -> int:
     reaching the node times valid completions from it.  A completion from
     (l, r), read backwards with '(' and ')' swapped, is a prefix reaching
     (n - r, n - l), so each factor is a ballot number (Bertrand's ballot
-    theorem, by André's reflection) and no table is built.
+    theorem, by André's reflection), read from the prefix table when the
+    process holds its row and computed otherwise; no table is bought.
     """
     _half_length(n)  # before the node, so a negative n is named first
     node = LatticeNode(*node)

@@ -447,6 +447,14 @@ def test_sample_command_starts_with_sample_uniform(n, capsys):
         assert len(lines) == 3 and lines[0] == sample_uniform(n, seed)
 
 
+@pytest.mark.parametrize("total", [2.0, True, "3", Fraction(3)],
+                         ids=["float", "bool", "str", "Fraction"])
+def test_draw_uniform_rank_takes_an_int_total(total):
+    # before the sign check, as unrank checks its rank's type
+    with pytest.raises(TypeError, match=f"^total must be an int, not {type(total).__name__}$"):
+        draw_uniform_rank(random.Random(1), total)
+
+
 @pytest.mark.parametrize("word", ["()", b"()", None], ids=["str", "bytes", "None"])
 def test_rank_takes_a_dyck_word(word):
     with pytest.raises(TypeError, match=f"^word must be a DyckWord, not {type(word).__name__}$"):

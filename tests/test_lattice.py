@@ -50,6 +50,12 @@ class TestMembership:
         # membership never raises: no node lies in a triangle of negative half-length
         assert not is_lattice_node(0, 0, 0, 0, -1)
 
+    @pytest.mark.parametrize("n", ["1", 1.5, 1.0, True], ids=["str", "float", "int-float", "bool"])
+    def test_non_int_bound_is_no_triangle(self, n):
+        # every other entry rejects such an n with TypeError; membership answers False
+        assert not is_lattice_node(0, 0, 0, 0, n)
+        assert not is_lattice_node(2, 0, 1, 1, n)
+
 
 class TestIntNodes:
     """A node's coordinates are ints: a value equal to an int (1.0, True) stands for
@@ -271,3 +277,41 @@ class TestSharedTable:
         assert len(capsys.readouterr().out.splitlines()) == 31 * 32 // 2
         assert enumeration._table is table and enumeration._walked == 0
         assert built == [] and not hasattr(lattice, "_prefix_rows")
+
+
+@pytest.mark.usefixtures("fresh_counting")
+class TestCountsReadTheHeldTable:
+    """Every ballot number comes from ``enumeration._ballot``: a row the process's
+    prefix table holds is read, any other is computed, and no count buys a table."""
+
+    BRUTE = {n: oracles.visitation_counts(n) for n in range(9)}
+
+    @pytest.mark.parametrize("rows", [None, 8, 4], ids=["no-table", "rows-0-8", "rows-0-4"])
+    def test_every_node_up_to_8(self, rows):
+        # rows 0..4: at n = 8 a node reads one factor and computes the other
+        table = enumeration._table = () if rows is None else _prefix_rows(rows)
+        for n, brute in self.BRUTE.items():
+            for node in enumerate_nodes(n):
+                assert count_paths_through(node, n) == brute[tuple(node)]
+            assert list(_all_counts(n)) == [(node, brute[tuple(node)])
+                                            for node in enumerate_nodes(n)]
+        assert enumeration._table is table and enumeration._walked == 0
+
+    @pytest.mark.parametrize("rows", [None, 12, 6], ids=["no-table", "rows-0-12", "rows-0-6"])
+    def test_catalan(self, rows):
+        table = enumeration._table = () if rows is None else _prefix_rows(rows)
+        for n in range(13):
+            assert catalan(n) == math.comb(2 * n, n) // (n + 1)
+        assert enumeration._table is table and enumeration._walked == 0
+
+    def test_a_held_row_costs_no_binomial(self, monkeypatch):
+        calls = []
+        real = math.comb
+        monkeypatch.setattr(math, "comb", lambda a, b: calls.append((a, b)) or real(a, b))
+        node = LatticeNode(7, 1, 4, 3)
+        enumeration._table = _prefix_rows(10)
+        count = count_paths_through(node, 10)
+        assert calls == []
+        enumeration._table = ()
+        assert count_paths_through(node, 10) == count
+        assert calls == [(7, 3), (13, 6)]  # B(4, 3) and B(10 - 3, 10 - 4)

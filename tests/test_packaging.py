@@ -80,19 +80,29 @@ def test_axis_sets_and_figures_are_plain_values():
         assert not hasattr(importlib.import_module(f"dyck4d.{module}"), "dataclass")
 
 
-def test_cli_import_loads_only_what_counting_runs():
-    # geometry, projections and render are imported by the subcommands that use them
+def _child_stdout(code: str) -> str:
+    """What ``python -c code`` prints, with this checkout's package on the path."""
     src = str(Path(dyck4d.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=30, check=True).stdout
+
+
+def _package_modules_loaded_by(module: str) -> list[str]:
+    """The package's modules in sys.modules, sorted, after a fresh ``import module``."""
+    return _child_stdout(f"import sys, {module}\n"
+                         "print(*sorted(m for m in sys.modules if 'dyck4d' in m))").split()
+
+
+def test_cli_import_loads_only_what_counting_runs():
+    # geometry, projections and render are imported by the subcommands that use them
     # No module uses dataclasses, whose import pulls in inspect, ast, dis and tokenize;
     # only what the import adds counts, not what site loaded before it.
     code = ("import sys; before = set(sys.modules); import dyck4d.cli\n"
             "print(*sorted(m for m in sys.modules if 'dyck4d' in m))\n"
             "print(*sorted({'dataclasses', 'inspect'} & (sys.modules.keys() - before)))")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, timeout=30, check=True)
-    package, stdlib = result.stdout.split("\n")[:2]
+    package, stdlib = _child_stdout(code).split("\n")[:2]
     assert package.split() == ["dyck4d", "dyck4d.cli", "dyck4d.enumeration",
                                "dyck4d.errors", "dyck4d.lattice", "dyck4d.words"]
     assert stdlib == ""
@@ -100,11 +110,11 @@ def test_cli_import_loads_only_what_counting_runs():
 
 def test_geometry_import_loads_only_words_and_errors():
     # the triangle's flatness is read off its vertices, so geometry needs no lattice
-    src = str(Path(dyck4d.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, dyck4d.geometry; print(*sorted(m for m in sys.modules if 'dyck4d' in m))"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, timeout=30, check=True)
-    assert result.stdout.split() == ["dyck4d", "dyck4d.errors", "dyck4d.geometry",
-                                     "dyck4d.words"]
+    assert _package_modules_loaded_by("dyck4d.geometry") == [
+        "dyck4d", "dyck4d.errors", "dyck4d.geometry", "dyck4d.words"]
+
+
+def test_lattice_import_loads_only_what_counting_reads():
+    # a count reads its ballot numbers from enumeration, which holds the prefix table
+    assert _package_modules_loaded_by("dyck4d.lattice") == [
+        "dyck4d", "dyck4d.enumeration", "dyck4d.errors", "dyck4d.lattice", "dyck4d.words"]
