@@ -11,7 +11,11 @@ line and message, formatted for an 80-column terminal.
 SHA-256 of its stderr and its exit code, recorded from the row-by-row
 implementation.  An exception that escaped ``main`` there was recorded as
 ``"exception:<class>"``; those cases (``lift`` on JSON of the wrong shape) must
-now fail with one ``error:invalid-projection`` line and exit code 1.
+now fail with one ``error:invalid-projection`` line and exit code 1.  The
+fault cases (lifts bent mid-path on every grid, and path and projection lines
+with a bool or a float past their second row) were recorded before the lift
+check and the JSON reader moved to strided slices, and pin the error each
+line names.
 
 Record the cases that have no entry yet with
 ``PYTHONPATH=src python tests/test_paths_golden.py``; it keeps every recorded
@@ -124,6 +128,7 @@ def _cases():
             yield (f"lift --to {to} <empty word {axes}>", ["lift", "--to", to],
                    projected("", axes) + "\n")
     yield from _counting_cases()
+    yield from _fault_cases()
 
 
 #: A prefix whose unbalance never returns to 0 after its first step: every
@@ -167,6 +172,60 @@ def _counting_cases():
         yield " ".join(argv), argv, ""
     lines = "".join(f"{w}\n" for w in GOOD_WORDS + BAD_WORDS[:4])
     yield "rank --format json <good and bad words>", ["rank", "--format", "json"], lines
+
+
+#: A good word whose path the fault cases below break in one place each.
+BENT_WORD = GOOD_WORDS[9]
+
+
+def _bent_paths():
+    """(name, nodes) of node sequences that each break one rule of a path mid-path."""
+    nodes = oracles.visited_nodes(BENT_WORD)
+    middle = len(nodes) // 2
+    yield "not at the origin", nodes[1:]
+    yield "jump of 2", nodes[:middle] + nodes[middle + 1:]
+    yield "j < 0", oracles.visited_nodes(BENT_WORD + ")(" + BENT_WORD)
+
+
+def _bent_points(axes):
+    """(name, points) of projections onto ``axes`` whose lift fails: those of the
+    bent paths and, where the grid has a redundant coordinate, a point whose last
+    coordinate is one off (on ij, a point of mixed parity)."""
+    columns = ["ijlr".index(a) for a in axes]
+    for name, nodes in _bent_paths():
+        yield name, [[node[c] for c in columns] for node in nodes]
+    if axes == "ij" or len(axes) > 2:
+        points = [[node[c] for c in columns] for node in oracles.visited_nodes(BENT_WORD)]
+        points[len(points) // 2][-1] += 1
+        yield "mixed parity" if axes == "ij" else "disagreeing point", points
+
+
+def _with_value(path_json, node, column, value):
+    """``path_json`` with one value of one node written as the JSON text ``value``."""
+    rows = json.loads(path_json)
+    rows[node][column] = "@"
+    return json.dumps(rows, separators=(",", ":")).replace('"@"', value)
+
+
+def _fault_cases():
+    """Lifts that fail mid-path on every grid, and path and projection lines
+    whose first non-integer value lies past their second row."""
+    for axes in AXIS_SETS:
+        for name, points in _bent_points(axes):
+            line = json.dumps({"axes": list(axes), "points": points}, separators=(",", ":"))
+            for to in ("path", "word"):
+                yield f"lift --to {to} <{name} {axes}>", ["lift", "--to", to], line + "\n"
+    path = GOOD_PATHS[9]
+    for node, column, value in ((5, 0, "5.0"), (3, 2, "true"), (2, 3, "false"),
+                                (len(BENT_WORD), 1, "0.0")):
+        line = _with_value(path, node, column, value)
+        yield f"convert --to word <{value} at node {node}>", ["convert", "--to", "word"], line + "\n"
+    for axes, point, value in (("lr", 4, "3.0"), ("jr", 3, "true")):
+        rows = json.loads(projected(BENT_WORD, axes))["points"]
+        rows[point][1] = "@"
+        line = json.dumps({"axes": list(axes), "points": rows}, separators=(",", ":"))
+        line = line.replace('"@"', value)
+        yield f"lift --to path <{value} at point {point} {axes}>", ["lift", "--to", "path"], line + "\n"
 
 
 CASES = list(_cases())
