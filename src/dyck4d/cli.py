@@ -18,7 +18,7 @@ import random
 import stat
 import sys
 from contextlib import ExitStack, nullcontext, suppress
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 
 from . import __version__, enumeration, lattice, words
 from .errors import DyckError, InvalidJson, OutOfMemory, UnreadableInput, UnwritableOutput
@@ -156,15 +156,21 @@ def _int_rows(columns) -> str:
 
     The values fill one ``%d`` template, which writes an int as ``json.dumps``
     does; a bool (``True``) or a float would not match, so only int columns may
-    reach it.  Its callers, :func:`_convert_line`, :func:`_project_line` and
-    :func:`_lift_line`, pass canonical columns, which hold only ints: those of
-    a word (``words._parsed_columns``) or columns that the axes select from
-    them, or those the path check returns for a lift
-    (``projections._lift_columns``).
+    reach it.  Column k is the strided slice ``values[k::width]`` of the values
+    in row order, assigned whole, so no row is built.  Its callers,
+    :func:`_convert_line`, :func:`_project_line` and :func:`_lift_line`, pass
+    canonical columns, which hold only ints: those of a word
+    (``words._parsed_columns``) or columns that the axes select from them, or
+    those the path check or the lift check returns (``words._columns_from_lists``,
+    ``projections._lift_columns``).
     """
-    row = "[" + ",".join(repeat("%d", len(columns))) + "]"
-    template = "[" + ",".join(repeat(row, len(columns[0]))) + "]"
-    return template % tuple(chain.from_iterable(zip(*columns)))
+    width, length = len(columns), len(columns[0])
+    values = [0] * (width * length)
+    for k, column in enumerate(columns):
+        values[k::width] = column
+    row = "[" + ",".join(repeat("%d", width)) + "]"
+    template = "[" + ",".join(repeat(row, length)) + "]"
+    return template % tuple(values)
 
 
 def _path_line(columns, to: str) -> str:
@@ -189,7 +195,7 @@ def _project_line(args, text: str) -> str:
 
 def _lift_line(args, text: str) -> str:
     from . import projections
-    return _path_line(projections._lift_columns(*projections._json_rows(_json(text))),
+    return _path_line(projections._lift_columns(*projections._json_columns(_json(text))),
                       args.to)
 
 

@@ -26,13 +26,16 @@ def _formatted(template: str, *values, fallback=None):
         return fallback
 
 
-def _half_length(n: int) -> int:
+def _half_length(n: int, least: int = 0) -> int:
     """``n``, the half-length of a word or triangle, once it is an int (not a bool
-    or a float) and not negative."""
+    or a float), not negative and at least ``least``: 1 for the box and the right
+    angle at the apex, which degenerate to a point at n = 0."""
     if type(n) is not int:
         raise TypeError(f"half-length must be an int, not {type(n).__name__}")
     if n < 0:
         raise ValueError("half-length must be non-negative")
+    if n < least:
+        raise ValueError(f"half-length must be at least {least}")
     return n
 
 

@@ -161,8 +161,7 @@ def verify_right_isosceles(n: int) -> RightIsoscelesReport:
     UP_STEP and the yellow leg out of it along DOWN_STEP, and the scalar
     product of the two step vectors vanishes.
     """
-    if _half_length(n) < 1:
-        raise ValueError("the angle degenerates at a point; need n >= 1")
+    _half_length(n, 1)
     red2, yellow2, blue2 = (side_length_squared(side, n) for side in ("red", "yellow", "blue"))
     return RightIsoscelesReport(
         n=n,
@@ -219,9 +218,7 @@ class DoubleTesseract(NamedTuple):
 
 def double_tesseract(n: int) -> DoubleTesseract:
     """Vertices, edges and cells of the enclosing box for half-length n."""
-    if _half_length(n) < 1:
-        raise ValueError("the box degenerates below n = 1")
-    extents = tuple(e * n for e in _EXTENTS)
+    extents = tuple(e * _half_length(n, 1) for e in _EXTENTS)
     vertices = _box_corners((0, e) for e in extents)
     cells = []
     for position, axis in enumerate(AXES):

@@ -14,8 +14,9 @@ from operator import itemgetter, ne
 from typing import NamedTuple
 
 from .errors import InconsistentProjection, InvalidProjection, _formatted
-from .lattice import _complete_pair
-from .words import AXES, Path4D, _first, _first_bad_row, _path_columns, _path_of
+from .lattice import _PAIR_TO_LR, _complete_pair
+from .words import (AXES, Path4D, _canonical_columns, _first, _first_bad_row, _int_columns,
+                    _path_columns, _path_of)
 
 
 #: The 11 axis sets in canonical order: 6 pairs, 4 triples, the full set.  An
@@ -59,23 +60,29 @@ def project(path: Path4D, axes: str) -> ProjectedPath:
     return ProjectedPath(axes, tuple(map(_selector(axes), Path4D(path))))
 
 
-def _lift_columns(axes: str, points) -> tuple[tuple[int, ...], ...]:
-    """The (i, j, l, r) columns of the path whose projection onto ``axes`` is
-    ``points``, a sequence of tuples or lists; raises as :func:`lift` does."""
-    select = _selector(axes)
-    if set(map(len, points)) - {len(axes)}:
-        wrong = _first(map(ne, map(len, points), itertools.repeat(len(axes))))
-        raise ValueError(f"point {points[wrong]} does not match {len(axes)} axes")
-    first, second = axes[:2]
-    columns = tuple(zip(*points)) or ((),) * len(axes)
-    completion = _complete_pair(first, columns[0], second, columns[1])
+def _lift_columns(axes: str, columns) -> tuple[tuple[int, ...], ...]:
+    """The canonical (i, j, l, r) columns of the path whose projection onto ``axes``
+    has the columns ``columns``, one per axis; raises as :func:`lift` does.
+
+    The first two columns fix the l column, so the one candidate is the canonical
+    path of the word l spells, '(' wherever l changes: the columns lift when that
+    path projects to them with j >= 0 throughout, exactly when their completion
+    projects back to them and is a path.  Only a rejection completes the points,
+    to name the first bad point or node.
+    """
+    select, (x, y), (a, b) = _selector(axes), axes[:2], columns[:2]
+    l = tuple(_PAIR_TO_LR[x, y](a, b)[0])
+    canonical = _canonical_columns(map(ne, l[1:], l))
+    if select(canonical) == columns and min(canonical[1]) >= 0:
+        return canonical
+    completion = _complete_pair(x, a, y, b)
     if select(completion) != columns:
         nodes = tuple(zip(*completion))
         index = _first(map(ne, map(select, nodes), zip(*columns)))
         raise InconsistentProjection(index, _formatted(
             "completion {} projects back to {}", nodes[index], select(nodes[index]),
             fallback="the completion does not project back to the point"))
-    return _path_columns(completion)
+    return _path_columns(completion)  # raises: the completion is no path
 
 
 def lift(proj: ProjectedPath) -> Path4D:
@@ -86,9 +93,16 @@ def lift(proj: ProjectedPath) -> Path4D:
     completion from its first two coordinates does not project back to, and
     :class:`MalformedPath` when the completed nodes do not form a path.
     Lattice membership is left to the path check, so a structurally
-    sound but invalid node sequence surfaces as MalformedPath.
+    sound but invalid node sequence surfaces as MalformedPath.  A projection
+    that lifts costs one canonical build and no completion (see
+    :func:`_lift_columns`).
     """
-    return _path_of(_lift_columns(proj.axes, tuple(map(tuple, proj.points))))
+    points = tuple(map(tuple, proj.points))
+    width = len(_canonical(proj.axes))
+    if set(map(len, points)) - {width}:
+        wrong = _first(map(ne, map(len, points), itertools.repeat(width)))
+        raise ValueError(f"point {points[wrong]} does not match {width} axes")
+    return _path_of(_lift_columns(proj.axes, tuple(zip(*points)) or ((),) * width))
 
 
 def projected_path_from_json(data) -> ProjectedPath:
@@ -99,13 +113,13 @@ def projected_path_from_json(data) -> ProjectedPath:
     write it.  Raises :class:`InvalidProjection` for data of any other shape, and
     for points that are not arrays of one integer per axis.
     """
-    axes, points = _json_rows(data)
-    return ProjectedPath(axes, tuple(map(tuple, points)))
+    axes, columns = _json_columns(data)
+    return ProjectedPath(axes, tuple(zip(*columns)))
 
 
-def _json_rows(data) -> tuple[str, list]:
-    """The axis set and the point arrays of the JSON form of a projection, checked
-    as :func:`projected_path_from_json` checks them."""
+def _json_columns(data) -> tuple[str, tuple]:
+    """The axis set and the point columns of the JSON form of a projection, checked
+    as :func:`projected_path_from_json` checks it."""
     try:
         names, points = data["axes"], data["points"]
         # One letter per axis: a join alone would also take "lr", {"l": 0, "r": 1} or ["lr"].
@@ -114,7 +128,8 @@ def _json_rows(data) -> tuple[str, list]:
         axes = _canonical("".join(names))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidProjection(str(exc)) from None
-    bad = _first_bad_row(points, len(axes))
-    if bad is not None:
+    columns = _int_columns(points, len(axes))
+    if columns is None:
+        bad = _first_bad_row(points, len(axes))
         raise InvalidProjection(f"point {bad} is not {len(axes)} integers")
-    return axes, points
+    return axes, columns

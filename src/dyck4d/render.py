@@ -95,7 +95,9 @@ def _to_svg(elements) -> str:
         *map(attrgetter("svg"), elements),
         "</svg>\n",
     ]
-    return "\n".join(lines).format(*chain.from_iterable(zip(px, py)))
+    pixels = [""] * (2 * len(px))
+    pixels[0::2], pixels[1::2] = px, py
+    return "\n".join(lines).format(*pixels)
 
 
 #: An int below this is exact in binary64, so its float formats as its digits + ".00".

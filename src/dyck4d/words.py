@@ -225,26 +225,33 @@ def path_to_word(path: Path4D) -> DyckWord:
     return _word_of(tuple(map(itemgetter(2), Path4D(path))))
 
 
+def _int_columns(rows, width: int):
+    """The ``width`` columns of the JSON value ``rows`` when it is a list of lists of
+    ``width`` integers, else None; :func:`_first_bad_row` then names the first bad row.
+    An integer has ``type(v) is int``: not a bool, a float or a str."""
+    if type(rows) is list and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}:
+        # One flat tuple, type-checked at once; its strided slices are the columns.
+        values = tuple(chain.from_iterable(rows))
+        if set(map(type, values)) <= {int}:
+            return tuple(values[k::width] for k in range(width))
+    return None
+
+
 def _first_bad_row(rows, width: int):
     """The index of the first row of the JSON value ``rows`` that is not a list of
-    ``width`` integers, or None when none is; a ``rows`` that is not a list fails
-    at 0.  An integer has ``type(v) is int``: not a bool, a float or a str."""
+    ``width`` integers, or None when none is; a ``rows`` that is not a list fails at 0."""
     if type(rows) is not list:
         return 0
-    # Lists of ``width`` ints pass on whole columns; only a failure looks at rows.
-    if (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
-            and set(map(type, chain.from_iterable(rows))) <= {int}):
-        return None
     return _first(type(row) is not list or len(row) != width or set(map(type, row)) != {int}
                   for row in rows)
 
 
 def _columns_from_lists(rows):
     """The (i, j, l, r) columns of the JSON form of a path, once they are a path."""
-    bad = _first_bad_row(rows, 4)
-    if bad is not None:
-        raise MalformedPath(bad, "a node must be four integers [i, j, l, r]")
-    return _path_columns(tuple(zip(*rows)))
+    columns = _int_columns(rows, 4)
+    if columns is None:
+        raise MalformedPath(_first_bad_row(rows, 4), "a node must be four integers [i, j, l, r]")
+    return _path_columns(columns)
 
 
 def path_from_lists(rows) -> Path4D:

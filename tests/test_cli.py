@@ -19,6 +19,7 @@ from dyck4d import (AXIS_SETS, SIDES, MalformedPath, NotInLattice, ProjectedPath
                     RankOutOfRange, __version__, complete_node, count_paths_through,
                     enumerate_nodes, lift, parse_word, project, rank, sample_uniform, unrank,
                     word_to_path)
+from dyck4d import lattice, projections, words
 from dyck4d.cli import build_parser, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -723,6 +724,60 @@ def _projected_json(text, axes):
     columns = ["ijlr".index(a) for a in axes]
     points = [[node[c] for c in columns] for node in oracles.visited_nodes(text)]
     return json.dumps({"axes": list(axes), "points": points}, separators=(",", ":"))
+
+
+def _good_batches():
+    """(case id, argv, three good lines) of each batch command that prints columns."""
+    texts = ["", "(()())", "(" * 30 + ")" * 30]
+    yield "convert --to path", ["convert", "--to", "path"], texts
+    yield "convert --to word", ["convert", "--to", "word"], list(map(_path_json, texts))
+    for axes in AXIS_SETS:
+        yield f"project --axes {axes}", ["project", "--axes", axes], texts
+        for to in ("path", "word"):
+            yield (f"lift --to {to} <{axes}>", ["lift", "--to", to],
+                   [_projected_json(text, axes) for text in texts])
+
+
+def _counted_calls(monkeypatch, *functions):
+    """A dict that counts the calls of each function, under its name, wherever
+    a module of the package binds it."""
+    calls = dict.fromkeys((function.__name__ for function in functions), 0)
+
+    def counting(function):
+        def counted(*args):
+            calls[function.__name__] += 1
+            return function(*args)
+        return counted
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("dyck4d.")]:
+        for function in functions:
+            if getattr(module, function.__name__, None) is function:
+                monkeypatch.setattr(module, function.__name__, counting(function))
+    return calls
+
+
+class TestBatchWork:
+    """A good line of each column route builds canonical columns once; a good JSON
+    line names no bad row, and a good lift line completes no points node by node."""
+
+    @pytest.mark.parametrize("case_id, argv, lines", list(_good_batches()),
+                             ids=[case[0] for case in _good_batches()])
+    def test_one_canonical_build_per_line(self, capsys, monkeypatch, case_id, argv, lines):
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{line}\n" for line in lines)))
+        calls = _counted_calls(monkeypatch, words._canonical_columns, lattice._complete_pair,
+                               words._first_bad_row)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err, out.count("\n")) == (0, "", len(lines))
+        assert calls == {"_canonical_columns": len(lines), "_complete_pair": 0,
+                         "_first_bad_row": 0}
+
+    def test_only_a_rejected_line_completes_points_or_names_a_row(self, capsys, monkeypatch):
+        calls = _counted_calls(monkeypatch, lattice._complete_pair, words._first_bad_row)
+        assert run(capsys, "lift", '{"axes":["i","j"],"points":[[0,0],[1,0]]}') == \
+            (1, "", "error:inconsistent-projection:1\n")
+        assert run(capsys, "convert", "--to", "word", "[[0,0,0,0],[1,1,1.0,0]]") == \
+            (1, "", "error:malformed-path:1\n")
+        assert calls == {"_complete_pair": 1, "_first_bad_row": 1}
 
 
 _DEEP = "[" * 100000

@@ -12,15 +12,20 @@ or dropped coordinate).  Shortcuts are checked against the full code path
 the same way: ``word_to_path``, which builds without re-checking,
 ``words._parsed_columns``, which checks a text once on its way to columns,
 ``words._word_of``, which builds a word from checked columns without
-``DyckWord``'s scan, and ``cli._int_rows``, which writes the rows of integer
-columns without ``json.dumps``.
+``DyckWord``'s scan, ``cli._int_rows``, which writes the rows of integer
+columns without ``json.dumps``, ``words._int_columns``, which reads the
+columns of JSON rows as strided slices of one flat tuple, and ``lift``, which
+accepts what one canonical build projects back to and completes the points
+only to name a rejection: the completion-then-path-check route it replaced
+is kept here as its reference.
 """
 
 import json
 import random
 from argparse import Namespace
 from fractions import Fraction
-from operator import gt
+from itertools import repeat
+from operator import gt, ne
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -32,7 +37,11 @@ from dyck4d import (DyckError, DyckWord, FlatnessResult,
                     path_from_lists, path_to_word, project, projected_path_from_json,
                     verify_flat, word_to_path)
 from dyck4d import cli
-from dyck4d.words import _parsed_columns, _path_columns, _word_columns, _word_of
+from dyck4d.errors import _formatted
+from dyck4d.lattice import _complete_pair
+from dyck4d.projections import _selector
+from dyck4d.words import (_first, _first_bad_row, _int_columns, _parsed_columns, _path_columns,
+                          _path_of, _word_columns, _word_of)
 
 AXIS_SETS = ("ij", "il", "ir", "jl", "jr", "lr", "ijl", "ijr", "ilr", "jlr", "ijlr")
 WHITESPACE = " \t\n\r\f\v"
@@ -494,6 +503,132 @@ def test_projected_path_and_lift(case, odd):
     assert got == outcome(ref_lift, names, points)
     if got[0] == "ok":
         assert_int_path(got[1])
+
+
+def ref_bad_row(rows, width):
+    """The index of the first row of ``rows`` that is not a list of ``width`` ints,
+    one row at a time, or None; a ``rows`` that is not a list fails at 0."""
+    if type(rows) is not list:
+        return 0
+    for index, row in enumerate(rows):
+        if type(row) is not list or len(row) != width or not all(type(v) is int for v in row):
+            return index
+    return None
+
+
+@st.composite
+def json_rows(draw):
+    """(width, rows): up to 6 rows of ``width`` ints, most with one fault: a value
+    made a bool, a float, a str or None, a row one value short or long or made a
+    dict, or the whole value made a dict, a str, an int, None or a tuple."""
+    width = draw(st.sampled_from((2, 3, 4)))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width),
+                         max_size=6))
+    fault = draw(st.sampled_from((None, "value", "value", "short", "long", "dict", "whole")))
+    if fault == "whole":
+        return width, draw(st.sampled_from(({"0": rows}, "[]", 5, None, tuple(rows))))
+    if fault is not None and rows:
+        k = draw(st.integers(0, len(rows) - 1))
+        row = rows[k]
+        if fault == "value":
+            c = draw(st.integers(0, width - 1))
+            row[c] = draw(st.sampled_from((row[c] > 0, float(row[c]), str(row[c]), None)))
+        elif fault == "short":
+            del row[-1]
+        elif fault == "long":
+            row.append(0)
+        else:
+            rows[k] = dict.fromkeys(map(str, row), 0)
+    return width, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_rows())
+@example((4, []))
+@example((2, [[0, 0], [1, True]]))
+@example((3, [[0, 0, 0], [1, 1, 1.0], [2, 2]]))
+def test_int_columns(case):
+    """The reader gives the columns of valid rows, and fails exactly where the
+    row-by-row rule names a row, which ``_first_bad_row`` names too."""
+    width, rows = case
+    bad = ref_bad_row(rows, width)
+    assert _first_bad_row(rows, width) == bad
+    if bad is None:
+        assert _int_columns(rows, width) == (tuple(zip(*rows)) or ((),) * width)
+    else:
+        assert _int_columns(rows, width) is None
+
+
+def completion_lift(proj):
+    """:func:`lift` by its earlier route: complete every point from its first two
+    coordinates, check that the completion projects back to the points, then run
+    the path check on the completed columns."""
+    points = tuple(map(tuple, proj.points))
+    axes, select = proj.axes, _selector(proj.axes)
+    if set(map(len, points)) - {len(axes)}:
+        wrong = _first(map(ne, map(len, points), repeat(len(axes))))
+        raise ValueError(f"point {points[wrong]} does not match {len(axes)} axes")
+    first, second = axes[:2]
+    columns = tuple(zip(*points)) or ((),) * len(axes)
+    completion = _complete_pair(first, columns[0], second, columns[1])
+    if select(completion) != columns:
+        nodes = tuple(zip(*completion))
+        index = _first(map(ne, map(select, nodes), zip(*columns)))
+        raise InconsistentProjection(index, _formatted(
+            "completion {} projects back to {}", nodes[index], select(nodes[index]),
+            fallback="the completion does not project back to the point"))
+    return _path_of(_path_columns(completion))
+
+
+def message_outcome(function, *args):
+    """("ok", the result) or (exception class, its message, its detail)."""
+    try:
+        return "ok", function(*args)
+    except (DyckError, TypeError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "detail", None)
+
+
+#: One-point changes of a projection: a coordinate moved, made an equal float, a
+#: float half-way, a bool, a str or None; a point dropped or swapped with the next.
+BENDS = ("none", "move", "move", "float", "half", "bool", "str", "None", "drop", "swap")
+
+
+def bend(points, op, k, c, d):
+    """``points`` with the change ``op`` made at point k, coordinate c (modulo the width)."""
+    point = points[k]
+    c %= len(point)
+    if op == "move":
+        point[c] += d
+    elif op in ("float", "half"):
+        point[c] += 0.0 if op == "float" else 0.5
+    elif op in ("bool", "str", "None"):
+        point[c] = {"bool": point[c] > 0, "str": str(point[c]), "None": None}[op]
+    elif op == "drop":
+        del points[k]
+    elif op == "swap" and k + 1 < len(points):
+        points[k], points[k + 1] = points[k + 1], points[k]
+    return points
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(words(max_n=20), texts()), st.sampled_from(BENDS), st.integers(0, 40),
+       st.integers(0, 3), st.sampled_from((-2, -1, 1, 2)))
+@example("(())", "bool", 1, 0, 1)
+@example("()()", "float", 3, 1, 1)
+@example("())(", "none", 0, 0, 1)
+def test_lift_agrees_with_the_completion_route(text, op, k, c, d):
+    """On every grid, the image of a word's path, or of a perturbed word's (its j
+    may go negative), and one change of it lift to the same int path, or raise
+    the same exception with the same message, as by completion."""
+    nodes = oracles.visited_nodes([char for char in text if char in "()"])
+    for axes in AXIS_SETS:
+        points = bend([[node["ijlr".index(a)] for a in axes] for node in nodes],
+                      op, k % len(nodes), c, d)
+        proj = ProjectedPath(axes, points)
+        got = message_outcome(lift, proj)
+        assert got == message_outcome(completion_lift, proj)
+        if got[0] == "ok":
+            assert_int_path(got[1])
 
 
 @settings(max_examples=300, deadline=None)

@@ -546,16 +546,21 @@ _OF_N = {
 }
 
 
-# At n = -1: one rule, one message, checked before the box's own n >= 1 rule, the
-# node of count_paths_through and the side of side_length; face_of_side keeps the
-# box's message at n = 0.
+#: The entries whose figure degenerates to a point at n = 0: the box, and the
+#: right angle at the apex.
+_AT_LEAST_1 = ("double_tesseract", "face_of_side", "verify_right_isosceles")
+
+
+# At n = -1: one rule, one message, checked before the n >= 1 rule of the box and
+# the right angle, the node of count_paths_through and the side of side_length.
+# At n = 0: the same rule's lower bound, one message for all three.
 @pytest.mark.parametrize("name", sorted(_OF_N))
 def test_half_length_out_of_range(name):
-    n, message = (-1, _NEGATIVE)
-    if name == "face_of_side":
-        n, message = 0, "the box degenerates below n = 1"
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        _OF_N[name](n)
+    with pytest.raises(ValueError, match=f"^{_NEGATIVE}$"):
+        _OF_N[name](-1)
+    if name in _AT_LEAST_1:
+        with pytest.raises(ValueError, match="^half-length must be at least 1$"):
+            _OF_N[name](0)
 
 
 # A half-length is an int, not a bool or a float equal to one; each entry names the type.

@@ -133,12 +133,14 @@ class TestLift:
         ("jlr", ((0, 0, 0), (1, 1, 0), (0, 1, 0))),
     ])
     def test_json_rows_find_the_same_point(self, axes, points):
-        """The CLI lifts the JSON arrays as they are: the first bad point, its
-        index and its message are those of the tuples."""
+        """The CLI lifts the columns it reads from the JSON arrays: the first bad
+        point, its index and its message are those :func:`lift` names for the tuples."""
+        data = {"axes": list(axes), "points": [list(p) for p in points]}
         raised = []
-        for rows in (points, [list(p) for p in points]):
+        for call in (lambda: lift(ProjectedPath(axes, points)),
+                     lambda: projections._lift_columns(*projections._json_columns(data))):
             with pytest.raises(InconsistentProjection) as exc:
-                projections._lift_columns(axes, rows)
+                call()
             raised.append((exc.value.index, str(exc.value)))
         assert raised[0] == raised[1]
         assert raised[0][0] == len(points) - 1
