@@ -727,15 +727,16 @@ def _projected_json(text, axes):
 
 
 def _good_batches():
-    """(case id, argv, three good lines) of each batch command that prints columns."""
+    """(argv, three good lines) of each batch command that prints columns."""
     texts = ["", "(()())", "(" * 30 + ")" * 30]
-    yield "convert --to path", ["convert", "--to", "path"], texts
-    yield "convert --to word", ["convert", "--to", "word"], list(map(_path_json, texts))
+    yield pytest.param(["convert", "--to", "path"], texts, id="convert --to path")
+    yield pytest.param(["convert", "--to", "word"], list(map(_path_json, texts)),
+                       id="convert --to word")
     for axes in AXIS_SETS:
-        yield f"project --axes {axes}", ["project", "--axes", axes], texts
+        yield pytest.param(["project", "--axes", axes], texts, id=f"project --axes {axes}")
         for to in ("path", "word"):
-            yield (f"lift --to {to} <{axes}>", ["lift", "--to", to],
-                   [_projected_json(text, axes) for text in texts])
+            lines = [_projected_json(text, axes) for text in texts]
+            yield pytest.param(["lift", "--to", to], lines, id=f"lift --to {to} <{axes}>")
 
 
 def _counted_calls(monkeypatch, *functions):
@@ -760,9 +761,8 @@ class TestBatchWork:
     """A good line of each column route builds canonical columns once; a good JSON
     line names no bad row, and a good lift line completes no points node by node."""
 
-    @pytest.mark.parametrize("case_id, argv, lines", list(_good_batches()),
-                             ids=[case[0] for case in _good_batches()])
-    def test_one_canonical_build_per_line(self, capsys, monkeypatch, case_id, argv, lines):
+    @pytest.mark.parametrize("argv, lines", _good_batches())
+    def test_one_canonical_build_per_line(self, capsys, monkeypatch, argv, lines):
         monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{line}\n" for line in lines)))
         calls = _counted_calls(monkeypatch, words._canonical_columns, lattice._complete_pair,
                                words._first_bad_row)

@@ -200,11 +200,11 @@ def _bent_points(axes):
         yield "mixed parity" if axes == "ij" else "disagreeing point", points
 
 
-def _with_value(path_json, node, column, value):
-    """``path_json`` with one value of one node written as the JSON text ``value``."""
-    rows = json.loads(path_json)
-    rows[node][column] = "@"
-    return json.dumps(rows, separators=(",", ":")).replace('"@"', value)
+def _with_value(data, rows, k, column, value):
+    """The JSON text of ``data`` with ``rows[k][column]``, ``rows`` being its rows,
+    written as the JSON text ``value``."""
+    rows[k][column] = "@"
+    return json.dumps(data, separators=(",", ":")).replace('"@"', value)
 
 
 def _fault_cases():
@@ -215,17 +215,17 @@ def _fault_cases():
             line = json.dumps({"axes": list(axes), "points": points}, separators=(",", ":"))
             for to in ("path", "word"):
                 yield f"lift --to {to} <{name} {axes}>", ["lift", "--to", to], line + "\n"
-    path = GOOD_PATHS[9]
     for node, column, value in ((5, 0, "5.0"), (3, 2, "true"), (2, 3, "false"),
                                 (len(BENT_WORD), 1, "0.0")):
-        line = _with_value(path, node, column, value)
-        yield f"convert --to word <{value} at node {node}>", ["convert", "--to", "word"], line + "\n"
+        rows = json.loads(GOOD_PATHS[9])
+        line = _with_value(rows, rows, node, column, value)
+        argv = ["convert", "--to", "word"]
+        yield f"convert --to word <{value} at node {node}>", argv, line + "\n"
     for axes, point, value in (("lr", 4, "3.0"), ("jr", 3, "true")):
-        rows = json.loads(projected(BENT_WORD, axes))["points"]
-        rows[point][1] = "@"
-        line = json.dumps({"axes": list(axes), "points": rows}, separators=(",", ":"))
-        line = line.replace('"@"', value)
-        yield f"lift --to path <{value} at point {point} {axes}>", ["lift", "--to", "path"], line + "\n"
+        data = json.loads(projected(BENT_WORD, axes))
+        line = _with_value(data, data["points"], point, 1, value)
+        argv = ["lift", "--to", "path"]
+        yield f"lift --to path <{value} at point {point} {axes}>", argv, line + "\n"
 
 
 CASES = list(_cases())
