@@ -12,10 +12,12 @@ and unrank read that table instead (ski rental: Karlin, Manasse, Rudolph and
 Sleator, "Competitive snoopy caching", 1988).  Row l of the table is the
 same for every n >= l, so a process keeps one table, grown to the largest
 n bought, and every n below its length reads it.  This module builds the
-table.  :func:`_ballot` is the package's one source of ballot numbers: it
-reads the table when the process holds the row, else computes the closed
-form, so a per-node count (lattice) reads it too, two reads in about 2 µs at
-n = 1000 against 110 µs computed, but never buys it.
+table.  :func:`_ballot` is the package's one source of ballot numbers and its
+one closed form: it reads the table when the process holds the row, else
+computes the closed form, so a per-node count (lattice) reads it too, but
+never buys it.  A walk starts from catalan(n) = B(n, n), read once per call or
+stream of draws; unrank checks its rank against it before the buy rule, so a
+rejected call charges no walk.
 """
 
 from __future__ import annotations
@@ -126,9 +128,9 @@ def rank(word: DyckWord) -> int:
     n = word.n
     table = _bought_table(n)
     # table[row][col] = B(row, col) with row = n - r, col = n - l - 1 counts the
-    # words that complete (l + 1, r); without a table, c = C(row + col, col),
-    # which starts at C(2n - 1, n - 1) = C(2n, n) / 2 (0 at n = 0, where no step reads it).
-    c = 0 if table else math.comb(2 * n, n) // 2
+    # words that complete (l + 1, r); without a table, c = C(row + col, col), which
+    # starts at C(2n - 1, n - 1) = catalan(n)(n + 1)/2 (0 at n = 0, where no step reads it).
+    c = 0 if table else catalan(n) * (n + 1) // 2
     k = 0
     row, col = n, n - 1
     for char in word:
@@ -139,10 +141,8 @@ def rank(word: DyckWord) -> int:
         elif col < 0:  # l = n: only closes remain, and no word opens here
             break
         else:  # every word opening here precedes this one
-            if table:
-                k += table[row][col]
-            else:
-                k += c * (row - col + 1) // (row + 1)
+            k += table[row][col] if table else c * (row - col + 1) // (row + 1)
+            if not table:
                 c = c * row // (row + col)
             row -= 1
     return k
@@ -151,17 +151,17 @@ def rank(word: DyckWord) -> int:
 def unrank(k: int, n: int) -> DyckWord:
     """Inverse of :func:`rank`: the k-th word of half-length n."""
     _half_length(n)
-    if type(k) is not int:
+    if type(k) is not int:  # before catalan(n), a binomial of 2n bits with no table
         raise TypeError(f"rank must be an int, not {type(k).__name__}")
-    table = _bought_table(n)
-    return _unrank(k, n, table, catalan(n))
+    total = catalan(n)
+    if not 0 <= k < total:
+        raise RankOutOfRange(_formatted("rank {} not in [0, {}) for n={}", k, total, n))
+    return _unrank(k, n, _bought_table(n), total)
 
 
 def _unrank(k: int, n: int, table, total: int) -> DyckWord:
-    """:func:`unrank` for n >= 0 with ``total`` = catalan(n), reading ``table`` (None: walk)."""
-    if not 0 <= k < total:
-        raise RankOutOfRange(_formatted("rank {} not in [0, {}) for n={}", k, total, n))
-    c = 0 if table else total * (n + 1) // 2  # C(2n, n) / 2, as in rank
+    """The word of rank 0 <= k < ``total`` = catalan(n), reading ``table`` (None: walk)."""
+    c = 0 if table else total * (n + 1) // 2  # C(2n - 1, n - 1), as in rank
     chars = []
     row, col = n, n - 1  # as in rank: n - r and n - l - 1
     while col >= 0:  # once l = n, only closes remain
@@ -196,11 +196,10 @@ def draw_uniform_rank(rng: random.Random, total: int) -> int:
 
 def _draws(rng: random.Random, n: int) -> Iterator[tuple[int, DyckWord]]:
     """(rank, word) of each uniform draw at n from ``rng``, one buy-rule call per draw;
-    catalan(n) is read from the table when it covers n, else computed once for the stream."""
-    total = None
+    the stream reads catalan(n) once."""
+    total = catalan(n)
     while True:
-        table = _bought_table(_half_length(n))
-        total = table[n][n] if table else total or catalan(n)
+        table = _bought_table(n)
         k = draw_uniform_rank(rng, total)
         yield k, _unrank(k, n, table, total)
 

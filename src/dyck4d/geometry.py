@@ -285,7 +285,7 @@ def face_of_side(side: str, n: int) -> SideFace:
 
 def _summary(n: int) -> dict:
     """:func:`geometry_report` without the 3(n + 1) side nodes, which only JSON prints."""
-    (origin, end, apex), ends = _ends(n)
+    (origin, end, apex), ends = _ends(_half_length(n))
     sides = {}
     for side, (start, stop) in ends.items():
         sides[side] = {

@@ -23,15 +23,15 @@ from .words import AXES, LatticeNode, _nodes
 def is_lattice_node(i: int, j: int, l: int, r: int, n: int | None = None) -> bool:
     """True iff (i, j, l, r) is a node of the triangle of half-length n (None: the whole lattice).
 
-    Never raises: coordinates that break the tie or are not equal to ints (1.5,
-    but not 1.0), or an n that is below 0 or not an int (1.5, True, "1"), simply
-    yield False.
+    Never raises: coordinates that break the tie, are not equal to ints (1.5,
+    but not 1.0) or are not numbers (None, "1"), or an n that is below 0 or not
+    an int (1.5, True, "1"), simply yield False.
     """
-    if i != l + r or j != l - r:
+    try:
+        member = i == l + r and j == l - r and 0 <= r <= l and not (l % 1 or r % 1)
+    except (TypeError, OverflowError):  # not numbers, or an int past float range plus a float
         return False
-    if r < 0 or l < r or l % 1 or r % 1:
-        return False
-    return n is None or type(n) is int and l <= n
+    return member and (n is None or type(n) is int and l <= n)
 
 
 #: (l, r) columns from the columns of two axes, keyed by the axis names in i, j, l, r order.

@@ -15,6 +15,7 @@ then applies the same j-oblique 3D part.
 
 from __future__ import annotations
 
+import sys
 from functools import partial
 from itertools import chain, repeat
 from operator import attrgetter
@@ -120,7 +121,15 @@ def _pixel_column(values, flip: bool) -> tuple[str, list[str]]:
     if extent < _EXACT_INT and set(map(type, values)) == {int}:
         table = {v: f"{MARGIN + scale * (v - origin)}.00" for v in set(values)}
         return f"{extent}.00", list(map(table.__getitem__, values))
-    return _fmt(extent), _fmt_all([MARGIN + scale * (v - origin) for v in values])
+    return _fmt(_in_float_range(extent)), _fmt_all([MARGIN + scale * (v - origin) for v in values])
+
+
+def _in_float_range(value):
+    """``value``, a coordinate or a canvas extent, once it is a number no larger than
+    the largest float: SVG has no inf or nan, and a larger int converts to no float."""
+    if not value <= sys.float_info.max:
+        raise OverflowError("the canvas leaves float range")
+    return value
 
 
 def _fmt(value) -> str:
@@ -219,6 +228,7 @@ def render_wireframe(structure, style: str, include_triangle: bool = False):
 
     view = partial(_schlegel_columns, structure.n) if style == "schlegel" else _ortho_columns
     vertices, edges = structure.vertices, structure.edges  # a Cell's edges are computed
+    _in_float_range(max(map(max, vertices)))  # before a view converts the corners to floats
     xs, ys = view(*zip(*vertices))
     # All edges are one element, as a grid's isolines: its columns hold both ends of each.
     ends = tuple(chain.from_iterable(edges))

@@ -4,6 +4,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -298,6 +299,44 @@ class TestBuyRule:
         assert builds == [] and enumeration._table == ()
 
 
+@pytest.fixture
+def comb_calls(monkeypatch):
+    """The arguments of every ``math.comb`` call from now on."""
+    calls = []
+    real = math.comb
+    monkeypatch.setattr(math, "comb", lambda a, b: calls.append((a, b)) or real(a, b))
+    return calls
+
+
+@pytest.mark.usefixtures("fresh_counting")
+class TestEachNumberOnce:
+    """unrank checks its rank before the buy rule, and a walk reads catalan(n), whose
+    closed form is the one ``math.comb`` call, once per call or per stream of draws."""
+
+    def test_rejected_unrank_charges_no_walk(self):
+        # 20 walks at n = 100 would pay for rows 0..100 from the 7th on
+        for k in (-1, catalan(100)) * 10:
+            with pytest.raises(RankOutOfRange):
+                unrank(k, 100)
+        assert enumeration._walked == 0 and enumeration._table == ()
+
+    def test_a_stream_reads_catalan_once(self, comb_calls):
+        walked = list(islice(enumeration._draws(random.Random(5), 300), 4))
+        assert comb_calls == [(600, 300)]  # B(300, 300), once for the four draws
+        assert enumeration._table == ()  # four walks at n = 300 buy no table
+        enumeration._table = _prefix_rows(300)
+        assert list(islice(enumeration._draws(random.Random(5), 300), 4)) == walked
+        assert comb_calls == [(600, 300)]  # a held row costs no binomial
+
+    def test_rank_and_unrank_read_catalan_once(self, comb_calls):
+        word = parse_word(oracles.random_word_text(random.Random(300), 300))
+        k = rank(word)
+        assert comb_calls == [(600, 300)]
+        assert unrank(k, 300) == word
+        assert comb_calls == [(600, 300)] * 2
+        assert enumeration._walked == 2 * 300**2 and enumeration._table == ()
+
+
 @pytest.mark.usefixtures("fresh_counting")
 class TestThreads:
     @pytest.fixture(autouse=True)
@@ -376,13 +415,13 @@ class TestSampling:
         assert catalan_calls == [1001]
         assert len(capsys.readouterr().out.split()) == 3
 
-    def test_covered_n_reads_its_total_from_the_table(self, fresh_counting, catalan_calls,
+    def test_covered_n_reads_its_total_from_the_table(self, fresh_counting, comb_calls,
                                                       buy_rule_calls, capsys):
         argv = ["sample", "--n", "30", "--seed", "5", "--count", "3"]
         enumeration._table = _prefix_rows(30)
         words = [sample_uniform(n, 5) for n in (0, 7, 30)]
         assert main(argv) == 0
-        assert catalan_calls == []
+        assert comb_calls == []  # catalan(n) = B(n, n) is a table read
         assert buy_rule_calls == [0, 7, 30] + [30] * 3  # one buy-rule call per draw
         printed = capsys.readouterr().out
         enumeration._table = ()  # walking draws the same words
@@ -463,10 +502,12 @@ def test_rank_takes_a_dyck_word(word):
 
 @pytest.mark.parametrize("k", [True, 1.0, "1", Fraction(1)],
                          ids=["bool", "float", "str", "Fraction"])
-def test_unrank_takes_an_int_rank(k, fresh_counting):
-    # rejected before the buy rule, so the call charges no walk and buys no table
+def test_unrank_takes_an_int_rank(k, fresh_counting, comb_calls):
+    # rejected before catalan(n) and the buy rule, so the call computes no binomial,
+    # charges no walk and buys no table
     with pytest.raises(TypeError, match=f"^rank must be an int, not {type(k).__name__}$"):
         unrank(k, 2)
+    assert comb_calls == []
     assert enumeration._walked == 0 and enumeration._table == ()
     # the half-length rule comes first
     with pytest.raises(ValueError, match="^half-length must be non-negative$"):

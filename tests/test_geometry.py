@@ -563,8 +563,9 @@ def test_half_length_out_of_range(name):
             _OF_N[name](0)
 
 
-# A half-length is an int, not a bool or a float equal to one; each entry names the type.
-@pytest.mark.parametrize("n", [True, 1.0, 1.5], ids=["True", "1.0", "1.5"])
+# A half-length is an int, not a bool or a float equal to one, nor None; each entry
+# names the type, from its own check before any arithmetic on n.
+@pytest.mark.parametrize("n", [True, 1.0, 1.5, None], ids=["True", "1.0", "1.5", "None"])
 @pytest.mark.parametrize("name", sorted(_OF_N))
 def test_half_length_of_another_type(name, n):
     with pytest.raises(TypeError, match=f"^half-length must be an int, not {type(n).__name__}$"):

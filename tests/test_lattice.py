@@ -56,6 +56,16 @@ class TestMembership:
         assert not is_lattice_node(0, 0, 0, 0, n)
         assert not is_lattice_node(2, 0, 1, 1, n)
 
+    @pytest.mark.parametrize("node", [(None,) * 4, (2, 0, None, 1), ("11", "0", "1", "1"),
+                                      (10**400 + 1, 10**400 - 1, 10**400, 1.0)],
+                             ids=["None", "one-None", "str", "int-past-float-plus-float"])
+    def test_coordinates_that_are_not_numbers(self, node):
+        # membership never raises, so the count raises NotInLattice for such a node
+        assert not is_lattice_node(*node)
+        assert not is_lattice_node(*node, 2)
+        with pytest.raises(NotInLattice, match="is not in the lattice bounded by n=2$"):
+            count_paths_through(node, 2)
+
 
 class TestIntNodes:
     """A node's coordinates are ints: a value equal to an int (1.0, True) stands for

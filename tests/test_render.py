@@ -194,6 +194,29 @@ class TestWireframe:
                             (functools.partial(render._schlegel_columns, n), schlegel)):
             assert list(zip(*view(*columns))) == [point(*p) for p in points]
 
+    # The CLI's bound, 10**300, draws in both views.  At 2 * 10**306 the orthographic
+    # canvas passes the largest float while the nested cubes still fit; at 10**307
+    # both do; at 10**309 the corner i = 2n is past it, and no view may convert it.
+    @pytest.mark.parametrize("n, style, fits", [
+        (10**300, "orthographic-3d", True), (10**300, "schlegel", True),
+        (2 * 10**306, "orthographic-3d", False), (2 * 10**306, "schlegel", True),
+        (10**307, "orthographic-3d", False), (10**307, "schlegel", False),
+        (10**309, "orthographic-3d", False), (10**309, "schlegel", False),
+    ], ids=[f"{n}-{style}" for n in ("1e300", "2e306", "1e307", "1e309")
+            for style in ("orthographic", "schlegel")])
+    def test_canvas_past_float_range(self, n, style, fits):
+        box = double_tesseract(n)
+        if fits:
+            svg, _ = render_wireframe(box, style)
+            assert "inf" not in svg and "nan" not in svg
+            return
+        with pytest.raises(OverflowError, match="^the canvas leaves float range$") as exc:
+            render_wireframe(box, style)
+        tb = exc.value.__traceback__  # raised by the package's check, not by arithmetic
+        while tb.tb_next:
+            tb = tb.tb_next
+        assert tb.tb_frame.f_code.co_name == "_in_float_range"
+
     @pytest.mark.parametrize("style", ["orthographic-3d", "schlegel"])
     def test_overlay_of_a_negative_half_length(self, style):
         box = double_tesseract(2)._replace(n=-1)
