@@ -99,6 +99,11 @@ _non_negative = _int_at_least(0)
 _box_n = _int_at_least(1, 10**300)
 #: The geometry report's float side lengths (√6·n at most) leave float range near n = 7.3e307.
 _geometry_n = _int_at_least(0, 10**307)
+#: count pays catalan(n), a binomial of about 0.6n digits, before its first line, and
+#: sample walks O(n) steps on Θ(n)-bit integers per word, so a large n never answers:
+#: their n stops where one count or one drawn word stays within 5 s (README, "Command line").
+_COUNT_N = 2 * 10**5
+_SAMPLE_N = 5 * 10**4
 #: The triangle overlay and the JSON geometry report list the 3(n + 1) side nodes:
 #: their time, memory and bytes grow with n, so there n stops at a few MB of output.
 _TRIANGLE_N = 10**5
@@ -332,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_word_inputs(p, _lift_line)
 
     p = sub.add_parser("count", help="paths through a node (JSON lines with --format json)")
-    p.add_argument("--n", type=_non_negative, required=True)
+    p.add_argument("--n", type=_int_at_least(0, _COUNT_N), required=True)
     p.add_argument("--node", type=_node_arg, default=None, help="i,j,l,r; default: all nodes")
     _add_format(p)
     p.set_defaults(handler=cmd_count)
@@ -352,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
 
     p = sub.add_parser("sample", help="uniform random words, deterministic per seed")
-    p.add_argument("--n", type=_non_negative, required=True)
+    p.add_argument("--n", type=_int_at_least(0, _SAMPLE_N), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=_non_negative, default=1)
     _add_format(p)

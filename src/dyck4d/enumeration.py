@@ -80,11 +80,11 @@ def _prefix_rows(n: int, rows: tuple = ()) -> tuple:
 
 
 #: A table build at n costs about n / _WALK_RATIO walks at n: at n = 1000 one
-#: build took 110-150 ms and one walk 2-3 ms, and the ratio grows like n (a build
+#: build took about 70 ms and one walk 1.2-1.6 ms, and the ratio grows like n (a build
 #: adds Θ(n³) bits, a walk multiplies Θ(n²)).  So a walk at n costs n² and a build
 #: n³ / _WALK_RATIO, and the call whose walks so far reach that cost buys rows 0..n.
 _WALK_RATIO = 16
-#: The table is never grown past this n: rows 0..1000 hold about 78 MB.
+#: The table is never grown past this n: rows 0..1000 are 73.7 MB of Python objects.
 _TABLE_CAP = 1000
 #: Rows 0..len - 1 of the prefix table, read by every n below its length.  One
 #: process-wide tuple, replaced by a longer one when a call buys a larger n.

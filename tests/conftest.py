@@ -1,13 +1,12 @@
 import pytest
 
-from dyck4d import enumeration
+pytest.register_assert_rewrite("golden")
+
+import golden  # after the rewrite hook, so that its asserts report their values
 
 
 @pytest.fixture
-def fresh_counting(monkeypatch):
-    """Counting state as in a new process: no prefix table and no walks charged.
-
-    The state before the test comes back after it, so a table the test buys is dropped.
-    """
-    monkeypatch.setattr(enumeration, "_table", ())
-    monkeypatch.setattr(enumeration, "_walked", 0)
+def fresh_counting():
+    """Counting state as in a new process (:func:`golden.fresh_counting`), restored after the test."""
+    with golden.fresh_counting():
+        yield

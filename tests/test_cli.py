@@ -1,4 +1,3 @@
-import contextlib
 import decimal
 import io
 import json
@@ -14,13 +13,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import golden
 import oracles
 from dyck4d import (AXIS_SETS, SIDES, MalformedPath, NotInLattice, ProjectedPath,
                     RankOutOfRange, __version__, complete_node, count_paths_through,
                     enumerate_nodes, lift, parse_word, project, rank, sample_uniform, unrank,
                     word_to_path)
 from dyck4d import lattice, projections, words
-from dyck4d.cli import build_parser, main
+from dyck4d.cli import _COUNT_N, _SAMPLE_N, build_parser, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 #: The environment of a ``python -m dyck4d`` child: this checkout's package first.
@@ -37,10 +37,10 @@ MISSING_OPTIONS = [
 ]
 
 
-def run(capsys, *argv):
-    rc = main(list(argv))
-    captured = capsys.readouterr()
-    return rc, captured.out, captured.err
+def run(*argv, stdin=""):
+    """(exit code, stdout, stderr) of ``main(argv)`` on ``stdin``, run as a golden case is."""
+    out, err, rc, _ = golden.run(golden.Case("", list(argv), stdin))
+    return rc, out, err
 
 
 def _limit_to_256_mb():
@@ -57,156 +57,124 @@ def _run_in_256_mb(argv, stdin=None, program=("-m", "dyck4d")):
 
 
 class TestValidate:
-    def test_valid_word(self, capsys):
-        rc, out, err = run(capsys, "validate", "()")
-        assert rc == 0
-        assert out == "valid n=1\n"
-        assert err == ""
+    def test_valid_word(self):
+        assert run("validate", "()") == (0, "valid n=1\n", "")
 
-    def test_negative_prefix(self, capsys):
-        rc, out, err = run(capsys, "validate", ")(")
-        assert rc == 1
-        assert err == "error:negative-prefix:1\n"
+    def test_negative_prefix(self):
+        assert run("validate", ")(") == (1, "", "error:negative-prefix:1\n")
 
-    def test_unbalanced(self, capsys):
-        rc, out, err = run(capsys, "validate", "((")
-        assert rc == 1
-        assert err == "error:unbalanced:2\n"
+    def test_unbalanced(self):
+        assert run("validate", "((") == (1, "", "error:unbalanced:2\n")
 
-    def test_invalid_character(self, capsys):
-        rc, out, err = run(capsys, "validate", "(a)")
-        assert rc == 1
-        assert err == "error:invalid-character:1\n"
+    def test_invalid_character(self):
+        assert run("validate", "(a)") == (1, "", "error:invalid-character:1\n")
 
-    def test_stdin_lines(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("()\n(())\n"))
-        rc, out, err = run(capsys, "validate")
-        assert rc == 0
-        assert out == "valid n=1\nvalid n=2\n"
+    def test_stdin_lines(self):
+        assert run("validate", stdin="()\n(())\n") == (0, "valid n=1\nvalid n=2\n", "")
 
-    def test_file_input(self, capsys, tmp_path):
+    def test_file_input(self, tmp_path):
         source = tmp_path / "words.txt"
         source.write_text("()\n)(\n()()\n")
-        rc, out, err = run(capsys, "validate", "--file", str(source))
-        assert rc == 1
-        assert out == "valid n=1\nvalid n=2\n"
-        assert err == "error:negative-prefix:1\n"
+        assert run("validate", "--file", str(source)) == \
+            (1, "valid n=1\nvalid n=2\n", "error:negative-prefix:1\n")
 
-    def test_positional_beats_file(self, capsys, tmp_path):
+    def test_positional_beats_file(self, tmp_path):
         source = tmp_path / "words.txt"
         source.write_text(")(\n")
-        rc, out, _ = run(capsys, "validate", "()", "--file", str(source))
-        assert rc == 0
-        assert out == "valid n=1\n"
+        assert run("validate", "()", "--file", str(source)) == (0, "valid n=1\n", "")
 
 
 class TestConvert:
-    def test_to_path(self, capsys):
-        rc, out, _ = run(capsys, "convert", "--to", "path", "()")
-        assert rc == 0
-        assert out == "[[0,0,0,0],[1,1,1,0],[2,0,1,1]]\n"
+    def test_to_path(self):
+        assert run("convert", "--to", "path", "()") == (0, "[[0,0,0,0],[1,1,1,0],[2,0,1,1]]\n", "")
 
-    def test_to_word(self, capsys):
-        rc, out, _ = run(capsys, "convert", "--to", "word", "[[0,0,0,0],[1,1,1,0],[2,0,1,1]]")
-        assert rc == 0
-        assert out == "()\n"
+    def test_to_word(self):
+        assert run("convert", "--to", "word", "[[0,0,0,0],[1,1,1,0],[2,0,1,1]]") == (0, "()\n", "")
 
-    def test_round_trip(self, capsys):
-        rc, out, _ = run(capsys, "convert", "--to", "path", "(()())")
-        rc2, out2, _ = run(capsys, "convert", "--to", "word", out.strip())
+    def test_round_trip(self):
+        rc, out, _ = run("convert", "--to", "path", "(()())")
+        rc2, out2, _ = run("convert", "--to", "word", out.strip())
         assert (rc, rc2) == (0, 0)
         assert out2 == "(()())\n"
 
-    def test_malformed_path_json(self, capsys):
-        rc, _, err = run(capsys, "convert", "--to", "word", "[[0,0,0,0],[5,5,5,5]]")
-        assert rc == 1
-        assert err == "error:malformed-path:1\n"
+    def test_malformed_path_json(self):
+        assert run("convert", "--to", "word", "[[0,0,0,0],[5,5,5,5]]") == \
+            (1, "", "error:malformed-path:1\n")
 
-    def test_invalid_json(self, capsys):
-        rc, _, err = run(capsys, "convert", "--to", "word", "[[0,0")
+    def test_invalid_json(self):
+        rc, _, err = run("convert", "--to", "word", "[[0,0")
         assert rc == 1
         assert err.startswith("error:invalid-json")
 
 
 class TestProjectLift:
-    def test_project(self, capsys):
-        rc, out, _ = run(capsys, "project", "--axes", "lr", "()")
+    def test_project(self):
+        rc, out, _ = run("project", "--axes", "lr", "()")
         assert rc == 0
         assert json.loads(out) == {"axes": ["l", "r"], "points": [[0, 0], [1, 0], [1, 1]]}
 
-    def test_lift_to_word(self, capsys):
+    def test_lift_to_word(self):
         data = '{"axes":["l","r"],"points":[[0,0],[1,0],[1,1]]}'
-        rc, out, _ = run(capsys, "lift", "--to", "word", data)
-        assert rc == 0
-        assert out == "()\n"
+        assert run("lift", "--to", "word", data) == (0, "()\n", "")
 
-    def test_lift_default_path(self, capsys):
+    def test_lift_default_path(self):
         data = '{"axes":["i","j"],"points":[[0,0],[1,1],[2,0]]}'
-        rc, out, _ = run(capsys, "lift", data)
-        assert rc == 0
-        assert out == "[[0,0,0,0],[1,1,1,0],[2,0,1,1]]\n"
+        assert run("lift", data) == (0, "[[0,0,0,0],[1,1,1,0],[2,0,1,1]]\n", "")
 
-    def test_lift_inconsistent(self, capsys):
+    def test_lift_inconsistent(self):
         data = '{"axes":["i","j"],"points":[[0,0],[1,0]]}'
-        rc, _, err = run(capsys, "lift", data)
-        assert rc == 1
-        assert err == "error:inconsistent-projection:1\n"
+        assert run("lift", data) == (1, "", "error:inconsistent-projection:1\n")
 
-    def test_project_lift_pipe_equivalence(self, capsys):
-        rc, projected, _ = run(capsys, "project", "--axes", "jl", "(())()")
-        rc2, lifted, _ = run(capsys, "lift", "--to", "word", projected.strip())
+    def test_project_lift_pipe_equivalence(self):
+        rc, projected, _ = run("project", "--axes", "jl", "(())()")
+        rc2, lifted, _ = run("lift", "--to", "word", projected.strip())
         assert lifted == "(())()\n"
 
-    def test_axes_in_any_order_or_case(self, capsys):
-        outputs = {run(capsys, "project", "--axes", axes, "(())")
+    def test_axes_in_any_order_or_case(self):
+        outputs = {run("project", "--axes", axes, "(())")
                    for axes in ("lr", "rl", "l,r", "L R", "RL")}
         assert outputs == {(0, '{"axes":["l","r"],"points":[[0,0],[1,0],[2,0],[2,1],[2,2]]}\n', "")}
 
     @pytest.mark.parametrize("text", ["", "()", "(()())", "(" * 40 + ")" * 40])
-    def test_json_dumps_writes_the_cli_lines(self, capsys, text):
+    def test_json_dumps_writes_the_cli_lines(self, text):
         # The library has no JSON writer of its own: a path and a projected path's
         # points are tuples of tuples, which json.dumps writes as the CLI does.
         path = word_to_path(parse_word(text))
-        assert run(capsys, "convert", "--to", "path", text)[1] == \
+        assert run("convert", "--to", "path", text)[1] == \
             json.dumps(path, separators=(",", ":")) + "\n"
         for axes in AXIS_SETS:
             p = project(path, axes)
-            assert run(capsys, "project", "--axes", axes, text)[1] == json.dumps(
+            assert run("project", "--axes", axes, text)[1] == json.dumps(
                 {"axes": list(p.axes), "points": p.points}, separators=(",", ":")) + "\n"
 
 
 class TestCount:
-    def test_single_node_json(self, capsys):
-        rc, out, _ = run(capsys, "count", "--n", "6", "--node", "12,0,6,6", "--format", "json")
+    def test_single_node_json(self):
+        rc, out, _ = run("count", "--n", "6", "--node", "12,0,6,6", "--format", "json")
         assert rc == 0
         assert json.loads(out) == {"node": [12, 0, 6, 6], "n": 6, "count": "132"}
 
-    def test_single_node_text(self, capsys):
-        rc, out, _ = run(capsys, "count", "--n", "3", "--node", "0,0,0,0")
-        assert rc == 0
-        assert out == "0,0,0,0\t5\n"
+    def test_single_node_text(self):
+        assert run("count", "--n", "3", "--node", "0,0,0,0") == (0, "0,0,0,0\t5\n", "")
 
-    def test_all_nodes(self, capsys):
-        rc, out, _ = run(capsys, "count", "--n", "2", "--format", "json")
+    def test_all_nodes(self):
+        rc, out, _ = run("count", "--n", "2", "--format", "json")
         assert rc == 0
         lines = out.strip().split("\n")
         assert len(lines) == 6  # (2+1)(2+2)/2 nodes
         first = json.loads(lines[0])
         assert first == {"node": [0, 0, 0, 0], "n": 2, "count": "2"}
 
-    def test_not_in_lattice(self, capsys):
-        rc, _, err = run(capsys, "count", "--n", "3", "--node", "1,1,1,1")
-        assert rc == 1
-        assert err == "error:not-in-lattice\n"
+    def test_not_in_lattice(self):
+        assert run("count", "--n", "3", "--node", "1,1,1,1") == (1, "", "error:not-in-lattice\n")
 
-    def test_bad_node_syntax_is_usage_error(self, capsys):
-        rc, _, err = run(capsys, "count", "--n", "3", "--node", "1,2")
-        assert rc == 2
+    def test_bad_node_syntax_is_usage_error(self):
+        assert run("count", "--n", "3", "--node", "1,2")[0] == 2
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_count_past_the_digit_limit(self, capsys, fmt):
+    def test_count_past_the_digit_limit(self, fmt):
         # catalan(8000) has 4811 digits, more than str(int) gives by default
-        rc, out, err = run(capsys, "count", "--n", "8000", "--node", "0,0,0,0", "--format", fmt)
+        rc, out, err = run("count", "--n", "8000", "--node", "0,0,0,0", "--format", fmt)
         assert (rc, err) == (0, "")
         expected = str(decimal.Decimal(math.comb(16000, 8000) // 8001))
         assert len(expected) > 4300
@@ -286,7 +254,7 @@ class TestCountingMemory:
 
     def test_tables_bought_at_four_n(self):
         # each n pays for its rows on its ceil(n / 16)-th call; one table of n = 1000 is
-        # about 78 MB, so a process that kept one table per n would not fit in 256 MB
+        # about 74 MB, so a process that kept one table per n would not fit in 256 MB
         result = _run_in_256_mb([], program=("-c", _FOUR_BUYS))
         assert (result.returncode, result.stderr) == (0, "")
         *lines, length = result.stdout.splitlines()
@@ -314,8 +282,8 @@ print(len(enumeration._table))
 
 
 class TestGeometry:
-    def test_json_report(self, capsys):
-        rc, out, _ = run(capsys, "geometry", "--n", "6", "--format", "json")
+    def test_json_report(self):
+        rc, out, _ = run("geometry", "--n", "6", "--format", "json")
         assert rc == 0
         report = json.loads(out)
         assert report["sides"]["blue"]["squared_length"] == 216
@@ -323,21 +291,21 @@ class TestGeometry:
         assert report["checks"]["right_angle"] is True
         assert report["tesseract"]["vertices"] == 16
 
-    def test_text_report(self, capsys):
-        rc, out, _ = run(capsys, "geometry", "--n", "6")
+    def test_text_report(self):
+        rc, out, _ = run("geometry", "--n", "6")
         assert rc == 0
         assert "right_angle=True" in out
         assert "16 vertices, 32 edges, 8 cells (2 cubes)" in out
 
-    def test_text_report_at_the_largest_n(self, capsys):
+    def test_text_report_at_the_largest_n(self):
         # flatness is read from the triangle's three vertices, so the report costs O(1) in n
-        rc, out, err = run(capsys, "geometry", "--n", str(10**307))
+        rc, out, err = run("geometry", "--n", str(10**307))
         assert (rc, err) == (0, "")
         assert out.startswith(f"n={10**307} origin=[0, 0, 0, 0] end=[{2 * 10**307}, 0, ")
         assert "flat=True\n" in out and "length=2.4494897427831783e+307\n" in out
 
-    def test_n_past_the_float_side_lengths(self, capsys):
-        rc, out, err = run(capsys, "geometry", "--n", str(10**307 + 1))
+    def test_n_past_the_float_side_lengths(self):
+        rc, out, err = run("geometry", "--n", str(10**307 + 1))
         assert (rc, out) == (2, "")
         assert err.endswith("argument --n: must be at most 1e+307\n")
 
@@ -350,8 +318,8 @@ class TestGeometry:
         assert result.stderr.endswith("argument --n: must be at most 1e+05 with --format json\n")
         assert "Traceback" not in result.stderr
 
-    def test_json_at_the_largest_n(self, capsys):
-        rc, out, err = run(capsys, "geometry", "--n", str(10**5), "--format", "json")
+    def test_json_at_the_largest_n(self):
+        rc, out, err = run("geometry", "--n", str(10**5), "--format", "json")
         assert (rc, err) == (0, "")
         assert len(json.loads(out)["sides"]["yellow"]["nodes"]) == 10**5 + 1
 
@@ -371,15 +339,15 @@ class TestGeometry:
 
 
 class TestEnumerateRankSample:
-    def test_enumerate_text(self, capsys):
-        rc, out, _ = run(capsys, "enumerate", "--n", "3")
+    def test_enumerate_text(self):
+        rc, out, _ = run("enumerate", "--n", "3")
         assert rc == 0
         lines = out.strip().split("\n")
         assert len(lines) == 5
         assert lines[0] == "((()))"
 
-    def test_enumerate_json_ranks(self, capsys):
-        rc, out, _ = run(capsys, "enumerate", "--n", "3", "--format", "json")
+    def test_enumerate_json_ranks(self):
+        rc, out, _ = run("enumerate", "--n", "3", "--format", "json")
         rows = [json.loads(line) for line in out.strip().split("\n")]
         assert [int(row["rank"]) for row in rows] == list(range(5))
 
@@ -397,54 +365,47 @@ class TestEnumerateRankSample:
         assert "Traceback" not in err
         assert (rc, err) == (1, "error:unwritable-output\n")
 
-    def test_enumerate_pipes_into_validate(self, capsys, monkeypatch):
-        rc, out, _ = run(capsys, "enumerate", "--n", "4")
-        monkeypatch.setattr("sys.stdin", io.StringIO(out))
-        rc2, out2, err2 = run(capsys, "validate")
-        assert rc2 == 0
-        assert out2 == "valid n=4\n" * 14
-        assert err2 == ""
+    def test_enumerate_pipes_into_validate(self):
+        assert run("validate", stdin=run("enumerate", "--n", "4")[1]) == (0, "valid n=4\n" * 14, "")
 
-    def test_rank(self, capsys):
-        rc, out, _ = run(capsys, "rank", "(())")
-        assert rc == 0
-        assert out == "0\n"
+    def test_rank(self):
+        assert run("rank", "(())") == (0, "0\n", "")
 
-    def test_rank_json(self, capsys):
-        rc, out, _ = run(capsys, "rank", "()()", "--format", "json")
+    def test_rank_json(self):
+        rc, out, _ = run("rank", "()()", "--format", "json")
         assert json.loads(out) == {"word": "()()", "rank": "1"}
 
-    def test_sample_deterministic(self, capsys):
-        rc, out1, _ = run(capsys, "sample", "--n", "5", "--seed", "11", "--count", "4")
-        rc2, out2, _ = run(capsys, "sample", "--n", "5", "--seed", "11", "--count", "4")
+    def test_sample_deterministic(self):
+        rc, out1, _ = run("sample", "--n", "5", "--seed", "11", "--count", "4")
+        rc2, out2, _ = run("sample", "--n", "5", "--seed", "11", "--count", "4")
         assert rc == rc2 == 0
         assert out1 == out2
         assert len(out1.strip().split("\n")) == 4
 
-    def test_sample_words_valid(self, capsys):
-        rc, out, _ = run(capsys, "sample", "--n", "6", "--seed", "3", "--count", "10")
+    def test_sample_words_valid(self):
+        rc, out, _ = run("sample", "--n", "6", "--seed", "3", "--count", "10")
         for line in out.strip().split("\n"):
             assert len(line) == 12
 
 
 class TestRender:
-    def test_grid_to_file(self, capsys, tmp_path):
+    def test_grid_to_file(self, tmp_path):
         out_file = tmp_path / "grid.svg"
-        rc, out, _ = run(capsys, "render", "grid", "--axes", "lr", "--n", "6",
+        rc, out, _ = run("render", "grid", "--axes", "lr", "--n", "6",
                          "--out", str(out_file))
         assert rc == 0
         ET.fromstring(out_file.read_text())
 
-    def test_grid_with_word_to_stdout(self, capsys):
-        rc, out, _ = run(capsys, "render", "grid", "--axes", "ij", "--n", "2", "--word", "(())")
+    def test_grid_with_word_to_stdout(self):
+        rc, out, _ = run("render", "grid", "--axes", "ij", "--n", "2", "--word", "(())")
         assert rc == 0
         root = ET.fromstring(out)
         assert any(el.get("class") == "path" for el in root.iter())
 
-    def test_schlegel_with_edges(self, capsys, tmp_path):
+    def test_schlegel_with_edges(self, tmp_path):
         svg_file = tmp_path / "box.svg"
         edge_file = tmp_path / "box.txt"
-        rc, _, _ = run(capsys, "render", "schlegel", "--n", "6",
+        rc, _, _ = run("render", "schlegel", "--n", "6",
                        "--out", str(svg_file), "--edges", str(edge_file))
         assert rc == 0
         root = ET.fromstring(svg_file.read_text())
@@ -452,20 +413,20 @@ class TestRender:
         assert len(vertices) == 16
         assert len(edge_file.read_text().splitlines()) == 48
 
-    def test_wireframe_cell(self, capsys):
-        rc, out, _ = run(capsys, "render", "wireframe", "--n", "1", "--cell", "jmin")
+    def test_wireframe_cell(self):
+        rc, out, _ = run("render", "wireframe", "--n", "1", "--cell", "jmin")
         assert rc == 0
         root = ET.fromstring(out)
         assert sum(1 for el in root.iter() if el.get("class") == "vertex") == 8
 
-    def test_wireframe_triangle_overlay(self, capsys):
-        rc, out, _ = run(capsys, "render", "wireframe", "--n", "2", "--triangle")
+    def test_wireframe_triangle_overlay(self):
+        rc, out, _ = run("render", "wireframe", "--n", "2", "--triangle")
         assert rc == 0
         assert "side-red" in out
 
     @pytest.mark.parametrize("view", ["wireframe", "schlegel"])
-    def test_triangle_sides_drawn_in_report_order(self, capsys, view):
-        rc, out, _ = run(capsys, "render", view, "--n", "3", "--triangle")
+    def test_triangle_sides_drawn_in_report_order(self, view):
+        rc, out, _ = run("render", view, "--n", "3", "--triangle")
         assert rc == 0
         drawn = [el.get("class") for el in ET.fromstring(out).iter()
                  if (el.get("class") or "").startswith("side-")]
@@ -483,14 +444,14 @@ class TestRender:
         assert peak < 2**20
 
     @pytest.mark.parametrize("view", ["wireframe", "schlegel"])
-    def test_largest_box_n(self, capsys, view):
-        rc, out, err = run(capsys, "render", view, "--n", str(10**300))
+    def test_largest_box_n(self, view):
+        rc, out, err = run("render", view, "--n", str(10**300))
         assert (rc, err) == (0, "")
         assert "inf" not in out and "nan" not in out
 
     @pytest.mark.parametrize("view", ["wireframe", "schlegel"])
-    def test_box_n_past_largest(self, capsys, view):
-        rc, out, err = run(capsys, "render", view, "--n", str(10**300 + 1))
+    def test_box_n_past_largest(self, view):
+        rc, out, err = run("render", view, "--n", str(10**300 + 1))
         assert (rc, out) == (2, "")
         assert err.endswith("argument --n: must be at most 1e+300\n")
         assert "Traceback" not in err
@@ -505,51 +466,49 @@ class TestRender:
         assert result.stderr.endswith("argument --n: must be at most 1e+05 with --triangle\n")
         assert "Traceback" not in result.stderr
 
-    def test_triangle_is_not_drawn_in_one_cell(self, capsys):
-        rc, out, err = run(capsys, "render", "wireframe", "--n", "2", "--cell", "imin", "--triangle")
+    def test_triangle_is_not_drawn_in_one_cell(self):
+        rc, out, err = run("render", "wireframe", "--n", "2", "--cell", "imin", "--triangle")
         assert (rc, out) == (2, "")
         assert err.endswith("argument --triangle: not allowed with argument --cell\n")
 
-    def test_grid_word_mismatched_axes_ok(self, capsys):
+    def test_grid_word_mismatched_axes_ok(self):
         # the word is projected onto the grid axes, so any 2-axis grid works
-        rc, out, _ = run(capsys, "render", "grid", "--axes", "jr", "--n", "1", "--word", "()")
+        rc, out, _ = run("render", "grid", "--axes", "jr", "--n", "1", "--word", "()")
         assert rc == 0
 
 
 class TestUsageErrors:
-    def test_unknown_subcommand(self, capsys):
-        assert run(capsys, "bogus")[0] == 2
+    def test_unknown_subcommand(self):
+        assert run("bogus")[0] == 2
 
     @pytest.mark.parametrize("command, others, option", [
         pytest.param(*case, id=f"{case[0]} {case[2]}") for case in MISSING_OPTIONS])
-    def test_missing_required_flag(self, capsys, command, others, option):
-        rc, out, err = run(capsys, *command.split(), *others)
+    def test_missing_required_flag(self, command, others, option):
+        rc, out, err = run(*command.split(), *others)
         assert (rc, out) == (2, "")
         assert err.endswith(f": error: the following arguments are required: {option}\n")
         assert "Traceback" not in err
 
-    def test_no_subcommand(self, capsys):
-        assert run(capsys)[0] == 2
+    def test_no_subcommand(self):
+        assert run()[0] == 2
 
-    def test_bad_axes_value(self, capsys):
+    def test_bad_axes_value(self):
         for axes in ("xy", "ll", "l"):
-            rc, out, err = run(capsys, "project", "--axes", axes, "()")
+            rc, out, err = run("project", "--axes", axes, "()")
             assert (rc, out) == (2, "")
             assert err.endswith("error: argument --axes: axis set must be one of "
                                 "ij, il, ir, jl, jr, lr, ijl, ijr, ilr, jlr, ijlr\n")
 
     @pytest.mark.parametrize("node, message", [("1,2", "node must be i,j,l,r"),
                                                ("1,x,0,0", "node coordinates must be integers")])
-    def test_bad_node_value(self, capsys, node, message):
-        rc, out, err = run(capsys, "count", "--n", "3", "--node", node)
+    def test_bad_node_value(self, node, message):
+        rc, out, err = run("count", "--n", "3", "--node", node)
         assert (rc, out) == (2, "")
         assert err.endswith(f"error: argument --node: {message}\n")
         assert "Traceback" not in err
 
-    def test_grid_with_three_axes_is_domain_error(self, capsys):
-        rc, _, err = run(capsys, "render", "grid", "--axes", "ijl", "--n", "2")
-        assert rc == 1
-        assert err == "error:wrong-arity\n"
+    def test_grid_with_three_axes_is_domain_error(self):
+        assert run("render", "grid", "--axes", "ijl", "--n", "2") == (1, "", "error:wrong-arity\n")
 
 
 class TestLiftWrongShape:
@@ -566,9 +525,8 @@ class TestLiftWrongShape:
         '{"axes":{"l":0,"r":1},"points":[[0,0],[1,0],[1,1]]}',
         '{"axes":["lr"],"points":[[0,0],[1,0],[1,1]]}',
     ])
-    def test_one_error_line(self, capsys, data):
-        rc, out, err = run(capsys, "lift", data)
-        assert (rc, out, err) == (1, "", "error:invalid-projection\n")
+    def test_one_error_line(self, data):
+        assert run("lift", data) == (1, "", "error:invalid-projection\n")
 
 
 class TestModuleEntryPoint:
@@ -578,62 +536,57 @@ class TestModuleEntryPoint:
         assert (result.returncode, result.stdout, result.stderr) == (0, "valid n=1\n", "")
 
 
+#: What a run that cannot write its output gives: (exit code, stdout, stderr).
+_UNWRITABLE = (1, "", "error:unwritable-output\n")
+
+
 class TestUnwritableOutput:
-    def test_missing_directory(self, capsys, tmp_path):
-        rc, out, err = run(capsys, "render", "wireframe", "--n", "2",
-                           "--out", str(tmp_path / "missing" / "x.svg"))
-        assert (rc, out, err) == (1, "", "error:unwritable-output\n")
+    def test_missing_directory(self, tmp_path):
+        missing = str(tmp_path / "missing" / "x.svg")
+        assert run("render", "wireframe", "--n", "2", "--out", missing) == _UNWRITABLE
 
-    def test_directory(self, capsys, tmp_path):
-        rc, out, err = run(capsys, "render", "grid", "--axes", "ij", "--n", "2",
-                           "--out", str(tmp_path))
-        assert (rc, out, err) == (1, "", "error:unwritable-output\n")
+    def test_directory(self, tmp_path):
+        assert run("render", "grid", "--axes", "ij", "--n", "2",
+                   "--out", str(tmp_path)) == _UNWRITABLE
 
-    def test_edges_file(self, capsys, tmp_path):
-        rc, out, err = run(capsys, "render", "schlegel", "--n", "2",
-                           "--edges", str(tmp_path / "missing" / "e.txt"))
-        assert (rc, out, err) == (1, "", "error:unwritable-output\n")
+    def test_edges_file(self, tmp_path):
+        missing = str(tmp_path / "missing" / "e.txt")
+        assert run("render", "schlegel", "--n", "2", "--edges", missing) == _UNWRITABLE
 
-    def test_existing_out_file_keeps_its_bytes(self, capsys, tmp_path):
+    def test_existing_out_file_keeps_its_bytes(self, tmp_path):
         old = tmp_path / "old.svg"
         old.write_bytes(b"<svg>")
-        rc, out, err = run(capsys, "render", "schlegel", "--n", "2", "--out", str(old),
-                           "--edges", str(tmp_path / "missing" / "e.txt"))
-        assert (rc, out, err) == (1, "", "error:unwritable-output\n")
+        assert run("render", "schlegel", "--n", "2", "--out", str(old),
+                   "--edges", str(tmp_path / "missing" / "e.txt")) == _UNWRITABLE
         assert old.read_bytes() == b"<svg>"
 
-    def test_out_file_with_writable_edges_file(self, capsys, tmp_path):
+    def test_out_file_with_writable_edges_file(self, tmp_path):
         edges = tmp_path / "e.txt"
-        rc, out, err = run(capsys, "render", "schlegel", "--n", "2",
-                           "--out", str(tmp_path / "missing" / "x.svg"), "--edges", str(edges))
-        assert (rc, out, err) == (1, "", "error:unwritable-output\n")
+        assert run("render", "schlegel", "--n", "2", "--out", str(tmp_path / "missing" / "x.svg"),
+                   "--edges", str(edges)) == _UNWRITABLE
         assert not edges.exists()
 
     @pytest.mark.parametrize("view", ["wireframe", "schlegel"])
-    def test_same_path_twice(self, capsys, tmp_path, view):
+    def test_same_path_twice(self, tmp_path, view):
         path = str(tmp_path / "y.svg")
-        rc, out, err = run(capsys, "render", view, "--n", "2", "--out", path, "--edges", path)
-        assert (rc, out, err) == (1, "", "error:unwritable-output\n")
+        assert run("render", view, "--n", "2", "--out", path, "--edges", path) == _UNWRITABLE
 
-    def test_symlink_alias(self, capsys, tmp_path):
+    def test_symlink_alias(self, tmp_path):
         target, alias = tmp_path / "y.svg", tmp_path / "z.svg"
         alias.symlink_to(target)
-        rc, out, err = run(capsys, "render", "wireframe", "--n", "2",
-                           "--out", str(target), "--edges", str(alias))
-        assert (rc, out, err) == (1, "", "error:unwritable-output\n")
+        assert run("render", "wireframe", "--n", "2", "--out", str(target),
+                   "--edges", str(alias)) == _UNWRITABLE
 
-    def test_same_existing_file_keeps_its_bytes(self, capsys, tmp_path):
+    def test_same_existing_file_keeps_its_bytes(self, tmp_path):
         old = tmp_path / "old.svg"
         old.write_bytes(b"<svg>")
-        rc, out, err = run(capsys, "render", "schlegel", "--n", "2",
-                           "--out", str(old), "--edges", str(old))
-        assert (rc, out, err) == (1, "", "error:unwritable-output\n")
+        assert run("render", "schlegel", "--n", "2", "--out", str(old),
+                   "--edges", str(old)) == _UNWRITABLE
         assert old.read_bytes() == b"<svg>"
 
-    def test_devnull_twice(self, capsys):
-        rc, out, err = run(capsys, "render", "wireframe", "--n", "2",
-                           "--out", os.devnull, "--edges", os.devnull)
-        assert (rc, out, err) == (0, "", "")
+    def test_devnull_twice(self):
+        assert run("render", "wireframe", "--n", "2", "--out", os.devnull,
+                   "--edges", os.devnull) == (0, "", "")
 
     @pytest.mark.parametrize("stdout_name, rc", [("e.txt", 1), ("figure.svg", 0)])
     def test_stdout_redirected_to_edges_file(self, tmp_path, stdout_name, rc):
@@ -667,8 +620,8 @@ class TestUnwritableOutput:
 
 class TestConvertWrongShape:
     @pytest.mark.parametrize("data", ["5", "[5]", "null", '{"a":1}', '"ab"', "[[0,0,0,0],7]"])
-    def test_one_error_line(self, capsys, data):
-        rc, out, err = run(capsys, "convert", "--to", "word", data)
+    def test_one_error_line(self, data):
+        rc, out, err = run("convert", "--to", "word", data)
         index = 1 if data.startswith("[[") else 0
         assert (rc, out, err) == (1, "", f"error:malformed-path:{index}\n")
 
@@ -690,30 +643,27 @@ class TestJsonIntegers:
                       "[[false,false,false,false],[true,true,true,false],[2,0,1,1]]"],
                      "error:malformed-path:0\n", id="convert booleans"),
     ])
-    def test_one_error_line(self, capsys, argv, err):
-        assert run(capsys, *argv) == (1, "", err)
+    def test_one_error_line(self, argv, err):
+        assert run(*argv) == (1, "", err)
 
 
 class TestUnreadableInput:
-    def test_missing_file(self, capsys, tmp_path):
-        rc, out, err = run(capsys, "validate", "--file", str(tmp_path / "missing.txt"))
-        assert (rc, out, err) == (1, "", "error:unreadable-input\n")
+    def test_missing_file(self, tmp_path):
+        assert run("validate", "--file", str(tmp_path / "missing.txt")) == \
+            (1, "", "error:unreadable-input\n")
 
-    def test_directory(self, capsys, tmp_path):
-        rc, out, err = run(capsys, "validate", "--file", str(tmp_path))
-        assert (rc, out, err) == (1, "", "error:unreadable-input\n")
+    def test_directory(self, tmp_path):
+        assert run("validate", "--file", str(tmp_path)) == (1, "", "error:unreadable-input\n")
 
-    def test_file_not_utf8(self, capsys, tmp_path):
+    def test_file_not_utf8(self, tmp_path):
         source = tmp_path / "words.txt"
         source.write_bytes(b"\xff\xfe")
-        rc, out, err = run(capsys, "validate", "--file", str(source))
-        assert (rc, out, err) == (1, "", "error:unreadable-input\n")
+        assert run("validate", "--file", str(source)) == (1, "", "error:unreadable-input\n")
 
     def test_stdin_not_utf8(self, capsys, monkeypatch):
         stdin = io.TextIOWrapper(io.BytesIO(b"()\n\xff\xfe\n"), encoding="utf-8")
         monkeypatch.setattr("sys.stdin", stdin)
-        rc, out, err = run(capsys, "rank")
-        assert (rc, out, err) == (1, "", "error:unreadable-input\n")
+        assert (main(["rank"]), *capsys.readouterr()) == (1, "", "error:unreadable-input\n")
 
 
 def _path_json(text):
@@ -762,20 +712,19 @@ class TestBatchWork:
     line names no bad row, and a good lift line completes no points node by node."""
 
     @pytest.mark.parametrize("argv, lines", _good_batches())
-    def test_one_canonical_build_per_line(self, capsys, monkeypatch, argv, lines):
-        monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{line}\n" for line in lines)))
+    def test_one_canonical_build_per_line(self, monkeypatch, argv, lines):
         calls = _counted_calls(monkeypatch, words._canonical_columns, lattice._complete_pair,
                                words._first_bad_row)
-        rc, out, err = run(capsys, *argv)
+        rc, out, err = run(*argv, stdin="".join(f"{line}\n" for line in lines))
         assert (rc, err, out.count("\n")) == (0, "", len(lines))
         assert calls == {"_canonical_columns": len(lines), "_complete_pair": 0,
                          "_first_bad_row": 0}
 
-    def test_only_a_rejected_line_completes_points_or_names_a_row(self, capsys, monkeypatch):
+    def test_only_a_rejected_line_completes_points_or_names_a_row(self, monkeypatch):
         calls = _counted_calls(monkeypatch, lattice._complete_pair, words._first_bad_row)
-        assert run(capsys, "lift", '{"axes":["i","j"],"points":[[0,0],[1,0]]}') == \
+        assert run("lift", '{"axes":["i","j"],"points":[[0,0],[1,0]]}') == \
             (1, "", "error:inconsistent-projection:1\n")
-        assert run(capsys, "convert", "--to", "word", "[[0,0,0,0],[1,1,1.0,0]]") == \
+        assert run("convert", "--to", "word", "[[0,0,0,0],[1,1,1.0,0]]") == \
             (1, "", "error:malformed-path:1\n")
         assert calls == {"_complete_pair": 1, "_first_bad_row": 1}
 
@@ -803,11 +752,11 @@ class TestJsonBeyondLimits:
                       f'{{"axes":["l","r"],"points":[[0,{_LONG_INT}]]}}',
                       _projected_json("(())", "ij")], id="lift long int", marks=_NO_DIGIT_LIMIT),
     ])
-    def test_bad_middle_line(self, capsys, monkeypatch, argv, lines):
+    def test_bad_middle_line(self, argv, lines):
         first, bad, last = lines
-        expected = run(capsys, *argv, first)[1] + run(capsys, *argv, last)[1]
-        monkeypatch.setattr("sys.stdin", io.StringIO(f"{first}\n{bad}\n{last}\n"))
-        assert run(capsys, *argv) == (1, expected, "error:invalid-json\n")
+        expected = run(*argv, first)[1] + run(*argv, last)[1]
+        assert run(*argv, stdin=f"{first}\n{bad}\n{last}\n") == \
+            (1, expected, "error:invalid-json\n")
         assert len(expected.splitlines()) == 2
 
 
@@ -861,8 +810,8 @@ class TestPastTheDigitLimit:
 
 
 class TestVersion:
-    def test_version(self, capsys):
-        assert run(capsys, "--version") == (0, f"dyck4d {__version__}\n", "")
+    def test_version(self):
+        assert run("--version") == (0, f"dyck4d {__version__}\n", "")
 
 
 #: (argv, three stdin lines whose middle one is bad) for every batch subcommand.
@@ -885,16 +834,15 @@ class TestBatchPolicy:
     """Every input line gets its output line or one error line; exit 1 if any failed."""
 
     @pytest.mark.parametrize("argv, lines", BATCHES, ids=[" ".join(a) for a, _ in BATCHES])
-    def test_bad_middle_line(self, capsys, monkeypatch, argv, lines):
+    def test_bad_middle_line(self, argv, lines):
         first, bad, last = lines
-        expected = run(capsys, *argv, first)[1] + run(capsys, *argv, last)[1]
-        monkeypatch.setattr("sys.stdin", io.StringIO(f"{first}\n{bad}\n{last}\n"))
-        rc, out, err = run(capsys, *argv)
+        expected = run(*argv, first)[1] + run(*argv, last)[1]
+        rc, out, err = run(*argv, stdin=f"{first}\n{bad}\n{last}\n")
         assert rc == 1
         assert out == expected
         assert len(out.splitlines()) == 2
         assert len(err.splitlines()) == 1 and err.startswith("error:")
-        assert err == run(capsys, *argv, bad)[2]
+        assert err == run(*argv, bad)[2]
 
 
 LINE_COMMANDS = [
@@ -927,8 +875,9 @@ _fuzz_line = st.one_of(
 )
 
 
-#: Every subcommand that takes --n, with what else it needs.  Only the box views
-#: and text-mode geometry draw a huge n: the others would run without end.
+#: Every subcommand that takes --n, with what else it needs.  Only the box views,
+#: text-mode geometry and, past their bounds, count and sample draw a huge n: the
+#: others would run without end.
 N_COMMANDS = [
     ["count"], ["count", "--node", "2,0,1,1"], ["count", "--format", "json"], ["geometry"],
     ["geometry", "--format", "json"], ["enumerate"], ["enumerate", "--format", "json"],
@@ -941,27 +890,24 @@ BOX_COMMANDS = [
     ["render", "schlegel", "--triangle"],
 ]
 _SMALL_N = ["0", "1", "2", "3", "-1", "x"]
+_HIGH = {"count": _COUNT_N, "sample": _SAMPLE_N}
+#: (command, --n) past the bound of count and sample: a usage error before any counting.
+_PAST_BOUND = [(command, str(n)) for command in N_COMMANDS if command[0] in _HIGH
+               for n in (_HIGH[command[0]] + 1, 10**6, 10**12, 10**301)]
 
 
 def _run_total(argv, lines=()):
     """``main(argv)`` with ``lines`` on stdin: (rc, stdout, stderr lines).  Checks that
     rc is 0, 1 or 2, that no traceback appears, and that stderr holds only
     ``error:`` lines, one at least exactly when rc is 1, unless rc is 2."""
-    out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.StringIO("".join(f"{line}\n" for line in lines))
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv)
-    finally:
-        sys.stdin = saved
+    rc, out, err = run(*argv, stdin="".join(f"{line}\n" for line in lines))
     assert rc in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    errors = err.getvalue().splitlines()
+    assert "Traceback" not in err
+    errors = err.splitlines()
     if rc != 2:  # a usage error is argparse's message; anything else is error: lines
         assert all(line.startswith("error:") for line in errors)
         assert (rc == 1) == bool(errors)
-    return rc, out.getvalue(), errors
+    return rc, out, errors
 
 
 class TestTotality:
@@ -983,6 +929,7 @@ class TestTotality:
     @settings(max_examples=300, deadline=None)
     @given(command_n=st.one_of(
                st.tuples(st.sampled_from(N_COMMANDS), st.sampled_from(_SMALL_N)),
+               st.sampled_from(_PAST_BOUND),
                st.tuples(st.sampled_from(BOX_COMMANDS),
                          st.sampled_from(_SMALL_N + [str(10**5 + 1), str(10**301)])),
            st.tuples(st.just(["geometry"]), st.sampled_from(_SMALL_N + [str(10**301)]))),
@@ -1005,9 +952,8 @@ class TestSharedParser:
         ["rank"], ["bogus"], [],
     ]
 
-    def test_second_run_gives_the_same_bytes(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(""))
-        first = [run(capsys, *argv) for argv in self.ARGVS]
-        again = [run(capsys, *argv) for argv in reversed(self.ARGVS)]
+    def test_second_run_gives_the_same_bytes(self):
+        first = [run(*argv) for argv in self.ARGVS]
+        again = [run(*argv) for argv in reversed(self.ARGVS)]
         assert again[::-1] == first
         assert build_parser() is build_parser()

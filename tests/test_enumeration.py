@@ -142,7 +142,7 @@ class TestWalkAgainstTable:
     @pytest.mark.parametrize("n", [999, 1000, 1001])
     def test_both_sides_of_the_cap(self, n):
         rng = random.Random(n)
-        table = _prefix_rows(n)  # this test's own, about 78 MB, dropped when it ends
+        table = _prefix_rows(n)  # this test's own, about 74 MB, dropped when it ends
         for _ in range(3):
             word = parse_word(oracles.random_word_text(rng, n))
             k = _counted_by(None, rank, word)

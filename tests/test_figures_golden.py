@@ -13,25 +13,19 @@ still, while a grid drew one element per isoline and its overlay from a path.
 The report at n = 400, the triangle overlays at n = 399 and 370 and the boxes at
 n = 10**300 were recorded while the view maps still worked point by point.
 
-Record the cases that have no entry yet with
-``PYTHONPATH=src python tests/test_figures_golden.py``; it keeps every recorded
-entry, so re-recording one (only when a change of output is intended) means
-deleting it first.
+Record the cases that have no entry yet with ``PYTHONPATH=src python
+tests/golden.py``, the record command of every golden corpus.  It fills in
+missing entries only, so re-recording one (only when a change of output is
+intended) means deleting it first.
 """
 
-import contextlib
-import hashlib
-import io
-import json
 import random
-import sys
-import tempfile
 from pathlib import Path
 
 import pytest
 
+import golden
 import oracles
-from dyck4d.cli import main
 
 DATA = Path(__file__).parent / "data" / "figures_golden.json"
 
@@ -98,39 +92,16 @@ def _cases():
            ["render", "wireframe", "--n", str(10**300), "--cell", "rmax", "--edges", "EDGES"])
 
 
-CASES = list(_cases())
-
-
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def run_case(argv):
-    """[stdout SHA, stderr SHA, exit code] and the edge-list file's SHA if it is written."""
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as work:
-        edges = Path(work) / "edges.txt"
-        argv = [str(edges) if arg == "EDGES" else arg for arg in argv]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        result = [_sha(out.getvalue().encode()), _sha(err.getvalue().encode()), code]
-        if "--edges" in argv:
-            result.append(_sha(edges.read_bytes()))
-    return result
-
-
-EXPECTED = json.loads(DATA.read_text()) if DATA.exists() else {}
+CASES = [golden.Case(case_id, argv, files=("EDGES",) if "EDGES" in argv else ())
+         for case_id, argv in _cases()]
+EXPECTED = golden.load(DATA)
+entry = golden.digest
 
 
 def test_corpus_is_recorded():
-    assert sorted(EXPECTED) == sorted(case_id for case_id, _ in CASES)
+    golden.assert_recorded(EXPECTED, CASES)
 
 
-@pytest.mark.parametrize("case_id, argv", CASES, ids=[c[0] for c in CASES])
-def test_golden(case_id, argv):
-    assert run_case(argv) == EXPECTED[case_id]
-
-
-if __name__ == "__main__":
-    DATA.write_text(json.dumps({case_id: EXPECTED.get(case_id) or run_case(argv)
-                                for case_id, argv in CASES}, indent=0) + "\n")
+@pytest.mark.parametrize("case", CASES, ids=[case.id for case in CASES])
+def test_golden(case):
+    assert golden.digest(golden.run(case)) == EXPECTED[case.id]

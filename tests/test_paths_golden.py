@@ -17,27 +17,21 @@ with a bool or a float past their second row) were recorded before the lift
 check and the JSON reader moved to strided slices, and pin the error each
 line names.
 
-Record the cases that have no entry yet with
-``PYTHONPATH=src python tests/test_paths_golden.py``; it keeps every recorded
-entry, so re-recording one (only when a change of output is intended) means
-deleting it first.
+Record the cases that have no entry yet with ``PYTHONPATH=src python
+tests/golden.py``, the record command of every golden corpus.  It fills in
+missing entries only, so re-recording one (only when a change of output is
+intended) means deleting it first.
 """
 
-import contextlib
-import hashlib
-import io
 import json
-import os
 import random
 import re
-import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
+import golden
 import oracles
-from dyck4d.cli import main
 
 DATA = Path(__file__).parent / "data" / "paths_golden.json"
 
@@ -228,52 +222,22 @@ def _fault_cases():
         yield f"lift --to path <{value} at point {point} {axes}>", argv, line + "\n"
 
 
-CASES = list(_cases())
-
-
-def run_case(argv, stdin):
-    """Run ``main`` in-process; an escaped exception becomes ``exception:<class>``."""
-    out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    try:
-        # argparse wraps its usage line at the terminal's width, which COLUMNS sets.
-        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
-              mock.patch.dict(os.environ, {"COLUMNS": "80"})):
-            try:
-                code = main(argv)
-            except Exception as exc:  # recorded, then compared like any outcome
-                code = f"exception:{type(exc).__name__}"
-    finally:
-        sys.stdin = saved
-    return out.getvalue(), err.getvalue(), code
-
-
-def digest(out, err, code):
-    return [hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest(), code]
-
-
-EXPECTED = json.loads(DATA.read_text()) if DATA.exists() else {}
+CASES = [golden.Case(*case) for case in _cases()]
+EXPECTED = golden.load(DATA)
+entry = golden.digest
 
 
 def test_corpus_is_recorded():
-    assert sorted(EXPECTED) == sorted(case_id for case_id, _, _ in CASES)
+    golden.assert_recorded(EXPECTED, CASES)
 
 
-@pytest.mark.parametrize("case_id, argv, stdin", CASES, ids=[c[0] for c in CASES])
-def test_golden(case_id, argv, stdin):
-    out, err, code = run_case(argv, stdin)
-    expected = EXPECTED[case_id]
+@pytest.mark.parametrize("case", CASES, ids=[case.id for case in CASES])
+def test_golden(case):
+    result = golden.run(case)
+    expected = EXPECTED[case.id]
     if isinstance(expected[2], str):  # escaped before; now one error line
-        assert argv[0] == "lift"
-        assert (out, code) == ("", 1)
-        assert re.fullmatch(r"error:invalid-projection(:-?\d+)?\n", err), err
+        assert case.argv[0] == "lift"
+        assert (result.out, result.code) == ("", 1)
+        assert re.fullmatch(r"error:invalid-projection(:-?\d+)?\n", result.err), result.err
     else:
-        assert digest(out, err, code) == expected
-
-
-if __name__ == "__main__":
-    # Recorded entries stay as they are (the escaped exceptions cannot be
-    # recorded again); delete an entry to record it anew.
-    DATA.write_text(json.dumps({case_id: EXPECTED.get(case_id) or digest(*run_case(argv, stdin))
-                                for case_id, argv, stdin in CASES}, indent=0) + "\n")
+        assert golden.digest(result) == expected
