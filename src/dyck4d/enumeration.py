@@ -12,8 +12,13 @@ and unrank read that table instead (ski rental: Karlin, Manasse, Rudolph and
 Sleator, "Competitive snoopy caching", 1988).  Row l of the table is the
 same for every n >= l, so a process keeps one table, grown to the largest
 n bought, and every n below its length reads it.  This module builds the
-table.  :func:`_ballot` is the package's one source of ballot numbers and its
-one closed form: it reads the table when the process holds the row, else
+table.  Row l + 1 is the running sum of row l, so B(l, r) = B(l + 1, r) -
+B(l + 1, r - 1) for r >= 1, and B(l, 0) = 1: the table keeps rows 0..500
+whole (1/8 of its integer bits), and above them every even row and its last
+row; an odd row between is read from the row after it.  That holds 58% of
+the memory of whole rows, and walks at n <= 500 read whole rows.
+:func:`_ballot` is the package's one source of ballot numbers and its one
+closed form: it reads the table when the process holds the row, else
 computes the closed form, so a per-node count (lattice) reads it too, but
 never buys it.  A walk starts from catalan(n) = B(n, n), read once per call or
 stream of draws; unrank checks its rank against it before the buy rule, so a
@@ -63,28 +68,50 @@ def enumerate_words(n: int) -> Iterator[DyckWord]:
         text = text[:p] + ")" + "(" * (n - l) + ")" * (n - r)
 
 
+class _OddRow:
+    """Row l of the prefix table, for an odd l above _TABLE_CAP // 2, read from row l + 1,
+    its running sum: B(l, r) = B(l + 1, r) - B(l + 1, r - 1) for r >= 1, and B(l, 0) = 1."""
+
+    __slots__ = ("below",)
+
+    def __init__(self, below: tuple):
+        self.below = below
+
+    def __getitem__(self, r: int) -> int:
+        below = self.below
+        return below[r] - below[r - 1] if r else 1
+
+
 def _prefix_rows(n: int, rows: tuple = ()) -> tuple:
     """Rows 0, ..., n of the prefix table, extending ``rows`` (its rows 0, ..., k <= n).
 
     Row l holds the number of balanced-word prefixes reaching (l, r) for r = 0, ..., l,
-    the ballot numbers B(l, r); it is the same for every half-length n >= l.
+    the ballot numbers B(l, r); it is the same for every half-length n >= l.  Rows up
+    to _TABLE_CAP // 2, every even row and the last row are tuples; an odd row above
+    the cut is an :class:`_OddRow` read from the row after it.
     """
     # A prefix reaching (l, r < l) ends in '(' from (l - 1, r) or ')' from
     # (l, r - 1), so row l is the running sum of row l - 1; (l, l) is reached
-    # only from (l, l - 1), so the row ends by repeating its last value.
+    # only from (l, l - 1), so the row ends by repeating its last value.  The last
+    # row is always whole, so the next build extends from it.
     rows = list(rows) or [(1,)]
     while len(rows) <= n:
         row = tuple(accumulate(rows[-1]))
-        rows.append(row + row[-1:])
+        row += row[-1:]
+        last = len(rows) - 1
+        if last % 2 and last > _TABLE_CAP // 2:
+            rows[last] = _OddRow(row)
+        rows.append(row)
     return tuple(rows)
 
 
 #: A table build at n costs about n / _WALK_RATIO walks at n: at n = 1000 one
-#: build took about 70 ms and one walk 1.2-1.6 ms, and the ratio grows like n (a build
+#: build took about 45 ms and one walk 1.2-1.5 ms, and the ratio grows like n (a build
 #: adds Θ(n³) bits, a walk multiplies Θ(n²)).  So a walk at n costs n² and a build
 #: n³ / _WALK_RATIO, and the call whose walks so far reach that cost buys rows 0..n.
 _WALK_RATIO = 16
-#: The table is never grown past this n: rows 0..1000 are 73.7 MB of Python objects.
+#: The table is never grown past this n: rows 0..1000 are 42.4 MB of Python objects
+#: (73.5 MB were every row whole), and rows 0..500 are kept whole.
 _TABLE_CAP = 1000
 #: Rows 0..len - 1 of the prefix table, read by every n below its length.  One
 #: process-wide tuple, replaced by a longer one when a call buys a larger n.

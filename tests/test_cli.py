@@ -254,21 +254,25 @@ class TestCountingMemory:
 
     def test_tables_bought_at_four_n(self):
         # each n pays for its rows on its ceil(n / 16)-th call; one table of n = 1000 is
-        # about 74 MB, so a process that kept one table per n would not fit in 256 MB
+        # about 43 MB traced, so four tables, one per n, would fit in 256 MB; a traced
+        # peak under two tables shows that the process held one table at a time
         result = _run_in_256_mb([], program=("-c", _FOUR_BUYS))
         assert (result.returncode, result.stderr) == (0, "")
-        *lines, length = result.stdout.splitlines()
-        assert length == "1001"
+        *lines, last = result.stdout.splitlines()
+        length, peak_mb = last.split()
+        assert length == "1001" and int(peak_mb) < 80
         for line, n in zip(lines, (970, 980, 990, 1000), strict=True):
             k, word = line.split()
             assert oracles.scan(word) == ("ok", n)
             assert rank(parse_word(word)) == int(k)
 
 
-#: Buys the prefix table at four n near the cap, then round-trips a rank at each.
+#: Buys the prefix table at four n near the cap, then round-trips a rank at each; last,
+#: the table's length and the traced peak in MB.
 _FOUR_BUYS = """
-import math
+import math, tracemalloc
 from dyck4d import catalan, enumeration, rank, unrank
+tracemalloc.start()
 for n in (970, 980, 990, 1000):
     for call in range(math.ceil(n / 16)):
         unrank(call, n)
@@ -277,7 +281,7 @@ for n in (970, 980, 990, 1000):
     word = unrank(k, n)
     assert rank(word) == k
     print(k, word)
-print(len(enumeration._table))
+print(len(enumeration._table), tracemalloc.get_traced_memory()[1] // 10**6)
 """
 
 

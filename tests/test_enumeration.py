@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import islice
@@ -142,7 +143,7 @@ class TestWalkAgainstTable:
     @pytest.mark.parametrize("n", [999, 1000, 1001])
     def test_both_sides_of_the_cap(self, n):
         rng = random.Random(n)
-        table = _prefix_rows(n)  # this test's own, about 74 MB, dropped when it ends
+        table = _prefix_rows(n)  # this test's own, about 44 MB, dropped when it ends
         for _ in range(3):
             word = parse_word(oracles.random_word_text(rng, n))
             k = _counted_by(None, rank, word)
@@ -188,6 +189,19 @@ def _agrees_with_the_walk(ns):
         assert unrank(k, n) == word
 
 
+def _holds_every_ballot_number(table):
+    """Each table[l][r] is B(l, r) = C(l + r, r)(l - r + 1)/(l + 1); C(l + r, r) is carried
+    along the row, as math.comb over every entry up to l = 1000 would take 20 s."""
+    for l in range(len(table)):
+        row = table[l]
+        c = 1
+        for r in range(l + 1):
+            if r:
+                c = c * (l + r) // r
+            assert row[r] == c * (l - r + 1) // (l + 1), (l, r)
+        assert c == math.comb(2 * l, l)
+
+
 @pytest.mark.usefixtures("fresh_counting")
 class TestGrownTable:
     """Rows grown from a shorter table equal a fresh build, and every n they cover reads them."""
@@ -196,7 +210,7 @@ class TestGrownTable:
         for n in (0, 250, 500, 1000):
             enumeration._table = _prefix_rows(n, enumeration._table)
             _agrees_with_the_walk(range(n + 1))
-        assert enumeration._table == _prefix_rows(1000)
+        _holds_every_ballot_number(enumeration._table)
         assert enumeration._walked == 0  # a call at a covered n is not charged
 
     @settings(max_examples=10, deadline=None)
@@ -207,6 +221,72 @@ class TestGrownTable:
             enumeration._table = _prefix_rows(n, enumeration._table)
             assert enumeration._table == _prefix_rows(n)
             _agrees_with_the_walk(range(n + 1))
+
+
+@pytest.fixture(scope="class")
+def tables():
+    """No table and the rows 0..300, 0..777 (an odd, whole last row) and 0..1000."""
+    return {"none": (), **{f"rows-0-{n}": _prefix_rows(n) for n in (300, 777, 1000)}}
+
+
+def _held(table, function, *args):
+    """``function(*args)`` in a process that holds ``table`` and buys no other: a call
+    at an n it covers reads it, any other walks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration, "_table", table)
+        patch.setattr(enumeration, "_bought_table", lambda n: table if n < len(table) else None)
+        return function(*args)
+
+
+def _answers(n, words):
+    """B(n, r) and B(n - 1, r) for every r, the ranks of ``words``, the words of those
+    ranks and the first three draws of one seeded stream, all at n >= 1."""
+    ranks = [rank(word) for word in words]
+    return ([enumeration._ballot(l, r) for l in (n, n - 1) for r in range(l + 1)], ranks,
+            [unrank(k, n) for k in ranks], list(islice(enumeration._draws(random.Random(n), n), 3)))
+
+
+class TestKeptRows:
+    """Rows 0..500, every even row and the last row are whole; an odd row above 500 is
+    read from the row after it, and every reader gets the numbers of whole rows."""
+
+    def test_the_rule(self, tables):
+        for table in tables.values():
+            for l, row in enumerate(table):
+                whole = l <= enumeration._TABLE_CAP // 2 or l % 2 == 0 or l == len(table) - 1
+                assert type(row) is (tuple if whole else enumeration._OddRow), l
+                if not whole:
+                    assert row.below is table[l + 1]
+
+    @pytest.mark.parametrize("n", [7, 250, 500, 501, 777, 999, 1000])
+    def test_same_answers_from_every_table(self, tables, n):
+        rng = random.Random(n)
+        words = [parse_word(oracles.random_word_text(rng, n)) for _ in range(3)]
+        expected = _held((), _answers, n, words)
+        ranks, unranked = expected[1:3]
+        assert unranked == words
+        if n < 10:
+            assert [_brute_force_order(n)[k] for k in ranks] == words
+        for name, table in tables.items():
+            assert _held(table, _answers, n, words) == expected, name
+
+    def test_grown_from_an_odd_last_row(self, tables):
+        old = tables["rows-0-777"]
+        new = _prefix_rows(1000, old)
+        assert type(old[777]) is tuple  # a reader that holds the old table reads it whole
+        assert all(a is b for a, b in zip(new, old[:777]))
+        assert type(new[777]) is enumeration._OddRow and new[777].below is new[778]
+        assert [new[777][r] for r in range(778)] == list(old[777])
+
+    def test_traced_size(self):
+        # 75.4 MB with every row whole, 43.6 MB kept by the rule (CPython 3.11)
+        tracemalloc.start()
+        try:
+            table = _prefix_rows(enumeration._TABLE_CAP)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 1001 and size <= 45 * 10**6
 
 
 @pytest.fixture
