@@ -400,7 +400,7 @@ def main(argv=None) -> int:
         if option is not None and args.n > _TRIANGLE_N:
             args.subparser.error(f"argument --n: must be at most {_TRIANGLE_N:.0e} with {option}")
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     try:
         status = args.handler(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit

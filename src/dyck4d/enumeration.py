@@ -81,6 +81,10 @@ class _OddRow:
         below = self.below
         return below[r] - below[r - 1] if r else 1
 
+    def __iter__(self) -> Iterator[int]:
+        # without it, iteration would read index l + 1 too, a spurious 0, before IndexError
+        return map(self.__getitem__, range(len(self.below) - 1))
+
 
 def _prefix_rows(n: int, rows: tuple = ()) -> tuple:
     """Rows 0, ..., n of the prefix table, extending ``rows`` (its rows 0, ..., k <= n).

@@ -3,12 +3,10 @@ import io
 import json
 import math
 import os
-import resource
 import subprocess
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,11 +19,6 @@ from dyck4d import (AXIS_SETS, SIDES, MalformedPath, NotInLattice, ProjectedPath
                     word_to_path)
 from dyck4d import lattice, projections, words
 from dyck4d.cli import _COUNT_N, _SAMPLE_N, build_parser, main
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-#: The environment of a ``python -m dyck4d`` child: this checkout's package first.
-CHILD_ENV = dict(os.environ,
-                 PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 #: (subcommand, the other arguments it needs, the required option left out)
 MISSING_OPTIONS = [
@@ -41,19 +34,6 @@ def run(*argv, stdin=""):
     """(exit code, stdout, stderr) of ``main(argv)`` on ``stdin``, run as a golden case is."""
     out, err, rc, _ = golden.run(golden.Case("", list(argv), stdin))
     return rc, out, err
-
-
-def _limit_to_256_mb():
-    """Run in a child before it starts: limits its address space to 256 MB."""
-    resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
-
-
-def _run_in_256_mb(argv, stdin=None, program=("-m", "dyck4d")):
-    """``python -m dyck4d`` (or ``python *program``) with ``argv`` in a child limited
-    to 256 MB of address space."""
-    return subprocess.run(
-        [sys.executable, *program, *argv], input=stdin, capture_output=True,
-        text=True, env=CHILD_ENV, timeout=30, preexec_fn=_limit_to_256_mb)
 
 
 class TestValidate:
@@ -185,7 +165,7 @@ class TestCount:
         # The prefix table for n = 100000 would hold about 5e9 big integers; the two
         # ballot numbers of one node fit in these 256 MB of address space.
         n = 100000
-        result = _run_in_256_mb(["count", "--n", str(n), "--node", f"{2 * n},0,{n},{n}"])
+        result = golden.child("count", "--n", str(n), "--node", f"{2 * n},0,{n},{n}")
         assert (result.returncode, result.stderr) == (0, "")
         catalan = str(decimal.Decimal(math.comb(2 * n, n) // (n + 1)))
         assert result.stdout == f"{2 * n},0,{n},{n}\t{catalan}\n"
@@ -206,7 +186,7 @@ class TestOutOfMemory:
          "[[0,0,0,0],[1,1,1,0],[2,0,1,1]]\n"),
     ], ids=["render-grid", "convert-batch"])
     def test_one_error_line(self, argv, stdin, stdout):
-        result = _run_in_256_mb(argv, stdin)
+        result = golden.child(*argv, stdin=stdin)
         assert (result.returncode, result.stdout) == (1, stdout)
         assert result.stderr == "error:out-of-memory\n"
         assert "Traceback" not in result.stderr
@@ -219,8 +199,8 @@ class TestCountingMemory:
         # The prefix table of n = 1500 (about 1.1 million big integers) would not fit in
         # 256 MB; the stream prints its first rows at once and stops at a closed pipe.
         with subprocess.Popen([sys.executable, "-m", "dyck4d", "count", "--n", "1500"],
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
-                              preexec_fn=_limit_to_256_mb) as child:
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=golden.CHILD_ENV, preexec_fn=golden.limit_to_256_mb) as child:
             lines = [child.stdout.readline().decode() for _ in range(40)]
             child.stdout.close()
             err = child.stderr.read().decode()
@@ -232,15 +212,15 @@ class TestCountingMemory:
         assert (rc, err) == (1, "error:unwritable-output\n")
 
     def test_sample_text(self):
-        result = _run_in_256_mb(["sample", "--n", "2000", "--seed", "1"])
+        result = golden.child("sample", "--n", "2000", "--seed", "1")
         assert (result.returncode, result.stderr) == (0, "")
         word = result.stdout.removesuffix("\n")
         assert oracles.scan(word) == ("ok", 2000)
         assert word == sample_uniform(2000, 1)
 
     def test_sample_json(self):
-        result = _run_in_256_mb(["sample", "--n", "5000", "--seed", "1", "--count", "2",
-                                 "--format", "json"])
+        result = golden.child("sample", "--n", "5000", "--seed", "1", "--count", "2",
+                              "--format", "json")
         assert (result.returncode, result.stderr) == (0, "")
         rows = [json.loads(line) for line in result.stdout.splitlines()]
         assert len(rows) == 2
@@ -249,14 +229,14 @@ class TestCountingMemory:
             assert row["rank"] == str(rank(parse_word(row["word"])))
 
     def test_rank(self):
-        result = _run_in_256_mb(["rank", _DEEP_WORD])
+        result = golden.child("rank", _DEEP_WORD)
         assert (result.returncode, result.stdout, result.stderr) == (0, "0\n", "")
 
     def test_tables_bought_at_four_n(self):
         # each n pays for its rows on its ceil(n / 16)-th call; one table of n = 1000 is
         # about 43 MB traced, so four tables, one per n, would fit in 256 MB; a traced
         # peak under two tables shows that the process held one table at a time
-        result = _run_in_256_mb([], program=("-c", _FOUR_BUYS))
+        result = golden.child(code=_FOUR_BUYS)
         assert (result.returncode, result.stderr) == (0, "")
         *lines, last = result.stdout.splitlines()
         length, peak_mb = last.split()
@@ -317,7 +297,7 @@ class TestGeometry:
     def test_json_n_past_largest(self, n):
         # JSON lists the 3(n + 1) side nodes, as --triangle draws them: unbounded,
         # n = 10**6 took 6.5 s and 748 MB, and 10**301 would never end
-        result = _run_in_256_mb(["geometry", "--n", str(n), "--format", "json"])
+        result = golden.child("geometry", "--n", str(n), "--format", "json")
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.endswith("argument --n: must be at most 1e+05 with --format json\n")
         assert "Traceback" not in result.stderr
@@ -360,7 +340,7 @@ class TestEnumerateRankSample:
         with subprocess.Popen([sys.executable, "-m", "dyck4d", "enumerate", "--n", "600",
                                "--format", "json"],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              env=CHILD_ENV) as child:
+                              env=golden.CHILD_ENV) as child:
             rows = [json.loads(child.stdout.readline()) for _ in range(20)]
             child.stdout.close()
             err = child.stderr.read().decode()
@@ -465,7 +445,7 @@ class TestRender:
     def test_triangle_n_past_largest(self, view, n):
         # The overlay's nodes grow with n: unbounded, 10**300 ran out of these 256 MB
         # of address space with a traceback, and 10**5 + 1 wrote 6.6 MB of SVG.
-        result = _run_in_256_mb(["render", view, "--n", str(n), "--triangle"])
+        result = golden.child("render", view, "--n", str(n), "--triangle")
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.endswith("argument --n: must be at most 1e+05 with --triangle\n")
         assert "Traceback" not in result.stderr
@@ -535,8 +515,7 @@ class TestLiftWrongShape:
 
 class TestModuleEntryPoint:
     def test_python_m_dyck4d(self):
-        result = subprocess.run([sys.executable, "-m", "dyck4d", "validate", "()"],
-                                capture_output=True, text=True, env=CHILD_ENV, timeout=60)
+        result = golden.child("validate", "()")
         assert (result.returncode, result.stdout, result.stderr) == (0, "valid n=1\n", "")
 
 
@@ -601,7 +580,7 @@ class TestUnwritableOutput:
             result = subprocess.run(
                 [sys.executable, "-m", "dyck4d", "render", "schlegel", "--n", "2",
                  "--edges", str(edges)],
-                stdout=stdout, stderr=subprocess.PIPE, text=True, env=CHILD_ENV, timeout=60)
+                stdout=stdout, stderr=subprocess.PIPE, text=True, env=golden.CHILD_ENV, timeout=60)
         if rc:
             assert (result.returncode, result.stderr) == (1, "error:unwritable-output\n")
             assert edges.read_bytes() == b""
@@ -613,7 +592,7 @@ class TestUnwritableOutput:
     def test_broken_pipe(self):
         with subprocess.Popen([sys.executable, "-m", "dyck4d", "count", "--n", "200"],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              env=CHILD_ENV) as child:
+                              env=golden.CHILD_ENV) as child:
             assert child.stdout.readline().startswith(b"0,0,0,0\t")
             child.stdout.close()
             err = child.stderr.read().decode()
@@ -693,44 +672,27 @@ def _good_batches():
             yield pytest.param(["lift", "--to", to], lines, id=f"lift --to {to} <{axes}>")
 
 
-def _counted_calls(monkeypatch, *functions):
-    """A dict that counts the calls of each function, under its name, wherever
-    a module of the package binds it."""
-    calls = dict.fromkeys((function.__name__ for function in functions), 0)
-
-    def counting(function):
-        def counted(*args):
-            calls[function.__name__] += 1
-            return function(*args)
-        return counted
-
-    for module in [m for name, m in sys.modules.items() if name.startswith("dyck4d.")]:
-        for function in functions:
-            if getattr(module, function.__name__, None) is function:
-                monkeypatch.setattr(module, function.__name__, counting(function))
-    return calls
-
-
 class TestBatchWork:
     """A good line of each column route builds canonical columns once; a good JSON
     line names no bad row, and a good lift line completes no points node by node."""
 
     @pytest.mark.parametrize("argv, lines", _good_batches())
-    def test_one_canonical_build_per_line(self, monkeypatch, argv, lines):
-        calls = _counted_calls(monkeypatch, words._canonical_columns, lattice._complete_pair,
-                               words._first_bad_row)
-        rc, out, err = run(*argv, stdin="".join(f"{line}\n" for line in lines))
+    def test_one_canonical_build_per_line(self, argv, lines):
+        with golden.calls(words._canonical_columns, lattice._complete_pair,
+                          words._first_bad_row) as calls:
+            rc, out, err = run(*argv, stdin="".join(f"{line}\n" for line in lines))
         assert (rc, err, out.count("\n")) == (0, "", len(lines))
-        assert calls == {"_canonical_columns": len(lines), "_complete_pair": 0,
-                         "_first_bad_row": 0}
+        assert {name: len(made) for name, made in calls.items()} == \
+            {"_canonical_columns": len(lines), "_complete_pair": 0, "_first_bad_row": 0}
 
-    def test_only_a_rejected_line_completes_points_or_names_a_row(self, monkeypatch):
-        calls = _counted_calls(monkeypatch, lattice._complete_pair, words._first_bad_row)
-        assert run("lift", '{"axes":["i","j"],"points":[[0,0],[1,0]]}') == \
-            (1, "", "error:inconsistent-projection:1\n")
-        assert run("convert", "--to", "word", "[[0,0,0,0],[1,1,1.0,0]]") == \
-            (1, "", "error:malformed-path:1\n")
-        assert calls == {"_complete_pair": 1, "_first_bad_row": 1}
+    def test_only_a_rejected_line_completes_points_or_names_a_row(self):
+        with golden.calls(lattice._complete_pair, words._first_bad_row) as calls:
+            assert run("lift", '{"axes":["i","j"],"points":[[0,0],[1,0]]}') == \
+                (1, "", "error:inconsistent-projection:1\n")
+            assert run("convert", "--to", "word", "[[0,0,0,0],[1,1,1.0,0]]") == \
+                (1, "", "error:malformed-path:1\n")
+        assert {name: len(made) for name, made in calls.items()} == \
+            {"_complete_pair": 1, "_first_bad_row": 1}
 
 
 _DEEP = "[" * 100000
@@ -788,9 +750,7 @@ class TestPastTheDigitLimit:
     ], ids=["lift lr", "lift --to word lr", "lift il", "lift ir", "lift jl", "lift ilr",
             "convert --to word"])
     def test_one_error_line(self, argv, line, expected):
-        result = subprocess.run([sys.executable, "-m", "dyck4d", *argv],
-                                input=json.dumps(line) + "\n", capture_output=True, text=True,
-                                env=CHILD_ENV, timeout=60)
+        result = golden.child(*argv, stdin=json.dumps(line) + "\n")
         assert (result.returncode, result.stdout, result.stderr) == (1, "", expected + "\n")
 
     def test_library_raises_malformed_path(self):

@@ -10,6 +10,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import golden
 import oracles
 from dyck4d import (DyckWord, RankOutOfRange, catalan, draw_uniform_rank,
                     enumerate_words, parse_word, rank,
@@ -270,6 +271,12 @@ class TestKeptRows:
         for name, table in tables.items():
             assert _held(table, _answers, n, words) == expected, name
 
+    def test_iteration_yields_the_row(self, tables):
+        # an odd row above 500 yields its l + 1 numbers, as a whole row does
+        for table in tables.values():
+            for l, row in enumerate(table):
+                assert list(row) == [row[r] for r in range(l + 1)], l
+
     def test_grown_from_an_odd_last_row(self, tables):
         old = tables["rows-0-777"]
         new = _prefix_rows(1000, old)
@@ -290,12 +297,10 @@ class TestKeptRows:
 
 
 @pytest.fixture
-def builds(monkeypatch):
-    """The n of every table build from now on."""
-    built = []
-    monkeypatch.setattr(enumeration, "_prefix_rows",
-                        lambda n, rows=(): built.append(n) or _prefix_rows(n, rows))
-    return built
+def builds():
+    """The arguments of every table build from now on."""
+    with golden.calls(_prefix_rows) as calls:
+        yield calls["_prefix_rows"]
 
 
 def _words_at(n):
@@ -358,7 +363,7 @@ class TestBuyRule:
         # 7 walks at 99 and 100 cost more than a build at 99: the 7th call buys rows
         # 0..99 and the 8th rows 0..100
         assert self._rotated_calls([99, 100], 10) == [0] * 6 + [100] + [101] * 3
-        assert builds == [99, 100]
+        assert [build["n"] for build in builds] == [99, 100]
         assert enumeration._walked == 4 * 99**2 + 4 * 100**2
 
     @pytest.mark.parametrize("rotated", [4, 5, 12])
@@ -366,7 +371,7 @@ class TestBuyRule:
         # however many n a process rotates through, each grows the table once, the smallest first
         ns = [200 + 200 * step // (rotated - 1) for step in range(rotated)]
         self._rotated_calls(ns, 200 - rotated)
-        assert builds == ns
+        assert [build["n"] for build in builds] == ns
         assert len(enumeration._table) == ns[-1] + 1
 
     def test_cold_commands_build_nothing(self, builds, capsys):
@@ -380,12 +385,10 @@ class TestBuyRule:
 
 
 @pytest.fixture
-def comb_calls(monkeypatch):
+def comb_calls():
     """The arguments of every ``math.comb`` call from now on."""
-    calls = []
-    real = math.comb
-    monkeypatch.setattr(math, "comb", lambda a, b: calls.append((a, b)) or real(a, b))
-    return calls
+    with golden.calls(math.comb) as calls:
+        yield calls["comb"]
 
 
 @pytest.mark.usefixtures("fresh_counting")
@@ -402,18 +405,18 @@ class TestEachNumberOnce:
 
     def test_a_stream_reads_catalan_once(self, comb_calls):
         walked = list(islice(enumeration._draws(random.Random(5), 300), 4))
-        assert comb_calls == [(600, 300)]  # B(300, 300), once for the four draws
+        assert comb_calls == [{"n": 600, "k": 300}]  # B(300, 300), once for the four draws
         assert enumeration._table == ()  # four walks at n = 300 buy no table
         enumeration._table = _prefix_rows(300)
         assert list(islice(enumeration._draws(random.Random(5), 300), 4)) == walked
-        assert comb_calls == [(600, 300)]  # a held row costs no binomial
+        assert comb_calls == [{"n": 600, "k": 300}]  # a held row costs no binomial
 
     def test_rank_and_unrank_read_catalan_once(self, comb_calls):
         word = parse_word(oracles.random_word_text(random.Random(300), 300))
         k = rank(word)
-        assert comb_calls == [(600, 300)]
+        assert comb_calls == [{"n": 600, "k": 300}]
         assert unrank(k, 300) == word
-        assert comb_calls == [(600, 300)] * 2
+        assert comb_calls == [{"n": 600, "k": 300}] * 2
         assert enumeration._walked == 2 * 300**2 and enumeration._table == ()
 
 
@@ -441,13 +444,10 @@ class TestThreads:
         assert enumeration._walked == 8 * 100 * 2 * sum(n * n for n in ns)
         assert enumeration._table == ()
 
-    def test_shared_counts_stay_right(self, monkeypatch):
+    def test_shared_counts_stay_right(self, builds):
         # each thread makes runs of calls at one of 12 half-lengths, and the walks of
         # all threads pay for the builds
         ns = [3, 10, 17, 24, 40, 64, 80, 100, 120, 140, 160, 1001]
-        built = []
-        monkeypatch.setattr(enumeration, "_prefix_rows",
-                            lambda n, rows: built.append((len(rows), n)) or _prefix_rows(n, rows))
 
         def work(seed):
             rng = random.Random(seed)
@@ -463,6 +463,7 @@ class TestThreads:
         # no more is charged than every call at n <= 1000 walking
         assert enumeration._walked <= 8 * 12 * 2 * sum(n * n for n in ns[:-1])
         # each build starts where the last one ended: no two threads built the same rows
+        built = [(len(build["rows"]), build["n"]) for build in builds]
         assert [start for start, _ in built] == [0] + [n + 1 for _, n in built[:-1]]
         assert enumeration._table == _prefix_rows(built[-1][1])
 
@@ -470,39 +471,30 @@ class TestThreads:
 class TestSampling:
     # n = 1001 is above the table cap, so a walking unrank needs catalan(n) for its start
     @pytest.fixture
-    def catalan_calls(self, monkeypatch):
-        """The n of every ``enumeration.catalan`` call from now on."""
-        calls = []
-        real = enumeration.catalan
-        monkeypatch.setattr(enumeration, "catalan", lambda n: calls.append(n) or real(n))
-        return calls
-
-    @pytest.fixture
-    def buy_rule_calls(self, monkeypatch):
-        """The n of every buy-rule call from now on."""
-        calls = []
-        real = enumeration._bought_table
-        monkeypatch.setattr(enumeration, "_bought_table", lambda n: calls.append(n) or real(n))
-        return calls
+    def catalan_calls(self):
+        """The arguments of every ``catalan`` call from now on."""
+        with golden.calls(catalan) as calls:
+            yield calls["catalan"]
 
     def test_one_catalan_number_per_draw(self, catalan_calls):
         word = sample_uniform(1001, 5)
-        assert catalan_calls == [1001]
+        assert catalan_calls == [{"n": 1001}]
         assert rank(word) < catalan(1001)
 
     def test_one_catalan_number_per_sample_command(self, catalan_calls, capsys):
         assert main(["sample", "--n", "1001", "--seed", "5", "--count", "3"]) == 0
-        assert catalan_calls == [1001]
+        assert catalan_calls == [{"n": 1001}]
         assert len(capsys.readouterr().out.split()) == 3
 
-    def test_covered_n_reads_its_total_from_the_table(self, fresh_counting, comb_calls,
-                                                      buy_rule_calls, capsys):
+    def test_covered_n_reads_its_total_from_the_table(self, fresh_counting, capsys):
         argv = ["sample", "--n", "30", "--seed", "5", "--count", "3"]
         enumeration._table = _prefix_rows(30)
-        words = [sample_uniform(n, 5) for n in (0, 7, 30)]
-        assert main(argv) == 0
-        assert comb_calls == []  # catalan(n) = B(n, n) is a table read
-        assert buy_rule_calls == [0, 7, 30] + [30] * 3  # one buy-rule call per draw
+        with golden.calls(math.comb, enumeration._bought_table) as calls:
+            words = [sample_uniform(n, 5) for n in (0, 7, 30)]
+            assert main(argv) == 0
+        assert calls["comb"] == []  # catalan(n) = B(n, n) is a table read
+        # one buy-rule call per draw
+        assert [call["n"] for call in calls["_bought_table"]] == [0, 7, 30] + [30] * 3
         printed = capsys.readouterr().out
         enumeration._table = ()  # walking draws the same words
         assert [sample_uniform(n, 5) for n in (0, 7, 30)] == words

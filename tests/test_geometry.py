@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+import golden
 import oracles
 from dyck4d import (DOWN_STEP, SIDES, UP_STEP, LatticeNode, catalan,
                     count_paths_through, dot, double_tesseract, enumerate_nodes,
@@ -303,25 +304,21 @@ class TestReport:
         assert tuple(geometry_report(n)["sides"]) == SIDES == ("blue", "red", "yellow")
         assert tuple(side.side for side in triangle(n).sides) == SIDES
 
-    def test_census_builds_no_box(self, monkeypatch, capsys):
+    def test_census_builds_no_box(self, capsys):
         census = {"vertices": 16, "edges": 32, "cells": 8, "cube_cells": 2}
         for n in range(1, 9):
             box = double_tesseract(n)
             assert geometry_report(n)["tesseract"] == {
                 "vertices": len(box.vertices), "edges": len(box.edges), "cells": len(box.cells),
                 "cube_cells": sum(cell.is_cube for cell in box.cells)} == census
-
-        def no_box(*args):
-            raise AssertionError("the census built a box")
-
-        monkeypatch.setattr(geometry, "double_tesseract", no_box)
-        monkeypatch.setattr(geometry, "_box_corners", no_box)
-        for n in (1, 2, 6):
-            assert geometry_report(n)["tesseract"] == census
-        # the JSON report at this n would list 3(n + 1) side nodes; the text one lists none
-        assert geometry._summary(10**300)["tesseract"] == census
-        assert cli.main(["geometry", "--n", "6"]) == 0
+        with golden.calls(double_tesseract, geometry._box_corners) as boxes:
+            for n in (1, 2, 6):
+                assert geometry_report(n)["tesseract"] == census
+            # the JSON report at this n would list 3(n + 1) side nodes; the text one lists none
+            assert geometry._summary(10**300)["tesseract"] == census
+            assert cli.main(["geometry", "--n", "6"]) == 0
         assert capsys.readouterr().out.endswith("tesseract: 16 vertices, 32 edges, 8 cells (2 cubes)\n")
+        assert boxes == {"double_tesseract": [], "_box_corners": []}
 
     def test_degenerate_report(self):
         report = geometry_report(0)
@@ -396,16 +393,14 @@ class TestUnitFigures:
     figures stated once: none derives a box's edges from its corners, and none reads
     the rows of the lattice."""
 
-    @pytest.fixture(autouse=True)
-    def no_derivation(self, monkeypatch):
-        def derived(*args):
-            raise AssertionError("a request derived a figure stated once")
-
-        monkeypatch.setattr(geometry, "_box_edges", derived)
-        monkeypatch.setattr(lattice, "_region_rows", derived)
+    @pytest.fixture
+    def derived(self):
+        """The calls that derive a figure stated once, made by the test."""
+        with golden.calls(_box_edges, lattice._region_rows) as calls:
+            yield calls
 
     @pytest.mark.parametrize("cell", sorted(_CELL_FIGURES))
-    def test_cell_figure(self, cell, tmp_path):
+    def test_cell_figure(self, cell, tmp_path, derived):
         edges = tmp_path / "edges.txt"
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -414,9 +409,10 @@ class TestUnitFigures:
         assert rc == 0
         assert (hashlib.sha256(out.getvalue().encode()).hexdigest(),
                 hashlib.sha256(edges.read_bytes()).hexdigest()) == _CELL_FIGURES[cell]
+        assert derived == {"_box_edges": [], "_region_rows": []}
 
     @pytest.mark.parametrize("n", [1, 2, 7])
-    def test_face_of_side(self, n):
+    def test_face_of_side(self, n, derived):
         box = double_tesseract(n)
         cubes = {"red": ((0, n), (0, n), (0, n), (0,)),
                  "yellow": ((n, 2 * n), (0, n), (n,), (0, n))}
@@ -433,10 +429,12 @@ class TestUnitFigures:
             face = face_of_side(side, n)
             assert face == (side, cell, half, cube, diagonal)
             assert all(type(v) is LatticeNode for v in face.cube_vertices or ())
+        assert derived == {"_box_edges": [], "_region_rows": []}
 
     @pytest.mark.parametrize("n", [0, 1, 7, 10**301], ids=["0", "1", "7", "1e301"])
-    def test_flatness(self, n):
+    def test_flatness(self, n, derived):
         assert repr(verify_flat(n)) == "FlatnessResult(flat=True, witness=None)"
+        assert derived == {"_box_edges": [], "_region_rows": []}
 
 
 class TestUnitTriangle:
@@ -444,27 +442,27 @@ class TestUnitTriangle:
     length and the right angle's legs are read off it, with no node subtracted after
     import, and give the values and bytes they gave when each call subtracted nodes."""
 
-    @pytest.fixture(autouse=True)
-    def no_subtraction(self, monkeypatch):
-        def subtracted(*args):
-            raise AssertionError("a request subtracted nodes")
-
-        monkeypatch.setattr(geometry, "sub", subtracted)
-        monkeypatch.setattr(geometry, "norm_squared", subtracted)
+    @pytest.fixture
+    def subtracted(self):
+        """The calls that subtract nodes, made by the test."""
+        with golden.calls(sub, norm_squared) as calls:
+            yield calls
 
     @pytest.mark.parametrize("n", [0, 1, 6, 10**300], ids=["0", "1", "6", "1e300"])
-    def test_side_length_squared(self, n):
+    def test_side_length_squared(self, n, subtracted):
         squares = [side_length_squared(side, n) for side in SIDES]
         assert squares == [6 * n * n, 3 * n * n, 3 * n * n]
+        assert subtracted == {"sub": [], "norm_squared": []}
 
     @pytest.mark.parametrize("n", [1, 6, 10**300], ids=["1", "6", "1e300"])
-    def test_right_isosceles(self, n):
+    def test_right_isosceles(self, n, subtracted):
         assert repr(verify_right_isosceles(n)) == (
             f"RightIsoscelesReport(n={n}, right_angle=True, isosceles=True, pythagoras=True, "
             "direction_ab=LatticeNode(i=1, j=1, l=1, r=0), "
             "direction_bc=LatticeNode(i=1, j=-1, l=0, r=1))")
+        assert subtracted == {"sub": [], "norm_squared": []}
 
-    def test_reports(self, capsys):
+    def test_reports(self, capsys, subtracted):
         def digest(text):
             return hashlib.sha256(text.encode()).hexdigest()
 
@@ -475,6 +473,7 @@ class TestUnitTriangle:
         assert cli.main(["geometry", "--n", "6"]) == 0
         assert digest(capsys.readouterr().out) == (
             "437abf593930b38666c6e36d8dbedb8f74597cb56868dff0af0ca60d6da3de57")
+        assert subtracted == {"sub": [], "norm_squared": []}
 
 
 class TestSideLengthRange:

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import golden
 import oracles
 from dyck4d import (LatticeNode, NotInLattice, ParityViolation,
                     catalan, complete_node, count_paths_through, enumerate_nodes,
@@ -278,15 +279,13 @@ class TestSharedTable:
         assert enumeration._walked == sum(n * n for n in range(10))
         assert len(enumeration._table) == 10
 
-    def test_count_over_all_nodes_keeps_nothing(self, monkeypatch, capsys):
-        built = []
-        monkeypatch.setattr(enumeration, "_prefix_rows",
-                            lambda n, rows=(): built.append(n) or _prefix_rows(n, rows))
+    def test_count_over_all_nodes_keeps_nothing(self, capsys):
         enumeration._table = table = _prefix_rows(5)
-        assert cli.main(["count", "--n", "30"]) == 0
+        with golden.calls(_prefix_rows) as calls:
+            assert cli.main(["count", "--n", "30"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 31 * 32 // 2
         assert enumeration._table is table and enumeration._walked == 0
-        assert built == [] and not hasattr(lattice, "_prefix_rows")
+        assert calls == {"_prefix_rows": []} and not hasattr(lattice, "_prefix_rows")
 
 
 @pytest.mark.usefixtures("fresh_counting")
@@ -314,14 +313,13 @@ class TestCountsReadTheHeldTable:
             assert catalan(n) == math.comb(2 * n, n) // (n + 1)
         assert enumeration._table is table and enumeration._walked == 0
 
-    def test_a_held_row_costs_no_binomial(self, monkeypatch):
-        calls = []
-        real = math.comb
-        monkeypatch.setattr(math, "comb", lambda a, b: calls.append((a, b)) or real(a, b))
+    def test_a_held_row_costs_no_binomial(self):
         node = LatticeNode(7, 1, 4, 3)
         enumeration._table = _prefix_rows(10)
-        count = count_paths_through(node, 10)
-        assert calls == []
-        enumeration._table = ()
-        assert count_paths_through(node, 10) == count
-        assert calls == [(7, 3), (13, 6)]  # B(4, 3) and B(10 - 3, 10 - 4)
+        with golden.calls(math.comb) as calls:
+            count = count_paths_through(node, 10)
+            assert calls["comb"] == []
+            enumeration._table = ()
+            assert count_paths_through(node, 10) == count
+        # B(4, 3) and B(10 - 3, 10 - 4)
+        assert calls["comb"] == [{"n": 7, "k": 3}, {"n": 13, "k": 6}]

@@ -2,15 +2,13 @@
 name in ``__all__`` is there, and a name's module is imported only when it is used."""
 
 import importlib
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import dyck4d
+import golden
 
 PYPROJECT = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
 
@@ -80,19 +78,12 @@ def test_axis_sets_and_figures_are_plain_values():
         assert not hasattr(importlib.import_module(f"dyck4d.{module}"), "dataclass")
 
 
-def _child_stdout(code: str) -> str:
-    """What ``python -c code`` prints, with this checkout's package on the path."""
-    src = str(Path(dyck4d.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=30, check=True).stdout
-
-
 def _package_modules_loaded_by(module: str) -> list[str]:
     """The package's modules in sys.modules, sorted, after a fresh ``import module``."""
-    return _child_stdout(f"import sys, {module}\n"
-                         "print(*sorted(m for m in sys.modules if 'dyck4d' in m))").split()
+    result = golden.child(code=f"import sys, {module}\n"
+                               "print(*sorted(m for m in sys.modules if 'dyck4d' in m))")
+    assert (result.returncode, result.stderr) == (0, "")
+    return result.stdout.split()
 
 
 def test_cli_import_loads_only_what_counting_runs():
@@ -102,7 +93,9 @@ def test_cli_import_loads_only_what_counting_runs():
     code = ("import sys; before = set(sys.modules); import dyck4d.cli\n"
             "print(*sorted(m for m in sys.modules if 'dyck4d' in m))\n"
             "print(*sorted({'dataclasses', 'inspect'} & (sys.modules.keys() - before)))")
-    package, stdlib = _child_stdout(code).split("\n")[:2]
+    result = golden.child(code=code)
+    assert (result.returncode, result.stderr) == (0, "")
+    package, stdlib = result.stdout.split("\n")[:2]
     assert package.split() == ["dyck4d", "dyck4d.cli", "dyck4d.enumeration",
                                "dyck4d.errors", "dyck4d.lattice", "dyck4d.words"]
     assert stdlib == ""

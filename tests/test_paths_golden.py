@@ -9,13 +9,11 @@ line and message, formatted for an 80-column terminal.
 
 ``data/paths_golden.json`` maps every case to the SHA-256 of its stdout, the
 SHA-256 of its stderr and its exit code, recorded from the row-by-row
-implementation.  An exception that escaped ``main`` there was recorded as
-``"exception:<class>"``; those cases (``lift`` on JSON of the wrong shape) must
-now fail with one ``error:invalid-projection`` line and exit code 1.  The
-fault cases (lifts bent mid-path on every grid, and path and projection lines
-with a bool or a float past their second row) were recorded before the lift
-check and the JSON reader moved to strided slices, and pin the error each
-line names.
+implementation; the lifts of JSON of the wrong shape, where an exception escaped
+``main`` there, were recorded later.  The fault cases (lifts bent mid-path on
+every grid, and path and projection lines with a bool or a float past their
+second row) were recorded before the lift check and the JSON reader moved to
+strided slices, and pin the error each line names.
 
 Record the cases that have no entry yet with ``PYTHONPATH=src python
 tests/golden.py``, the record command of every golden corpus.  It fills in
@@ -25,7 +23,6 @@ intended) means deleting it first.
 
 import json
 import random
-import re
 from pathlib import Path
 
 import pytest
@@ -233,11 +230,4 @@ def test_corpus_is_recorded():
 
 @pytest.mark.parametrize("case", CASES, ids=[case.id for case in CASES])
 def test_golden(case):
-    result = golden.run(case)
-    expected = EXPECTED[case.id]
-    if isinstance(expected[2], str):  # escaped before; now one error line
-        assert case.argv[0] == "lift"
-        assert (result.out, result.code) == ("", 1)
-        assert re.fullmatch(r"error:invalid-projection(:-?\d+)?\n", result.err), result.err
-    else:
-        assert golden.digest(result) == expected
+    assert golden.digest(golden.run(case)) == EXPECTED[case.id]

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import golden
 import oracles
 from dyck4d import render
 from dyck4d import (ROLE_COLORS, ProjectedPath, WrongArity, double_tesseract,
@@ -292,13 +293,10 @@ class TestPixelColumn:
         monkeypatch.setattr(render, "PIXELS_PER_UNIT", 1)
 
     @pytest.fixture
-    def float_columns(self, monkeypatch):
-        """Every column formatted by the float path from now on."""
-        columns = []
-        real = render._fmt_all
-        monkeypatch.setattr(render, "_fmt_all",
-                            lambda values: columns.append(values) or real(values))
-        return columns
+    def float_columns(self):
+        """The arguments of every column formatted by the float path from now on."""
+        with golden.calls(render._fmt_all) as calls:
+            yield calls["_fmt_all"]
 
     @pytest.mark.parametrize("v", [0, 1, -1, 2**53 - 2, 2**53 - 1, -(2**53 - 1)])
     def test_int_path_below_the_bound(self, unit_pixels, float_columns, v):
@@ -311,7 +309,7 @@ class TestPixelColumn:
     def test_float_path_from_the_bound(self, unit_pixels, float_columns, v):
         extent, pixels = render._pixel_column((0, v), flip=v < 0)
         assert (extent, pixels) == (_fmt(abs(v)), [_fmt(0), _fmt(abs(v))])
-        assert float_columns == [[0, abs(v)]]
+        assert float_columns == [{"values": [0, abs(v)]}]
         if abs(v) > 2**53:  # where an int's own digits would no longer match
             assert f"{abs(v)}.00" != _fmt(abs(v))
 
@@ -367,7 +365,7 @@ class TestPixelColumn:
     def test_repeated_values_from_the_bound_keep_the_float_path(self, unit_pixels,
                                                                 float_columns):
         render._pixel_column((0, 2**53) * 4, flip=False)
-        assert float_columns == [[0, 2**53] * 4]
+        assert float_columns == [{"values": [0, 2**53] * 4}]
 
 
 # A drawing element as (tag, points, builder keywords); the builders take the
