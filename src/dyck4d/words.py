@@ -217,6 +217,8 @@ def _word_of(l) -> DyckWord:
 
 def word_to_path(word: DyckWord) -> Path4D:
     """The canonical path of a word: node k holds the counts after k symbols."""
+    if not isinstance(word, DyckWord):
+        raise TypeError(f"word must be a DyckWord, not {type(word).__name__}")
     return _path_of(_word_columns(word))
 
 

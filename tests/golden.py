@@ -1,15 +1,16 @@
-"""The one test harness: a call recorder, a child runner and the golden CLI corpora.
+"""The one test harness: a call recorder, a child runner and the four golden corpora.
 
 * :func:`calls` records the calls of named functions wherever the package binds them.
 * :func:`child` runs ``python -m dyck4d`` or ``python -c`` in a child limited to 256 MB,
   with this checkout's package first on the path (:data:`CHILD_ENV`, which a test that
   streams a child's output uses too); ``tools/linecov.py`` traces every such child.
-* :func:`run` runs a golden :class:`Case` in process, as a fresh ``dyck4d`` would.
-  ``test_paths_golden.py``, ``test_figures_golden.py`` and ``test_cli_args.py`` each
-  name their cases (``CASES``), their data file (``DATA``) and what a case records
-  there (``entry``).  Record the cases that have no entry yet with ``PYTHONPATH=src
-  python tests/golden.py``.  It fills in missing entries only, so re-recording one
-  (only when a change of output is intended) means deleting it first.
+* :func:`run` runs a golden :class:`Case` in process, as a fresh ``dyck4d`` would, and
+  :func:`demo` runs a script of ``demos/`` in process, as ``python demos/<name>`` would.
+  ``test_paths_golden.py``, ``test_figures_golden.py``, ``test_cli_args.py`` and
+  ``test_demos.py`` each name their cases (``CASES``), their data file (``DATA``) and
+  what a case records there (``entry``).  Record the cases that have no entry yet with
+  ``PYTHONPATH=src python tests/golden.py``.  It fills in missing entries only, so
+  re-recording one (only when a change of output is intended) means deleting it first.
 """
 
 import contextlib
@@ -19,6 +20,8 @@ import io
 import json
 import os
 import resource
+import runpy
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -30,6 +33,7 @@ from dyck4d import enumeration
 from dyck4d.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 #: The environment of every child process: this checkout's package first on the path.
 CHILD_ENV = dict(os.environ,
                  PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
@@ -126,12 +130,24 @@ def run(case: Case) -> Result:
     return Result(out.getvalue(), err.getvalue(), code, files)
 
 
+def demo(name: str) -> Result:
+    """``python <name>`` on a copy of ``demos/<name>`` in a new directory, with fresh
+    counting state; its files are what it wrote under ``rendered/``, in name order."""
+    out, err = io.StringIO(), io.StringIO()
+    with (tempfile.TemporaryDirectory() as work, fresh_counting(),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        runpy.run_path(shutil.copy(DEMOS / name, work), run_name="__main__")
+        files = tuple(path.read_bytes() for path in sorted(Path(work, "rendered").glob("*")))
+    return Result(out.getvalue(), err.getvalue(), 0, files)
+
+
 def sha(data) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
-def digest(result: Result) -> list:
-    """[stdout SHA, stderr SHA, exit code], then the SHA of each output file."""
+def digest(case: Case) -> list:
+    """[stdout SHA, stderr SHA, exit code], then the SHA of each output file, of ``run(case)``."""
+    result = run(case)
     return [sha(result.out), sha(result.err), result.code, *map(sha, result.files)]
 
 
@@ -145,10 +161,10 @@ def assert_recorded(expected: dict, cases) -> None:
 
 
 def record(data: Path, cases, entry) -> None:
-    """Add ``entry(run(case))`` to ``data`` for each case that has no entry there, unless
-    it is None.  Every recorded entry stays, and ``data`` is written only if one is added."""
+    """Add ``entry(case)`` to ``data`` for each case that has no entry there, unless it
+    is None.  Every recorded entry stays, and ``data`` is written only if one is added."""
     recorded = load(data)
-    added = {case.id: entry(run(case)) for case in cases if case.id not in recorded}
+    added = {case.id: entry(case) for case in cases if case.id not in recorded}
     added = {case_id: value for case_id, value in added.items() if value is not None}
     if added:
         data.write_text(json.dumps({**recorded, **added}, indent=0) + "\n")
@@ -156,7 +172,8 @@ def record(data: Path, cases, entry) -> None:
 
 if __name__ == "__main__":
     import test_cli_args
+    import test_demos
     import test_figures_golden
     import test_paths_golden
-    for corpus in (test_paths_golden, test_figures_golden, test_cli_args):
+    for corpus in (test_paths_golden, test_figures_golden, test_cli_args, test_demos):
         record(corpus.DATA, corpus.CASES, corpus.entry)

@@ -47,8 +47,9 @@ CHECKS += [(golden.Case(f"{' '.join(prefix)} --n {label}", prefix + ["--n", str(
 CASES = [case for case, _ in CHECKS]
 
 
-def entry(result):
+def entry(case):
     """The stdout SHA of a valid case; an invalid one records nothing."""
+    result = golden.run(case)
     return golden.sha(result.out) if result.code == 0 else None
 
 

@@ -1,42 +1,47 @@
-"""Demos 01-05 print the same bytes as when ``data/demos_stdout.json`` was recorded.
+"""The demos print the same bytes as when ``data/demos_stdout.json`` was recorded,
+and the figures demo writes the tracked files in demos/rendered/ byte for byte.
 
 The file maps each demo's name to the SHA-256 of its standard output.
-Re-record (only when a change of output is intended) with
-``PYTHONPATH=src python tests/test_demos.py``.
 """
 
-import contextlib
-import hashlib
-import io
-import json
-import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+import golden
+from dyck4d import enumeration
+
 DATA = Path(__file__).parent / "data" / "demos_stdout.json"
-NAMES = sorted(path.name for path in DEMOS.glob("0[1-5]_*.py"))
+NAMES = sorted(path.name for path in golden.DEMOS.glob("*.py"))
+CASES = [golden.Case(name, [name]) for name in NAMES]  # as ``python <name>`` runs it
+EXPECTED = golden.load(DATA)
+
+FIGURES = ["box_edges.txt", "box_oblique.svg", "cube_cell.svg", "grid_ij_mountain.svg",
+           "grid_jl_mixed.svg", "grid_lr_staircase.svg", "nested_cubes.svg"]
 
 
-def stdout_digest(name: str) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        runpy.run_path(str(DEMOS / name), run_name="__main__")
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
-
-
-EXPECTED = json.loads(DATA.read_text()) if DATA.exists() else {}
+def entry(case):
+    return golden.sha(golden.demo(case.id).out)
 
 
 def test_every_demo_is_recorded():
-    assert sorted(EXPECTED) == NAMES
+    golden.assert_recorded(EXPECTED, CASES)
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_demo_stdout(name):
-    assert stdout_digest(name) == EXPECTED[name]
+@pytest.mark.parametrize("case", CASES, ids=NAMES)
+def test_demo_stdout(case):
+    assert entry(case) == EXPECTED[case.id]
 
 
-if __name__ == "__main__":
-    DATA.write_text(json.dumps({name: stdout_digest(name) for name in NAMES}, indent=0) + "\n")
+def test_figures_match_tracked_files():
+    written = golden.demo("06_figures.py").files  # in the order of their names
+    assert len(written) == len(FIGURES)
+    assert dict(zip(FIGURES, written)) == {
+        name: (golden.DEMOS / "rendered" / name).read_bytes() for name in FIGURES}
+
+
+def test_demos_leave_the_counting_state_as_it_was(fresh_counting):
+    # demo 03 counts, ranks and samples, which in a process of its own grows a table
+    for name in NAMES:
+        golden.demo(name)
+    assert (enumeration._table, enumeration._walked) == ((), 0)

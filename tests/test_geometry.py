@@ -1,6 +1,3 @@
-import contextlib
-import hashlib
-import io
 import itertools
 import math
 import random
@@ -400,15 +397,12 @@ class TestUnitFigures:
             yield calls
 
     @pytest.mark.parametrize("cell", sorted(_CELL_FIGURES))
-    def test_cell_figure(self, cell, tmp_path, derived):
-        edges = tmp_path / "edges.txt"
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            rc = cli.main(["render", "wireframe", "--n", "6", "--cell", cell,
-                           "--edges", str(edges)])
+    def test_cell_figure(self, cell, derived):
+        out, _, rc, (edges,) = golden.run(golden.Case(
+            "", ["render", "wireframe", "--n", "6", "--cell", cell, "--edges", "EDGES"],
+            files=("EDGES",)))
         assert rc == 0
-        assert (hashlib.sha256(out.getvalue().encode()).hexdigest(),
-                hashlib.sha256(edges.read_bytes()).hexdigest()) == _CELL_FIGURES[cell]
+        assert (golden.sha(out), golden.sha(edges)) == _CELL_FIGURES[cell]
         assert derived == {"_box_edges": [], "_region_rows": []}
 
     @pytest.mark.parametrize("n", [1, 2, 7])
@@ -463,15 +457,12 @@ class TestUnitTriangle:
         assert subtracted == {"sub": [], "norm_squared": []}
 
     def test_reports(self, capsys, subtracted):
-        def digest(text):
-            return hashlib.sha256(text.encode()).hexdigest()
-
-        assert digest(repr(geometry_report(6))) == (
+        assert golden.sha(repr(geometry_report(6))) == (
             "4072b13f14f105bdf40dd774c0fa07ee3b44b8466462ed831679c7f1e345e420")
-        assert digest(repr(geometry._summary(10**300))) == (
+        assert golden.sha(repr(geometry._summary(10**300))) == (
             "2b71c05e33cb519a08c9a2b4bd134f75922fd9cdd536bf383e66b357703941dc")
         assert cli.main(["geometry", "--n", "6"]) == 0
-        assert digest(capsys.readouterr().out) == (
+        assert golden.sha(capsys.readouterr().out) == (
             "437abf593930b38666c6e36d8dbedb8f74597cb56868dff0af0ca60d6da3de57")
         assert subtracted == {"sub": [], "norm_squared": []}
 
@@ -513,7 +504,7 @@ class TestRecords:
         assert first == second
         assert hash(first) == hash(second)
         assert type(first).__name__ == name
-        assert hashlib.sha256(repr(first).encode()).hexdigest() == digest
+        assert golden.sha(repr(first)) == digest
 
     def test_report_repr(self):
         assert repr(verify_right_isosceles(1)) == (

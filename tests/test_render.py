@@ -1,6 +1,4 @@
-import contextlib
 import functools
-import io
 import math
 import random
 import xml.etree.ElementTree as ET
@@ -15,7 +13,6 @@ from dyck4d import render
 from dyck4d import (ROLE_COLORS, ProjectedPath, WrongArity, double_tesseract,
                     edge_list_text, parse_word, project, render_grid_2d,
                     render_wireframe, word_to_path)
-from dyck4d.cli import main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -88,10 +85,9 @@ class TestGrid:
         projected path; a word of another half-length than the grid included."""
         word = oracles.random_word_text(random.Random(100 * n + m), m)
         expected = render_grid_2d(axes, n, project(word_to_path(parse_word(word)), axes))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(["render", "grid", "--axes", axes, "--n", str(n), "--word", word]) == 0
-        assert out.getvalue() == expected
+        argv = ["render", "grid", "--axes", axes, "--n", str(n), "--word", word]
+        result = golden.run(golden.Case("", argv))
+        assert (result.code, result.out) == (0, expected)
 
     @pytest.mark.parametrize("axes, n", [("ij", 0), ("ij", 3), ("lr", 2), ("jr", 1)])
     def test_empty_projected_path(self, axes, n):

@@ -142,6 +142,12 @@ class TestWordToPath:
             for node in word_to_path(parse_word(text)):
                 assert tuple(node) == (node.l + node.r, node.l - node.r, node.l, node.r)
 
+    def test_takes_a_dyck_word(self):
+        # as rank does: a plain str would give a path that breaks Path4D's own check
+        for word in [")(", "ab", "()", b"()", None]:
+            with pytest.raises(TypeError, match=f"^word must be a DyckWord, not {type(word).__name__}$"):
+                word_to_path(word)
+
 
 class TestPathToWord:
     def test_smallest(self):

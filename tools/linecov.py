@@ -31,7 +31,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 #: The test files that run the golden CLI corpora and the demos, as a user would.
 PRODUCT_TESTS = ("test_paths_golden.py", "test_cli_args.py", "test_figures_golden.py",
-                 "test_demos.py", "test_figures.py")
+                 "test_demos.py")
 
 #: The code flag of a function; a module or class body lacks it.
 _CO_NEWLOCALS = 0x2
