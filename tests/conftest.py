@@ -5,8 +5,9 @@ pytest.register_assert_rewrite("golden")
 import golden  # after the rewrite hook, so that its asserts report their values
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def fresh_counting():
-    """Counting state as in a new process (:func:`golden.fresh_counting`), restored after the test."""
+    """Every test runs in counting state as in a new process (:func:`golden.fresh_counting`),
+    dropped when it ends; a hypothesis test that needs it per example resets it itself."""
     with golden.fresh_counting():
         yield

@@ -1,9 +1,14 @@
-"""The one test harness: a call recorder, a child runner and the four golden corpora.
+"""The one test harness: a counting reset, a call recorder, a memory tracer, child
+runners and the four golden corpora.
 
-* :func:`calls` records the calls of named functions wherever the package binds them.
+* :func:`fresh_counting` gives a block the counting state of a new process; the autouse
+  fixture of ``conftest.py`` runs every test inside it.
+* :func:`calls` records the calls of named functions wherever the package binds them,
+  and :func:`traced` the memory a block allocates.
 * :func:`child` runs ``python -m dyck4d`` or ``python -c`` in a child limited to 256 MB,
-  with this checkout's package first on the path (:data:`CHILD_ENV`, which a test that
-  streams a child's output uses too); ``tools/linecov.py`` traces every such child.
+  with this checkout's package first on the path (:data:`CHILD_ENV`), and :func:`head`
+  reads the first lines a ``python -m dyck4d`` child streams, then closes the pipe;
+  ``tools/linecov.py`` traces every such child.
 * :func:`run` runs a golden :class:`Case` in process, as a fresh ``dyck4d`` would, and
   :func:`demo` runs a script of ``demos/`` in process, as ``python demos/<name>`` would.
   ``test_paths_golden.py``, ``test_figures_golden.py``, ``test_cli_args.py`` and
@@ -25,7 +30,9 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 from unittest import mock
 
@@ -93,6 +100,21 @@ def child(*argv, stdin=None, code=None) -> subprocess.CompletedProcess:
                           text=True, env=CHILD_ENV, timeout=30, preexec_fn=limit_to_256_mb)
 
 
+def head(*argv, lines: int) -> tuple:
+    """The first ``lines`` lines ``python -m dyck4d *argv`` prints, in a child limited as
+    in :func:`child`; then its stdout is closed, as ``| head`` closes it: those lines,
+    its exit code and its stderr, as text.  A child still running 30 s on is killed."""
+    with subprocess.Popen([sys.executable, "-m", "dyck4d", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=CHILD_ENV,
+                          preexec_fn=limit_to_256_mb) as process:
+        try:
+            read = [process.stdout.readline() for _ in range(lines)]
+            process.stdout.close()
+            return read, process.wait(timeout=30), process.stderr.read()
+        finally:
+            process.kill()  # no signal is sent once it has exited
+
+
 class Case(NamedTuple):
     """One run of ``main``; an item of ``argv`` named in ``files`` stands for an output file."""
     id: str
@@ -114,6 +136,19 @@ def fresh_counting():
     the block ends: the state before comes back, so a table bought inside is dropped."""
     with mock.patch.multiple(enumeration, _table=(), _walked=0):
         yield
+
+
+@contextlib.contextmanager
+def traced():
+    """Trace the memory the block allocates: yields an object whose ``current`` and
+    ``peak`` hold the traced bytes at the block's end and at most in it, once it ends."""
+    memory = SimpleNamespace(current=None, peak=None)
+    tracemalloc.start()
+    try:
+        yield memory
+    finally:
+        memory.current, memory.peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
 
 
 def run(case: Case) -> Result:

@@ -4,6 +4,7 @@ Everything here is deliberately independent of the package under test:
 plain string scans and exhaustive filters, no shared code paths.
 """
 
+import json
 from itertools import product
 
 
@@ -72,6 +73,18 @@ def visited_nodes(text):
             r += 1
         nodes.append((l + r, l - r, l, r))
     return nodes
+
+
+def path_json(text):
+    """The JSON form of a word's path, as the CLI writes it: one [i, j, l, r] per node."""
+    return json.dumps(visited_nodes(text), separators=(",", ":"))
+
+
+def projected_json(text, axes):
+    """The JSON form of a word's path projected onto ``axes``, as the CLI writes it."""
+    columns = ["ijlr".index(a) for a in axes]
+    points = [[node[c] for c in columns] for node in visited_nodes(text)]
+    return json.dumps({"axes": list(axes), "points": points}, separators=(",", ":"))
 
 
 def visitation_counts(n):

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -198,13 +197,7 @@ class TestCountingMemory:
     def test_count_streams(self):
         # The prefix table of n = 1500 (about 1.1 million big integers) would not fit in
         # 256 MB; the stream prints its first rows at once and stops at a closed pipe.
-        with subprocess.Popen([sys.executable, "-m", "dyck4d", "count", "--n", "1500"],
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              env=golden.CHILD_ENV, preexec_fn=golden.limit_to_256_mb) as child:
-            lines = [child.stdout.readline().decode() for _ in range(40)]
-            child.stdout.close()
-            err = child.stderr.read().decode()
-            rc = child.wait(timeout=30)
+        lines, rc, err = golden.head("count", "--n", "1500", lines=40)
         nodes = enumerate_nodes(11)[:40]  # rows i <= 11, the same for every n >= 11
         assert lines == [f"{node.i},{node.j},{node.l},{node.r}\t"
                          f"{count_paths_through(node, 1500)}\n" for node in nodes]
@@ -310,16 +303,12 @@ class TestGeometry:
     def test_text_memory_does_not_grow_with_n(self, capsys):
         # the text report prints no side node, so none is built
         build_parser()
-        tracemalloc.start()
-        try:
+        with golden.traced() as memory:
             rc = main(["geometry", "--n", "100000"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert rc == 0
         assert capsys.readouterr().out.startswith(
             "n=100000 origin=[0, 0, 0, 0] end=[200000, 0, 100000, 100000] apex=")
-        assert peak < 2**20
+        assert memory.peak < 2**20
 
 
 class TestEnumerateRankSample:
@@ -337,15 +326,9 @@ class TestEnumerateRankSample:
 
     def test_enumerate_streams_past_the_recursion_limit(self):
         # One stack frame per symbol would end in RecursionError near n = 495.
-        with subprocess.Popen([sys.executable, "-m", "dyck4d", "enumerate", "--n", "600",
-                               "--format", "json"],
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              env=golden.CHILD_ENV) as child:
-            rows = [json.loads(child.stdout.readline()) for _ in range(20)]
-            child.stdout.close()
-            err = child.stderr.read().decode()
-            rc = child.wait(timeout=30)
-        assert rows == [{"word": unrank(k, 600), "rank": str(k)} for k in range(20)]
+        lines, rc, err = golden.head("enumerate", "--n", "600", "--format", "json", lines=20)
+        assert list(map(json.loads, lines)) == [{"word": unrank(k, 600), "rank": str(k)}
+                                                for k in range(20)]
         assert "Traceback" not in err
         assert (rc, err) == (1, "error:unwritable-output\n")
 
@@ -418,14 +401,10 @@ class TestRender:
 
     def test_schlegel_memory_does_not_grow_with_n(self, capsys):
         build_parser()
-        tracemalloc.start()
-        try:
+        with golden.traced() as memory:
             rc = main(["render", "schlegel", "--n", "100000"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert rc == 0
-        assert peak < 2**20
+        assert memory.peak < 2**20
 
     @pytest.mark.parametrize("view", ["wireframe", "schlegel"])
     def test_largest_box_n(self, view):
@@ -590,13 +569,8 @@ class TestUnwritableOutput:
             assert (tmp_path / stdout_name).read_text().endswith("</svg>\n")
 
     def test_broken_pipe(self):
-        with subprocess.Popen([sys.executable, "-m", "dyck4d", "count", "--n", "200"],
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              env=golden.CHILD_ENV) as child:
-            assert child.stdout.readline().startswith(b"0,0,0,0\t")
-            child.stdout.close()
-            err = child.stderr.read().decode()
-            rc = child.wait(timeout=60)
+        (line,), rc, err = golden.head("count", "--n", "200", lines=1)
+        assert line.startswith("0,0,0,0\t")
         assert "Traceback" not in err
         assert (rc, err) == (1, "error:unwritable-output\n")
 
@@ -649,26 +623,16 @@ class TestUnreadableInput:
         assert (main(["rank"]), *capsys.readouterr()) == (1, "", "error:unreadable-input\n")
 
 
-def _path_json(text):
-    return json.dumps(oracles.visited_nodes(text), separators=(",", ":"))
-
-
-def _projected_json(text, axes):
-    columns = ["ijlr".index(a) for a in axes]
-    points = [[node[c] for c in columns] for node in oracles.visited_nodes(text)]
-    return json.dumps({"axes": list(axes), "points": points}, separators=(",", ":"))
-
-
 def _good_batches():
     """(argv, three good lines) of each batch command that prints columns."""
     texts = ["", "(()())", "(" * 30 + ")" * 30]
     yield pytest.param(["convert", "--to", "path"], texts, id="convert --to path")
-    yield pytest.param(["convert", "--to", "word"], list(map(_path_json, texts)),
+    yield pytest.param(["convert", "--to", "word"], list(map(oracles.path_json, texts)),
                        id="convert --to word")
     for axes in AXIS_SETS:
         yield pytest.param(["project", "--axes", axes], texts, id=f"project --axes {axes}")
         for to in ("path", "word"):
-            lines = [_projected_json(text, axes) for text in texts]
+            lines = [oracles.projected_json(text, axes) for text in texts]
             yield pytest.param(["lift", "--to", to], lines, id=f"lift --to {to} <{axes}>")
 
 
@@ -707,16 +671,18 @@ class TestJsonBeyondLimits:
 
     @pytest.mark.parametrize("argv, lines", [
         pytest.param(["convert", "--to", "word"],
-                     [_path_json("()"), _DEEP, _path_json("(())")], id="convert deep"),
+                     [oracles.path_json("()"), _DEEP, oracles.path_json("(())")],
+                     id="convert deep"),
         pytest.param(["convert", "--to", "word"],
-                     [_path_json("()"), f"[[0,0,0,{_LONG_INT}]]", _path_json("(())")],
-                     id="convert long int", marks=_NO_DIGIT_LIMIT),
-        pytest.param(["lift"], [_projected_json("()", "lr"), _DEEP, _projected_json("(())", "ij")],
-                     id="lift deep"),
+                     [oracles.path_json("()"), f"[[0,0,0,{_LONG_INT}]]",
+                      oracles.path_json("(())")], id="convert long int", marks=_NO_DIGIT_LIMIT),
+        pytest.param(["lift"], [oracles.projected_json("()", "lr"), _DEEP,
+                                oracles.projected_json("(())", "ij")], id="lift deep"),
         pytest.param(["lift", "--to", "word"],
-                     [_projected_json("()", "lr"),
+                     [oracles.projected_json("()", "lr"),
                       f'{{"axes":["l","r"],"points":[[0,{_LONG_INT}]]}}',
-                      _projected_json("(())", "ij")], id="lift long int", marks=_NO_DIGIT_LIMIT),
+                      oracles.projected_json("(())", "ij")],
+                     id="lift long int", marks=_NO_DIGIT_LIMIT),
     ])
     def test_bad_middle_line(self, argv, lines):
         first, bad, last = lines
@@ -782,13 +748,14 @@ class TestVersion:
 BATCHES = [
     (["validate"], ["()", ")(", "(())"]),
     (["convert", "--to", "path"], ["()", "(", "(())"]),
-    (["convert", "--to", "word"], [_path_json("()"), "[[0,0", _path_json("(())")]),
-    (["convert", "--to", "word"], [_path_json("()"), "[5]", _path_json("(())")]),
+    (["convert", "--to", "word"], [oracles.path_json("()"), "[[0,0", oracles.path_json("(())")]),
+    (["convert", "--to", "word"], [oracles.path_json("()"), "[5]", oracles.path_json("(())")]),
     (["project", "--axes", "jl"], ["()", "(x)", "(())"]),
-    (["lift"], [_projected_json("()", "lr"), '{"axes":["q"],"points":[]}',
-                _projected_json("(())", "ij")]),
-    (["lift", "--to", "word"], [_projected_json("()", "lr"), '{"axes":["l","r"],"points":[[0,0],[2,0]]}',
-                                _projected_json("(())", "ij")]),
+    (["lift"], [oracles.projected_json("()", "lr"), '{"axes":["q"],"points":[]}',
+                oracles.projected_json("(())", "ij")]),
+    (["lift", "--to", "word"], [oracles.projected_json("()", "lr"),
+                                '{"axes":["l","r"],"points":[[0,0],[2,0]]}',
+                                oracles.projected_json("(())", "ij")]),
     (["rank"], ["()", "((", "(())"]),
     (["rank", "--format", "json"], ["()", "())", "(())"]),
 ]
@@ -816,7 +783,7 @@ LINE_COMMANDS = [
 ]
 _FRAGMENTS = ["(", ")", "()", "[", "]", "{", "}", ",", ":", " ", "0", "1", "2", "-1", "1.5",
               "null", "true", "x", '"axes"', '"points"', '"l"', '"r"', '"i"', '"j"', '"q"',
-              _path_json("(())"), _projected_json("()()", "jr")]
+              oracles.path_json("(())"), oracles.projected_json("()()", "jr")]
 
 
 @st.composite
@@ -909,7 +876,8 @@ class TestTotality:
 class TestSharedParser:
     ARGVS = [
         ["project", "--axes", "lr", "(())"], ["rank", "--format", "json", "()()"],
-        ["lift", "--to", "word", _projected_json("(()())", "ij")], ["convert", "--to", "path", "()"],
+        ["lift", "--to", "word", oracles.projected_json("(()())", "ij")],
+        ["convert", "--to", "path", "()"],
         ["validate", ")("], ["count", "--n", "2", "--format", "json"], ["geometry", "--n", "3"],
         ["enumerate", "--n", "3"], ["sample", "--n", "4", "--seed", "5", "--count", "3"],
         ["render", "wireframe", "--n", "1", "--cell", "imax"], ["project", "--axes", "xy", "()"],

@@ -40,7 +40,7 @@ def test_figures_match_tracked_files():
         name: (golden.DEMOS / "rendered" / name).read_bytes() for name in FIGURES}
 
 
-def test_demos_leave_the_counting_state_as_it_was(fresh_counting):
+def test_demos_leave_the_counting_state_as_it_was():
     # demo 03 counts, ranks and samples, which in a process of its own grows a table
     for name in NAMES:
         golden.demo(name)

@@ -2,7 +2,6 @@ import functools
 import math
 import random
 import sys
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import islice
@@ -109,10 +108,12 @@ class TestRankUnrank:
         assert rank(parse_word("()()")) == 1
 
 
-def _counted_by(table, function, *args):
-    """``function(*args)`` with rank and unrank reading ``table``, or walking if it is None."""
+def _held(table, function, *args):
+    """``function(*args)`` in a process that holds ``table`` and buys no other: a call
+    at an n it covers reads it, any other walks."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(enumeration, "_bought_table", lambda n: table)
+        patch.setattr(enumeration, "_table", table)
+        patch.setattr(enumeration, "_bought_table", lambda n: table if n < len(table) else None)
         return function(*args)
 
 
@@ -135,9 +136,9 @@ class TestWalkAgainstTable:
         # the rows up to 300 serve every n up to 300, as the shared table does
         text = oracles.random_word_text(random.Random(seed), n)
         word = parse_word(text)
-        k = _counted_by(None, rank, word)
-        assert _counted_by(_rows_300(), rank, word) == k
-        assert _counted_by(None, unrank, k, n) == word == _counted_by(_rows_300(), unrank, k, n)
+        k = _held((), rank, word)
+        assert _held(_rows_300(), rank, word) == k
+        assert _held((), unrank, k, n) == word == _held(_rows_300(), unrank, k, n)
         if n < 10:
             assert _brute_force_order(n)[k] == text
 
@@ -147,10 +148,10 @@ class TestWalkAgainstTable:
         table = _prefix_rows(n)  # this test's own, about 44 MB, dropped when it ends
         for _ in range(3):
             word = parse_word(oracles.random_word_text(rng, n))
-            k = _counted_by(None, rank, word)
-            assert _counted_by(table, rank, word) == k
-            assert _counted_by(None, unrank, k, n) == word
-            assert _counted_by(table, unrank, k, n) == word
+            k = _held((), rank, word)
+            assert _held(table, rank, word) == k
+            assert _held((), unrank, k, n) == word
+            assert _held(table, unrank, k, n) == word
 
 
 def _checked(word):
@@ -166,14 +167,14 @@ class TestBuiltWordsPassTheScan:
     @given(n=st.integers(0, 300), data=st.data())
     def test_unrank(self, n, data):
         k = data.draw(st.integers(0, catalan(n) - 1))
-        assert _checked(_counted_by(None, unrank, k, n))
-        assert _checked(_counted_by(_rows_300(), unrank, k, n))
+        assert _checked(_held((), unrank, k, n))
+        assert _checked(_held(_rows_300(), unrank, k, n))
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(0, 300), seed=st.integers(0, 2**32))
     def test_sample_uniform(self, n, seed):
-        assert _checked(_counted_by(None, sample_uniform, n, seed))
-        assert _checked(_counted_by(_rows_300(), sample_uniform, n, seed))
+        assert _checked(_held((), sample_uniform, n, seed))
+        assert _checked(_held(_rows_300(), sample_uniform, n, seed))
 
     @pytest.mark.parametrize("n", range(10))
     def test_enumerate_words(self, n):
@@ -185,7 +186,7 @@ def _agrees_with_the_walk(ns):
     for n in ns:
         assert n < len(enumeration._table)
         word = parse_word(oracles.random_word_text(random.Random(n), n))
-        k = _counted_by(None, rank, word)
+        k = _held((), rank, word)
         assert rank(word) == k
         assert unrank(k, n) == word
 
@@ -203,7 +204,6 @@ def _holds_every_ballot_number(table):
         assert c == math.comb(2 * l, l)
 
 
-@pytest.mark.usefixtures("fresh_counting")
 class TestGrownTable:
     """Rows grown from a shorter table equal a fresh build, and every n they cover reads them."""
 
@@ -228,15 +228,6 @@ class TestGrownTable:
 def tables():
     """No table and the rows 0..300, 0..777 (an odd, whole last row) and 0..1000."""
     return {"none": (), **{f"rows-0-{n}": _prefix_rows(n) for n in (300, 777, 1000)}}
-
-
-def _held(table, function, *args):
-    """``function(*args)`` in a process that holds ``table`` and buys no other: a call
-    at an n it covers reads it, any other walks."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(enumeration, "_table", table)
-        patch.setattr(enumeration, "_bought_table", lambda n: table if n < len(table) else None)
-        return function(*args)
 
 
 def _answers(n, words):
@@ -287,13 +278,9 @@ class TestKeptRows:
 
     def test_traced_size(self):
         # 75.4 MB with every row whole, 43.6 MB kept by the rule (CPython 3.11)
-        tracemalloc.start()
-        try:
+        with golden.traced() as memory:
             table = _prefix_rows(enumeration._TABLE_CAP)
-            size = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert len(table) == 1001 and size <= 45 * 10**6
+        assert len(table) == 1001 and memory.current <= 45 * 10**6
 
 
 @pytest.fixture
@@ -306,10 +293,9 @@ def builds():
 def _words_at(n):
     """A word of half-length n and its rank."""
     word = parse_word(oracles.random_word_text(random.Random(n), n))
-    return word, _counted_by(None, rank, word)
+    return word, _held((), rank, word)
 
 
-@pytest.mark.usefixtures("fresh_counting")
 class TestBuyRule:
     """A walk at n <= 1000 costs n²; the call whose walks so far reach n³ / 16 buys rows 0..n."""
 
@@ -391,7 +377,6 @@ def comb_calls():
         yield calls["comb"]
 
 
-@pytest.mark.usefixtures("fresh_counting")
 class TestEachNumberOnce:
     """unrank checks its rank before the buy rule, and a walk reads catalan(n), whose
     closed form is the one ``math.comb`` call, once per call or per stream of draws."""
@@ -420,7 +405,6 @@ class TestEachNumberOnce:
         assert enumeration._walked == 2 * 300**2 and enumeration._table == ()
 
 
-@pytest.mark.usefixtures("fresh_counting")
 class TestThreads:
     @pytest.fixture(autouse=True)
     def short_switch_interval(self):
@@ -486,7 +470,7 @@ class TestSampling:
         assert catalan_calls == [{"n": 1001}]
         assert len(capsys.readouterr().out.split()) == 3
 
-    def test_covered_n_reads_its_total_from_the_table(self, fresh_counting, capsys):
+    def test_covered_n_reads_its_total_from_the_table(self, capsys):
         argv = ["sample", "--n", "30", "--seed", "5", "--count", "3"]
         enumeration._table = _prefix_rows(30)
         with golden.calls(math.comb, enumeration._bought_table) as calls:
@@ -543,7 +527,7 @@ class TestSampling:
 @pytest.mark.parametrize("call", [lambda: next(enumerate_words(-1)), lambda: unrank(0, -1),
                                   lambda: sample_uniform(-1, 0)],
                          ids=["enumerate_words", "unrank", "sample_uniform"])
-def test_negative_half_length_rejected(call, fresh_counting):
+def test_negative_half_length_rejected(call):
     enumeration._table = _prefix_rows(3)  # a table covers every n below its length, not n < 0
     with pytest.raises(ValueError, match="^half-length must be non-negative$"):
         call()
@@ -574,7 +558,7 @@ def test_rank_takes_a_dyck_word(word):
 
 @pytest.mark.parametrize("k", [True, 1.0, "1", Fraction(1)],
                          ids=["bool", "float", "str", "Fraction"])
-def test_unrank_takes_an_int_rank(k, fresh_counting, comb_calls):
+def test_unrank_takes_an_int_rank(k, comb_calls):
     # rejected before catalan(n) and the buy rule, so the call computes no binomial,
     # charges no walk and buys no table
     with pytest.raises(TypeError, match=f"^rank must be an int, not {type(k).__name__}$"):
@@ -584,3 +568,14 @@ def test_unrank_takes_an_int_rank(k, fresh_counting, comb_calls):
     # the half-length rule comes first
     with pytest.raises(ValueError, match="^half-length must be non-negative$"):
         unrank(k, -1)
+
+
+class TestEveryTestStartsFresh:
+    """The autouse reset of conftest.py: what one test buys and charges, the next never sees."""
+
+    def test_a_test_buys_a_table(self):
+        unrank(0, 16)  # the first walk at n = 16 charges 16², and 16 × 16² reaches 16³: it buys
+        assert (len(enumeration._table), enumeration._walked) == (17, 256)
+
+    def test_the_next_starts_with_none(self):
+        assert (enumeration._table, enumeration._walked) == ((), 0)

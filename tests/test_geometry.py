@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import tracemalloc
 
 import pytest
 
@@ -264,14 +263,10 @@ class TestFaceOfSide:
 
     def test_memory_does_not_grow_with_n(self):
         # the diagonal is two vertices; no side's node list is built
-        tracemalloc.start()
-        try:
+        with golden.traced() as memory:
             faces = [face_of_side(side, 100000) for side in SIDES]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert faces[2].diagonal == ((100000, 100000, 100000, 0), (200000, 0, 100000, 100000))
-        assert peak < 2**20
+        assert memory.peak < 2**20
 
     def test_diagonals_span_their_boxes(self):
         # each side's diagonal changes every free axis of its cell/cube by

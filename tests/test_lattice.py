@@ -264,7 +264,6 @@ class TestBallotNumbers:
             count_paths_through((1, 1, 1, 1), 10**300)
 
 
-@pytest.mark.usefixtures("fresh_counting")
 class TestSharedTable:
     def test_one_table_and_bounded_counts(self):
         for n in range(10):  # below n = 16 the first call at n pays
@@ -288,7 +287,6 @@ class TestSharedTable:
         assert calls == {"_prefix_rows": []} and not hasattr(lattice, "_prefix_rows")
 
 
-@pytest.mark.usefixtures("fresh_counting")
 class TestCountsReadTheHeldTable:
     """Every ballot number comes from ``enumeration._ballot``: a row the process's
     prefix table holds is read, any other is computed, and no count buys a table."""

@@ -46,8 +46,7 @@ BAD_WORDS = [
     "(" * 300 + ")" * 299, "() ()) (",
 ]
 
-GOOD_PATHS = [json.dumps(oracles.visited_nodes([c for c in w if c in "()"]), separators=(",", ":"))
-              for w in GOOD_WORDS]
+GOOD_PATHS = [oracles.path_json("".join(w.split())) for w in GOOD_WORDS]
 BAD_PATHS = [
     "[]", "{}", '{"a":1}', "[[0,0,0,0],[5,5,5,5]]", "[[1,1,1,0]]", "[[0,0,0,0],[1,-1,0,1]]",
     "[[0,0,0,0],[1,1,1]]", '[[0,0,0,0],[1,1,1,"0"]]', "[[0,0,0,0],[1.0,1,1,0]]",
@@ -57,12 +56,6 @@ BAD_PATHS = [
     "[[0,0,0,0],[1,1,1,0],[2,2,2,0],[3,1,2,1],[4,0,2,2],[5,1,3,2],[6,2,4,2],[7,1,4,3]]",
     "[[0,0", GOOD_PATHS[13][:-1] + ",[1,1,1,1]]",
 ]
-
-
-def projected(word, axes):
-    columns = ["ijlr".index(a) for a in axes]
-    points = [[node[c] for c in columns] for node in oracles.visited_nodes(word)]
-    return json.dumps({"axes": list(axes), "points": points}, separators=(",", ":"))
 
 
 BAD_PROJECTIONS = [
@@ -96,7 +89,7 @@ def _cases():
     for axes in AXIS_SETS:
         yield f"project --axes {axes} <good words>", ["project", "--axes", axes], good
         for to in ("path", "word"):
-            lines = "".join(f"{projected(w, axes)}\n" for w in GOOD_WORDS[:-3])
+            lines = "".join(f"{oracles.projected_json(w, axes)}\n" for w in GOOD_WORDS[:-3])
             yield f"lift --to {to} <good {axes}>", ["lift", "--to", to], lines
     for k, word in enumerate(BAD_WORDS):
         yield f"convert --to path <bad word {k}>", ["convert", "--to", "path", word], ""
@@ -108,7 +101,7 @@ def _cases():
             yield f"lift --to {to} <bad projection {k}>", ["lift", "--to", to, data], ""
     yield from _mixed_cases()
     for axes in AXIS_SETS:
-        prefix = projected(UNBALANCED_PREFIX, axes)
+        prefix = oracles.projected_json(UNBALANCED_PREFIX, axes)
         for to in ("path", "word"):
             yield f"lift --to {to} <unbalanced prefix {axes}>", ["lift", "--to", to], prefix + "\n"
     for argv in BATCH_COMMANDS:
@@ -117,7 +110,7 @@ def _cases():
     for axes in AXIS_SETS:
         for to in ("path", "word"):
             yield (f"lift --to {to} <empty word {axes}>", ["lift", "--to", to],
-                   projected("", axes) + "\n")
+                   oracles.projected_json("", axes) + "\n")
     yield from _counting_cases()
     yield from _fault_cases()
 
@@ -143,10 +136,11 @@ def _mixed_cases():
     paths = lines(GOOD_PATHS[5], BAD_PATHS[11], GOOD_PATHS[12], BAD_PATHS[16], GOOD_PATHS[0],
                   BAD_PATHS[7], GOOD_PATHS[9])
     yield "convert --to word <mixed batch>", ["convert", "--to", "word"], paths
-    projections = lines(projected(GOOD_WORDS[5], "il"), BAD_PROJECTIONS[3],
-                        projected(GOOD_WORDS[12], "jr"), projected(UNBALANCED_PREFIX, "lr"),
-                        BAD_PROJECTIONS[14], projected(GOOD_WORDS[0], "ijr"),
-                        BAD_PROJECTIONS[20], projected(GOOD_WORDS[9], "ij"))
+    projections = lines(oracles.projected_json(GOOD_WORDS[5], "il"), BAD_PROJECTIONS[3],
+                        oracles.projected_json(GOOD_WORDS[12], "jr"),
+                        oracles.projected_json(UNBALANCED_PREFIX, "lr"), BAD_PROJECTIONS[14],
+                        oracles.projected_json(GOOD_WORDS[0], "ijr"), BAD_PROJECTIONS[20],
+                        oracles.projected_json(GOOD_WORDS[9], "ij"))
     for to in ("path", "word"):
         yield f"lift --to {to} <mixed batch>", ["lift", "--to", to], projections
 
@@ -213,7 +207,7 @@ def _fault_cases():
         argv = ["convert", "--to", "word"]
         yield f"convert --to word <{value} at node {node}>", argv, line + "\n"
     for axes, point, value in (("lr", 4, "3.0"), ("jr", 3, "true")):
-        data = json.loads(projected(BENT_WORD, axes))
+        data = json.loads(oracles.projected_json(BENT_WORD, axes))
         line = _with_value(data, data["points"], point, 1, value)
         argv = ["lift", "--to", "path"]
         yield f"lift --to path <{value} at point {point} {axes}>", argv, line + "\n"
