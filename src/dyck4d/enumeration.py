@@ -6,7 +6,7 @@ monotone path of ballot numbers instead of materializing the enumeration:
 the completions of a prefix at (l, r), read backwards with '(' and ')'
 swapped, are the prefixes reaching (n - r, n - l), counted by the ballot
 number B(a, b) = C(a + b, b)(a - b + 1)/(a + 1).  The walk carries that
-binomial from step to step, in O(n) memory.  Once a process's walks have
+number itself, step to step, in O(n) memory.  Once a process's walks have
 cost about one build of the Θ(n²)-entry prefix table at the n called, rank
 and unrank read that table instead (ski rental: Karlin, Manasse, Rudolph and
 Sleator, "Competitive snoopy caching", 1988).  Row l of the table is the
@@ -110,7 +110,7 @@ def _prefix_rows(n: int, rows: tuple = ()) -> tuple:
 
 
 #: A table build at n costs about n / _WALK_RATIO walks at n: at n = 1000 one
-#: build took about 45 ms and one walk 1.2-1.5 ms, and the ratio grows like n (a build
+#: build took 45-58 ms and one walk 1.0-1.1 ms, and the ratio grows like n (a build
 #: adds Θ(n³) bits, a walk multiplies Θ(n²)).  So a walk at n costs n² and a build
 #: n³ / _WALK_RATIO, and the call whose walks so far reach that cost buys rows 0..n.
 _WALK_RATIO = 16
@@ -158,23 +158,22 @@ def rank(word: DyckWord) -> int:
         raise TypeError(f"word must be a DyckWord, not {type(word).__name__}")
     n = word.n
     table = _bought_table(n)
-    # table[row][col] = B(row, col) with row = n - r, col = n - l - 1 counts the
-    # words that complete (l + 1, r); without a table, c = C(row + col, col), which
-    # starts at C(2n - 1, n - 1) = catalan(n)(n + 1)/2 (0 at n = 0, where no step reads it).
-    c = 0 if table else catalan(n) * (n + 1) // 2
+    # b = B(row, col) with row = n - r, col = n - l - 1 counts the words that complete
+    # (l + 1, r): table[row][col], or without a table carried from B(n, n - 1) = catalan(n).
+    b = 0 if table else catalan(n)
     k = 0
     row, col = n, n - 1
     for char in word:
         if char == "(":
-            if not table:
-                c = c * col // (row + col)
+            if not table:  # times B(row, col - 1) / B(row, col), exact
+                b = b * (col * (row - col + 2)) // ((row + col) * (row - col + 1))
             col -= 1
         elif col < 0:  # l = n: only closes remain, and no word opens here
             break
         else:  # every word opening here precedes this one
-            k += table[row][col] if table else c * (row - col + 1) // (row + 1)
-            if not table:
-                c = c * row // (row + col)
+            k += table[row][col] if table else b
+            if not table:  # times B(row - 1, col) / B(row, col), exact
+                b = b * ((row - col) * (row + 1)) // ((row + col) * (row - col + 1))
             row -= 1
     return k
 
@@ -192,21 +191,21 @@ def unrank(k: int, n: int) -> DyckWord:
 
 def _unrank(k: int, n: int, table, total: int) -> DyckWord:
     """The word of rank 0 <= k < ``total`` = catalan(n), reading ``table`` (None: walk)."""
-    c = 0 if table else total * (n + 1) // 2  # C(2n - 1, n - 1), as in rank
+    b = total  # B(row, col) without a table, carried as in rank
     chars = []
     row, col = n, n - 1  # as in rank: n - r and n - l - 1
     while col >= 0:  # once l = n, only closes remain
-        opens = table[row][col] if table else c * (row - col + 1) // (row + 1)
+        opens = table[row][col] if table else b
         if k < opens:
             chars.append("(")
             if not table:
-                c = c * col // (row + col)
+                b = b * (col * (row - col + 2)) // ((row + col) * (row - col + 1))
             col -= 1
         else:
             k -= opens
             chars.append(")")
             if not table:
-                c = c * row // (row + col)
+                b = b * ((row - col) * (row + 1)) // ((row + col) * (row - col + 1))
             row -= 1
     chars.append(")" * row)
     return str.__new__(DyckWord, "".join(chars))  # balanced by construction: no second scan

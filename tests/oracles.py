@@ -5,6 +5,7 @@ plain string scans and exhaustive filters, no shared code paths.
 """
 
 import json
+import math
 from itertools import product
 
 
@@ -40,6 +41,26 @@ def all_balanced(n):
         if is_balanced(text):
             out.append(text)
     return out
+
+
+def closed_form_rank(text):
+    """A word's index in lexicographic order, by the ballot numbers' closed form.
+
+    A close at l opens and r closes, l < n, passes over the words that open
+    there instead: B(n - r, n - l - 1) of them, where B(a, b) =
+    C(a + b, b)(a - b + 1)/(a + 1) counts the prefixes reaching (a, b).
+    """
+    n = len(text) // 2
+    l = r = k = 0
+    for char in text:
+        if char == "(":
+            l += 1
+        else:
+            if l < n:
+                a, b = n - r, n - l - 1
+                k += math.comb(a + b, b) * (a - b + 1) // (a + 1)
+            r += 1
+    return k
 
 
 def count_balanced_bitmask(n):

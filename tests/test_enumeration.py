@@ -154,6 +154,27 @@ class TestWalkAgainstTable:
             assert _held(table, unrank, k, n) == word
 
 
+class TestClosedFormRank:
+    """oracles.closed_form_rank, computed by math.comb alone, checks the walk above
+    _TABLE_CAP, where no table is bought and every call walks."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_oracle_follows_the_brute_force_order(self, n):
+        order = _brute_force_order(n)
+        assert list(map(oracles.closed_form_rank, order)) == list(range(len(order)))
+
+    @pytest.mark.parametrize("n", [1001, 1500])
+    def test_walk_above_the_cap(self, n):
+        assert n > enumeration._TABLE_CAP
+        rng = random.Random(n)
+        texts = ["(" * n + ")" * n, "()" * n] + [oracles.random_word_text(rng, n) for _ in range(3)]
+        for text in texts:
+            k = oracles.closed_form_rank(text)
+            assert rank(parse_word(text)) == k
+            assert unrank(k, n) == text
+        assert enumeration._table == ()
+
+
 def _checked(word):
     """Whether ``word``, built without :class:`DyckWord`'s scan, is a word the scan accepts."""
     return type(word) is DyckWord and DyckWord(str(word)) == word
