@@ -231,7 +231,9 @@ def cmd_count(args) -> int:
 def cmd_geometry(args) -> int:
     from . import geometry
     if args.format == "json":
-        print(json.dumps(geometry.geometry_report(args.n), separators=(",", ":")))
+        # The report is a fresh tree of dicts and lists, so it holds no cycle.
+        print(json.dumps(geometry.geometry_report(args.n), separators=(",", ":"),
+                         check_circular=False))
         return 0
     report = geometry._summary(args.n)  # text prints no node, so none is built
     v = report["vertices"]

@@ -52,9 +52,10 @@ SCHLEGEL_INNER_SCALE = 0.5
 
 class Element(NamedTuple):
     """One or more drawing elements: the x and the y column of their points in
-    source coordinates, and their finished SVG text with one ``{}`` per pixel
-    coordinate, x then y for each point in column order.  The text may hold
-    several lines, joined by newlines, when one set of columns draws them all."""
+    source coordinates, and their finished SVG text with one ``%s`` field per pixel
+    coordinate, x then y for each point in column order, and no other ``%``.  The
+    text may hold several lines, joined by newlines, when one set of columns draws
+    them all."""
 
     xs: tuple
     ys: tuple
@@ -67,28 +68,31 @@ def _stroke(role: str, width: float, dashed: bool) -> str:
 
 
 def _line(role, css_class="grid", dashed=False, width=1.0) -> str:
-    return (f'<line class="{css_class}" x1="{{}}" y1="{{}}" '
-            f'x2="{{}}" y2="{{}}" {_stroke(role, width, dashed)}/>')
+    return (f'<line class="{css_class}" x1="%s" y1="%s" '
+            f'x2="%s" y2="%s" {_stroke(role, width, dashed)}/>')
 
 
 def _polyline(xs, ys, role, css_class="path") -> Element:
-    coords = " ".join(repeat("{},{}", len(xs)))
+    coords = " ".join(repeat("%s,%s", len(xs)))
     return Element(xs, ys, f'<polyline class="{css_class}" points="{coords}" '
                            f'fill="none" {_stroke(role, 2.5, False)}/>')
 
 
 def _circle(role, css_class="vertex", radius=3.0) -> str:
-    return (f'<circle class="{css_class}" cx="{{}}" cy="{{}}" '
+    return (f'<circle class="{css_class}" cx="%s" cy="%s" '
             f'r="{_fmt(radius)}" fill="{ROLE_COLORS[role]}"/>')
 
 
 def _to_svg(elements) -> str:
     """Emit SVG 1.1 of ``Element``s in source (lattice) coordinates, drawn in list
-    order; the y axis is flipped so larger values draw upward."""
-    xs = list(chain.from_iterable(map(attrgetter("xs"), elements))) or [0.0]
-    ys = list(chain.from_iterable(map(attrgetter("ys"), elements))) or [0.0]
-    width, px = _pixel_column(xs, flip=False)
-    height, py = _pixel_column(ys, flip=True)
+    order; the y axis is flipped so larger values draw upward.  One ``%`` fills the
+    whole document with the elements' pixels, so a text whose field count differs
+    from its points raises ``TypeError``."""
+    xs = list(chain.from_iterable(map(attrgetter("xs"), elements)))
+    ys = list(chain.from_iterable(map(attrgetter("ys"), elements)))
+    # An empty scene has the canvas of one point at 0; that point draws nothing.
+    width, px = _pixel_column(xs or [0.0], flip=False)
+    height, py = _pixel_column(ys or [0.0], flip=True)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -96,9 +100,10 @@ def _to_svg(elements) -> str:
         *map(attrgetter("svg"), elements),
         "</svg>\n",
     ]
-    pixels = [""] * (2 * len(px))
-    pixels[0::2], pixels[1::2] = px, py
-    return "\n".join(lines).format(*pixels)
+    pixels = [""] * (2 * len(xs))
+    if xs:
+        pixels[0::2], pixels[1::2] = px, py
+    return "\n".join(lines) % tuple(pixels)
 
 
 #: An int below this is exact in binary64, so its float formats as its digits + ".00".
@@ -110,16 +115,20 @@ def _pixel_column(values, flip: bool) -> tuple[str, list[str]]:
 
     A pixel is MARGIN + PIXELS_PER_UNIT * (v - min), or (max - v) when ``flip``,
     computed as -PIXELS_PER_UNIT * (v - max), which is the same float.  An all-int
-    column whose extent is below ``_EXACT_INT`` stays in ints and skips float
-    formatting: every pixel lies inside the extent, so it is exact.  Each of its
-    distinct values is formatted once, so a grid's isolines, which repeat every
-    value, format each pixel once.
+    column (every value's type is ``int``) whose extent is below ``_EXACT_INT``
+    stays in ints and skips float formatting: every pixel lies inside the extent,
+    so it is exact, and its text is the pixel's digits and ".00".  Such a column
+    takes its bounds over its distinct values and formats each distinct value's
+    pixel once, so a grid's isolines, which repeat every value, format each pixel
+    once.  Every other column is bounded and formatted value by value.
     """
-    lo, hi = min(values), max(values)
+    all_int = set(map(type, values)) == {int}
+    distinct = set(values) if all_int else values
+    lo, hi = min(distinct), max(distinct)
     extent = 2 * MARGIN + PIXELS_PER_UNIT * (hi - lo)
     origin, scale = (hi, -PIXELS_PER_UNIT) if flip else (lo, PIXELS_PER_UNIT)
-    if extent < _EXACT_INT and set(map(type, values)) == {int}:
-        table = {v: f"{MARGIN + scale * (v - origin)}.00" for v in set(values)}
+    if all_int and extent < _EXACT_INT:
+        table = {v: f"{MARGIN + scale * (v - origin)}.00" for v in distinct}
         return f"{extent}.00", list(map(table.__getitem__, values))
     return _fmt(_in_float_range(extent)), _fmt_all([MARGIN + scale * (v - origin) for v in values])
 

@@ -3,9 +3,10 @@ import math
 import random
 import xml.etree.ElementTree as ET
 from collections import Counter
+from itertools import chain, repeat
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import golden
 import oracles
@@ -363,6 +364,20 @@ class TestPixelColumn:
         render._pixel_column((0, 2**53) * 4, flip=False)
         assert float_columns == [{"values": [0, 2**53] * 4}]
 
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("column", [(1, True, 1), (0, 0.0, 2)])
+    def test_equal_values_of_another_type_keep_the_float_path(self, float_columns, column,
+                                                              flip):
+        # an int equal to a bool or a float is one distinct value, yet the column
+        # holds another type than int, so it is bounded and formatted value by value
+        lo, hi = min(column), max(column)
+        origin, scale = (hi, -render.PIXELS_PER_UNIT) if flip else (lo, render.PIXELS_PER_UNIT)
+        assert render._pixel_column(column, flip) == (
+            _fmt(2 * render.MARGIN + render.PIXELS_PER_UNIT * (hi - lo)),
+            [_fmt(render.MARGIN + scale * (v - origin)) for v in column])
+        assert float_columns == [{"values": [render.MARGIN + scale * (v - origin)
+                                             for v in column]}]
+
 
 # A drawing element as (tag, points, builder keywords); the builders take the
 # first point (circle) or the first two (line) positionally.
@@ -434,3 +449,87 @@ def reference_svg(specs):
 @given(st.lists(_SPEC, max_size=8))
 def test_scene_matches_per_element_reference(specs):
     assert render._to_svg([_build(*spec) for spec in specs]) == reference_svg(specs)
+
+
+def format_svg(elements):
+    """The renderer that ``render._to_svg`` replaced, byte for byte: ``{}`` fields
+    (read from an element's text as each ``%s``) filled by one ``str.format``, an
+    all-int column below 2**53 formatted by an f-string table over its distinct values,
+    and every other column value by value.  ``str.format`` ignores pixels left over,
+    such as the one an empty scene's canvas falls back to."""
+    def column(values, flip):
+        lo, hi = min(values), max(values)
+        extent = 2 * render.MARGIN + render.PIXELS_PER_UNIT * (hi - lo)
+        origin, scale = (hi, -render.PIXELS_PER_UNIT) if flip else (lo, render.PIXELS_PER_UNIT)
+        if extent < 2**53 and set(map(type, values)) == {int}:
+            table = {v: f"{render.MARGIN + scale * (v - origin)}.00" for v in set(values)}
+            return f"{extent}.00", [table[v] for v in values]
+        return _fmt(extent), [_fmt(render.MARGIN + scale * (v - origin)) for v in values]
+
+    xs = list(chain.from_iterable(element.xs for element in elements)) or [0.0]
+    ys = list(chain.from_iterable(element.ys for element in elements)) or [0.0]
+    (width, px), (height, py) = column(xs, flip=False), column(ys, flip=True)
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+             *(element.svg.replace("%s", "{}") for element in elements),
+             "</svg>\n"]
+    return "\n".join(lines).format(*chain.from_iterable(zip(px, py)))
+
+
+# Few coordinates per scene, so columns repeat values; an int-only scene keeps
+# every column on the int path unless its extent reaches 2**53.
+_INT = st.one_of(st.integers(-50, 50), st.integers(2**53 - 4, 2**53 + 4))
+_ANY = st.one_of(_INT, st.floats(-50, 50, allow_nan=False), st.booleans(),
+                 st.integers(-50, 50).map(float))
+
+
+@st.composite
+def _elements(draw):
+    pool = draw(st.lists(_ANY if draw(st.booleans()) else _INT, min_size=1, max_size=5))
+    coord = st.sampled_from(pool)
+    elements = []
+    for tag in draw(st.lists(st.sampled_from(["lines", "polyline", "circle"]), max_size=6)):
+        # an isoline family of 0 to 3 lines, a polyline of 0 to 4 points, or a circle
+        count = 1 if tag == "circle" else draw(st.integers(0, 3 if tag == "lines" else 4))
+        size = 2 * count if tag == "lines" else count
+        xs = tuple(draw(st.lists(coord, min_size=size, max_size=size)))
+        ys = tuple(draw(st.lists(coord, min_size=size, max_size=size)))
+        role = draw(st.sampled_from(sorted(ROLE_COLORS)))
+        if tag == "polyline":
+            elements.append(render._polyline(xs, ys, role))
+        elif tag == "circle":
+            elements.append(render.Element(xs, ys, render._circle(role)))
+        else:
+            elements.append(render.Element(xs, ys, "\n".join(repeat(render._line(role), count))))
+    return elements
+
+
+@seed(42)
+@settings(max_examples=300, deadline=None)
+@given(_elements())
+def test_scene_matches_the_format_renderer(elements):
+    """One ``%`` over the elements' pixels writes what the ``{}`` renderer wrote, for
+    int columns near 2**53, floats, bools and floats equal to ints, repeated values
+    and elements with no point."""
+    assert render._to_svg(elements) == format_svg(elements)
+
+
+class TestFieldCount:
+    @pytest.mark.parametrize("elements", [
+        [],
+        [render.Element((), (), "")],
+        [render._polyline((), (), "path"), render.Element((), (), "")],
+    ])
+    def test_scene_without_points(self, elements):
+        # the empty scene's canvas is that of one point at 0, whose pixels fill no field
+        svg = render._to_svg(elements)
+        assert svg == format_svg(elements)
+        assert 'width="40.00" height="40.00"' in svg
+
+    @pytest.mark.parametrize("points", [0, 2])
+    def test_fields_that_do_not_match_the_points_raise(self, points):
+        # a circle's text holds the fields of one point
+        element = render.Element((1,) * points, (2,) * points, render._circle("path"))
+        with pytest.raises(TypeError):
+            render._to_svg([element])
